@@ -13,11 +13,26 @@ rationals, a classical fact assumed here, not re-proved), so the
 refinement always terminates; a configurable precision cap turns a
 would-be infinite loop on a rational-valued form into an error instead.
 
-Interval endpoints are exact `fractions.Fraction` values.  Every
-interval operation is therefore exact, which is the degenerate (and
-still sound) case of outward rounding; :meth:`IntervalReal.round_out`
-provides explicit outward rounding to dyadic endpoints where endpoint
-growth needs to be contained.
+Floors and signs are decided by a fixed-point kernel,
+:func:`eform_bounds`: integers lo <= f * 2^p <= hi at the shared scale
+2^-p, with `Fraction` kept at the API edge (the coefficients a, b, c).
+e and 1/e are each held as one cached triple (P, lo, hi) with
+lo <= x * 2^P <= hi, cut from the exact brackets below by one floor
+division; a request for p <= P shifts it right, flooring the lower and
+ceiling the upper endpoint, and a larger p rebuilds it at exactly p.
+The coefficients are put over one denominator, and the sums are divided
+by it once, with floor division for lo and ceiling division for hi, so
+every step rounds outward and the refinement loop builds no `Fraction`.
+One driver serves floors and signs: a floor is decided when
+lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  When |b| + |c| is
+small it asks the kernel for a few guard bits more than p, so that the
+kernel's own rounding does not outweigh the enclosure error.
+
+:func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
+are `Fraction` values, so callers that print intervals get the same
+digits as before.  :meth:`IntervalReal.round_out` provides explicit
+outward rounding to dyadic endpoints where endpoint growth needs to be
+contained.
 
 Enclosures:
 
@@ -50,6 +65,7 @@ __all__ = [
     "enclose_e",
     "enclose_e_inv",
     "eform_eval",
+    "eform_bounds",
     "certified_floor",
     "certified_floor_info",
     "eform_sign",
@@ -340,6 +356,73 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
     return iv
 
 
+# --- fixed-point kernel -----------------------------------------------
+
+# _FIXED[name] = (P, lo, hi) with lo <= x * 2^P <= hi, for x = e or 1/e.
+# It only ever grows, to exactly the largest precision asked for.  The
+# triple is built outside _FIXED_LOCK (the builders take _ENC_LOCK and
+# the exact-table lock themselves) and swapped in under it.
+_FIXED_LOCK = threading.Lock()
+_FIXED = {"e": (0, 2, 3), "e_inv": (0, 0, 1)}
+
+
+def _build_e(bits: int) -> tuple[int, int, int]:
+    # e - S_k/k! < 1/(k!*k) <= 2^-bits, so lo + 2 bounds e * 2^bits.
+    k = _k_for_e(bits)
+    lo = (partial_sum_pos(k) << bits) // factorial(k)
+    return bits, lo, lo + 2
+
+
+def _build_e_inv(bits: int) -> tuple[int, int, int]:
+    # 1/e - D_{2k-1}/(2k-1)! < 1/(2k)! <= 2^-bits, so lo + 2 bounds it.
+    k = _k_for_e_inv(bits)
+    lo = (derangements(2 * k - 1) << bits) // factorial(2 * k - 1)
+    return bits, lo, lo + 2
+
+
+_BUILDERS = {"e": _build_e, "e_inv": _build_e_inv}
+
+
+def _fixed(name: str, p: int) -> tuple[int, int]:
+    """Integers lo <= x * 2^p <= hi for x = e or 1/e; hi - lo <= 2."""
+    triple = _FIXED[name]
+    if triple[0] < p:
+        triple = _BUILDERS[name](p)
+        with _FIXED_LOCK:
+            if _FIXED[name][0] < p:
+                _FIXED[name] = triple
+    big_p, lo, hi = triple
+    shift = big_p - p
+    return lo >> shift, -(-hi >> shift)
+
+
+def _integer_form(f: EForm) -> tuple[int, int, int, int]:
+    """Integers (A, B, C, D) with f = (A + B*e + C/e) / D and D > 0."""
+    a, b, c = f.a, f.b, f.c
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    return a.numerator * bd * cd, b.numerator * ad * cd, c.numerator * ad * bd, ad * bd * cd
+
+
+def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
+    """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward.
+
+    e and 1/e enter as fixed-point enclosures of width at most 2 * 2^-p,
+    and the one division by the common denominator of a, b, c floors lo
+    and ceils hi, so (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
+    """
+    if p < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {p})")
+    big_a, big_b, big_c, den = _integer_form(f)
+    lo, spread = big_a << p, 0
+    for num, name in ((big_b, "e"), (big_c, "e_inv")):
+        if num:
+            x_lo, x_hi = _fixed(name, p)
+            lo += num * (x_lo if num > 0 else x_hi)
+            spread += abs(num) * (x_hi - x_lo)
+    q, r = divmod(lo, den)
+    return q, q - (-(r + spread) // den)
+
+
 @dataclass(frozen=True)
 class CertifiedFloor:
     """Floor value together with the precision that decided it.
@@ -355,8 +438,49 @@ class CertifiedFloor:
 def _start_bits(f: EForm) -> int:
     # Normalize for the coefficient scale: |a| + 3|b| + |c| bounds the
     # magnitude, so 64 guard bits survive the cancellation in a + b*e + c/e.
-    bound = abs(f.a) + 3 * abs(f.b) + abs(f.c)
-    return 64 + int(bound).bit_length()
+    big_a, big_b, big_c, den = _integer_form(f)
+    return 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
+
+
+def _decide_floor(lo: int, hi: int, p: int) -> int | None:
+    lo >>= p
+    return lo if lo == hi >> p else None
+
+
+def _decide_sign(lo: int, hi: int, p: int) -> int | None:
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
+
+
+def _guard_bits(f: EForm) -> int:
+    # Extra bits that keep the kernel's own rounding, 2^(1-p), below the
+    # error (|b| + |c|) * 2^-p that the enclosures of e and 1/e carry at
+    # p, so forms with tiny b and c decide at the same p as eform_eval.
+    _, big_b, big_c, den = _integer_form(f)
+    return max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
+
+
+def _refine(
+    f: EForm, start_bits: int | None, cap: int | None, decide, what: str
+) -> tuple[int, int]:
+    """(answer, p) at the first p, doubling from the start, where
+    decide(lo, hi, bits) answers on the eform_bounds of f at p plus the
+    guard bits; PrecisionCapError once p passes the cap."""
+    cap = _resolve_cap(cap)
+    p = max(8, _start_bits(f) if start_bits is None else start_bits)
+    guard = _guard_bits(f)
+    while p <= cap:
+        lo, hi = eform_bounds(f, p + guard)
+        result = decide(lo, hi, p + guard)
+        if result is not None:
+            return result, p
+        p *= 2
+    raise PrecisionCapError(
+        f"{what} of {f.to_triple()} undecided at precision cap {cap} bits"
+    )
 
 
 def certified_floor_info(
@@ -374,17 +498,7 @@ def certified_floor_info(
     """
     if f.is_rational:
         return CertifiedFloor(floor(f.a), 0)
-    cap = _resolve_cap(max_precision_bits)
-    p = max(8, _start_bits(f) if start_bits is None else start_bits)
-    while p <= cap:
-        iv = eform_eval(f, p)
-        lo, hi = floor(iv.lo), floor(iv.hi)
-        if lo == hi:
-            return CertifiedFloor(lo, p)
-        p *= 2
-    raise PrecisionCapError(
-        f"floor of {f.to_triple()} undecided at precision cap {cap} bits"
-    )
+    return CertifiedFloor(*_refine(f, start_bits, max_precision_bits, _decide_floor, "floor"))
 
 
 def certified_floor(
@@ -407,18 +521,7 @@ def eform_sign(f: EForm, *, max_precision_bits: int | None = None) -> int:
     """
     if f.is_rational:
         return (f.a > 0) - (f.a < 0)
-    cap = _resolve_cap(max_precision_bits)
-    p = max(8, _start_bits(f))
-    while p <= cap:
-        iv = eform_eval(f, p)
-        if iv.lo > 0:
-            return 1
-        if iv.hi < 0:
-            return -1
-        p *= 2
-    raise PrecisionCapError(
-        f"sign of {f.to_triple()} undecided at precision cap {cap} bits"
-    )
+    return _refine(f, None, max_precision_bits, _decide_sign, "sign")[0]
 
 
 def eform_lt(f: EForm, g: EForm, *, max_precision_bits: int | None = None) -> bool:

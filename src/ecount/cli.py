@@ -148,8 +148,16 @@ def _need(value, flag: str, op: str):
 
 @click.group()
 @click.version_option(package_name="ecount", prog_name="ecount")
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Exact counts in complete graphs, certified by enclosures of e."""
+    # Counts run to tens of thousands of digits, and Python >= 3.11 refuses
+    # str(int) past 4300 of them by default.  Lift that limit while the
+    # command runs, and put it back when it ends.
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        ctx.call_on_close(lambda: sys.set_int_max_str_digits(limit))
 
 
 def _dual(op: str, params: dict, value: int, other: int) -> CountReport:

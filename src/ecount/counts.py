@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .certified import EForm, certified_floor, eform_lt
 from .errors import DomainError, InvariantViolation
@@ -221,10 +222,9 @@ def derangement_eq5(n: int, m: int) -> int:
     _require(n >= 2, f"derangement_eq5 requires n >= 2 (got n={n})")
     _require(m >= 3, f"derangement_eq5 requires m >= 3 (got m={m})")
     nf = factorial(n)
-    a = nf * (
-        _Q(partial_sum_pos(n + m - 2), factorial(n + m - 2))
-        + _Q(n + m, (n + m - 1) * factorial(n + m - 1))
-    )
+    # Over the common denominator t^2 * (t-1)!/n! with t = n+m-1.
+    t = n + m - 1
+    a = _Q(partial_sum_pos(t - 1) * t * t + n + m, t * t * prod(range(n + 1, t)))
     return certified_floor(EForm(a, 0, nf)) - certified_floor(EForm(0, nf, 0))
 
 
@@ -245,10 +245,7 @@ def derangement_thm7(n: int, m: int) -> int:
     """
     _require(n >= 2, f"derangement_thm7 requires n >= 2 (got n={n})")
     _require(m >= 1, f"derangement_thm7 requires m >= 1 (got m={m})")
-    nf = factorial(n)
-    acc = sum(_Q(n + 2 * i - 1, factorial(n + 2 * i)) for i in range(1, m + 1))
-    a = nf * (acc - _Q(partial_sum_pos(n + 2 * m), factorial(n + 2 * m)))
-    return certified_floor(EForm(a, nf, nf))
+    return certified_floor(bound_N(n, m) + EForm(0, 0, factorial(n)))
 
 
 # --- fractional-part bounds -------------------------------------------
@@ -266,8 +263,11 @@ def bound_M(n: int, m: int) -> Fraction:
         return _Q(1, n)
     if m == 2:
         return _Q(n + 2, (n + 1) ** 2)
-    tail = sum(_Q(1, factorial(i)) for i in range(n + 1, n + m - 1))
-    return factorial(n) * (_Q(n + m, (n + m - 1) * factorial(n + m - 1)) + tail)
+    # Over the common denominator t * t!/n! with t = n+m-1, where
+    # n!/i! = prod(i+1..t) / (t!/n!).
+    t = n + m - 1
+    tail = sum(prod(range(i + 1, t + 1)) for i in range(n + 1, t))
+    return _Q(n + m + t * tail, t * prod(range(n + 1, t + 1)))
 
 
 def bound_N(n: int, m: int) -> EForm:
@@ -280,10 +280,12 @@ def bound_N(n: int, m: int) -> EForm:
     """
     _require(n >= 2, f"bound_N requires n >= 2 (got n={n})")
     _require(m >= 1, f"bound_N requires m >= 1 (got m={m})")
-    nf = factorial(n)
-    acc = sum(_Q(n + 2 * i - 1, factorial(n + 2 * i)) for i in range(1, m + 1))
-    a = nf * (acc - _Q(partial_sum_pos(n + 2 * m), factorial(n + 2 * m)))
-    return EForm(a, nf, 0)
+    # Over the common denominator (n+2m)!/n!, where
+    # n!/(n+2i)! = prod(n+2i+1..n+2m) / ((n+2m)!/n!).
+    top = n + 2 * m
+    acc = sum((n + 2 * i - 1) * prod(range(n + 2 * i + 1, top + 1)) for i in range(1, m + 1))
+    a = _Q(acc - partial_sum_pos(top), prod(range(n + 1, top + 1)))
+    return EForm(a, factorial(n), 0)
 
 
 @dataclass(frozen=True)
@@ -319,11 +321,14 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
         head = EForm(-dn, 0, nf)
     frac = EForm(-partial_sum_pos(n), nf, 0)
 
+    big_m = {m: bound_M(n, m) for m in range(1, m_max + 3)}
+    big_n = {m: bound_N(n, m) for m in range(1, m_max + 1)}
+
     chain: list[tuple[str, EForm]] = [("|n!/e - D_n|", head)]
-    chain.extend((f"N_{m}", bound_N(n, m)) for m in range(m_max, 0, -1))
+    chain.extend((f"N_{m}", big_n[m]) for m in range(m_max, 0, -1))
     chain.append(("frac(e*n!)", frac))
     chain.extend(
-        (f"M_{m}", EForm.from_rational(bound_M(n, m))) for m in range(m_max + 2, 0, -1)
+        (f"M_{m}", EForm.from_rational(big_m[m])) for m in range(m_max + 2, 0, -1)
     )
     chain.append(("1", EForm.from_rational(1)))
 
@@ -333,5 +338,5 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
                 f"bounds chain broken at n={n}: expected {name_lo} < {name_hi}"
             )
 
-    m_list = tuple((m, bound_M(n, m), bound_N(n, m)) for m in range(1, m_max + 1))
+    m_list = tuple((m, big_m[m], big_n[m]) for m in range(1, m_max + 1))
     return BoundsChain(n=n, frac=frac, m_list=m_list)

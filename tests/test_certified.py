@@ -1,19 +1,26 @@
 """Certified engine: enclosures of e and 1/e, interval arithmetic,
 and the adaptive certified floor."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from math import factorial, floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ecount import certified
 from ecount.certified import (
     DEFAULT_PRECISION_CAP,
+    CertifiedFloor,
     EForm,
     IntervalReal,
     ceil_log2,
     certified_floor,
     certified_floor_info,
+    eform_bounds,
     eform_eval,
     eform_lt,
     eform_sign,
@@ -283,3 +290,126 @@ def test_floor_shift_identity(n):
     base = certified_floor(EForm(0, 0, nf))
     shifted = certified_floor(EForm(0, 0, nf + 1))
     assert shifted in (base, base + 1)
+
+
+# --- fixed-point kernel -------------------------------------------------
+
+# Coefficients of both signs: plain rationals (some with large
+# denominators, so some tiny), and factorial-sized ones.
+_COEFFS = st.one_of(
+    st.just(Q(0)),
+    st.fractions(max_denominator=10**40),
+    st.builds(
+        lambda n, sign, q: sign * factorial(n) * q,
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from((-1, 1)),
+        st.fractions(min_value=Q(1, 1000), max_value=1000, max_denominator=1000),
+    ),
+)
+_EFORMS = st.builds(EForm, _COEFFS, _COEFFS, _COEFFS)
+
+
+def _scaled(lo: int, hi: int, p: int) -> IntervalReal:
+    return IntervalReal(Q(lo, 2**p), Q(hi, 2**p))
+
+
+def _reference(f: EForm, decide) -> tuple[int, int]:
+    """The refinement loop over exact eform_eval intervals: doubling p
+    from 64 guard bits above the coefficient scale until decide(iv)
+    answers; returns (answer, deciding p)."""
+    p = max(8, 64 + int(abs(f.a) + 3 * abs(f.b) + abs(f.c)).bit_length())
+    while True:
+        answer = decide(eform_eval(f, p))
+        if answer is not None:
+            return answer, p
+        p *= 2
+
+
+def _reference_floor(iv: IntervalReal):
+    return floor(iv.lo) if floor(iv.lo) == floor(iv.hi) else None
+
+
+def _reference_sign(iv: IntervalReal):
+    return 1 if iv.lo > 0 else -1 if iv.hi < 0 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EFORMS, st.integers(min_value=0, max_value=600))
+def test_eform_bounds_encloses_and_stays_narrow(f, p):
+    lo, hi = eform_bounds(f, p)
+    assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
+    # e and 1/e each enter with at most 2 ulps, plus one ulp of outward
+    # rounding on each side.
+    assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EFORMS, st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
+def test_eform_bounds_smaller_precision_after_larger(f, p, extra):
+    fine_lo, fine_hi = eform_bounds(f, p + extra)
+    lo, hi = eform_bounds(f, p)  # served by shifting the finer enclosures
+    assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
+    assert _scaled(lo, hi, p).overlaps(_scaled(fine_lo, fine_hi, p + extra))
+    assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EFORMS)
+@example(EForm(-3, Q(-1, 10**30), Q(1, 10**31)))  # tiny b, c just below an integer
+@example(EForm(0, factorial(300), -factorial(300)))
+def test_kernel_decisions_match_eform_eval_loop(f):
+    info = certified_floor_info(f)
+    sign = eform_sign(f)
+    if f.is_rational:
+        assert info == CertifiedFloor(floor(f.a), 0)
+        assert sign == (f.a > 0) - (f.a < 0)
+        return
+    assert (info.value, info.precision_bits) == _reference(f, _reference_floor)
+    assert sign == _reference(f, _reference_sign)[0]
+
+
+def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():
+    # Outward rounding: the kernel's bounds contain the exact enclosures
+    # 64 bits finer, on the shift path and, one bit above the cached
+    # precision at a time, on the path that rebuilds the cache.
+    top = max(triple[0] for triple in certified._FIXED.values())
+    for p in [*range(0, 700, 7), *range(top + 1, top + 61)]:
+        for f, enclose in ((EForm(0, 1, 0), enclose_e), (EForm(0, 0, 1), enclose_e_inv)):
+            lo, hi = eform_bounds(f, p)
+            assert _scaled(lo, hi, p).encloses(enclose(p + 64))
+
+
+def test_eform_bounds_threads_grow_cache_to_the_largest_precision():
+    # Threads ask for different precisions at once, more of them than
+    # cores, with frequent switches: a lost update would leave a smaller
+    # triple in the cache, or an answer from a too-coarse one.
+    f = EForm(Q(1, 3), -7, Q(5, 2))
+    rng = random.Random(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            base = max(triple[0] for triple in certified._FIXED.values())
+            precisions = [base + 64 * (i + 1) for i in range(6)]
+            rng.shuffle(precisions)
+            barrier = threading.Barrier(len(precisions))
+            results = {}
+
+            def work(p):
+                barrier.wait()
+                results[p] = eform_bounds(f, p)
+
+            threads = [threading.Thread(target=work, args=(p,)) for p in precisions]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for p in precisions:
+                lo, hi = results[p]
+                assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
+                assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
+            # Grown to exactly the largest precision asked for, never beyond.
+            assert [t[0] for t in certified._FIXED.values()] == [max(precisions)] * 2
+    finally:
+        sys.setswitchinterval(interval)

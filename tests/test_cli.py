@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -21,6 +22,34 @@ def test_compute_derangements(runner):
     res = _run(runner, "compute", "derangements", "--n", "5")
     assert res.exit_code == 0
     assert res.stdout == "44\n"
+
+
+def _decimal(n: int) -> str:
+    """str(n) with Python's int-to-str digit limit (3.11+) lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_compute_derangements_past_int_digit_limit(runner):
+    # D_1700 has 4,756 digits, more than the 4300 that str(int) allows
+    # by default on Python 3.11+.
+    d = 1
+    for k in range(1, 1701):
+        d = k * d + (-1) ** k
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    res = _run(runner, "compute", "derangements", "--n", "1700")
+    assert res.exit_code == 0, res.output
+    assert res.stdout == _decimal(d) + "\n"
+    assert len(res.stdout) == 4757
+    # The limit is lifted for the command only.
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_compute_paths_dual_route(runner):
