@@ -30,9 +30,9 @@ kernel's own rounding does not outweigh the enclosure error.
 
 :func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
 are `Fraction` values, so callers that print intervals get the same
-digits as before.  :meth:`IntervalReal.round_out` provides explicit
-outward rounding to dyadic endpoints where endpoint growth needs to be
-contained.
+digits as before.  :meth:`IntervalReal.round_out` rounds outward to
+dyadic endpoints; `oracles.quad_gamma` applies it to every panel
+enclosure, so its endpoints stay a few bits finer than the tolerance.
 
 Enclosures:
 

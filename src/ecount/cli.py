@@ -104,7 +104,6 @@ class CountReport:
     verified: bool | None = None
     route_a: str | None = None
     route_b: str | None = None
-    elapsed_ms: int | None = None
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"op": self.op, "params": self.params, "value": self.value}

@@ -17,9 +17,20 @@ is below tol/2, and [z, U] is covered by panels of width <= 1.  On a
 panel with midpoint m the factor e^-(t-m) is replaced by its Taylor
 polynomial of order K; the truncation error is bounded by the same
 geometric-tail estimate used everywhere in this package, and what
-remains is a polynomial whose moment integrals are exact rationals.
-Each panel therefore yields a certified interval, and panel budgets are
-chosen so the total width (panels plus tail) stays below tol.
+remains is a polynomial whose moment integral is an exact rational.
+That rational is summed over one common denominator as integers
+(`_panel_core`), and e^-m is enclosed at a scale 2^-p with integer
+endpoints rounded outward (`_exp_iv`), from the certified kernel's
+fixed-point enclosures of e and 1/e.  Each panel therefore yields a
+certified interval, which is rounded outward to dyadic endpoints a few
+bits finer than the panel's width share; the tail bound is rounded up
+to a dyadic too, so the running total stays a sum of short dyadics.
+Panel shares are chosen so the total width (panels plus tail) stays
+below tol, and the width is checked after the rounding.
+
+The quadrature reads e and 1/e from `certified.eform_bounds` but no
+closed form it audits: not derangement numbers, not D_n(z), not
+`eform_eval`.
 """
 
 from __future__ import annotations
@@ -27,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, comb, floor
+from math import ceil, comb, factorial, floor, lcm
+from operator import mul
 
-from .certified import IntervalReal, ceil_log2, enclose_e, enclose_e_inv
+from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
 from .errors import DomainError, PrecisionCapError
-from .exact import factorial
 
 __all__ = [
     "EnumerationResult",
@@ -151,38 +162,50 @@ def brute_cycles(n: int, root: int = 0) -> EnumerationResult:
 
 # --- rigorous quadrature ----------------------------------------------
 
+_E = EForm(0, 1, 0)
+_E_INV = EForm(0, 0, 1)
 
-def _exp_taylor01(r: Fraction, bits: int) -> IntervalReal:
-    """Enclosure of e^r for 0 <= r < 1, width <= 2^-bits."""
-    if r == 0:
-        return IntervalReal.point(1)
-    target = _Q(1, 1 << bits)
-    k = 4
-    while True:
-        rem = r ** (k + 1) / (factorial(k + 1) * (1 - r / (k + 2)))
-        if rem <= target:
-            break
-        k += 2
-    s = sum(r**j / factorial(j) for j in range(k + 1))
-    return IntervalReal(s, s + rem)
+# Bits kept past a width share when an enclosure is rounded outward: the
+# rounding then adds at most 2 * 2^-GUARD of the share to the width.
+_GUARD_BITS = 4
 
 
 def _exp_iv(x: Fraction, bits: int) -> IntervalReal:
-    """Enclosure of e^x for arbitrary rational x.
+    """Enclosure of e^x with dyadic endpoints, for rational x.
 
-    Splits x = q + r with integer q and r in [0, 1); e^q is a power of
-    the cached e or 1/e enclosure, e^r comes from the Taylor bracket.
+    The width is at most 2^-bits * max(1, e^x).  Splits x = q + r with
+    integer q and r in [0, 1) and works with integers at scale 2^-p:
+    e^q is the |q|-th power of the fixed-point enclosure of e (or 1/e)
+    from the certified kernel, e^r a Taylor sum whose terms are floored
+    for the lower and ceiled for the upper endpoint.  Every operand is
+    nonnegative, so floor and ceiling keep each endpoint outward.
     """
     q = floor(x)
     r = x - q
-    comp_bits = bits + abs(q).bit_length() + 4
-    if q == 0:
-        base = IntervalReal.point(1)
-    elif q > 0:
-        base = enclose_e(comp_bits).power(q)
-    else:
-        base = enclose_e_inv(comp_bits).power(-q)
-    return base * _exp_taylor01(r, comp_bits)
+    p = bits + bits.bit_length() + abs(q).bit_length() + 8
+    one = 1 << p
+    base_lo = base_hi = one
+    if q:
+        lo, hi = eform_bounds(_E if q > 0 else _E_INV, p)
+        for _ in range(abs(q)):
+            base_lo = base_lo * lo >> p
+            base_hi = -(-base_hi * hi >> p)
+    tay_lo = tay_hi = one
+    if r:
+        num, den = r.numerator, r.denominator
+        t_lo = t_hi = one
+        k = 0
+        while t_hi > 1:
+            k += 1
+            t_lo = t_lo * num // (den * k)
+            t_hi = -(-t_hi * num // (den * k))
+            tay_lo += t_lo
+            tay_hi += t_hi
+        # the terms after the k-th sum to at most t_k * r / (k + 1 - r) <= t_k
+        tay_hi += t_hi
+    return IntervalReal(
+        _Q(base_lo * tay_lo >> p, one), _Q(-(-base_hi * tay_hi >> p), one)
+    )
 
 
 def _abs_moment(n: int, a: Fraction, b: Fraction) -> Fraction:
@@ -200,54 +223,80 @@ def _panel_core(n: int, a: Fraction, b: Fraction, order: int) -> Fraction:
 
     integral of (sum_{j<=K} (-1)^j (t-m)^j / j!) * t^n dt, with
     m the panel midpoint.  Expanding t^n around m reduces everything to
-    odd/even power moments of (t - m), which vanish for odd powers.
+    moments of u = t - m over [-half, half], which vanish for odd powers:
+
+        sum over i <= n, j <= K, i + j even of
+            C(n, i) m^(n-i) * (-1)^j / j! * 2 half^(i+j+1) / (i+j+1).
+
+    With m = M/den and half = H/den every term is an integer over
+    lcm(1..n+K+1) * K! * den^(n+K+1); the numerators are summed as
+    integers and one Fraction is built at the end.
     """
     m = (a + b) / 2
     half = (b - a) / 2
-    top = n + order
-    # I[s] = integral of u^s over [-half, half]: 0 for odd s
-    even_int = [_Q(0)] * (top + 1)
-    hp = half  # running half^(s+1)
-    for s in range(top + 1):
+    den = lcm(m.denominator, half.denominator)
+    big_m = m.numerator * (den // m.denominator)
+    big_h = half.numerator * (den // half.denominator)
+    top = n + order + 1
+    ell = lcm(*range(1, top + 1))
+    # moment[s] = 2 H^(s+1) * ell / (s+1): the u^s moment for even s
+    moment = [0] * top
+    hp = big_h
+    for s in range(top):
         if s % 2 == 0:
-            even_int[s] = 2 * hp / (s + 1)
-        hp *= half
-    mp = [_Q(1)]
-    for _ in range(n):
-        mp.append(mp[-1] * m)
-    core = _Q(0)
+            moment[s] = 2 * hp * (ell // (s + 1))
+        hp *= big_h
+    # weight[j] = (-1)^j * (K!/j!) * den^(K-j)
+    weight = [0] * (order + 1)
+    w = 1
+    for j in range(order, -1, -1):
+        weight[j] = -w if j % 2 else w
+        w *= j * den
+    # m_pow[i] = C(n, i) * M^(n-i)
+    m_pow = [0] * (n + 1)
+    mp = 1
+    for i in range(n, -1, -1):
+        m_pow[i] = comb(n, i) * mp
+        mp *= big_m
+    total = 0
     for i in range(n + 1):
-        coef = comb(n, i) * mp[n - i]
-        inner = _Q(0)
-        for j in range(order + 1):
-            s = i + j
-            if s % 2 == 0:
-                term = even_int[s] / factorial(j)
-                inner += -term if j % 2 else term
-        core += coef * inner
-    return core
+        # j runs over i % 2, i % 2 + 2, ..., so that i + j is even
+        j0 = i % 2
+        total += m_pow[i] * sum(map(mul, weight[j0::2], moment[i + j0 :: 2]))
+    return _Q(total, ell * factorial(order) * den ** (n + order + 1))
 
 
 def _panel(n: int, a: Fraction, b: Fraction, share: Fraction) -> IntervalReal | None:
-    """Certified enclosure of the integral over one panel, or None if
-    the panel must be subdivided to meet its width share."""
+    """Certified enclosure of the integral over one panel with dyadic
+    endpoints, or None if the panel must be subdivided to meet its
+    width share."""
     m = (a + b) / 2
     half = (b - a) / 2
     amom = _abs_moment(n, a, b)
     # crude rational bound on e^-m (3 > e covers the negative-m case)
     ebound = _Q(3) ** ceil(-m) if m < 0 else _Q(1)
 
+    # smallest even order K <= 80 whose remainder bound
+    #   rem = half^(K+1) / ((K+1)! * (1 - half/(K+2)))
+    # has rem * amom * ebound <= share/4, compared over integers: with
+    # half = hn/hd, rem = hn^(K+1) (K+2) / (hd^K (K+1)! ((K+2) hd - hn))
+    hn, hd = half.numerator, half.denominator
+    c = 4 * amom * ebound / share
     order = 6
-    rem = None
-    while order <= 80:
-        rem = half ** (order + 1) / (factorial(order + 1) * (1 - half / (order + 2)))
-        if rem * amom * ebound <= share / 4:
+    h_pow, d_pow, fact = hn**7, hd**6, factorial(7)
+    while True:
+        rem_num = h_pow * (order + 2)
+        rem_den = d_pow * fact * ((order + 2) * hd - hn)
+        if c.numerator * rem_num <= c.denominator * rem_den:
             break
         order += 2
-    else:
-        return None
+        if order > 80:
+            return None
+        h_pow *= hn * hn
+        d_pow *= hd * hd
+        fact *= order * (order + 1)
     core = _panel_core(n, a, b, order)
-    err = rem * amom
+    err = _Q(rem_num, rem_den) * amom
     inner = IntervalReal(core - err, core + err)
 
     mag = max(abs(inner.lo), abs(inner.hi))
@@ -255,8 +304,9 @@ def _panel(n: int, a: Fraction, b: Fraction, share: Fraction) -> IntervalReal | 
         bits = 16
     else:
         bits = max(16, ceil_log2(4 * mag * ebound / share))
+    out_bits = max(1, ceil_log2(1 / share) + _GUARD_BITS)
     for _ in range(3):
-        out = _exp_iv(-m, bits) * inner
+        out = (_exp_iv(-m, bits) * inner).round_out(out_bits)
         if out.width <= share:
             return out
         bits *= 2
@@ -276,12 +326,16 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     if tol <= 0:
         raise DomainError(f"quad_gamma requires tol > 0 (got {tol})")
 
-    # upper cutoff: smallest integer U with the analytic tail below tol/2
-    einv_hi = enclose_e_inv(64).hi
+    # upper cutoff: smallest integer U with the analytic tail, rounded up
+    # to a dyadic, below tol/2; with e^-1 <= h / 2^64 the tail bound is
+    # U^(n+1) * h^U / ((U - n) * 2^(64 U))
+    _, einv_hi = eform_bounds(_E_INV, 64)
+    tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
     u = max(2 * n + 1, ceil(z) + 1, 6)
     pw = einv_hi**u
     while True:
-        tail = u**n * pw / (1 - _Q(n, u))
+        num = u ** (n + 1) * pw << tail_bits
+        tail = _Q(-(-num // ((u - n) << (64 * u))), 1 << tail_bits)
         if tail <= tol / 2:
             break
         u += 1

@@ -5,11 +5,14 @@ so they get their own direct tests at small sizes.
 """
 
 from fractions import Fraction
+from math import comb, floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecount import counts, oracles
-from ecount.certified import IntervalReal
+from ecount.certified import EForm, IntervalReal, eform_eval, enclose_e, enclose_e_inv
 from ecount.errors import DomainError, PrecisionCapError
 from ecount.exact import derangements, factorial
 
@@ -145,3 +148,114 @@ def test_exp_interval_helper_consistency():
         assert pub.overlaps(priv)
     assert oracles._exp_iv(Q(1), 100).overlaps(enclose_e(100))
     assert oracles._exp_iv(Q(-1), 100).overlaps(enclose_e_inv(100))
+
+
+# --- fixed-point quadrature kernels -------------------------------------
+
+
+def _panel_core_reference(n, a, b, order):
+    """The surrogate integral of _panel_core summed term by term in Fractions:
+    sum over i + j even of C(n, i) m^(n-i) (-1)^j / j! * 2 half^(i+j+1) / (i+j+1)."""
+    m = (a + b) / 2
+    half = (b - a) / 2
+    total = Q(0)
+    for i in range(n + 1):
+        for j in range(order + 1):
+            s = i + j
+            if s % 2 == 0:
+                term = comb(n, i) * m ** (n - i) * Q((-1) ** j, factorial(j))
+                total += term * 2 * half ** (s + 1) / (s + 1)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=25),
+    st.fractions(min_value=-30, max_value=60, max_denominator=60),
+    st.fractions(min_value=Q(1, 64), max_value=2, max_denominator=64),
+    st.integers(min_value=0, max_value=40),
+)
+@example(0, Q(0), Q(1), 0)
+@example(25, Q(-5, 6), Q(5, 6), 80)
+def test_panel_core_matches_fraction_reference(n, a, width, half_order):
+    b = a + width
+    order = 2 * half_order
+    assert oracles._panel_core(n, a, b, order) == _panel_core_reference(n, a, b, order)
+
+
+def _exp_reference(x, bits):
+    """e^x in exact Fraction arithmetic: a power of the exact e or 1/e
+    bracket times a Taylor bracket of e^r, both at about `bits` bits."""
+    q = floor(x)
+    r = x - q
+    comp = bits + abs(q).bit_length() + 4
+    base = enclose_e(comp).power(q) if q >= 0 else enclose_e_inv(comp).power(-q)
+    if r == 0:
+        return base
+    k = 4
+    while True:
+        rem = r ** (k + 1) / (factorial(k + 1) * (1 - r / (k + 2)))
+        if rem <= Q(1, 1 << comp):
+            break
+        k += 2
+    s = sum(r**j / factorial(j) for j in range(k + 1))
+    return base * IntervalReal(s, s + rem)
+
+
+def _is_dyadic(x: Fraction) -> bool:
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=-80, max_value=80, max_denominator=10**6),
+    st.integers(min_value=1, max_value=300),
+)
+@example(Q(80), 64)
+@example(Q(-80), 64)
+@example(Q(-1, 3), 1)
+@example(Q(159, 2), 300)
+def test_exp_iv_encloses_a_finer_enclosure(x, bits):
+    iv = oracles._exp_iv(x, bits)
+    finer = _exp_reference(x, bits + 200)
+    assert iv.encloses(finer)
+    assert iv.width <= Q(1, 1 << bits) * max(1, finer.hi)
+    assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
+
+
+def _gamma_closed_form(n, z):
+    """integral over [z, inf) of e^-t t^n dt = e^-z * sum_{k<=n} n!/k! z^k,
+    as an EForm for z in {-1, 0, 1}."""
+    poly = sum(factorial(n) // factorial(k) * z**k for k in range(n + 1))
+    return {-1: EForm(0, poly, 0), 0: EForm(poly, 0, 0), 1: EForm(0, 0, poly)}[z]
+
+
+@pytest.mark.parametrize("n", (0, 8, 15, 25))
+def test_quad_gamma_endpoints_stay_short_dyadics(n):
+    # Each panel is rounded outward to a dyadic sized to its width share,
+    # so the endpoints stay near the 30 bits the tolerance needs instead
+    # of carrying the product of every panel's denominator.
+    tol = Q(1, 10**9)
+    for z in (Q(-1), Q(0), Q(1), Q(-5, 6)):
+        res = oracles.quad_gamma(n, z, tol)
+        assert res.value.width <= tol
+        for end in (res.value.lo, res.value.hi, res.tail_bound):
+            assert _is_dyadic(end)
+            assert end.denominator.bit_length() - 1 <= 128
+        if z.denominator == 1:
+            assert res.value.encloses(eform_eval(_gamma_closed_form(n, int(z)), 200))
+
+
+def test_quad_gamma_loose_tolerance():
+    # A tolerance above 1 asks for rounding coarser than integers; the
+    # rounding precision stays at least one bit.
+    for tol in (Q(100), Q(10**6)):
+        res = oracles.quad_gamma(3, Q(0), tol)
+        assert _inside(res.value, 6)
+        assert res.value.width <= tol
+
+
+def test_quadrature_stays_independent_of_the_audited_closed_forms():
+    for name in ("derangements", "dpoly_eval", "eform_eval", "specials"):
+        assert not hasattr(oracles, name)
