@@ -15,28 +15,48 @@ certified intervals from independent routes and must overlap.
 Finally, integral over [z, inf) of e^-t * t^n dt equals e^-z * D_n(z),
 which turns six specific integrals of e^-t * t^n into exact e-linear
 closed forms; each is checked against the rigorous quadrature oracle.
+
+Both hot routes work with integers at a scale 2^-w and round outward,
+with `Fraction` kept at the API edge:
+
+* `exp_enclosure` reduces the argument, r = |x| / 2^s <= 2^-8, sums the
+  Taylor series of e^r with floored terms for the lower and ceiled terms
+  for the upper endpoint plus a tail bound, squares the interval s times
+  (floor below, ceiling above) and, for x < 0, takes the reciprocal
+  interval.  It shares no code with the certified kernel's enclosures of
+  e and 1/e or with the quadrature oracle's e^x, so the tests that
+  compare those routes compare independent computations.
+* the series side of `hyp1f1` carries each term as an integer interval,
+  swapping floor and ceiling when the term ratio is negative, with guard
+  bits taken from the largest term; if the width still misses 2^-bits
+  the guard doubles and the sum runs again.
+
+Each works out its precision w before any big work and raises
+PrecisionCapError when w passes the precision cap (ECOUNT_PRECISION_CAP,
+else 2^20 bits), instead of running for hours.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from .certified import (
     EForm,
     IntervalReal,
+    _resolve_cap,
     ceil_log2,
     certified_floor,
     eform_eval,
     eform_sign,
 )
 from .counts import derangement_eq2
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, PrecisionCapError
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 from .oracles import quad_gamma
 
 __all__ = [
-    "Hyp2F0Params",
     "GammaQuery",
     "IntegralIdentity",
     "hyp2f0",
@@ -50,17 +70,10 @@ __all__ = [
 
 _Q = Fraction
 
-
-@dataclass(frozen=True)
-class Hyp2F0Params:
-    """Parameters of the terminating series F(n; x); n+1 terms."""
-
-    n: int
-    x: Fraction
-
-    @property
-    def term_count(self) -> int:
-        return self.n + 1
+# Rational bounds: 14426/10000 < log2(e) < 14427/10000, log2(3) < 317/200.
+_LOG2_E_DOWN = _Q(14426, 10000)
+_LOG2_E_UP = _Q(14427, 10000)
+_LOG2_3_UP = _Q(317, 200)
 
 
 @dataclass(frozen=True)
@@ -125,14 +138,45 @@ def hyp2f0_special(n: int, sign: int) -> int:
     return int(expected)
 
 
-def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
-    """Certified enclosure of e^x from the Taylor partial sum.
+def _check_cap(what: str, w: int) -> None:
+    """PrecisionCapError when working precision w passes the cap."""
+    cap = _resolve_cap(None)
+    if w > cap:
+        raise PrecisionCapError(
+            f"{what} needs {w} working bits, above the precision cap of {cap}"
+        )
 
-    The tail after k terms is bounded by
-    |x|^(k+1) / ((k+1)! * (1 - |x|/(k+2)))   once k+2 > |x|,
-    and k grows until that bound is below 2^-precision_bits scaled to
-    the magnitude of e^x (so the width is small relative to the value,
-    also for strongly negative x).
+
+def _square_out(lo: int, hi: int, w: int, s: int) -> tuple[int, int]:
+    """Bounds on (lo 2^-w)^(2^s) and (hi 2^-w)^(2^s) at scale 2^-w.
+
+    Each squaring floors the lower and ceils the upper endpoint.
+    """
+    for _ in range(s):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return lo, hi
+
+
+def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
+    """Certified enclosure of e^x with dyadic endpoints.
+
+    The width is at most 2^-precision_bits for x > 0 and at most
+    3^-(floor(-x)+1) * 2^-precision_bits for x < 0, so it stays small
+    relative to the value also for strongly negative x.
+
+    With a = |x| and r = a / 2^s <= 2^-8, E = e^a = (e^r)^(2^s) is
+    bounded at scale 2^-w.  The Taylor sum of e^r floors each term for
+    the lower and ceils it for the upper endpoint; it stops at the first
+    term of at most 2^(g-3) units, and that term times (1 + 2^-8) bounds
+    it and all that follow.  `_square_out` then squares s times, each
+    squaring at most doubling the relative width and adding 2^(1-w), so
+    g guard bits cover the roughly w/8 rounded terms and the squarings.
+    For x > 0 the width asked for is 2^-t, and w adds mag >= log2(E)
+    bits.  For x < 0 the result is [1/hi, 1/lo] at scale 2^-(t+2); its
+    width is about the relative width of E divided by E, so w needs
+    fewer bits by about log2(E).  Raises PrecisionCapError when w or
+    t + 2 passes the precision cap.
     """
     if precision_bits < 1:
         raise DomainError(f"precision_bits must be >= 1 (got {precision_bits})")
@@ -140,21 +184,41 @@ def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     if x == 0:
         return IntervalReal.point(1)
     ax = abs(x)
-    # e^x >= 3^floor(x) for x < 0, and >= 1 otherwise
-    scale = _Q(1) if x > 0 else _Q(1, 3 ** (-int(x) + 1))
-    target = scale / (1 << precision_bits)
-    k = 1
-    while k + 2 <= ax:
-        k += 1
-    while True:
-        rem = ax ** (k + 1) / (factorial(k + 1) * (1 - ax / (k + 2)))
-        if rem <= target:
-            break
-        k += 1
-    s = sum(x**j / factorial(j) for j in range(k + 1))
+    s = max(0, ceil_log2(ax) + 8)
     if x > 0:
-        return IntervalReal(s, s + rem)  # tail terms all positive
-    return IntervalReal(s - rem, s + rem)
+        t = precision_bits
+        mag = ceil(ax * _LOG2_E_UP)  # E <= 2^mag
+    else:
+        # 2^-t <= 3^-(floor(-x)+1) * 2^-precision_bits, and 1/E <= 2^(mag-1)
+        t = precision_bits + ceil((floor(ax) + 1) * _LOG2_3_UP)
+        mag = 1 - floor(ax * _LOG2_E_DOWN)
+    base = t + mag + s
+    g = base.bit_length() + 4
+    w = base + g
+    _check_cap(f"exp_enclosure at x={x}", max(w, t + 2))
+
+    one = 1 << w
+    num, den = ax.numerator, ax.denominator << s
+    small = 1 << (g - 3)
+    lo = hi = t_lo = t_hi = one
+    k = 1
+    while True:
+        t_lo = t_lo * num // (den * k)
+        t_hi = -(-t_hi * num // (den * k))
+        if t_hi <= small:
+            break
+        lo += t_lo
+        hi += t_hi
+        k += 1
+    # the terms from the k-th on sum to at most t_k / (1 - r/(k+1)),
+    # and r/(k+1) <= 2^-9
+    lo += t_lo
+    hi += t_hi + (t_hi >> 8) + 1
+    lo, hi = _square_out(lo, hi, w, s)
+    if x > 0:
+        return IntervalReal(_Q(lo, one), _Q(hi, one))
+    top = 1 << (w + t + 2)
+    return IntervalReal(_Q(top // hi, 1 << (t + 2)), _Q(-(-top // lo), 1 << (t + 2)))
 
 
 def inc_gamma_int(query: GammaQuery) -> IntervalReal:
@@ -169,13 +233,58 @@ def inc_gamma_int(query: GammaQuery) -> IntervalReal:
     return exp_enclosure(-z, bits + extra) * d
 
 
+def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
+    """The 1F1 series of `hyp1f1` at scale 2^-w, width <= 2^-bits.
+
+    Each term is an integer interval [lo, hi]; multiplying it by the
+    ratio p/q floors the lower and ceils the upper endpoint, taking them
+    from the other end when p < 0.  Every term is at most e^|x| <= 2^mag,
+    so each of the K rounded terms carries error of order 2^mag units and
+    the guard is mag + log2(K) bits; if the width still misses 2^-bits
+    the guard doubles and the sum runs again.
+    """
+    num, den = x.numerator, x.denominator
+    ax = abs(x)
+    mag = ceil(ax * _LOG2_E_UP)
+    # about 2|x| terms until the ratio drops to 1/2, then mag + bits more
+    terms = ceil(2 * ax) + mag + bits + 2
+    guard = mag + terms.bit_length() + 2
+    while True:
+        # the tail target 2^-(bits+1) is 2^guard units
+        w = bits + 1 + guard
+        _check_cap(f"hyp1f1 series at n={n}, x={x}", w)
+        lo = hi = acc_lo = acc_hi = 1 << w
+        k = 0
+        while True:
+            p = -num * (n + 1 + k)
+            q = den * (n + 2 + k) * (k + 1)
+            if p >= 0:
+                lo, hi = lo * p // q, -(-hi * p // q)
+            else:
+                lo, hi = hi * p // q, -(-lo * p // q)
+            k += 1
+            acc_lo += lo
+            acc_hi += hi
+            # after the ratio drops below 1/2 the tail is geometric
+            if 2 * ax <= k + 1:
+                big = 2 * max(-lo, hi) * abs(num) * (n + 2 + k)
+                bound = -(-big // (den * (n + 3 + k) * (k + 1)))
+                if bound <= 1 << guard:
+                    break
+        acc_lo -= bound
+        acc_hi += bound
+        if acc_hi - acc_lo <= 1 << (guard + 1):
+            return IntervalReal(_Q(acc_lo, 1 << w), _Q(acc_hi, 1 << w))
+        guard *= 2
+
+
 def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     """Lower 1F1 series with parameters (n+1, n+2) evaluated at -x.
 
-    Direct route: partial sums with term ratio
-    t_{k+1}/t_k = -x * (n+1+k) / ((n+2+k) * (k+1)),
-    truncated once the ratio magnitude stays below 1/2, with a geometric
-    tail bound.  For x != 0 the enclosure is checked for overlap against
+    Direct route (`_series_1f1`, over integers): partial sums with term
+    ratio t_{k+1}/t_k = -x * (n+1+k) / ((n+2+k) * (k+1)), truncated
+    once the ratio magnitude stays below 1/2, with a geometric tail
+    bound.  For x != 0 the enclosure is checked for overlap against
     the closed form (n+1) * (n! - e^-x * D_n(x)) / x^(n+1) computed via
     exp_enclosure, an independent route.
     """
@@ -187,20 +296,7 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     if x == 0:
         return IntervalReal.point(1)
 
-    target = _Q(1, 1 << (precision_bits + 1))
-    term = _Q(1)
-    acc = _Q(1)
-    k = 0
-    while True:
-        term *= -x * (n + 1 + k) / ((n + 2 + k) * (k + 1))
-        k += 1
-        acc += term
-        # after the ratio drops below 1/2 the tail is geometric
-        if 2 * abs(x) <= k + 1:
-            bound = 2 * abs(term) * abs(x) * (n + 2 + k) / ((n + 3 + k) * (k + 1))
-            if bound <= target:
-                break
-    series_iv = IntervalReal(acc - bound, acc + bound)
+    series_iv = _series_1f1(n, x, precision_bits)
 
     d = dpoly_eval(n, x)
     scale = _Q(n + 1) / x ** (n + 1)

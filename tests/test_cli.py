@@ -2,6 +2,10 @@
 
 import json
 import sys
+import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from click.testing import CliRunner
@@ -191,3 +195,64 @@ def test_precision_cap_env(runner, monkeypatch):
     res = _run(runner, "compute", "floor-e-nfact", "--n", "5")
     assert res.exit_code == 1
     assert "violation" in res.stderr
+
+
+# --- large arguments to the special functions ----------------------------
+
+# Each probe below timed out at 20 s before exp_enclosure reduced its
+# argument; the bound is generous for a 2-vCPU machine.
+_PROBE_SECONDS = 10.0
+_PROBE_DIGITS = 1500
+
+
+def _timed_compute(runner, *args):
+    t0 = time.monotonic()
+    res = _run(runner, "compute", *args, "--format", "json")
+    return res, time.monotonic() - t0
+
+
+def _d_poly(n: int, x: int) -> int:
+    return sum(factorial(n) // factorial(k) * x**k for k in range(n + 1))
+
+
+def _exp_times(x: int, factor: int) -> tuple[Fraction, Fraction]:
+    """e^x * factor in decimal, with an allowance for its rounding."""
+    with localcontext() as ctx:
+        ctx.prec = _PROBE_DIGITS
+        v = Fraction(Decimal(x).exp() * factor)
+    return v, abs(v) / 10 ** (_PROBE_DIGITS - 5)
+
+
+@pytest.mark.parametrize(
+    "op, n, arg",
+    [("inc-gamma", 3, 2000), ("inc-gamma", 3, -2000), ("hyp1f1", 2, 3000), ("hyp1f1", 2, -3000)],
+)
+def test_large_argument_probes_answer_in_time(runner, op, n, arg):
+    flag = "--z" if op == "inc-gamma" else "--x"
+    res, seconds = _timed_compute(runner, op, "--n", str(n), flag, str(arg))
+    assert res.exit_code == 0, res.output
+    assert seconds < _PROBE_SECONDS
+    value = json.loads(res.stdout)["value"]
+    lo, hi = Fraction(value["lo"]), Fraction(value["hi"])
+    # Gamma(n+1, z) = e^-z D_n(z); hyp1f1 = (n+1) (n! - e^-x D_n(x)) / x^(n+1)
+    v, err = _exp_times(-arg, _d_poly(n, arg))
+    if op == "hyp1f1":
+        scale = Fraction(n + 1, arg ** (n + 1))
+        v, err = (factorial(n) - v) * scale, err * abs(scale)
+    assert lo <= v + err and v - err <= hi
+
+
+@pytest.mark.parametrize(
+    "op, flag, arg",
+    [
+        ("inc-gamma", "--z", "1000000"),
+        ("inc-gamma", "--z", "-1000000"),
+        ("hyp1f1", "--x", "1000000"),
+        ("hyp1f1", "--x", "-1000000"),
+    ],
+)
+def test_huge_argument_probes_hit_the_precision_cap(runner, op, flag, arg):
+    res, seconds = _timed_compute(runner, op, "--n", "3", flag, arg)
+    assert res.exit_code == 1
+    assert seconds < _PROBE_SECONDS
+    assert "precision cap" in res.stderr

@@ -2,12 +2,15 @@
 gamma bridge, and the six integral identities."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecount import specials
-from ecount.certified import EForm, certified_floor, eform_sign
-from ecount.errors import DomainError, InvariantViolation
+from ecount.certified import EForm, IntervalReal, certified_floor, eform_sign
+from ecount.errors import DomainError, InvariantViolation, PrecisionCapError
 from ecount.exact import derangements, dpoly_eval, factorial, partial_sum_pos
 
 Q = Fraction
@@ -22,10 +25,6 @@ def test_hyp2f0_frozen_values():
     assert specials.hyp2f0(2, Q(-1)) == 5
     assert specials.hyp2f0(3, Q(1)) == -2
     assert specials.hyp2f0(1, Q(1, 2)) == Q(1, 2)
-
-
-def test_hyp2f0_term_count():
-    assert specials.Hyp2F0Params(5, Q(1)).term_count == 6
 
 
 def test_hyp2f0_polynomial_identity_exact():
@@ -91,6 +90,142 @@ def test_exp_enclosure_monotone_grid():
     vals = [specials.exp_enclosure(Q(k, 4), 60) for k in range(-8, 9)]
     for lo_iv, hi_iv in zip(vals, vals[1:]):
         assert lo_iv.hi < hi_iv.hi and lo_iv.lo < hi_iv.lo
+
+
+# --- fixed-point kernels against the former Fraction routes ---------------
+
+
+def _exp_taylor_reference(x, bits):
+    """The former exp_enclosure: the Taylor sum of e^x in exact Fractions
+    with no argument reduction, width <= 2^-bits, times 3^-(floor(-x)+1)
+    for x < 0."""
+    if x == 0:
+        return IntervalReal.point(1)
+    ax = abs(x)
+    scale = Q(1) if x > 0 else Q(1, 3 ** (-int(x) + 1))
+    target = scale / (1 << bits)
+    k = 1
+    while k + 2 <= ax:
+        k += 1
+    while True:
+        rem = ax ** (k + 1) / (factorial(k + 1) * (1 - ax / (k + 2)))
+        if rem <= target:
+            break
+        k += 1
+    s = sum(x**j / factorial(j) for j in range(k + 1))
+    if x > 0:
+        return IntervalReal(s, s + rem)
+    return IntervalReal(s - rem, s + rem)
+
+
+def _series_reference(n, x, bits):
+    """The former hyp1f1 series in exact Fractions, width <= 2^-bits."""
+    target = Q(1, 1 << (bits + 1))
+    term = Q(1)
+    acc = Q(1)
+    k = 0
+    while True:
+        term *= -x * (n + 1 + k) / ((n + 2 + k) * (k + 1))
+        k += 1
+        acc += term
+        if 2 * abs(x) <= k + 1:
+            bound = 2 * abs(term) * abs(x) * (n + 2 + k) / ((n + 3 + k) * (k + 1))
+            if bound <= target:
+                break
+    return IntervalReal(acc - bound, acc + bound)
+
+
+def _is_dyadic(x: Fraction) -> bool:
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=-80, max_value=80, max_denominator=10**6),
+    st.integers(min_value=1, max_value=300),
+)
+@example(Q(80), 64)
+@example(Q(-80), 64)
+@example(Q(-1, 3), 1)
+@example(Q(1, 10**6), 300)
+@example(Q(159, 2), 300)
+# No reduction and exact Taylor terms: only the tail bound lifts the
+# upper endpoint above e^x.
+@example(Q(1, 512), 10)
+def test_exp_enclosure_encloses_the_fraction_taylor_sum(x, bits):
+    iv = specials.exp_enclosure(x, bits)
+    assert iv.encloses(_exp_taylor_reference(x, bits + 200))
+    limit = Q(1, 1 << bits) if x >= 0 else Q(1, 3 ** (floor(-x) + 1) << bits)
+    assert iv.width <= limit
+    assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1 << 40),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=6),
+)
+def test_square_out_rounds_outward(lo, spread, w, s):
+    hi = lo + spread
+    got_lo, got_hi = specials._square_out(lo, hi, w, s)
+    assert Q(got_lo, 1 << w) <= Q(lo, 1 << w) ** (2**s)
+    assert Q(hi, 1 << w) ** (2**s) <= Q(got_hi, 1 << w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.fractions(min_value=-40, max_value=40, max_denominator=10**6).filter(bool),
+    st.integers(min_value=1, max_value=300),
+)
+@example(0, Q(40), 1)
+@example(20, Q(-40), 300)
+@example(5, Q(1, 10**6), 40)
+def test_series_1f1_encloses_the_fraction_series(n, x, bits):
+    iv = specials._series_1f1(n, x, bits)
+    assert iv.encloses(_series_reference(n, x, bits + 200))
+    assert iv.width <= Q(1, 1 << bits)
+    assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
+
+
+def test_series_1f1_doubles_a_short_guard(monkeypatch):
+    # Without the magnitude bits the first guard cannot absorb the
+    # rounding of terms near e^40, so the width misses and the sum reruns.
+    widths = []
+    check_cap = specials._check_cap
+    monkeypatch.setattr(specials, "_LOG2_E_UP", Q(0))
+    monkeypatch.setattr(
+        specials, "_check_cap", lambda what, w: widths.append(w) or check_cap(what, w)
+    )
+    iv = specials._series_1f1(3, Q(40), 60)
+    assert len(widths) > 1
+    assert iv.width <= Q(1, 1 << 60)
+    assert iv.encloses(_series_reference(3, Q(40), 260))
+
+
+def test_exp_and_series_stop_at_the_precision_cap(monkeypatch):
+    # The working precision is known before any big work, so an argument
+    # past the cap raises at once instead of running for hours.
+    for x in (Q(10**6), Q(-(10**6))):
+        with pytest.raises(PrecisionCapError):
+            specials.exp_enclosure(x, 96)
+        with pytest.raises(PrecisionCapError):
+            specials.hyp1f1(2, x, 96)
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "64")
+    with pytest.raises(PrecisionCapError):
+        specials.exp_enclosure(Q(1), 80)
+    with pytest.raises(PrecisionCapError):
+        specials.inc_gamma_int(specials.GammaQuery(3, Q(1), 80))
+
+
+def test_exp_enclosure_stays_independent_of_the_other_exp_routes():
+    # The quadrature cross-checks compare exp_enclosure with the certified
+    # kernel's e and 1/e and with the oracle's e^x only if no code is shared.
+    for name in ("eform_bounds", "enclose_e", "enclose_e_inv", "_exp_iv"):
+        assert not hasattr(specials, name)
 
 
 # --- incomplete gamma ---------------------------------------------------
