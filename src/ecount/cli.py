@@ -562,6 +562,9 @@ def cmd_verify(suite, n_range, m_range, bits, tol, lam, out) -> None:
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(3)
+    except PrecisionCapError as exc:
+        click.echo(f"violation: {exc}", err=True)
+        sys.exit(1)
 
     total = sum(r.checks for r in results)
     failed = sum(len(r.failures) for r in results)

@@ -28,6 +28,12 @@ to a dyadic too, so the running total stays a sum of short dyadics.
 Panel shares are chosen so the total width (panels plus tail) stays
 below tol, and the width is checked after the rounding.
 
+All of this is one panel pass, `_quad_pieces(n, cuts, tol)`, which also
+splits the panels at a list of cut points and returns one enclosure per
+piece between cuts.  `quad_gamma` calls it with the single cut z;
+`specials.integral_identities` calls it once with the cuts -1, 0 and 1,
+so the six integrals it checks share one set of panel evaluations.
+
 The quadrature reads e and 1/e from `certified.eform_bounds` but no
 closed form it audits: not derangement numbers, not D_n(z), not
 `eform_eval`.
@@ -35,6 +41,7 @@ closed form it audits: not derangement numbers, not D_n(z), not
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -313,25 +320,34 @@ def _panel(n: int, a: Fraction, b: Fraction, share: Fraction) -> IntervalReal | 
     return None
 
 
-def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
-    """Certified enclosure of integral over [z, inf) of e^-t * t^n dt.
+def _quad_pieces(
+    n: int, cuts: list[Fraction], tol: Fraction
+) -> tuple[list[IntervalReal], Fraction, int]:
+    """One panel pass over [cuts[0], U] for integral of e^-t * t^n dt.
 
-    The returned interval has width <= tol.  Raises PrecisionCapError
-    if the evaluation budget runs out before the tolerance is met.
+    cuts is an increasing list of rationals.  Returns one dyadic
+    enclosure per piece [cuts[i], cuts[i+1]], the last piece running to
+    the cut-off U, plus the tail bound for [U, inf) and the number of
+    panel evaluations.  The panels are the unit panels of [cuts[0], U],
+    also split at each cut, and a panel's width share is
+    tol/2 * width / (U - cuts[0]), so the pieces together are at most
+    tol/2 wide.  Raises PrecisionCapError if the evaluation budget runs
+    out before every panel meets its share.
     """
     if n < 0:
         raise DomainError(f"quad_gamma requires n >= 0 (got n={n})")
-    z = _Q(z)
+    cuts = [_Q(c) for c in cuts]
     tol = _Q(tol)
     if tol <= 0:
         raise DomainError(f"quad_gamma requires tol > 0 (got {tol})")
+    z = cuts[0]
 
-    # upper cutoff: smallest integer U with the analytic tail, rounded up
-    # to a dyadic, below tol/2; with e^-1 <= h / 2^64 the tail bound is
-    # U^(n+1) * h^U / ((U - n) * 2^(64 U))
+    # upper cutoff: smallest integer U past every cut with the analytic
+    # tail, rounded up to a dyadic, below tol/2; with e^-1 <= h / 2^64
+    # the tail bound is U^(n+1) * h^U / ((U - n) * 2^(64 U))
     _, einv_hi = eform_bounds(_E_INV, 64)
     tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
-    u = max(2 * n + 1, ceil(z) + 1, 6)
+    u = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
     pw = einv_hi**u
     while True:
         num = u ** (n + 1) * pw << tail_bits
@@ -341,23 +357,18 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
         u += 1
         pw *= einv_hi
 
-    # unit panels aligned to integers, fractional first panel if needed
-    points: list[Fraction] = [z]
-    f = _Q(floor(z) + 1)
-    while f < u:
-        points.append(f)
-        f += 1
-    points.append(_Q(u))
+    # unit panels aligned to integers, split at the cuts
+    points = sorted(set(cuts) | {_Q(k) for k in range(floor(z) + 1, u + 1)})
 
     length = _Q(u) - z
     evals = 0
-    total = IntervalReal.point(0)
+    pieces = [IntervalReal.point(0)] * len(cuts)
     stack = [
-        (points[i], points[i + 1], (tol / 2) * (points[i + 1] - points[i]) / length)
-        for i in range(len(points) - 1)
+        (a, b, (tol / 2) * (b - a) / length, bisect_right(cuts, a) - 1)
+        for a, b in zip(points, points[1:])
     ]
     while stack:
-        a, b, share = stack.pop()
+        a, b, share, piece = stack.pop()
         evals += 1
         if evals > _EVAL_BUDGET:
             raise PrecisionCapError(
@@ -366,9 +377,20 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
         enclosure = _panel(n, a, b, share)
         if enclosure is None:
             mid = (a + b) / 2
-            stack.append((a, mid, share / 2))
-            stack.append((mid, b, share / 2))
+            stack.append((a, mid, share / 2, piece))
+            stack.append((mid, b, share / 2, piece))
             continue
-        total = total + enclosure
-    total = total + IntervalReal(0, tail)
-    return QuadratureResult(value=total, evaluations=evals, tail_bound=tail)
+        pieces[piece] = pieces[piece] + enclosure
+    return pieces, tail, evals
+
+
+def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
+    """Certified enclosure of integral over [z, inf) of e^-t * t^n dt.
+
+    The returned interval has width <= tol.  Raises PrecisionCapError
+    if the evaluation budget runs out before the tolerance is met.
+    """
+    (piece,), tail, evals = _quad_pieces(n, [z], tol)
+    return QuadratureResult(
+        value=piece + IntervalReal(0, tail), evaluations=evals, tail_bound=tail
+    )

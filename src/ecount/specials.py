@@ -15,6 +15,9 @@ certified intervals from independent routes and must overlap.
 Finally, integral over [z, inf) of e^-t * t^n dt equals e^-z * D_n(z),
 which turns six specific integrals of e^-t * t^n into exact e-linear
 closed forms; each is checked against the rigorous quadrature oracle.
+One quadrature pass, cut at -1, 0 and 1, gives the enclosures of all six:
+the finite ranges are sums of their own panels, and the ranges to
+infinity add the panels beyond and the tail bound.
 
 Both hot routes work with integers at a scale 2^-w and round outward,
 with `Fraction` kept at the API edge:
@@ -54,7 +57,7 @@ from .certified import (
 from .counts import derangement_eq2
 from .errors import DomainError, InvariantViolation, PrecisionCapError
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
-from .oracles import quad_gamma
+from .oracles import _quad_pieces
 
 __all__ = [
     "GammaQuery",
@@ -343,6 +346,14 @@ def integral_identities(
     floor((e + 1/e)*n!) - floor(e*n!), a rewriting that is only valid
     from n = 2 on.  Each closed form must overlap its quadrature
     enclosure, else InvariantViolation.
+
+    The enclosures come from one quadrature pass over [-1, U], cut at 0
+    and 1, with pieces P1 = [-1, 0], P2 = [0, 1] and P3 = [1, U]:
+    1..inf is P3 plus the tail bound, 0..inf and -1..inf add P2 and then
+    P1, and the finite ranges are P2, P1 and P1 + P2, with no tail.  The
+    ranges to infinity are at most tol wide, the finite ones tol/2.
+    Raises PrecisionCapError if the pass runs out of its evaluation
+    budget.
     """
     if n < 1:
         raise DomainError(f"integral_identities requires n >= 1 (got {n})")
@@ -355,9 +366,11 @@ def integral_identities(
     # needs n >= 2, below that the derangement number enters directly
     b_sym = certified_floor(EForm(0, nf, nf)) - floor_e if n >= 2 else dn
 
-    q_m1 = quad_gamma(n, _Q(-1), tol).value
-    q_0 = quad_gamma(n, _Q(0), tol).value
-    q_1 = quad_gamma(n, _Q(1), tol).value
+    # one quadrature pass: pieces over [-1, 0], [0, 1] and [1, U]
+    (p_left, p_mid, p_right), tail, _ = _quad_pieces(n, [-1, 0, 1], tol)
+    q_1 = p_right + IntervalReal(0, tail)
+    q_0 = p_mid + q_1
+    q_m1 = p_left + q_0
 
     # [-1, 0]: written through the parity expansion of frac(n!/e)
     if n % 2:
@@ -378,9 +391,9 @@ def integral_identities(
         IntegralIdentity("-1..inf", EForm(0, floor_shift, 0), q_m1),
         IntegralIdentity("0..inf", EForm(nf, 0, 0), q_0),
         IntegralIdentity("1..inf", EForm(0, 0, floor_e), q_1),
-        IntegralIdentity("0..1", EForm(nf, 0, -floor_e), q_0 - q_1),
-        IntegralIdentity("-1..0", left_form, q_m1 - q_0),
-        IntegralIdentity("-1..1", EForm(0, b_sym, -floor_e), q_m1 - q_1),
+        IntegralIdentity("0..1", EForm(nf, 0, -floor_e), p_mid),
+        IntegralIdentity("-1..0", left_form, p_left),
+        IntegralIdentity("-1..1", EForm(0, b_sym, -floor_e), p_left + p_mid),
     )
     for rec in records:
         closed_iv = eform_eval(rec.closed_form, precision_bits)

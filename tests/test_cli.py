@@ -1,15 +1,19 @@
 """End-to-end CLI behavior through click's test runner."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from ecount import oracles
 from ecount.cli import main
 
 
@@ -195,6 +199,33 @@ def test_precision_cap_env(runner, monkeypatch):
     res = _run(runner, "compute", "floor-e-nfact", "--n", "5")
     assert res.exit_code == 1
     assert "violation" in res.stderr
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_verify_past_the_precision_cap_is_a_violation():
+    # Run in a fresh interpreter so an escaped exception would show as a
+    # real traceback on stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ecount.cli import main; main()",
+         "verify", "special-fn", "--n-range", "0..0", "--precision-bits", "2000000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "violation: " in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_verify_quadrature_budget_overrun_is_a_violation(runner, monkeypatch):
+    monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
+    res = _run(runner, "verify", "special-fn", "--n-range", "1..1")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "violation: " in res.stderr
+    assert "Traceback" not in res.output
 
 
 # --- large arguments to the special functions ----------------------------

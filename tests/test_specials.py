@@ -347,3 +347,46 @@ def test_integral_symmetric_form_n1_uses_derangement():
 def test_integral_domain():
     with pytest.raises(DomainError):
         specials.integral_identities(0)
+
+
+@pytest.mark.parametrize("tol", (Q(1, 10**9), Q(1, 10**3)))
+def test_integral_identities_share_one_quadrature_pass(tol):
+    # The six enclosures are sums of one pass's dyadic panel enclosures.
+    # "-1..inf" adds up the same panels and tail as quad_gamma from -1,
+    # and sums of rationals are exact, so the two must be equal.
+    from ecount.oracles import quad_gamma
+
+    for n in range(1, 21):
+        records = {r.label: r.enclosure for r in specials.integral_identities(n, tol)}
+        assert records["-1..inf"] == quad_gamma(n, Q(-1), tol).value, n
+        for label in ("-1..inf", "0..inf", "1..inf"):
+            assert records[label].width <= tol, (n, label)
+        for label in ("0..1", "-1..0", "-1..1"):
+            assert records[label].width <= tol / 2, (n, label)
+
+
+@pytest.mark.parametrize("n", (1, 5, 15))
+def test_integral_identities_evaluate_each_panel_once(n, monkeypatch):
+    from ecount import oracles
+
+    tol = Q(1, 10**9)
+    calls = 0
+    panel = oracles._panel
+
+    def counting_panel(*args):
+        nonlocal calls
+        calls += 1
+        return panel(*args)
+
+    expected = oracles.quad_gamma(n, Q(-1), tol).evaluations
+    monkeypatch.setattr(oracles, "_panel", counting_panel)
+    specials.integral_identities(n, tol)
+    assert calls == expected
+
+
+def test_integral_identities_keep_the_evaluation_budget(monkeypatch):
+    from ecount import oracles
+
+    monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
+    with pytest.raises(PrecisionCapError):
+        specials.integral_identities(5)
