@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import click
 
@@ -295,6 +295,16 @@ def _compute_report(
     raise click.UsageError(f"unknown op {op!r}")
 
 
+def _exit_out_of_resources(exc: MemoryError | RecursionError) -> NoReturn:
+    """Exit 1 with a typed message for a computation that ran out of memory
+    or stack.  The precision cap and the quadrature budget are what bound
+    the work; this only keeps an input they miss from ending in a
+    traceback."""
+    detail = f": {exc}" if str(exc) else ""
+    click.echo(f"violation: out of resources ({type(exc).__name__}{detail})", err=True)
+    sys.exit(1)
+
+
 @main.command("compute")
 @click.argument("op")
 @click.option("--n", type=int, default=None, help="Primary size parameter.")
@@ -317,6 +327,8 @@ def cmd_compute(op, n, m, x, z, bits, tol, fmt) -> None:
     except (InvariantViolation, PrecisionCapError) as exc:
         click.echo(f"violation: {exc}", err=True)
         sys.exit(1)
+    except (MemoryError, RecursionError) as exc:
+        _exit_out_of_resources(exc)
     _print_report(report, fmt)
     click.echo(f"# elapsed_ms={int((time.monotonic() - t0) * 1000)}", err=True)
     if report.verified is False:
@@ -565,6 +577,8 @@ def cmd_verify(suite, n_range, m_range, bits, tol, lam, out) -> None:
     except PrecisionCapError as exc:
         click.echo(f"violation: {exc}", err=True)
         sys.exit(1)
+    except (MemoryError, RecursionError) as exc:
+        _exit_out_of_resources(exc)
 
     total = sum(r.checks for r in results)
     failed = sum(len(r.failures) for r in results)
@@ -688,9 +702,11 @@ def cmd_table(quantity, n_range, n, m_range, bits, fmt) -> None:
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(3)
-    except InvariantViolation as exc:
+    except (InvariantViolation, PrecisionCapError) as exc:
         click.echo(f"violation: {exc}", err=True)
         sys.exit(1)
+    except (MemoryError, RecursionError) as exc:
+        _exit_out_of_resources(exc)
     _emit_rows(rows, fmt)
 
 

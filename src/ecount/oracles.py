@@ -15,24 +15,31 @@ integer U whose analytic tail bound
 
 is below tol/2, and [z, U] is covered by panels of width <= 1.  On a
 panel with midpoint m the factor e^-(t-m) is replaced by its Taylor
-polynomial of order K; the truncation error is bounded by the same
+polynomial of the smallest even order K <= _MAX_ORDER (240) that meets
+the panel's share; the truncation error is bounded by the same
 geometric-tail estimate used everywhere in this package, and what
-remains is a polynomial whose moment integral is an exact rational.
-That rational is summed over one common denominator as integers
-(`_panel_core`), and e^-m is enclosed at a scale 2^-p with integer
-endpoints rounded outward (`_exp_iv`), from the certified kernel's
-fixed-point enclosures of e and 1/e.  Each panel therefore yields a
-certified interval, which is rounded outward to dyadic endpoints a few
-bits finer than the panel's width share; the tail bound is rounded up
-to a dyadic too, so the running total stays a sum of short dyadics.
-Panel shares are chosen so the total width (panels plus tail) stays
-below tol, and the width is checked after the rounding.
+remains is a polynomial whose moment integral is an exact rational
+(`_panel_core`).  Its moment sums depend on the panel's width and K
+but not on m, so they form one table per pass and a panel's surrogate
+integral is an integer Horner sum in its midpoint.  e^-m is enclosed
+at a scale 2^-p with integer endpoints rounded outward (`_exp_iv`),
+from the certified kernel's fixed-point enclosures of e and 1/e.  Each
+panel therefore yields a certified interval, worked out as integer
+numerators over one denominator and rounded outward to dyadic
+endpoints a few bits finer than the panel's width share; the tail
+bound is rounded up to a dyadic too, so the running total stays a sum
+of short dyadics.  Panel shares are chosen so the total width (panels
+plus tail) stays below tol, and the width is checked after the
+rounding.
 
 All of this is one panel pass, `_quad_pieces(n, cuts, tol)`, which also
 splits the panels at a list of cut points and returns one enclosure per
 piece between cuts.  `quad_gamma` calls it with the single cut z;
 `specials.integral_identities` calls it once with the cuts -1, 0 and 1,
-so the six integrals it checks share one set of panel evaluations.
+so the six integrals it checks share one set of panel evaluations.  The
+pass keeps its tables (`_PassTables`: surrogate moments, remainder
+bounds, powers of e and 1/e and Taylor sums of e^r at each scale) for
+its own panels only and drops them when it returns.
 
 The quadrature reads e and 1/e from `certified.eform_bounds` but no
 closed form it audits: not derangement numbers, not D_n(z), not
@@ -45,7 +52,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import ceil, comb, factorial, floor, lcm
+from math import ceil, comb, factorial, floor, gcd, lcm
 from operator import mul
 
 from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
@@ -176,6 +183,167 @@ _E_INV = EForm(0, 0, 1)
 # rounding then adds at most 2 * 2^-GUARD of the share to the width.
 _GUARD_BITS = 4
 
+# Even Taylor orders 6, 8, ..., _MAX_ORDER are tried on each panel.  The
+# moment table of an order is built once per pass, so a high cap is paid
+# once per call, not once per panel.
+_MAX_ORDER = 240
+
+
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest integer b with num / den <= 2^b, for positive integers."""
+    b = num.bit_length() - den.bit_length()
+    if (num <= den << b) if b >= 0 else (num << -b <= den):
+        return b
+    return b + 1
+
+
+def _midpoint_form(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """Integers (M, H, den) with midpoint M/den and half-width H/den of
+    [a, b], den the least common denominator of midpoint and half-width."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    d = lcm(ad, bd)
+    lo, hi = an * (d // ad), bn * (d // bd)
+    big_m, big_h, den = hi + lo, hi - lo, 2 * d
+    g = gcd(big_m, big_h, den)
+    return big_m // g, big_h // g, den // g
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    """sum of coeffs[i] * x^(len - 1 - i)."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+class _PassTables:
+    """Integer tables shared by the panels of one quadrature pass.
+
+    An instance lives for one `_quad_pieces` call and is dropped when it
+    returns; nothing is kept between calls.  Every entry depends only on
+    its key, so a panel gets the same integers whether or not the entry
+    was already there.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._cores: dict[tuple[int, int, int], tuple[list[int], int]] = {}
+        self._remainders: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._powers: dict[tuple[int, bool], tuple[int, int, list[int], list[int]]] = {}
+        self._taylor: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+    def core(self, den: int, big_h: int, order: int) -> tuple[list[int], int]:
+        """Coefficients c_0..c_n and denominator D of the order-K surrogate
+        integral: a panel with half-width H/den and midpoint M/den has
+        surrogate integral sum_i c_i M^(n-i) / D.
+
+        c_i = C(n, i) * S_i, with S_i the sum over j <= K, i + j even, of
+        the Taylor weight (-1)^j (K!/j!) den^(K-j) times the moment
+        2 H^(i+j+1) ell / (i+j+1), ell = lcm(1..n+K+1); then
+        D = ell * K! * den^(n+K+1).
+        """
+        key = (den, big_h, order)
+        entry = self._cores.get(key)
+        if entry is None:
+            n = self.n
+            top = n + order + 1
+            ell = lcm(*range(1, top + 1))
+            # moment[s] = 2 H^(s+1) * ell / (s+1): the u^s moment for even s
+            moment = [0] * top
+            hp = big_h
+            for s in range(top):
+                if s % 2 == 0:
+                    moment[s] = 2 * hp * (ell // (s + 1))
+                hp *= big_h
+            # weight[j] = (-1)^j * (K!/j!) * den^(K-j)
+            weight = [0] * (order + 1)
+            w = 1
+            for j in range(order, -1, -1):
+                weight[j] = -w if j % 2 else w
+                w *= j * den
+            # j runs over i % 2, i % 2 + 2, ..., so that i + j is even
+            coeffs = [
+                comb(n, i) * sum(map(mul, weight[i % 2 :: 2], moment[i + i % 2 :: 2]))
+                for i in range(n + 1)
+            ]
+            entry = self._cores[key] = (coeffs, ell * factorial(order) * den**top)
+        return entry
+
+    def remainders(self, den: int, big_h: int) -> list[tuple[int, int, int]]:
+        """(K, rem_num, rem_den) for K = 6, 8, ..., _MAX_ORDER, where
+        rem_num / rem_den = half^(K+1) / ((K+1)! * (1 - half/(K+2))) bounds
+        the Taylor remainder of e^-u on |u| <= half = H/den:
+        rem = H^(K+1) (K+2) / (den^K (K+1)! ((K+2) den - H))."""
+        key = (den, big_h)
+        entry = self._remainders.get(key)
+        if entry is None:
+            entry = self._remainders[key] = []
+            h_pow, d_pow, fact = big_h**7, den**6, factorial(7)
+            for order in range(6, _MAX_ORDER + 1, 2):
+                if order > 6:
+                    h_pow *= big_h * big_h
+                    d_pow *= den * den
+                    fact *= order * (order + 1)
+                entry.append(
+                    (order, h_pow * (order + 2), d_pow * fact * ((order + 2) * den - big_h))
+                )
+        return entry
+
+    def power(self, p: int, q: int) -> tuple[int, int]:
+        """Integers lo <= e^q * 2^p <= hi: the |q|-th power of the
+        fixed-point enclosure of e (or 1/e), floored and ceiled step by
+        step."""
+        one = 1 << p
+        if not q:
+            return one, one
+        key = (p, q > 0)
+        entry = self._powers.get(key)
+        if entry is None:
+            lo, hi = eform_bounds(_E if q > 0 else _E_INV, p)
+            entry = self._powers[key] = (lo, hi, [one], [one])
+        lo, hi, lows, highs = entry
+        if len(lows) <= abs(q):
+            base = lows[-1]
+            for _ in range(len(lows), abs(q) + 1):
+                base = base * lo >> p
+                lows.append(base)
+            base = -highs[-1]
+            for _ in range(len(highs), abs(q) + 1):
+                base = base * hi >> p
+                highs.append(-base)
+        return lows[abs(q)], highs[abs(q)]
+
+    def taylor(self, p: int, num: int, den: int) -> tuple[int, int]:
+        """Integers lo <= e^r * 2^p <= hi for r = num/den in [0, 1): a
+        Taylor sum whose terms are floored for lo and ceiled for hi."""
+        one = 1 << p
+        if not num:
+            return one, one
+        g = gcd(num, den)
+        key = (p, num // g, den // g)
+        entry = self._taylor.get(key)
+        if entry is None:
+            tay_lo = tay_hi = t_lo = t_hi = one
+            k = 0
+            while t_hi > 1:
+                k += 1
+                t_lo = t_lo * num // (den * k)
+                t_hi = -(-t_hi * num // (den * k))
+                tay_lo += t_lo
+                tay_hi += t_hi
+            # the terms after the k-th sum to at most t_k * r / (k + 1 - r) <= t_k
+            entry = self._taylor[key] = (tay_lo, tay_hi + t_hi)
+        return entry
+
+    def exp(self, num: int, den: int, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, p) with lo <= e^(num/den) * 2^p <= hi and
+        (hi - lo) * 2^-p <= 2^-bits * max(1, e^(num/den))."""
+        q, r = divmod(num, den)
+        p = bits + bits.bit_length() + abs(q).bit_length() + 8
+        base_lo, base_hi = self.power(p, q)
+        tay_lo, tay_hi = self.taylor(p, r, den)
+        return base_lo * tay_lo >> p, -(-base_hi * tay_hi >> p), p
+
 
 def _exp_iv(x: Fraction, bits: int) -> IntervalReal:
     """Enclosure of e^x with dyadic endpoints, for rational x.
@@ -187,42 +355,8 @@ def _exp_iv(x: Fraction, bits: int) -> IntervalReal:
     for the lower and ceiled for the upper endpoint.  Every operand is
     nonnegative, so floor and ceiling keep each endpoint outward.
     """
-    q = floor(x)
-    r = x - q
-    p = bits + bits.bit_length() + abs(q).bit_length() + 8
-    one = 1 << p
-    base_lo = base_hi = one
-    if q:
-        lo, hi = eform_bounds(_E if q > 0 else _E_INV, p)
-        for _ in range(abs(q)):
-            base_lo = base_lo * lo >> p
-            base_hi = -(-base_hi * hi >> p)
-    tay_lo = tay_hi = one
-    if r:
-        num, den = r.numerator, r.denominator
-        t_lo = t_hi = one
-        k = 0
-        while t_hi > 1:
-            k += 1
-            t_lo = t_lo * num // (den * k)
-            t_hi = -(-t_hi * num // (den * k))
-            tay_lo += t_lo
-            tay_hi += t_hi
-        # the terms after the k-th sum to at most t_k * r / (k + 1 - r) <= t_k
-        tay_hi += t_hi
-    return IntervalReal(
-        _Q(base_lo * tay_lo >> p, one), _Q(-(-base_hi * tay_hi >> p), one)
-    )
-
-
-def _abs_moment(n: int, a: Fraction, b: Fraction) -> Fraction:
-    """Exact integral of |t|^n over [a, b]."""
-    k = n + 1
-    if a >= 0:
-        return (b**k - a**k) / k
-    if b <= 0:
-        return ((-a) ** k - (-b) ** k) / k
-    return (b**k + (-a) ** k) / k
+    lo, hi, p = _PassTables(0).exp(x.numerator, x.denominator, bits)
+    return IntervalReal(_Q(lo, 1 << p), _Q(hi, 1 << p))
 
 
 def _panel_core(n: int, a: Fraction, b: Fraction, order: int) -> Fraction:
@@ -236,86 +370,75 @@ def _panel_core(n: int, a: Fraction, b: Fraction, order: int) -> Fraction:
             C(n, i) m^(n-i) * (-1)^j / j! * 2 half^(i+j+1) / (i+j+1).
 
     With m = M/den and half = H/den every term is an integer over
-    lcm(1..n+K+1) * K! * den^(n+K+1); the numerators are summed as
-    integers and one Fraction is built at the end.
+    lcm(1..n+K+1) * K! * den^(n+K+1).  Only the power of M depends on
+    the midpoint, so the inner sums over j are one table per
+    (den, H, K) (`_PassTables.core`), shared by every panel of a pass
+    with that width, and a panel is one integer Horner sum in M.  A pass
+    builds such a table for each order up to `_MAX_ORDER` that its
+    panels use, so a high order costs once per pass.
     """
-    m = (a + b) / 2
-    half = (b - a) / 2
-    den = lcm(m.denominator, half.denominator)
-    big_m = m.numerator * (den // m.denominator)
-    big_h = half.numerator * (den // half.denominator)
-    top = n + order + 1
-    ell = lcm(*range(1, top + 1))
-    # moment[s] = 2 H^(s+1) * ell / (s+1): the u^s moment for even s
-    moment = [0] * top
-    hp = big_h
-    for s in range(top):
-        if s % 2 == 0:
-            moment[s] = 2 * hp * (ell // (s + 1))
-        hp *= big_h
-    # weight[j] = (-1)^j * (K!/j!) * den^(K-j)
-    weight = [0] * (order + 1)
-    w = 1
-    for j in range(order, -1, -1):
-        weight[j] = -w if j % 2 else w
-        w *= j * den
-    # m_pow[i] = C(n, i) * M^(n-i)
-    m_pow = [0] * (n + 1)
-    mp = 1
-    for i in range(n, -1, -1):
-        m_pow[i] = comb(n, i) * mp
-        mp *= big_m
-    total = 0
-    for i in range(n + 1):
-        # j runs over i % 2, i % 2 + 2, ..., so that i + j is even
-        j0 = i % 2
-        total += m_pow[i] * sum(map(mul, weight[j0::2], moment[i + j0 :: 2]))
-    return _Q(total, ell * factorial(order) * den ** (n + order + 1))
+    big_m, big_h, den = _midpoint_form(a, b)
+    coeffs, denom = _PassTables(n).core(den, big_h, order)
+    return _Q(_horner(coeffs, big_m), denom)
 
 
-def _panel(n: int, a: Fraction, b: Fraction, share: Fraction) -> IntervalReal | None:
+def _panel(
+    n: int,
+    a: Fraction,
+    b: Fraction,
+    share: Fraction,
+    tables: _PassTables | None = None,
+) -> IntervalReal | None:
     """Certified enclosure of the integral over one panel with dyadic
     endpoints, or None if the panel must be subdivided to meet its
-    width share."""
-    m = (a + b) / 2
-    half = (b - a) / 2
-    amom = _abs_moment(n, a, b)
-    # crude rational bound on e^-m (3 > e covers the negative-m case)
-    ebound = _Q(3) ** ceil(-m) if m < 0 else _Q(1)
-
-    # smallest even order K <= 80 whose remainder bound
-    #   rem = half^(K+1) / ((K+1)! * (1 - half/(K+2)))
-    # has rem * amom * ebound <= share/4, compared over integers: with
-    # half = hn/hd, rem = hn^(K+1) (K+2) / (hd^K (K+1)! ((K+2) hd - hn))
-    hn, hd = half.numerator, half.denominator
-    c = 4 * amom * ebound / share
-    order = 6
-    h_pow, d_pow, fact = hn**7, hd**6, factorial(7)
-    while True:
-        rem_num = h_pow * (order + 2)
-        rem_den = d_pow * fact * ((order + 2) * hd - hn)
-        if c.numerator * rem_num <= c.denominator * rem_den:
-            break
-        order += 2
-        if order > 80:
-            return None
-        h_pow *= hn * hn
-        d_pow *= hd * hd
-        fact *= order * (order + 1)
-    core = _panel_core(n, a, b, order)
-    err = _Q(rem_num, rem_den) * amom
-    inner = IntervalReal(core - err, core + err)
-
-    mag = max(abs(inner.lo), abs(inner.hi))
-    if mag == 0:
-        bits = 16
+    width share.  tables is the pass's `_PassTables` (a fresh one if
+    omitted); the work is all integer numerators over one denominator."""
+    if tables is None:
+        tables = _PassTables(n)
+    big_m, big_h, den = _midpoint_form(a, b)
+    s_num, s_den = share.numerator, share.denominator
+    # integral of |t|^n over [a, b] = amom / amom_den
+    k = n + 1
+    left, right = big_m - big_h, big_m + big_h
+    if left >= 0:
+        amom = right**k - left**k
+    elif right <= 0:
+        amom = (-left) ** k - (-right) ** k
     else:
-        bits = max(16, ceil_log2(4 * mag * ebound / share))
-    out_bits = max(1, ceil_log2(1 / share) + _GUARD_BITS)
+        amom = right**k + (-left) ** k
+    amom_den = k * den**k
+    # crude bound on e^-m (3 > e covers the negative-m case)
+    ebound = 3 ** -(big_m // den) if big_m < 0 else 1
+
+    # smallest even order K <= _MAX_ORDER whose remainder bound rem has
+    # rem * amom * ebound <= share/4, compared over integers
+    c_num, c_den = 4 * amom * ebound * s_den, amom_den * s_num
+    for order, rem_num, rem_den in tables.remainders(den, big_h):
+        if c_num * rem_num <= c_den * rem_den:
+            break
+    else:
+        return None
+    coeffs, core_den = tables.core(den, big_h, order)
+    # inner = core -+ rem * amom, as [lo, hi] / in_den
+    scale = rem_den * amom_den
+    core = _horner(coeffs, big_m) * scale
+    err = rem_num * amom * core_den
+    in_den = core_den * scale
+    lo, hi = core - err, core + err
+
+    bits = max(16, _ceil_log2(4 * max(-lo, hi) * ebound * s_den, in_den * s_num))
+    out_bits = max(1, _ceil_log2(s_den, s_num) + _GUARD_BITS)
     for _ in range(3):
-        out = (_exp_iv(-m, bits) * inner).round_out(out_bits)
-        if out.width <= share:
-            return out
+        # [e_lo, e_hi] / 2^p encloses e^-m, with e_lo >= 0; the product
+        # with [lo, hi] / in_den is rounded outward to out_bits
+        e_lo, e_hi, p = tables.exp(-big_m, den, bits)
+        prods = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
+        out_den = in_den << p
+        out_lo = (min(prods) << out_bits) // out_den
+        out_hi = -((-max(prods) << out_bits) // out_den)
+        if (out_hi - out_lo) * s_den <= s_num << out_bits:
+            unit = 1 << out_bits
+            return IntervalReal(_Q(out_lo, unit), _Q(out_hi, unit))
         bits *= 2
     return None
 
@@ -360,11 +483,13 @@ def _quad_pieces(
     # unit panels aligned to integers, split at the cuts
     points = sorted(set(cuts) | {_Q(k) for k in range(floor(z) + 1, u + 1)})
 
-    length = _Q(u) - z
+    unit_share = tol / (2 * (u - z))
+    tables = _PassTables(n)
     evals = 0
-    pieces = [IntervalReal.point(0)] * len(cuts)
+    lows = [_Q(0)] * len(cuts)
+    highs = [_Q(0)] * len(cuts)
     stack = [
-        (a, b, (tol / 2) * (b - a) / length, bisect_right(cuts, a) - 1)
+        (a, b, unit_share * (b - a), bisect_right(cuts, a) - 1)
         for a, b in zip(points, points[1:])
     ]
     while stack:
@@ -374,14 +499,15 @@ def _quad_pieces(
             raise PrecisionCapError(
                 f"quad_gamma(n={n}, z={z}): evaluation budget exhausted before tol={tol}"
             )
-        enclosure = _panel(n, a, b, share)
+        enclosure = _panel(n, a, b, share, tables)
         if enclosure is None:
             mid = (a + b) / 2
             stack.append((a, mid, share / 2, piece))
             stack.append((mid, b, share / 2, piece))
             continue
-        pieces[piece] = pieces[piece] + enclosure
-    return pieces, tail, evals
+        lows[piece] += enclosure.lo
+        highs[piece] += enclosure.hi
+    return [IntervalReal(lo, hi) for lo, hi in zip(lows, highs)], tail, evals
 
 
 def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:

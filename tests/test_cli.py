@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ecount import oracles
+from ecount import exact, oracles
 from ecount.cli import main
 
 
@@ -226,6 +226,38 @@ def test_verify_quadrature_budget_overrun_is_a_violation(runner, monkeypatch):
     assert isinstance(res.exception, SystemExit)
     assert "violation: " in res.stderr
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("error", (MemoryError(), RecursionError("maximum recursion depth exceeded")))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "derangements", "--n", "5"),
+        ("verify", "derangement-family", "--n-range", "1..3"),
+        ("table", "derangements", "--n-range", "1..3"),
+    ],
+)
+def test_running_out_of_memory_or_stack_is_a_violation(runner, monkeypatch, args, error):
+    # The library call fails as an exhausted process would, without
+    # allocating anything; the CLI reports it as a typed violation.
+    def exhausted(n):
+        raise error
+
+    monkeypatch.setattr(exact, "derangements", exhausted)
+    res = _run(runner, *args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"violation: out of resources ({type(error).__name__}" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_table_past_the_precision_cap_is_a_violation(runner, monkeypatch):
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "2")
+    res = _run(runner, "table", "paths", "--n-range", "3..5")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "violation: " in res.stderr
+    assert res.stdout == ""
 
 
 # --- large arguments to the special functions ----------------------------

@@ -4,15 +4,24 @@ These are the independent checks everything else is measured against,
 so they get their own direct tests at small sizes.
 """
 
+import time
 from fractions import Fraction
-from math import comb, floor
+from math import ceil, comb, floor, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecount import counts, oracles
-from ecount.certified import EForm, IntervalReal, eform_eval, enclose_e, enclose_e_inv
+from ecount.certified import (
+    EForm,
+    IntervalReal,
+    ceil_log2,
+    eform_bounds,
+    eform_eval,
+    enclose_e,
+    enclose_e_inv,
+)
 from ecount.errors import DomainError, PrecisionCapError
 from ecount.exact import derangements, factorial
 
@@ -224,6 +233,132 @@ def test_exp_iv_encloses_a_finer_enclosure(x, bits):
     assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
 
 
+# --- the integer panel against the Fraction panel it replaced ----------
+
+
+def _exp_iv_fraction(x, bits):
+    """e^x at scale 2^-p, computed directly: |floor(x)| chained fixed-point
+    products of e or 1/e and a Taylor sum of e^r."""
+    q = floor(x)
+    r = x - q
+    p = bits + bits.bit_length() + abs(q).bit_length() + 8
+    one = 1 << p
+    base_lo = base_hi = one
+    if q:
+        lo, hi = eform_bounds(EForm(0, 1, 0) if q > 0 else EForm(0, 0, 1), p)
+        for _ in range(abs(q)):
+            base_lo = base_lo * lo >> p
+            base_hi = -(-base_hi * hi >> p)
+    tay_lo = tay_hi = one
+    if r:
+        num, den = r.numerator, r.denominator
+        t_lo = t_hi = one
+        k = 0
+        while t_hi > 1:
+            k += 1
+            t_lo = t_lo * num // (den * k)
+            t_hi = -(-t_hi * num // (den * k))
+            tay_lo += t_lo
+            tay_hi += t_hi
+        tay_hi += t_hi
+    return IntervalReal(Q(base_lo * tay_lo >> p, one), Q(-(-base_hi * tay_hi >> p), one))
+
+
+def _abs_moment(n, a, b):
+    """Exact integral of |t|^n over [a, b]."""
+    k = n + 1
+    if a >= 0:
+        return (b**k - a**k) / k
+    if b <= 0:
+        return ((-a) ** k - (-b) ** k) / k
+    return (b**k + (-a) ** k) / k
+
+
+def _panel_fraction(n, a, b, share, max_order):
+    """The panel enclosure in Fraction and IntervalReal arithmetic: the
+    smallest even order whose remainder times the |t|^n moment and a bound
+    on e^-m is <= share/4, the surrogate core summed term by term, the
+    product with e^-m and outward rounding a few bits past the share."""
+    m = (a + b) / 2
+    half = (b - a) / 2
+    amom = _abs_moment(n, a, b)
+    ebound = Q(3) ** ceil(-m) if m < 0 else Q(1)
+    c = 4 * amom * ebound / share
+    order = 6
+    while True:
+        rem = half ** (order + 1) / (factorial(order + 1) * (1 - half / (order + 2)))
+        if c * rem <= 1:
+            break
+        order += 2
+        if order > max_order:
+            return None
+    core = _panel_core_reference(n, a, b, order)
+    inner = IntervalReal(core - rem * amom, core + rem * amom)
+    mag = max(abs(inner.lo), abs(inner.hi))
+    bits = max(16, ceil_log2(4 * mag * ebound / share))
+    out_bits = max(1, ceil_log2(1 / share) + 4)
+    for _ in range(3):
+        out = (_exp_iv_fraction(-m, bits) * inner).round_out(out_bits)
+        if out.width <= share:
+            return out
+        bits *= 2
+    return None
+
+
+@st.composite
+def _panels(draw):
+    """Panels as a pass makes them: unit panels, panels from a cut to the
+    next integer, and halves of those after subdivision."""
+    a = draw(st.fractions(min_value=-3, max_value=70, max_denominator=12))
+    kind = draw(st.sampled_from(("unit", "cut", "half")))
+    if kind == "unit":
+        a = Q(floor(a))
+        return a, a + 1
+    if kind == "cut":
+        return a, Q(floor(a) + 1)
+    return a, a + Q(1, 2 ** draw(st.integers(min_value=1, max_value=8)))
+
+
+_SHARES = st.builds(
+    lambda mult, e: Q(mult, 1000) * Q(2) ** e,
+    st.integers(min_value=1, max_value=1000),
+    st.one_of(
+        st.integers(min_value=-120, max_value=8),
+        st.integers(min_value=-1500, max_value=-120),
+        st.integers(min_value=-5000, max_value=-1500),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=30), _panels(), _SHARES)
+@example(20, (Q(7), Q(8)), Q(1, 10**11))
+@example(3, (Q(-5, 6), Q(0)), Q(1, 10**9))
+@example(3, (Q(0), Q(1)), Q(50, 7))
+@example(30, (Q(-1), Q(0)), Q(1, 2**2500))
+def test_panel_matches_the_fraction_panel(n, panel, share):
+    a, b = panel
+    want = _panel_fraction(n, a, b, share, oracles._MAX_ORDER)
+    assert oracles._panel(n, a, b, share) == want
+    # again from the tables a first evaluation filled
+    tables = oracles._PassTables(n)
+    assert oracles._panel(n, a, b, share, tables) == want
+    assert oracles._panel(n, a, b, share, tables) == want
+
+
+@pytest.mark.parametrize("n", (0, 7, 20))
+def test_one_table_serves_panels_of_every_width_and_offset(n):
+    # Panels with one denominator but different half-widths, midpoints
+    # with one denominator but different fractional parts, and shares
+    # that repeat a scale: a shared table must key each entry by all of it.
+    tables = oracles._PassTables(n)
+    for a in (Q(-2), Q(-1, 3), Q(1, 6), Q(5, 6), Q(3), Q(7)):
+        for width in (Q(1), Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 6), Q(5, 6)):
+            for share in (Q(1, 10**3), Q(1, 10**9), Q(1, 10**30)):
+                want = oracles._panel(n, a, a + width, share)
+                assert oracles._panel(n, a, a + width, share, tables) == want
+
+
 def _gamma_closed_form(n, z):
     """integral over [z, inf) of e^-t t^n dt = e^-z * sum_{k<=n} n!/k! z^k,
     as an EForm for z in {-1, 0, 1}."""
@@ -245,6 +380,18 @@ def test_quad_gamma_endpoints_stay_short_dyadics(n):
             assert end.denominator.bit_length() - 1 <= 128
         if z.denominator == 1:
             assert res.value.encloses(eform_eval(_gamma_closed_form(n, int(z)), 200))
+
+
+@pytest.mark.parametrize("n", (60, 80))
+def test_quad_gamma_at_large_n_contains_n_factorial_in_time(n):
+    # integral over [0, inf) of e^-t t^n is n!; from n = 53 on, panels near
+    # the peak need Taylor orders above 80
+    tol = Q(1, 10**9)
+    start = time.perf_counter()
+    res = oracles.quad_gamma(n, Q(0), tol)
+    assert time.perf_counter() - start < 10
+    assert res.value.contains(prod(range(1, n + 1)))
+    assert res.value.width <= tol
 
 
 def test_quad_gamma_loose_tolerance():
