@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Four subcommands: `compute` evaluates a single quantity, `verify` runs
-identity suites over ranges, `table` emits rows in csv/json/md, and
-`bench` times the exact-sum route against the certified-floor route.
+Three subcommands: `compute` evaluates a single quantity, `verify` runs
+identity suites over ranges, and `table` emits rows in csv/json/md.
+`compute` and `table` are driven by one table of ops (`_OPS`): each op
+names its flags and the library call behind it.  Where that call
+already checks two routes against each other (paths, cycles and their
+length sums), the CLI reports the agreement and does not recompute
+either route; it computes a second route itself only where no library
+function does (`floor-e-nfact` and the derangement floor forms).
+`verify` dispatches through one registry of suites (`_SUITES`).
 
 Exit codes: 0 success, 1 identity violation (or a certification that
 could not complete), 2 usage error, 3 domain error.  All data output is
@@ -16,12 +22,14 @@ engine can be overridden with the ECOUNT_PRECISION_CAP env var.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator
 
 import click
 
@@ -139,12 +147,6 @@ def _print_report(report: CountReport, fmt: str) -> None:
             click.echo(f"route_a={report.route_a} route_b={report.route_b}")
 
 
-def _need(value, flag: str, op: str):
-    if value is None:
-        raise click.UsageError(f"{flag} is required for op {op!r}")
-    return value
-
-
 @click.group()
 @click.version_option(package_name="ecount", prog_name="ecount")
 @click.pass_context
@@ -159,150 +161,155 @@ def main(ctx: click.Context) -> None:
         ctx.call_on_close(lambda: sys.set_int_max_str_digits(limit))
 
 
-def _dual(op: str, params: dict, value: int, other: int) -> CountReport:
-    return CountReport(
-        op=op,
-        params=params,
-        value=str(value),
-        verified=value == other,
-        route_a=str(value),
-        route_b=str(other),
-    )
-
-
-def _compute_report(
-    op: str,
-    n: int | None,
-    m: int | None,
-    x: Fraction | None,
-    z: Fraction | None,
-    bits: int,
-    tol: Fraction,
-) -> CountReport:
-    p: dict[str, Any] = {}
-
-    if op == "derangements":
-        nn = _need(n, "--n", op)
-        return CountReport(op, {"n": nn}, str(exact.derangements(nn)))
-    if op == "dpoly-eval":
-        nn, xx = _need(n, "--n", op), _need(x, "--x", op)
-        return CountReport(op, {"n": nn, "x": str(xx)}, str(exact.dpoly_eval(nn, xx)))
-    if op == "paths":
-        nn = _need(n, "--n", op)
-        value = counts.path_count(nn)
-        other = certified.certified_floor(EForm(0, exact.factorial(nn - 2), 0))
-        return _dual(op, {"n": nn}, value, other)
-    if op == "path-length-sum":
-        nn = _need(n, "--n", op)
-        value = counts.path_length_sum(nn)
-        other = 1 + (nn - 2) * counts.path_count(nn)
-        return _dual(op, {"n": nn}, value, other)
-    if op == "cycles":
-        nn = _need(n, "--n", op)
-        value = counts.cycle_count(nn)
-        other = certified.certified_floor(EForm(0, exact.factorial(nn - 1), 0)) - nn
-        return _dual(op, {"n": nn}, value, other)
-    if op == "cycle-length-sum":
-        nn = _need(n, "--n", op)
-        value = counts.cycle_length_sum(nn)
-        nf, pf = exact.factorial(nn), exact.factorial(nn - 1)
-        other = (
-            certified.certified_floor(EForm(0, nf, 0))
-            - certified.certified_floor(EForm(0, pf, 0))
-            - 2 * nn
-            + 1
-        )
-        return _dual(op, {"n": nn}, value, other)
-    if op == "avg-path-length":
-        nn = _need(n, "--n", op)
-        return CountReport(op, {"n": nn}, str(counts.average_path_length(nn)))
-    if op == "floor-e-nfact":
-        nn = _need(n, "--n", op)
-        value = exact.partial_sum_pos(nn)
-        other = certified.certified_floor(EForm(0, exact.factorial(nn), 0))
-        return _dual(op, {"n": nn}, value, other)
-    if op == "frac-e-nfact":
-        nn = _need(n, "--n", op)
-        f = certified.frac_e_nfact(nn)
-        iv = certified.eform_eval(f, bits)
-        return CountReport(
-            op,
-            {"n": nn, "precision_bits": bits},
-            {"eform": _eform_json(f), "interval": _interval_json(iv, bits)},
-        )
-    if op in ("eq2", "eq3", "eq4", "eq6"):
-        nn = _need(n, "--n", op)
-        fn = {
-            "eq2": counts.derangement_eq2,
-            "eq3": counts.derangement_eq3,
-            "eq4": counts.derangement_eq4,
-            "eq6": counts.derangement_eq6,
-        }[op]
-        return _dual(op, {"n": nn}, fn(nn), exact.derangements(nn))
-    if op == "eq5":
-        nn = _need(n, "--n", op)
-        mm = 3 if m is None else m
-        return _dual(op, {"n": nn, "m": mm}, counts.derangement_eq5(nn, mm), exact.derangements(nn))
-    if op == "thm7":
-        nn = _need(n, "--n", op)
-        mm = 1 if m is None else m
-        return _dual(op, {"n": nn, "m": mm}, counts.derangement_thm7(nn, mm), exact.derangements(nn))
-    if op == "hyp2f0":
-        nn, xx = _need(n, "--n", op), _need(x, "--x", op)
-        return CountReport(op, {"n": nn, "x": str(xx)}, str(specials.hyp2f0(nn, xx)))
-    if op == "hyp1f1":
-        nn, xx = _need(n, "--n", op), _need(x, "--x", op)
-        iv = specials.hyp1f1(nn, xx, bits)
-        return CountReport(
-            op,
-            {"n": nn, "x": str(xx), "precision_bits": bits},
-            _interval_json(iv, bits),
-            verified=True,
-        )
-    if op == "inc-gamma":
-        nn, zz = _need(n, "--n", op), _need(z, "--z", op)
-        iv = specials.inc_gamma_int(specials.GammaQuery(nn, zz, bits))
-        return CountReport(
-            op, {"n": nn, "z": str(zz), "precision_bits": bits}, _interval_json(iv, bits)
-        )
-    if op == "integrals":
-        nn = _need(n, "--n", op)
-        records = specials.integral_identities(nn, tol=tol, precision_bits=bits)
-        value = [
-            {
-                "label": r.label,
-                "eform": _eform_json(r.closed_form),
-                "quadrature": _interval_json(r.enclosure, bits),
-            }
-            for r in records
-        ]
-        return CountReport(
-            op, {"n": nn, "tol": str(tol), "precision_bits": bits}, value, verified=True
-        )
-    if op == "bounds":
-        nn = _need(n, "--n", op)
-        mm = 8 if m is None else m
-        chain = counts.chain_check(nn, mm)
-        value = {
-            "frac": _eform_json(chain.frac),
-            "m_list": [
-                {"m": mi, "M": str(big_m), "N": _eform_json(big_n)}
-                for mi, big_m, big_n in chain.m_list
-            ],
-        }
-        return CountReport(op, {"n": nn, "m_max": mm}, value, verified=True)
-
-    raise click.UsageError(f"unknown op {op!r}")
-
-
-def _exit_out_of_resources(exc: MemoryError | RecursionError) -> NoReturn:
-    """Exit 1 with a typed message for a computation that ran out of memory
-    or stack.  The precision cap and the quadrature budget are what bound
-    the work; this only keeps an input they miss from ending in a
+@contextmanager
+def _exit_codes() -> Iterator[None]:
+    """Map the library's errors to exit codes: 3 for a domain error, 1 for
+    a violation, a precision cap, or a computation that ran out of memory
+    or stack.  The cap and the quadrature budget are what bound the work;
+    the last case only keeps an input they miss from ending in a
     traceback."""
-    detail = f": {exc}" if str(exc) else ""
-    click.echo(f"violation: out of resources ({type(exc).__name__}{detail})", err=True)
-    sys.exit(1)
+    try:
+        yield
+    except DomainError as exc:
+        click.echo(f"domain error: {exc}", err=True)
+        sys.exit(3)
+    except (InvariantViolation, PrecisionCapError) as exc:
+        click.echo(f"violation: {exc}", err=True)
+        sys.exit(1)
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        click.echo(f"violation: out of resources ({type(exc).__name__}{detail})", err=True)
+        sys.exit(1)
+
+
+# --- the op table -------------------------------------------------------
+
+# How an op's value is verified, where it is.  _ROUTES: the library
+# function computes both routes and raises when they disagree, so the CLI
+# reports the agreement without a second computation.  _CHECKED: the
+# library checked an enclosure or a chain.  A callable instead computes a
+# second route from the op's arguments, compared by the CLI.
+_ROUTES = "routes"
+_CHECKED = "checked"
+
+
+@dataclass(frozen=True)
+class Op:
+    """One `compute` op.
+
+    `params` are its JSON param keys in print order; each names the flag
+    it comes from (see _FLAG).  `run` takes their values in that order.
+    A flag left unset falls back to `defaults`, else it is required.
+    """
+
+    params: tuple[str, ...]
+    run: Callable[..., Any]
+    check: str | Callable[..., Any] | None = None
+    defaults: dict[str, int] = field(default_factory=dict)
+
+
+_FLAG = {"m_max": "m", "precision_bits": "bits"}
+
+
+def _frac_e_nfact(n: int, bits: int) -> dict[str, Any]:
+    f = certified.frac_e_nfact(n)
+    iv = certified.eform_eval(f, bits)
+    return {"eform": _eform_json(f), "interval": _interval_json(iv, bits)}
+
+
+def _integrals(n: int, tol: Fraction, bits: int) -> list[dict[str, Any]]:
+    return [
+        {
+            "label": r.label,
+            "eform": _eform_json(r.closed_form),
+            "quadrature": _interval_json(r.enclosure, bits),
+        }
+        for r in specials.integral_identities(n, tol=tol, precision_bits=bits)
+    ]
+
+
+def _bounds(n: int, m: int) -> dict[str, Any]:
+    chain = counts.chain_check(n, m)
+    return {
+        "frac": _eform_json(chain.frac),
+        "m_list": [
+            {"m": mi, "M": str(big_m), "N": _eform_json(big_n)}
+            for mi, big_m, big_n in chain.m_list
+        ],
+    }
+
+
+def _derangements(n: int, *_: Any) -> int:
+    return exact.derangements(n)
+
+
+# The lambdas look library functions up when called, not at import, so
+# a monkeypatched or traced module attribute is the one that runs.
+_OPS: dict[str, Op] = {
+    "derangements": Op(("n",), lambda n: exact.derangements(n)),
+    "dpoly-eval": Op(("n", "x"), lambda n, x: exact.dpoly_eval(n, x)),
+    "paths": Op(("n",), lambda n: counts.path_count(n), _ROUTES),
+    "path-length-sum": Op(("n",), lambda n: counts.path_length_sum(n), _ROUTES),
+    "cycles": Op(("n",), lambda n: counts.cycle_count(n), _ROUTES),
+    "cycle-length-sum": Op(("n",), lambda n: counts.cycle_length_sum(n), _ROUTES),
+    "avg-path-length": Op(("n",), lambda n: counts.average_path_length(n)),
+    "floor-e-nfact": Op(
+        ("n",),
+        lambda n: exact.partial_sum_pos(n),
+        lambda n: certified.certified_floor(EForm(0, exact.factorial(n), 0)),
+    ),
+    "frac-e-nfact": Op(("n", "precision_bits"), _frac_e_nfact),
+    "eq2": Op(("n",), lambda n: counts.derangement_eq2(n), _derangements),
+    "eq3": Op(("n",), lambda n: counts.derangement_eq3(n), _derangements),
+    "eq4": Op(("n",), lambda n: counts.derangement_eq4(n), _derangements),
+    "eq6": Op(("n",), lambda n: counts.derangement_eq6(n), _derangements),
+    "eq5": Op(("n", "m"), lambda n, m: counts.derangement_eq5(n, m), _derangements, {"m": 3}),
+    "thm7": Op(("n", "m"), lambda n, m: counts.derangement_thm7(n, m), _derangements, {"m": 1}),
+    "hyp2f0": Op(("n", "x"), lambda n, x: specials.hyp2f0(n, x)),
+    "hyp1f1": Op(
+        ("n", "x", "precision_bits"),
+        lambda n, x, bits: _interval_json(specials.hyp1f1(n, x, bits), bits),
+        _CHECKED,
+    ),
+    "inc-gamma": Op(
+        ("n", "z", "precision_bits"),
+        lambda n, z, bits: _interval_json(
+            specials.inc_gamma_int(specials.GammaQuery(n, z, bits)), bits
+        ),
+    ),
+    "integrals": Op(("n", "tol", "precision_bits"), _integrals, _CHECKED),
+    "bounds": Op(("n", "m_max"), _bounds, _CHECKED, {"m_max": 8}),
+}
+
+
+def _op_args(name: str, op: Op, flags: dict[str, Any]) -> list[Any]:
+    """The op's arguments from the command's flags, in params order."""
+    args = []
+    for key in op.params:
+        flag = _FLAG.get(key, key)
+        value = flags.get(flag)
+        if value is None:
+            value = op.defaults.get(key)
+        if value is None:
+            raise click.UsageError(f"--{flag} is required for op {name!r}")
+        args.append(value)
+    return args
+
+
+def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
+    op = _OPS.get(name)
+    if op is None:
+        raise click.UsageError(f"unknown op {name!r}")
+    args = _op_args(name, op, flags)
+    params = {k: v if isinstance(v, int) else str(v) for k, v in zip(op.params, args)}
+    value = op.run(*args)
+    shown = value if isinstance(value, (dict, list)) else str(value)
+    if op.check is None:
+        return CountReport(name, params, shown)
+    if op.check == _CHECKED:
+        return CountReport(name, params, shown, verified=True)
+    other = value if op.check == _ROUTES else op.check(*args)
+    return CountReport(name, params, shown, value == other, str(value), str(other))
 
 
 @main.command("compute")
@@ -316,19 +323,11 @@ def _exit_out_of_resources(exc: MemoryError | RecursionError) -> NoReturn:
 @click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )
-def cmd_compute(op, n, m, x, z, bits, tol, fmt) -> None:
+def cmd_compute(op, fmt, **flags) -> None:
     """Compute one quantity; see README for the op list."""
     t0 = time.monotonic()
-    try:
-        report = _compute_report(op, n, m, x, z, bits, tol)
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
-    except (InvariantViolation, PrecisionCapError) as exc:
-        click.echo(f"violation: {exc}", err=True)
-        sys.exit(1)
-    except (MemoryError, RecursionError) as exc:
-        _exit_out_of_resources(exc)
+    with _exit_codes():
+        report = _compute_report(op, flags)
     _print_report(report, fmt)
     click.echo(f"# elapsed_ms={int((time.monotonic() - t0) * 1000)}", err=True)
     if report.verified is False:
@@ -344,37 +343,41 @@ class SuiteResult:
     checks: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def ok(self) -> None:
+    def expect(self, cond: bool, message: str) -> None:
         self.checks += 1
+        if not cond:
+            self.failures.append(message)
 
     def fail(self, message: str) -> None:
+        self.expect(False, message)
+
+    def attempt(self, check: Callable[..., Any], *args: Any, prefix: str = "") -> Any:
+        """One check that a library call raises no InvariantViolation;
+        returns the call's result, or None when it raised."""
+        try:
+            result = check(*args)
+        except InvariantViolation as exc:
+            self.fail(f"{prefix}{exc}")
+            return None
         self.checks += 1
-        self.failures.append(message)
-
-    def expect(self, cond: bool, message: str) -> None:
-        if cond:
-            self.ok()
-        else:
-            self.fail(message)
+        return result
 
 
-def _suite_eq1(n_range: tuple[int, int] | None) -> SuiteResult:
+_Range = tuple[int, int] | None
+
+
+def _suite_eq1(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     lo, hi = n_range or (1, 500)
-    r = SuiteResult("eq1")
     for n in range(max(lo, 1), hi + 1):
         a = exact.partial_sum_pos(n)
         b = certified.certified_floor(EForm(0, exact.factorial(n), 0))
         r.expect(a == b, f"n={n}: partial sum {a} != certified floor {b}")
-    return r
 
 
 def _suite_derangement_family(
-    n_range: tuple[int, int] | None,
-    m_range: tuple[int, int] | None,
-    lam: Fraction | None,
-) -> SuiteResult:
+    r: SuiteResult, n_range: _Range, m_range: _Range, lam: Fraction | None, **_: Any
+) -> None:
     lo, hi = n_range or (1, 200)
-    r = SuiteResult("derangement-family")
     if lam is not None:
         for n in range(max(lo, 1), hi + 1):
             got = counts.derangement_lambda(n, lam)
@@ -382,7 +385,7 @@ def _suite_derangement_family(
                 got == exact.derangements(n),
                 f"lambda={lam}: n={n} gives {got}, derangements(n)={exact.derangements(n)}",
             )
-        return r
+        return
     m5_lo, m5_hi = m_range or (3, 6)
     m7_lo, m7_hi = m_range or (1, 3)
     for n in range(max(lo, 1), hi + 1):
@@ -402,18 +405,13 @@ def _suite_derangement_family(
             r.expect(counts.derangement_eq5(n, m) == dn, f"eq5 m={m} fails at n={n}")
         for m in range(max(m7_lo, 1), m7_hi + 1):
             r.expect(counts.derangement_thm7(n, m) == dn, f"thm7 m={m} fails at n={n}")
-    return r
 
 
-def _suite_paths_cycles(n_range: tuple[int, int] | None) -> SuiteResult:
+def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     lo, hi = n_range or (3, 60)
-    r = SuiteResult("paths-cycles")
     for n in range(max(lo, 3), hi + 1):
-        try:
-            pc = counts.path_cycle_counts(n)
-            r.ok()
-        except InvariantViolation as exc:
-            r.fail(f"n={n}: {exc}")
+        pc = r.attempt(counts.path_cycle_counts, n, prefix=f"n={n}: ")
+        if pc is None:
             continue
         avg = counts.average_path_length(n)
         r.expect(
@@ -425,51 +423,33 @@ def _suite_paths_cycles(n_range: tuple[int, int] | None) -> SuiteResult:
             counts.path_argmax_lengths(n) == expected,
             f"n={n}: argmax set != {expected}",
         )
-    return r
 
 
-def _suite_bounds_chain(
-    n_range: tuple[int, int] | None, m_range: tuple[int, int] | None
-) -> SuiteResult:
+def _suite_bounds_chain(r: SuiteResult, n_range: _Range, m_range: _Range, **_: Any) -> None:
     chain_lo, chain_hi = n_range or (2, 50)
     m_max = (m_range or (1, 8))[1]
-    r = SuiteResult("bounds-chain")
     for n in range(max(chain_lo, 2), chain_hi + 1):
-        try:
-            counts.chain_check(n, m_max)
-            r.ok()
-        except InvariantViolation as exc:
-            r.fail(str(exc))
+        r.attempt(counts.chain_check, n, m_max)
     frac_lo, frac_hi = n_range or (1, 200)
     for n in range(max(frac_lo, 1), frac_hi + 1):
         f = certified.frac_e_nfact(n)
         lo_ok = certified.eform_lt(EForm.from_rational(_Q(1, n + 1)), f)
         hi_ok = certified.eform_lt(f, EForm.from_rational(_Q(1, n)))
         r.expect(lo_ok and hi_ok, f"n={n}: frac(e*n!) outside (1/(n+1), 1/n]")
-    return r
 
 
 def _suite_special_fn(
-    n_range: tuple[int, int] | None, tol: Fraction, bits: int | None
-) -> SuiteResult:
-    r = SuiteResult("special-fn")
+    r: SuiteResult, n_range: _Range, tol: Fraction, bits: int | None, **_: Any
+) -> None:
     x_set = [_Q(1), _Q(-1), _Q(1, 2), _Q(-1, 2), _Q(2), _Q(-2), _Q(3, 7)]
     lo, hi = n_range or (0, 30)
     for n in range(max(lo, 0), hi + 1):
         for x in x_set:
-            try:
-                specials.hyp2f0_identity_check(n, x)
-                r.ok()
-            except InvariantViolation as exc:
-                r.fail(str(exc))
+            r.attempt(specials.hyp2f0_identity_check, n, x)
     sp_lo, sp_hi = n_range or (1, 100)
     for n in range(max(sp_lo, 1), sp_hi + 1):
         for sign in (-1, 1):
-            try:
-                specials.hyp2f0_special(n, sign)
-                r.ok()
-            except InvariantViolation as exc:
-                r.fail(str(exc))
+            r.attempt(specials.hyp2f0_special, n, sign)
     ode_lo, ode_hi = n_range or (0, 50)
     for n in range(max(ode_lo, 0), ode_hi + 1):
         poly = exact.dpoly(n)
@@ -493,16 +473,10 @@ def _suite_special_fn(
                 r.fail(str(exc))
     int_lo, int_hi = n_range or (1, 15)
     for n in range(max(int_lo, 1), int_hi + 1):
-        try:
-            specials.integral_identities(n, tol=tol)
-            r.ok()
-        except InvariantViolation as exc:
-            r.fail(str(exc))
-    return r
+        r.attempt(specials.integral_identities, n, tol)
 
 
-def _suite_oracle_equivalence(n_range: tuple[int, int] | None) -> SuiteResult:
-    r = SuiteResult("oracle-equivalence")
+def _suite_oracle_equivalence(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     d_lo, d_hi = n_range or (0, 9)
     for n in range(max(d_lo, 0), min(d_hi, oracles.MAX_BRUTE_DERANGEMENTS) + 1):
         r.expect(
@@ -531,54 +505,47 @@ def _suite_oracle_equivalence(n_range: tuple[int, int] | None) -> SuiteResult:
             oracles.brute_paths(6, pair) == base,
             f"path count depends on the vertex pair {pair}",
         )
-    return r
 
 
-_SUITES = (
-    "eq1",
-    "derangement-family",
-    "paths-cycles",
-    "bounds-chain",
-    "special-fn",
-    "oracle-equivalence",
-)
+# Each suite reads the options it needs from the keyword arguments of
+# cmd_verify and records its checks in the SuiteResult it is given.
+_SUITES: dict[str, Callable[..., None]] = {
+    "eq1": _suite_eq1,
+    "derangement-family": _suite_derangement_family,
+    "paths-cycles": _suite_paths_cycles,
+    "bounds-chain": _suite_bounds_chain,
+    "special-fn": _suite_special_fn,
+    "oracle-equivalence": _suite_oracle_equivalence,
+}
+
+
+def _writable(ctx: click.Context, param: click.Parameter, out: str | None) -> str | None:
+    """Refuse an --out path that cannot be written, before any suite runs."""
+    if out is not None:
+        target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+        if not os.access(target, os.W_OK):
+            raise click.BadParameter(f"cannot write {out!r}", ctx, param)
+    return out
 
 
 @main.command("verify")
-@click.argument("suite", type=click.Choice(_SUITES + ("all",)))
+@click.argument("suite", type=click.Choice(tuple(_SUITES) + ("all",)))
 @click.option("--n-range", type=RANGE, default=None, help="Override as A..B.")
 @click.option("--m-range", type=RANGE, default=None, help="Override as A..B.")
 @click.option("--precision-bits", "bits", type=int, default=None)
 @click.option("--tol", type=RAT, default=_DEFAULT_TOL, show_default="1/10^9")
 @click.option("--lam", "--lambda", "lam", type=RAT, default=None, help="Check floor(n!/e + lam) instead of the stock family.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write a JSON report.")
-def cmd_verify(suite, n_range, m_range, bits, tol, lam, out) -> None:
+@click.option(
+    "--out", type=click.Path(dir_okay=False), default=None, callback=_writable,
+    help="Write a JSON report.",
+)
+def cmd_verify(suite, out, **options) -> None:
     """Run an identity suite; exit 0 only if every check passes."""
     t0 = time.monotonic()
-    selected = _SUITES if suite == "all" else (suite,)
-    results: list[SuiteResult] = []
-    try:
-        for name in selected:
-            if name == "eq1":
-                results.append(_suite_eq1(n_range))
-            elif name == "derangement-family":
-                results.append(_suite_derangement_family(n_range, m_range, lam))
-            elif name == "paths-cycles":
-                results.append(_suite_paths_cycles(n_range))
-            elif name == "bounds-chain":
-                results.append(_suite_bounds_chain(n_range, m_range))
-            elif name == "special-fn":
-                results.append(_suite_special_fn(n_range, tol, bits))
-            elif name == "oracle-equivalence":
-                results.append(_suite_oracle_equivalence(n_range))
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
-    except PrecisionCapError as exc:
-        click.echo(f"violation: {exc}", err=True)
-        sys.exit(1)
-    except (MemoryError, RecursionError) as exc:
-        _exit_out_of_resources(exc)
+    results = [SuiteResult(name) for name in (_SUITES if suite == "all" else (suite,))]
+    with _exit_codes():
+        for r in results:
+            _SUITES[r.suite](r, **options)
 
     total = sum(r.checks for r in results)
     failed = sum(len(r.failures) for r in results)
@@ -640,6 +607,24 @@ def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
         click.echo("| " + " | ".join(str(row[h]) for h in headers) + " |")
 
 
+def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, Any]]:
+    digits = _digits_for_bits(bits)
+    rows = []
+    for m in range(m_range[0], m_range[1] + 1):
+        n_lo, n_hi = certified.eform_eval(counts.bound_N(n, m), bits).to_decimal(digits)
+        rows.append({"m": m, "M": str(counts.bound_M(n, m)), "N_lo": n_lo, "N_hi": n_hi})
+    return rows
+
+
+def _op_row(quantity: str, n: int, bits: int) -> dict[str, Any]:
+    op = _OPS[quantity]
+    value = op.run(*_op_args(quantity, op, {"n": n, "bits": bits}))
+    if quantity != "frac-e-nfact":
+        return {"n": n, "value": str(value)}
+    (a, b, c), iv = value["eform"], value["interval"]
+    return {"n": n, "a": a, "b": b, "c": c, "lo": iv["lo"], "hi": iv["hi"]}
+
+
 @main.command("table")
 @click.argument("quantity", type=click.Choice(_TABLE_QUANTITIES))
 @click.option("--n-range", type=RANGE, default=None, help="Rows over n (A..B).")
@@ -652,105 +637,16 @@ def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
 )
 def cmd_table(quantity, n_range, n, m_range, bits, fmt) -> None:
     """Emit one row per n (or per m for the bounds table)."""
-    rows: list[dict[str, Any]] = []
-    try:
+    with _exit_codes():
         if quantity == "bounds":
             if n is None:
                 raise click.UsageError("--n is required for the bounds table")
-            digits = _digits_for_bits(bits)
-            for m in range(m_range[0], m_range[1] + 1):
-                n_iv = certified.eform_eval(counts.bound_N(n, m), bits)
-                rows.append(
-                    {
-                        "m": m,
-                        "M": str(counts.bound_M(n, m)),
-                        "N_lo": n_iv.to_decimal(digits)[0],
-                        "N_hi": n_iv.to_decimal(digits)[1],
-                    }
-                )
+            rows = _bounds_rows(n, m_range, bits)
         else:
             if n_range is None:
                 raise click.UsageError("--n-range is required for this table")
-            lo, hi = n_range
-            simple: dict[str, Callable[[int], Any]] = {
-                "derangements": exact.derangements,
-                "paths": counts.path_count,
-                "cycles": counts.cycle_count,
-                "path-length-sum": counts.path_length_sum,
-                "cycle-length-sum": counts.cycle_length_sum,
-                "avg-path-length": counts.average_path_length,
-            }
-            for k in range(lo, hi + 1):
-                if quantity in simple:
-                    rows.append({"n": k, "value": str(simple[quantity](k))})
-                elif quantity == "floor-e-nfact":
-                    rows.append({"n": k, "value": str(exact.partial_sum_pos(k))})
-                else:  # frac-e-nfact
-                    f = certified.frac_e_nfact(k)
-                    iv = certified.eform_eval(f, bits)
-                    dec = iv.to_decimal(_digits_for_bits(bits))
-                    rows.append(
-                        {
-                            "n": k,
-                            "a": str(f.a),
-                            "b": str(f.b),
-                            "c": str(f.c),
-                            "lo": dec[0],
-                            "hi": dec[1],
-                        }
-                    )
-    except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(3)
-    except (InvariantViolation, PrecisionCapError) as exc:
-        click.echo(f"violation: {exc}", err=True)
-        sys.exit(1)
-    except (MemoryError, RecursionError) as exc:
-        _exit_out_of_resources(exc)
+            rows = [_op_row(quantity, k, bits) for k in range(n_range[0], n_range[1] + 1)]
     _emit_rows(rows, fmt)
-
-
-@main.command("bench")
-@click.option("--n-max", type=int, default=200, show_default=True)
-@click.option("--repeat", type=int, default=3, show_default=True)
-def cmd_bench(n_max, repeat) -> None:
-    """Time the exact-sum route against the certified-floor route."""
-    if n_max < 1:
-        click.echo("domain error: --n-max must be >= 1", err=True)
-        sys.exit(3)
-    if repeat < 1:
-        click.echo("domain error: --repeat must be >= 1", err=True)
-        sys.exit(3)
-    samples = sorted({1, 2, 5, 10, 20, 50, 100, 200, 500, n_max})
-    samples = [s for s in samples if s <= n_max]
-    click.echo(f"{'n':>5} {'exact_us':>12} {'certified_us':>14} {'ratio':>8} {'bits':>7}")
-    for n in samples:
-        best_exact = min(_time_exact_sum(n) for _ in range(repeat))
-        f = EForm(0, exact.factorial(n), 0)
-        infos = []
-        best_cert = None
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            info = certified.certified_floor_info(f)
-            dt = time.perf_counter() - t0
-            infos.append(info)
-            best_cert = dt if best_cert is None else min(best_cert, dt)
-        assert all(i.value == infos[0].value for i in infos)
-        ratio = best_cert / best_exact if best_exact > 0 else float("inf")
-        click.echo(
-            f"{n:>5} {best_exact * 1e6:>12.1f} {best_cert * 1e6:>14.1f} "
-            f"{ratio:>8.1f} {infos[0].precision_bits:>7}"
-        )
-
-
-def _time_exact_sum(n: int) -> float:
-    t0 = time.perf_counter()
-    acc = 1
-    for k in range(1, n + 1):
-        acc = k * acc + 1
-    dt = time.perf_counter() - t0
-    assert acc == exact.partial_sum_pos(n)
-    return dt
 
 
 if __name__ == "__main__":

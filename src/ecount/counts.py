@@ -93,19 +93,26 @@ def path_length_sum(n: int) -> int:
     of i*w(i).
     """
     _require(n >= 3, f"path_length_sum requires n >= 3 (got {n})")
-    closed = 1 + (n - 2) * path_count(n)
-    direct = sum(i * path_count_by_length(n, i) for i in range(1, n))
-    if closed != direct:
-        raise InvariantViolation(
-            f"path_length_sum({n}): closed form {closed} != direct sum {direct}"
-        )
-    return closed
+    return _path_totals(n)[1]
 
 
 def average_path_length(n: int) -> Fraction:
     """Mean number of edges of a path between the fixed pair, exact."""
     _require(n >= 3, f"average_path_length requires n >= 3 (got {n})")
-    return _Q(path_length_sum(n), path_count(n))
+    count, total = _path_totals(n)
+    return _Q(total, count)
+
+
+def _path_totals(n: int) -> tuple[int, int]:
+    """(w_n, total path length), each route run once."""
+    count = path_count(n)
+    closed = 1 + (n - 2) * count
+    direct = sum(i * path_count_by_length(n, i) for i in range(1, n))
+    if closed != direct:
+        raise InvariantViolation(
+            f"path_length_sum({n}): closed form {closed} != direct sum {direct}"
+        )
+    return count, closed
 
 
 def path_argmax_lengths(n: int) -> set[int]:
@@ -128,7 +135,12 @@ def cycle_count(n: int) -> int:
     floor(e*(n-1)!) - n.
     """
     _require(n >= 3, f"cycle_count requires n >= 3 (got {n})")
-    exact = sum(factorial(n - 1) // factorial(n - i) for i in range(3, n + 1))
+    return _checked_cycle_count(
+        n, sum(factorial(n - 1) // factorial(n - i) for i in range(3, n + 1))
+    )
+
+
+def _checked_cycle_count(n: int, exact: int) -> int:
     floored = certified_floor(EForm(0, factorial(n - 1), 0)) - n
     if exact != floored:
         raise InvariantViolation(
@@ -144,18 +156,25 @@ def cycle_length_sum(n: int) -> int:
     form floor(e*n!) - floor(e*(n-1)!) - 2n + 1.
     """
     _require(n >= 3, f"cycle_length_sum requires n >= 3 (got {n})")
-    direct = sum(i * (factorial(n - 1) // factorial(n - i)) for i in range(3, n + 1))
-    floored = (
-        certified_floor(EForm(0, factorial(n), 0))
-        - certified_floor(EForm(0, factorial(n - 1), 0))
-        - 2 * n
-        + 1
-    )
+    return _cycle_totals(n)[1]
+
+
+def _cycle_totals(n: int) -> tuple[int, int]:
+    """(c_n, total cycle length) from one pass over the terms.  The
+    floor difference reuses floor(e*(n-1)!) = c_n + n, which the count
+    check has just certified."""
+    count = direct = 0
+    for i in range(3, n + 1):
+        term = factorial(n - 1) // factorial(n - i)
+        count += term
+        direct += i * term
+    _checked_cycle_count(n, count)
+    floored = certified_floor(EForm(0, factorial(n), 0)) - (count + n) - 2 * n + 1
     if direct != floored:
         raise InvariantViolation(
             f"cycle_length_sum({n}): summation gives {direct}, floor route gives {floored}"
         )
-    return direct
+    return count, direct
 
 
 @dataclass(frozen=True)
@@ -170,13 +189,10 @@ class PathCycleCounts:
 
 
 def path_cycle_counts(n: int) -> PathCycleCounts:
-    return PathCycleCounts(
-        n=n,
-        path_count=path_count(n),
-        path_length_sum=path_length_sum(n),
-        cycle_count=cycle_count(n),
-        cycle_length_sum=cycle_length_sum(n),
-    )
+    """All four tallies for one n, with three certified floors in all."""
+    paths, path_length = _path_totals(n)
+    cycles, cycle_length = _cycle_totals(n)
+    return PathCycleCounts(n, paths, path_length, cycles, cycle_length)
 
 
 # --- derangement numbers as certified floors --------------------------

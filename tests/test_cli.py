@@ -12,9 +12,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecount import exact, oracles
+from ecount import certified, cli, counts, exact, oracles
 from ecount.cli import main
+from ecount.errors import InvariantViolation
 
 
 @pytest.fixture()
@@ -188,12 +191,6 @@ def test_table_bad_range(runner):
     assert res.exit_code == 2
 
 
-def test_bench_smoke(runner):
-    res = _run(runner, "bench", "--n-max", "1", "--repeat", "1")
-    assert res.exit_code == 0
-    assert "bits" in res.stdout.splitlines()[0]
-
-
 def test_precision_cap_env(runner, monkeypatch):
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "4")
     res = _run(runner, "compute", "floor-e-nfact", "--n", "5")
@@ -225,6 +222,98 @@ def test_verify_quadrature_budget_overrun_is_a_violation(runner, monkeypatch):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "violation: " in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_verify_out_to_an_unwritable_path_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ecount.cli import main; main()",
+         "verify", "paths-cycles", "--n-range", "3..3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert str(out) in proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_verify_refuses_an_unwritable_path_before_any_suite(runner, monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setitem(cli._SUITES, "eq1", lambda r, **_: ran.append(r.suite))
+    res = _run(runner, "verify", "eq1", "--out", str(tmp_path / "missing" / "x.json"))
+    assert res.exit_code == 2
+    assert ran == []
+    res = _run(runner, "verify", "eq1", "--out", str(tmp_path / "x.json"))
+    assert res.exit_code == 0
+    assert ran == ["eq1"]
+
+
+def test_verify_reports_a_violation_a_suite_does_not_catch(runner, monkeypatch):
+    def broken(n, *args, **kwargs):
+        raise InvariantViolation(f"broken at n={n}")
+
+    monkeypatch.setattr(counts, "average_path_length", broken)
+    res = _run(runner, "verify", "paths-cycles", "--n-range", "3..4")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "violation: broken at n=3" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, floors",
+    [
+        (("compute", "paths", "--n", "40"), 1),
+        (("compute", "cycles", "--n", "40"), 1),
+        (("compute", "path-length-sum", "--n", "40"), 1),
+        (("compute", "avg-path-length", "--n", "40"), 1),
+        (("compute", "cycle-length-sum", "--n", "40"), 2),
+        (("compute", "floor-e-nfact", "--n", "40"), 1),
+        (("table", "paths", "--n-range", "3..12"), 10),
+        (("verify", "paths-cycles", "--n-range", "3..60"), 4 * 58),
+    ],
+)
+def test_each_certified_floor_runs_once(runner, monkeypatch, args, floors):
+    calls = []
+    real = certified.certified_floor
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(certified, "certified_floor", counted)
+    monkeypatch.setattr(counts, "certified_floor", counted)
+    res = _run(runner, *args)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == floors
+
+
+_RATIONALS = st.none() | st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op=st.sampled_from(sorted(cli._OPS)),
+    n=st.none() | st.integers(-2, 12),
+    m=st.none() | st.integers(-1, 6),
+    x=_RATIONALS,
+    z=_RATIONALS,
+    bits=st.integers(-2, 128),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_compute_contract_fuzz(op, n, m, x, z, bits, fmt):
+    # Every input gets an answer or a typed error, promptly.
+    args = ["compute", op, f"--precision-bits={bits}", f"--format={fmt}"]
+    for flag, value in (("--n", n), ("--m", m), ("--x", x), ("--z", z)):
+        if value is not None:
+            args.append(f"{flag}={value}")
+    t0 = time.monotonic()
+    res = CliRunner().invoke(main, args)
+    assert time.monotonic() - t0 < 5.0, args
+    assert res.exit_code in (0, 1, 2, 3), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
     assert "Traceback" not in res.output
 
 

@@ -83,6 +83,53 @@ def test_path_cycle_counts_bundle():
     assert pc.cycle_length_sum == counts.cycle_length_sum(6)
 
 
+def _counted(monkeypatch, name):
+    """Replace counts.<name> by a wrapper that logs each call."""
+    calls = []
+    original = getattr(counts, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counts, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_each_route_runs_once(monkeypatch, n):
+    floors = _counted(monkeypatch, "certified_floor")
+    terms = _counted(monkeypatch, "path_count_by_length")
+    for fn, want_floors, want_terms in (
+        (counts.path_count, 1, n - 1),
+        (counts.path_length_sum, 1, 2 * (n - 1)),
+        (counts.average_path_length, 1, 2 * (n - 1)),
+        (counts.cycle_count, 1, 0),
+        (counts.cycle_length_sum, 2, 0),
+        (counts.path_cycle_counts, 3, 2 * (n - 1)),
+    ):
+        floors.clear()
+        terms.clear()
+        fn(n)
+        assert (len(floors), len(terms)) == (want_floors, want_terms), fn.__name__
+
+
+def test_cycle_length_guard_is_real(monkeypatch):
+    # The floor of e*n! enters only the length check, so corrupting it
+    # must raise there even though the count check still passes.
+    n = 6
+    real = counts.certified_floor
+    nf = factorial(n)
+    monkeypatch.setattr(
+        counts, "certified_floor", lambda f, **kw: real(f, **kw) + (f.b == nf)
+    )
+    assert counts.cycle_count(n) == CYCLES[n]
+    with pytest.raises(InvariantViolation, match="cycle_length_sum"):
+        counts.cycle_length_sum(n)
+    with pytest.raises(InvariantViolation, match="cycle_length_sum"):
+        counts.path_cycle_counts(n)
+
+
 def test_counts_domain_errors():
     for fn in (
         counts.path_count,
