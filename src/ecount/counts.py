@@ -14,11 +14,17 @@ routes so that one can audit the other:
   e-linear bounds N_m(n) that squeeze the fractional parts involved.
 
 The "exact" route sums integers; the "certified" route builds an
-:class:`~ecount.certified.EForm` and takes its certified floor.
+:class:`~ecount.certified.EForm` and takes its certified floor.  Each
+exact sum is one pass of small-by-big multiplications: the path terms
+w(i), the cycle terms (n-1)!/(n-i)! and the common denominators of the
+bounds M_m(n) and N_m(n) are running products, never one factorial
+quotient per term.  The certified route still takes its factorial from
+:func:`~ecount.exact.factorial`, never from the running product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -69,15 +75,27 @@ def path_count_by_length(n: int, i: int) -> int:
     return factorial(n - 2) // factorial(n - 1 - i)
 
 
+def _path_terms(n: int) -> Iterator[tuple[int, int]]:
+    """(i, w(i)) for i = 1..n-1 by the running product w(1) = 1,
+    w(i+1) = w(i)*(n-1-i)."""
+    w = 1
+    for i in range(1, n):
+        yield i, w
+        w *= n - 1 - i
+
+
 def path_count(n: int) -> int:
     """Total number of simple paths between a fixed vertex pair of K_n.
 
-    Exact route: sum of w(i) over i, which telescopes to
-    sum_{i=0}^{n-2} (n-2)!/i!.  The certified route evaluates
-    floor(e*(n-2)!); both must agree on every call.
+    Exact route: sum of w(i) over i, each term the running product
+    w(i+1) = w(i)*(n-1-i) of the one before.  The certified route
+    evaluates floor(e*(n-2)!); both must agree on every call.
     """
     _require(n >= 3, f"path_count requires n >= 3 (got {n})")
-    exact = sum(path_count_by_length(n, i) for i in range(1, n))
+    return _checked_path_count(n, sum(w for _, w in _path_terms(n)))
+
+
+def _checked_path_count(n: int, exact: int) -> int:
     floored = certified_floor(EForm(0, factorial(n - 2), 0))
     if exact != floored:
         raise InvariantViolation(
@@ -104,10 +122,14 @@ def average_path_length(n: int) -> Fraction:
 
 
 def _path_totals(n: int) -> tuple[int, int]:
-    """(w_n, total path length), each route run once."""
-    count = path_count(n)
+    """(w_n, total path length) from one pass over the terms, each
+    route run once."""
+    count = direct = 0
+    for i, w in _path_terms(n):
+        count += w
+        direct += i * w
+    _checked_path_count(n, count)
     closed = 1 + (n - 2) * count
-    direct = sum(i * path_count_by_length(n, i) for i in range(1, n))
     if closed != direct:
         raise InvariantViolation(
             f"path_length_sum({n}): closed form {closed} != direct sum {direct}"
@@ -122,22 +144,34 @@ def path_argmax_lengths(n: int) -> set[int]:
     is {n-2, n-1} for n >= 4 and {1, 2} for n = 3 (both counts are 1).
     """
     _require(n >= 3, f"path_argmax_lengths requires n >= 3 (got {n})")
-    counts = {i: path_count_by_length(n, i) for i in range(1, n)}
-    top = max(counts.values())
-    return {i for i, w in counts.items() if w == top}
+    top, best = 0, set()
+    for i, w in _path_terms(n):
+        if w > top:
+            top, best = w, {i}
+        elif w == top:
+            best.add(i)
+    return best
 
 
 def cycle_count(n: int) -> int:
     """Cycles through a fixed vertex of K_n, orientations distinct.
 
     Exact route: sum over cycle length i of (n-1)!/(n-i)! ordered
-    choices of the i-1 intermediate vertices.  Certified route:
-    floor(e*(n-1)!) - n.
+    choices of the i-1 intermediate vertices, each term the running
+    product term(i+1) = term(i)*(n-i) of the one before.  Certified
+    route: floor(e*(n-1)!) - n.
     """
     _require(n >= 3, f"cycle_count requires n >= 3 (got {n})")
-    return _checked_cycle_count(
-        n, sum(factorial(n - 1) // factorial(n - i) for i in range(3, n + 1))
-    )
+    return _checked_cycle_count(n, sum(term for _, term in _cycle_terms(n)))
+
+
+def _cycle_terms(n: int) -> Iterator[tuple[int, int]]:
+    """(i, (n-1)!/(n-i)!) for i = 3..n by the running product
+    term(3) = (n-1)(n-2), term(i+1) = term(i)*(n-i)."""
+    term = (n - 1) * (n - 2)
+    for i in range(3, n + 1):
+        yield i, term
+        term *= n - i
 
 
 def _checked_cycle_count(n: int, exact: int) -> int:
@@ -164,8 +198,7 @@ def _cycle_totals(n: int) -> tuple[int, int]:
     floor difference reuses floor(e*(n-1)!) = c_n + n, which the count
     check has just certified."""
     count = direct = 0
-    for i in range(3, n + 1):
-        term = factorial(n - 1) // factorial(n - i)
+    for i, term in _cycle_terms(n):
         count += term
         direct += i * term
     _checked_cycle_count(n, count)
@@ -271,7 +304,8 @@ def bound_M(n: int, m: int) -> Fraction:
     """Rational upper bound M_m(n) on frac(e*n!), strictly decreasing in m.
 
     M_1 = 1/n, M_2 = (n+2)/(n+1)^2, and for m >= 3
-    M_m(n) = n! * ((n+m)/((n+m-1)*(n+m-1)!) + sum_{i=n+1}^{n+m-2} 1/i!).
+    M_m(n) = n! * ((n+m)/((n+m-1)*(n+m-1)!) + sum_{i=n+1}^{n+m-2} 1/i!),
+    summed over a common denominator built as one running suffix product.
     """
     _require(n >= 2, f"bound_M requires n >= 2 (got n={n})")
     _require(m >= 1, f"bound_M requires m >= 1 (got m={m})")
@@ -280,10 +314,15 @@ def bound_M(n: int, m: int) -> Fraction:
     if m == 2:
         return _Q(n + 2, (n + 1) ** 2)
     # Over the common denominator t * t!/n! with t = n+m-1, where
-    # n!/i! = prod(i+1..t) / (t!/n!).
+    # n!/i! = prod(i+1..t) / (t!/n!); p runs through those suffix
+    # products from i = t-1 down to i = n+1.
     t = n + m - 1
-    tail = sum(prod(range(i + 1, t + 1)) for i in range(n + 1, t))
-    return _Q(n + m + t * tail, t * prod(range(n + 1, t + 1)))
+    tail, p = 0, 1
+    for i in range(t - 1, n, -1):
+        p *= i + 1
+        tail += p
+    # Now p = prod(n+2..t).
+    return _Q(n + m + t * tail, t * (n + 1) * p)
 
 
 def bound_N(n: int, m: int) -> EForm:
@@ -292,15 +331,21 @@ def bound_N(n: int, m: int) -> EForm:
     N_m(n) = n! * sum_{i=1}^m (n+2i-1)/(n+2i)!
              + n! * frac(e*(n+2m)!)/(n+2m)!,
     with the fractional part expanded over e (it contributes the b*e
-    term and a rational correction).
+    term and a rational correction).  The rational part is summed over a
+    common denominator built as one running suffix product.
     """
     _require(n >= 2, f"bound_N requires n >= 2 (got n={n})")
     _require(m >= 1, f"bound_N requires m >= 1 (got m={m})")
     # Over the common denominator (n+2m)!/n!, where
-    # n!/(n+2i)! = prod(n+2i+1..n+2m) / ((n+2m)!/n!).
+    # n!/(n+2i)! = prod(n+2i+1..n+2m) / ((n+2m)!/n!); p runs through
+    # those suffix products from i = m down to i = 1.
     top = n + 2 * m
-    acc = sum((n + 2 * i - 1) * prod(range(n + 2 * i + 1, top + 1)) for i in range(1, m + 1))
-    a = _Q(acc - partial_sum_pos(top), prod(range(n + 1, top + 1)))
+    acc, p = 0, 1
+    for i in range(m, 0, -1):
+        acc += (n + 2 * i - 1) * p
+        p *= (n + 2 * i) * (n + 2 * i - 1)
+    # Now p = prod(n+1..top).
+    a = _Q(acc - partial_sum_pos(top), p)
     return EForm(a, factorial(n), 0)
 
 

@@ -119,5 +119,19 @@ def dpoly(n: int) -> DerangementPoly:
 
 
 def dpoly_eval(n: int, x: Fraction) -> Fraction:
-    """Exact rational value of D_n(x)."""
-    return dpoly(n).eval(Fraction(x))
+    """Exact rational value of D_n(x), in one integer pass.
+
+    With x = p/q in lowest terms, q^n * D_n(x) = sum_i r_i p^i where
+    r_i = (n!/i!) q^(n-i) is carried as the running product
+    r_{i-1} = r_i * i * q and the sum is taken by Horner's rule in p.
+    :meth:`DerangementPoly.eval` is the coefficient-form reference.
+    """
+    if n < 0:
+        raise DomainError(f"dpoly requires n >= 0 (got {n})")
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    acc = r = 1
+    for i in range(n, 0, -1):
+        r *= i * q
+        acc = acc * p + r
+    return Fraction(acc, q**n)

@@ -408,3 +408,32 @@ def test_huge_argument_probes_hit_the_precision_cap(runner, op, flag, arg):
     assert res.exit_code == 1
     assert seconds < _PROBE_SECONDS
     assert "precision cap" in res.stderr
+
+
+# --- large sizes for the counting sums ------------------------------------
+
+
+@pytest.mark.parametrize("op", ["paths", "cycles"])
+def test_large_count_probes_answer_in_time(op):
+    # Each probe timed out at 30 s while every term was its own factorial
+    # quotient.  A fresh interpreter, because the exact memo tables reach
+    # about 1 GB at this n and must not stay in the test process.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ecount.cli import main; main()",
+         "compute", op, "--n", "20000", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    seconds = time.monotonic() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
+    assert seconds < _PROBE_SECONDS
+
+
+def test_large_bounds_probe_answers_in_time(runner):
+    # 4.6 s while each bound summed one product per term.
+    res, seconds = _timed_compute(runner, "bounds", "--n", "2", "--m", "400")
+    assert res.exit_code == 0, res.output
+    assert seconds < 1.0

@@ -2,13 +2,16 @@
 certified bound chain."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecount import counts
 from ecount.certified import EForm, eform_eval, eform_sign
 from ecount.errors import DomainError, InvariantViolation
-from ecount.exact import derangements, factorial
+from ecount.exact import derangements, factorial, partial_sum_pos
 
 Q = Fraction
 
@@ -100,18 +103,81 @@ def _counted(monkeypatch, name):
 def test_each_route_runs_once(monkeypatch, n):
     floors = _counted(monkeypatch, "certified_floor")
     terms = _counted(monkeypatch, "path_count_by_length")
+    # The sums take their terms as running products, so none of them
+    # calls path_count_by_length.
     for fn, want_floors, want_terms in (
-        (counts.path_count, 1, n - 1),
-        (counts.path_length_sum, 1, 2 * (n - 1)),
-        (counts.average_path_length, 1, 2 * (n - 1)),
+        (counts.path_count, 1, 0),
+        (counts.path_length_sum, 1, 0),
+        (counts.average_path_length, 1, 0),
         (counts.cycle_count, 1, 0),
         (counts.cycle_length_sum, 2, 0),
-        (counts.path_cycle_counts, 3, 2 * (n - 1)),
+        (counts.path_cycle_counts, 3, 0),
     ):
         floors.clear()
         terms.clear()
         fn(n)
         assert (len(floors), len(terms)) == (want_floors, want_terms), fn.__name__
+
+
+def _quotient_path_sums(n):
+    """(w_n, total path length), one factorial quotient per term."""
+    terms = {i: factorial(n - 2) // factorial(n - 1 - i) for i in range(1, n)}
+    return sum(terms.values()), sum(i * w for i, w in terms.items())
+
+
+def _quotient_cycle_sums(n):
+    """(c_n, total cycle length), one factorial quotient per term."""
+    terms = {i: factorial(n - 1) // factorial(n - i) for i in range(3, n + 1)}
+    return sum(terms.values()), sum(i * t for i, t in terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=400))
+def test_running_products_match_quotient_sums(n):
+    paths, path_length = _quotient_path_sums(n)
+    cycles, cycle_length = _quotient_cycle_sums(n)
+    assert counts.path_count(n) == paths
+    assert counts.path_length_sum(n) == path_length
+    assert counts.average_path_length(n) == Q(path_length, paths)
+    assert counts.cycle_count(n) == cycles
+    assert counts.cycle_length_sum(n) == cycle_length
+    assert counts.path_cycle_counts(n) == counts.PathCycleCounts(
+        n, paths, path_length, cycles, cycle_length
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=400))
+def test_argmax_matches_by_length_table(n):
+    table = {i: counts.path_count_by_length(n, i) for i in range(1, n)}
+    top = max(table.values())
+    assert counts.path_argmax_lengths(n) == {i for i, w in table.items() if w == top}
+
+
+def _prod_bound_m(n, m):
+    """M_m(n) with one math.prod per term."""
+    if m == 1:
+        return Q(1, n)
+    if m == 2:
+        return Q(n + 2, (n + 1) ** 2)
+    t = n + m - 1
+    tail = sum(prod(range(i + 1, t + 1)) for i in range(n + 1, t))
+    return Q(n + m + t * tail, t * prod(range(n + 1, t + 1)))
+
+
+def _prod_bound_n(n, m):
+    """N_m(n) with one math.prod per term."""
+    top = n + 2 * m
+    acc = sum((n + 2 * i - 1) * prod(range(n + 2 * i + 1, top + 1)) for i in range(1, m + 1))
+    a = Q(acc - partial_sum_pos(top), prod(range(n + 1, top + 1)))
+    return EForm(a, factorial(n), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=40))
+def test_suffix_products_match_prod_bounds(n, m):
+    assert counts.bound_M(n, m) == _prod_bound_m(n, m)
+    assert counts.bound_N(n, m) == _prod_bound_n(n, m)
 
 
 def test_cycle_length_guard_is_real(monkeypatch):

@@ -4,7 +4,7 @@ and the derangement polynomial."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecount.errors import DomainError
@@ -101,6 +101,17 @@ def test_dpoly_eval_rational():
     assert dpoly_eval(2, Fraction(1, 2)) == Fraction(13, 4)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=120),
+    st.fractions(max_denominator=10**6).filter(lambda x: abs(x) <= 10**6),
+)
+def test_dpoly_eval_matches_coefficient_form(n, x):
+    # The one-pass integer evaluation against Horner's rule on the
+    # coefficient form.
+    assert dpoly_eval(n, x) == dpoly(n).eval(x)
+
+
 def test_dpoly_derivative_is_shift():
     # d/dx D_n(x) = n * D_{n-1}(x) coefficientwise.
     for n in range(1, 20):
@@ -121,3 +132,5 @@ def test_ode_identity(n):
 def test_dpoly_rejects_negative():
     with pytest.raises(DomainError):
         dpoly(-1)
+    with pytest.raises(DomainError):
+        dpoly_eval(-1, Fraction(1, 2))
