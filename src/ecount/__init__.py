@@ -1,126 +1,96 @@
-"""Exact counting in complete graphs, certified by interval enclosures of e."""
+"""Exact counting in complete graphs, certified by interval enclosures of e.
 
-from .certified import (
-    CertifiedFloor,
-    EForm,
-    IntervalReal,
-    certified_floor,
-    certified_floor_info,
-    eform_bounds,
-    eform_eval,
-    eform_lt,
-    eform_sign,
-    enclose_e,
-    enclose_e_inv,
-    frac_e_nfact,
-)
-from .counts import (
-    BoundsChain,
-    PathCycleCounts,
-    average_path_length,
-    bound_M,
-    bound_N,
-    chain_check,
-    cycle_count,
-    cycle_length_sum,
-    derangement_eq2,
-    derangement_eq3,
-    derangement_eq4,
-    derangement_eq5,
-    derangement_eq6,
-    derangement_lambda,
-    derangement_thm7,
-    path_argmax_lengths,
-    path_count,
-    path_count_by_length,
-    path_cycle_counts,
-    path_length_sum,
-)
-from .errors import DomainError, InvariantViolation, PrecisionCapError
-from .exact import (
-    DerangementPoly,
-    derangements,
-    dpoly,
-    dpoly_eval,
-    factorial,
-    partial_sum_pos,
-)
-from .oracles import (
-    QuadratureResult,
-    brute_cycles,
-    brute_derangements,
-    brute_paths,
-    quad_gamma,
-)
-from .specials import (
-    GammaQuery,
-    IntegralIdentity,
-    exp_enclosure,
-    hyp1f1,
-    hyp2f0,
-    hyp2f0_identity_check,
-    hyp2f0_special,
-    inc_gamma_int,
-    integral_identities,
-)
+Each layer is imported when one of its names is first used (PEP 562):
+`import ecount` alone loads none of them.  Names are looked up in their
+layer on every access and never stored here, so a monkeypatched layer
+attribute is the one the package hands out.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsChain",
-    "CertifiedFloor",
-    "DerangementPoly",
-    "DomainError",
-    "EForm",
-    "GammaQuery",
-    "IntegralIdentity",
-    "IntervalReal",
-    "InvariantViolation",
-    "PathCycleCounts",
-    "PrecisionCapError",
-    "QuadratureResult",
-    "average_path_length",
-    "bound_M",
-    "bound_N",
-    "brute_cycles",
-    "brute_derangements",
-    "brute_paths",
-    "certified_floor",
-    "certified_floor_info",
-    "chain_check",
-    "cycle_count",
-    "cycle_length_sum",
-    "derangement_eq2",
-    "derangement_eq3",
-    "derangement_eq4",
-    "derangement_eq5",
-    "derangement_eq6",
-    "derangement_lambda",
-    "derangement_thm7",
-    "derangements",
-    "dpoly",
-    "dpoly_eval",
-    "eform_bounds",
-    "eform_eval",
-    "eform_lt",
-    "eform_sign",
-    "enclose_e",
-    "enclose_e_inv",
-    "exp_enclosure",
-    "factorial",
-    "frac_e_nfact",
-    "hyp1f1",
-    "hyp2f0",
-    "hyp2f0_identity_check",
-    "hyp2f0_special",
-    "inc_gamma_int",
-    "integral_identities",
-    "partial_sum_pos",
-    "path_argmax_lengths",
-    "path_count",
-    "path_count_by_length",
-    "path_cycle_counts",
-    "path_length_sum",
-    "quad_gamma",
-    "__version__",
-]
+# The public names, by the layer that defines them.
+_LAYERS = {
+    "certified": (
+        "CertifiedFloor",
+        "EForm",
+        "IntervalReal",
+        "certified_floor",
+        "certified_floor_info",
+        "eform_bounds",
+        "eform_eval",
+        "eform_lt",
+        "eform_sign",
+        "enclose_e",
+        "enclose_e_inv",
+        "frac_e_nfact",
+    ),
+    "counts": (
+        "BoundsChain",
+        "PathCycleCounts",
+        "average_path_length",
+        "bound_M",
+        "bound_N",
+        "chain_check",
+        "cycle_count",
+        "cycle_length_sum",
+        "derangement_eq2",
+        "derangement_eq3",
+        "derangement_eq4",
+        "derangement_eq5",
+        "derangement_eq6",
+        "derangement_lambda",
+        "derangement_thm7",
+        "path_argmax_lengths",
+        "path_count",
+        "path_count_by_length",
+        "path_cycle_counts",
+        "path_length_sum",
+    ),
+    "errors": ("DomainError", "InvariantViolation", "PrecisionCapError"),
+    "exact": (
+        "DerangementPoly",
+        "derangements",
+        "dpoly",
+        "dpoly_eval",
+        "factorial",
+        "partial_sum_pos",
+    ),
+    "oracles": (
+        "QuadratureResult",
+        "brute_cycles",
+        "brute_derangements",
+        "brute_paths",
+        "quad_gamma",
+    ),
+    "specials": (
+        "GammaQuery",
+        "IntegralIdentity",
+        "exp_enclosure",
+        "hyp1f1",
+        "hyp2f0",
+        "hyp2f0_identity_check",
+        "hyp2f0_special",
+        "inc_gamma_int",
+        "integral_identities",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+__all__ = [*sorted(_LAYER_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    # A layer's own name gives the layer module, as `ecount.counts` did
+    # when this package imported every layer.
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{layer}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYERS, *__all__})

@@ -29,13 +29,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import click
 
-from . import certified, counts, exact, oracles, specials
-from .certified import EForm, IntervalReal
+import ecount
+
 from .errors import DomainError, InvariantViolation, PrecisionCapError
+
+if TYPE_CHECKING:
+    from .certified import EForm, IntervalReal
 
 _Q = Fraction
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -212,8 +215,8 @@ _FLAG = {"m_max": "m", "precision_bits": "bits"}
 
 
 def _frac_e_nfact(n: int, bits: int) -> dict[str, Any]:
-    f = certified.frac_e_nfact(n)
-    iv = certified.eform_eval(f, bits)
+    f = ecount.frac_e_nfact(n)
+    iv = ecount.eform_eval(f, bits)
     return {"eform": _eform_json(f), "interval": _interval_json(iv, bits)}
 
 
@@ -224,12 +227,12 @@ def _integrals(n: int, tol: Fraction, bits: int) -> list[dict[str, Any]]:
             "eform": _eform_json(r.closed_form),
             "quadrature": _interval_json(r.enclosure, bits),
         }
-        for r in specials.integral_identities(n, tol=tol, precision_bits=bits)
+        for r in ecount.integral_identities(n, tol=tol, precision_bits=bits)
     ]
 
 
 def _bounds(n: int, m: int) -> dict[str, Any]:
-    chain = counts.chain_check(n, m)
+    chain = ecount.chain_check(n, m)
     return {
         "frac": _eform_json(chain.frac),
         "m_list": [
@@ -240,41 +243,43 @@ def _bounds(n: int, m: int) -> dict[str, Any]:
 
 
 def _derangements(n: int, *_: Any) -> int:
-    return exact.derangements(n)
+    return ecount.derangements(n)
 
 
-# The lambdas look library functions up when called, not at import, so
-# a monkeypatched or traced module attribute is the one that runs.
+# The ops reach the library through the package's public names, looked
+# up when called, not at import: the package loads a layer on its first
+# use, so a call loads only the layers its op needs, and a monkeypatched
+# or traced layer attribute is the one that runs.
 _OPS: dict[str, Op] = {
-    "derangements": Op(("n",), lambda n: exact.derangements(n)),
-    "dpoly-eval": Op(("n", "x"), lambda n, x: exact.dpoly_eval(n, x)),
-    "paths": Op(("n",), lambda n: counts.path_count(n), _ROUTES),
-    "path-length-sum": Op(("n",), lambda n: counts.path_length_sum(n), _ROUTES),
-    "cycles": Op(("n",), lambda n: counts.cycle_count(n), _ROUTES),
-    "cycle-length-sum": Op(("n",), lambda n: counts.cycle_length_sum(n), _ROUTES),
-    "avg-path-length": Op(("n",), lambda n: counts.average_path_length(n)),
+    "derangements": Op(("n",), lambda n: ecount.derangements(n)),
+    "dpoly-eval": Op(("n", "x"), lambda n, x: ecount.dpoly_eval(n, x)),
+    "paths": Op(("n",), lambda n: ecount.path_count(n), _ROUTES),
+    "path-length-sum": Op(("n",), lambda n: ecount.path_length_sum(n), _ROUTES),
+    "cycles": Op(("n",), lambda n: ecount.cycle_count(n), _ROUTES),
+    "cycle-length-sum": Op(("n",), lambda n: ecount.cycle_length_sum(n), _ROUTES),
+    "avg-path-length": Op(("n",), lambda n: ecount.average_path_length(n)),
     "floor-e-nfact": Op(
         ("n",),
-        lambda n: exact.partial_sum_pos(n),
-        lambda n: certified.certified_floor(EForm(0, exact.factorial(n), 0)),
+        lambda n: ecount.partial_sum_pos(n),
+        lambda n: ecount.certified_floor(ecount.EForm(0, ecount.factorial(n), 0)),
     ),
     "frac-e-nfact": Op(("n", "precision_bits"), _frac_e_nfact),
-    "eq2": Op(("n",), lambda n: counts.derangement_eq2(n), _derangements),
-    "eq3": Op(("n",), lambda n: counts.derangement_eq3(n), _derangements),
-    "eq4": Op(("n",), lambda n: counts.derangement_eq4(n), _derangements),
-    "eq6": Op(("n",), lambda n: counts.derangement_eq6(n), _derangements),
-    "eq5": Op(("n", "m"), lambda n, m: counts.derangement_eq5(n, m), _derangements, {"m": 3}),
-    "thm7": Op(("n", "m"), lambda n, m: counts.derangement_thm7(n, m), _derangements, {"m": 1}),
-    "hyp2f0": Op(("n", "x"), lambda n, x: specials.hyp2f0(n, x)),
+    "eq2": Op(("n",), lambda n: ecount.derangement_eq2(n), _derangements),
+    "eq3": Op(("n",), lambda n: ecount.derangement_eq3(n), _derangements),
+    "eq4": Op(("n",), lambda n: ecount.derangement_eq4(n), _derangements),
+    "eq6": Op(("n",), lambda n: ecount.derangement_eq6(n), _derangements),
+    "eq5": Op(("n", "m"), lambda n, m: ecount.derangement_eq5(n, m), _derangements, {"m": 3}),
+    "thm7": Op(("n", "m"), lambda n, m: ecount.derangement_thm7(n, m), _derangements, {"m": 1}),
+    "hyp2f0": Op(("n", "x"), lambda n, x: ecount.hyp2f0(n, x)),
     "hyp1f1": Op(
         ("n", "x", "precision_bits"),
-        lambda n, x, bits: _interval_json(specials.hyp1f1(n, x, bits), bits),
+        lambda n, x, bits: _interval_json(ecount.hyp1f1(n, x, bits), bits),
         _CHECKED,
     ),
     "inc-gamma": Op(
         ("n", "z", "precision_bits"),
         lambda n, z, bits: _interval_json(
-            specials.inc_gamma_int(specials.GammaQuery(n, z, bits)), bits
+            ecount.inc_gamma_int(ecount.GammaQuery(n, z, bits)), bits
         ),
     ),
     "integrals": Op(("n", "tol", "precision_bits"), _integrals, _CHECKED),
@@ -367,6 +372,9 @@ _Range = tuple[int, int] | None
 
 
 def _suite_eq1(r: SuiteResult, n_range: _Range, **_: Any) -> None:
+    from . import certified, exact
+    from .certified import EForm
+
     lo, hi = n_range or (1, 500)
     for n in range(max(lo, 1), hi + 1):
         a = exact.partial_sum_pos(n)
@@ -377,6 +385,8 @@ def _suite_eq1(r: SuiteResult, n_range: _Range, **_: Any) -> None:
 def _suite_derangement_family(
     r: SuiteResult, n_range: _Range, m_range: _Range, lam: Fraction | None, **_: Any
 ) -> None:
+    from . import counts, exact
+
     lo, hi = n_range or (1, 200)
     if lam is not None:
         for n in range(max(lo, 1), hi + 1):
@@ -408,6 +418,8 @@ def _suite_derangement_family(
 
 
 def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
+    from . import counts
+
     lo, hi = n_range or (3, 60)
     for n in range(max(lo, 3), hi + 1):
         pc = r.attempt(counts.path_cycle_counts, n, prefix=f"n={n}: ")
@@ -426,6 +438,9 @@ def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
 
 
 def _suite_bounds_chain(r: SuiteResult, n_range: _Range, m_range: _Range, **_: Any) -> None:
+    from . import certified, counts
+    from .certified import EForm
+
     chain_lo, chain_hi = n_range or (2, 50)
     m_max = (m_range or (1, 8))[1]
     for n in range(max(chain_lo, 2), chain_hi + 1):
@@ -441,6 +456,8 @@ def _suite_bounds_chain(r: SuiteResult, n_range: _Range, m_range: _Range, **_: A
 def _suite_special_fn(
     r: SuiteResult, n_range: _Range, tol: Fraction, bits: int | None, **_: Any
 ) -> None:
+    from . import exact, specials
+
     x_set = [_Q(1), _Q(-1), _Q(1, 2), _Q(-1, 2), _Q(2), _Q(-2), _Q(3, 7)]
     lo, hi = n_range or (0, 30)
     for n in range(max(lo, 0), hi + 1):
@@ -477,6 +494,8 @@ def _suite_special_fn(
 
 
 def _suite_oracle_equivalence(r: SuiteResult, n_range: _Range, **_: Any) -> None:
+    from . import counts, exact, oracles
+
     d_lo, d_hi = n_range or (0, 9)
     for n in range(max(d_lo, 0), min(d_hi, oracles.MAX_BRUTE_DERANGEMENTS) + 1):
         r.expect(
@@ -508,7 +527,9 @@ def _suite_oracle_equivalence(r: SuiteResult, n_range: _Range, **_: Any) -> None
 
 
 # Each suite reads the options it needs from the keyword arguments of
-# cmd_verify and records its checks in the SuiteResult it is given.
+# cmd_verify and records its checks in the SuiteResult it is given.  It
+# imports the layers it checks when it runs, so `verify SUITE` loads
+# only those.
 _SUITES: dict[str, Callable[..., None]] = {
     "eq1": _suite_eq1,
     "derangement-family": _suite_derangement_family,
@@ -611,8 +632,8 @@ def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, 
     digits = _digits_for_bits(bits)
     rows = []
     for m in range(m_range[0], m_range[1] + 1):
-        n_lo, n_hi = certified.eform_eval(counts.bound_N(n, m), bits).to_decimal(digits)
-        rows.append({"m": m, "M": str(counts.bound_M(n, m)), "N_lo": n_lo, "N_hi": n_hi})
+        n_lo, n_hi = ecount.eform_eval(ecount.bound_N(n, m), bits).to_decimal(digits)
+        rows.append({"m": m, "M": str(ecount.bound_M(n, m)), "N_lo": n_lo, "N_hi": n_hi})
     return rows
 
 

@@ -349,6 +349,39 @@ def bound_N(n: int, m: int) -> EForm:
     return EForm(a, factorial(n), 0)
 
 
+def _bound_M_family(n: int, m_max: int) -> list[Fraction]:
+    """[bound_M(n, m) for m = 1..m_max] in one ascending pass.
+
+    With t = n+m-1, bound_M's sum of suffix products
+    A_t = sum_{i=n+1}^{t-1} prod(i+1..t) and its product P_t = prod(n+2..t)
+    grow as A_t = t*A_{t-1} + t and P_t = P_{t-1}*t, from A = 0 and P = 1
+    at the m = 2 case t = n+1.
+    """
+    family = [_Q(1, n), _Q(n + 2, (n + 1) ** 2)]
+    tail, p = 0, 1
+    for t in range(n + 2, n + m_max):
+        tail, p = t * tail + t, p * t
+        family.append(_Q(t + 1 + t * tail, t * (n + 1) * p))
+    return family[:m_max]
+
+
+def _bound_N_family(n: int, m_max: int) -> list[EForm]:
+    """[bound_N(n, m) for m = 1..m_max] in one ascending pass.
+
+    With top = n+2m, bound_N's accumulated numerator and its product
+    p = prod(n+1..top) grow as acc_m = acc_{m-1}*top*(top-1) + (top-1)
+    and p_m = p_{m-1}*top*(top-1), from acc = 0 and p = 1 at m = 0.
+    """
+    nf = factorial(n)
+    family = []
+    acc, p = 0, 1
+    for m in range(1, m_max + 1):
+        top = n + 2 * m
+        acc, p = acc * top * (top - 1) + top - 1, p * top * (top - 1)
+        family.append(EForm(_Q(acc - partial_sum_pos(top), p), nf, 0))
+    return family
+
+
 @dataclass(frozen=True)
 class BoundsChain:
     """Fractional part of e*n! with its two-sided bound family.
@@ -369,7 +402,9 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
 
     Every inequality is decided by interval refinement (rational vs
     rational comparisons are exact).  A violated link raises
-    InvariantViolation naming the failing pair.
+    InvariantViolation naming the failing pair.  The bounds M_m and N_m
+    come from one ascending pass each, not one bound_M or bound_N call
+    per m.
     """
     _require(n >= 2, f"chain_check requires n >= 2 (got n={n})")
     _require(m_max >= 1, f"chain_check requires m_max >= 1 (got m_max={m_max})")
@@ -382,8 +417,8 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
         head = EForm(-dn, 0, nf)
     frac = EForm(-partial_sum_pos(n), nf, 0)
 
-    big_m = {m: bound_M(n, m) for m in range(1, m_max + 3)}
-    big_n = {m: bound_N(n, m) for m in range(1, m_max + 1)}
+    big_m = dict(enumerate(_bound_M_family(n, m_max + 2), start=1))
+    big_n = dict(enumerate(_bound_N_family(n, m_max), start=1))
 
     chain: list[tuple[str, EForm]] = [("|n!/e - D_n|", head)]
     chain.extend((f"N_{m}", big_n[m]) for m in range(m_max, 0, -1))

@@ -127,7 +127,7 @@ def dpoly_eval(n: int, x: Fraction) -> Fraction:
     :meth:`DerangementPoly.eval` is the coefficient-form reference.
     """
     if n < 0:
-        raise DomainError(f"dpoly requires n >= 0 (got {n})")
+        raise DomainError(f"dpoly_eval requires n >= 0 (got {n})")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     acc = r = 1

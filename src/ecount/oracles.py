@@ -51,9 +51,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from math import ceil, comb, factorial, floor, gcd, lcm
-from operator import mul
+from operator import mul, ne
 
 from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
 from .errors import DomainError, PrecisionCapError
@@ -108,7 +108,9 @@ def brute_derangements(n: int) -> int:
         raise DomainError(
             f"brute_derangements requires 0 <= n <= {MAX_BRUTE_DERANGEMENTS} (got {n})"
         )
-    return sum(1 for p in permutations(range(n)) if all(p[i] != i for i in range(n)))
+    # all(map(ne, p, r)) for each permutation p, with both loops run in C.
+    r = range(n)
+    return sum(map(all, map(map, repeat(ne), permutations(r), repeat(r))))
 
 
 def brute_paths(n: int, pair: tuple[int, int] = (0, 1)) -> EnumerationResult:

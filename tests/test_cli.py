@@ -306,15 +306,47 @@ _RATIONALS = st.none() | st.builds(Fraction, st.integers(-20, 20), st.integers(1
 def test_compute_contract_fuzz(op, n, m, x, z, bits, fmt):
     # Every input gets an answer or a typed error, promptly.
     args = ["compute", op, f"--precision-bits={bits}", f"--format={fmt}"]
-    for flag, value in (("--n", n), ("--m", m), ("--x", x), ("--z", z)):
-        if value is not None:
-            args.append(f"{flag}={value}")
+    _assert_contract(args, (("--n", n), ("--m", m), ("--x", x), ("--z", z)))
+
+
+def _assert_contract(args, flags):
+    """Run args plus each flag that has a value: the call ends promptly
+    with an answer or a typed error."""
+    args = args + [f"{flag}={value}" for flag, value in flags if value is not None]
     t0 = time.monotonic()
     res = CliRunner().invoke(main, args)
     assert time.monotonic() - t0 < 5.0, args
     assert res.exit_code in (0, 1, 2, 3), (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), args
     assert "Traceback" not in res.output
+
+
+# Range flags as RangeParam reads them, ends in -2..12 and in either
+# order, so empty ranges and every suite's lower clamps are reached.
+_RANGE = st.builds("{}..{}".format, st.integers(-2, 12), st.integers(-2, 12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    suite=st.sampled_from(sorted(cli._SUITES) + ["all"]),
+    n_range=_RANGE,
+    m_range=st.none() | _RANGE,
+)
+def test_verify_contract_fuzz(suite, n_range, m_range):
+    _assert_contract(["verify", suite], (("--n-range", n_range), ("--m-range", m_range)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    quantity=st.sampled_from(cli._TABLE_QUANTITIES),
+    n_range=st.none() | _RANGE,
+    n=st.none() | st.integers(-2, 12),
+    m_range=st.none() | _RANGE,
+    fmt=st.sampled_from(["csv", "json", "md"]),
+)
+def test_table_contract_fuzz(quantity, n_range, n, m_range, fmt):
+    flags = (("--n-range", n_range), ("--n", n), ("--m-range", m_range))
+    _assert_contract(["table", quantity, f"--format={fmt}"], flags)
 
 
 @pytest.mark.parametrize("error", (MemoryError(), RecursionError("maximum recursion depth exceeded")))

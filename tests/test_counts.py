@@ -180,6 +180,18 @@ def test_suffix_products_match_prod_bounds(n, m):
     assert counts.bound_N(n, m) == _prod_bound_n(n, m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=40))
+def test_bound_families_match_single_bounds(n, m_max):
+    # chain_check builds every M_m and N_m in one ascending pass each.
+    assert counts._bound_M_family(n, m_max) == [
+        counts.bound_M(n, m) for m in range(1, m_max + 1)
+    ]
+    assert counts._bound_N_family(n, m_max) == [
+        counts.bound_N(n, m) for m in range(1, m_max + 1)
+    ]
+
+
 def test_cycle_length_guard_is_real(monkeypatch):
     # The floor of e*n! enters only the length check, so corrupting it
     # must raise there even though the count check still passes.

@@ -130,7 +130,7 @@ def test_ode_identity(n):
 
 
 def test_dpoly_rejects_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^dpoly requires n >= 0 \(got -1\)$"):
         dpoly(-1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^dpoly_eval requires n >= 0 \(got -1\)$"):
         dpoly_eval(-1, Fraction(1, 2))
