@@ -43,19 +43,27 @@ Enclosures:
 * 1/e is bracketed by consecutive partial sums of the alternating series
   sum (-1)^i/i!, i.e. [D_{2k-1}/(2k-1)!, D_{2k}/(2k)!] with width
   exactly 1/(2k)!.  Alternating-series brackets are nested as well.
+
+The index k is the least one whose bracket width is at most 2^-p: a
+log-gamma estimate picks it and an exact integer test corrects it.
+Each bracket is built by its own binary split of sum x^i * k!/i!
+(x = 1 for S_k, x = -1 for D_{2k-1}), so this layer keeps no tables
+and grows nothing past the precision asked for.  It shares no code with
+the recurrence tables of :mod:`ecount.exact`, which :func:`frac_e_nfact`
+alone reads: the two routes behind every count stay independent.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
 from .errors import DomainError, PrecisionCapError
-from .exact import derangements, factorial, partial_sum_pos
+from .exact import factorial, partial_sum_pos
 
 __all__ = [
     "DEFAULT_PRECISION_CAP",
@@ -280,48 +288,103 @@ class EForm:
 
 # --- enclosures -------------------------------------------------------
 
-# _E_BITS[k-1]  = bit_length(k! * k): the e bracket at index k has width
-#                 exactly 1/(k!*k).
-# _EI_BITS[k-1] = bit_length((2k)!): the 1/e bracket at index k has
-#                 width exactly 1/(2k)!.
-# Both lists are strictly increasing, so a binary search finds the
-# smallest index reaching a requested precision; growth is guarded by
-# _ENC_LOCK and the search is monotone in precision_bits, which makes
-# successive enclosures nested.
-_ENC_LOCK = threading.Lock()
-_E_BITS: list[int] = []
-_EI_BITS: list[int] = []
+
+def _split(a: int, b: int, x: int) -> tuple[int, int]:
+    """(P, Q) with Q = b!/a! and P = sum_{i=a+1}^b x^(i-a) * b!/i!, x = +-1.
+
+    Binary splitting: the halves at m combine as P = P_l*Q_r +
+    x^(m-a)*P_r and Q = Q_l*Q_r, so the big products are balanced.  Short
+    ranges run the recurrence P_j = j*P_{j-1} + x^(j-a) instead.
+    """
+    if b - a <= 16:
+        p, q, s = 0, 1, 1
+        for j in range(a + 1, b + 1):
+            s *= x
+            p = p * j + s
+            q *= j
+        return p, q
+    m = (a + b) // 2
+    pl, ql = _split(a, m, x)
+    pr, qr = _split(m, b, x)
+    if x < 0 and (m - a) % 2:
+        pr = -pr
+    return pl * qr + pr, ql * qr
+
+
+def _series(k: int, x: int) -> tuple[int, int]:
+    """(sum_{i=0}^k x^i * k!/i!, k!): S_k for x = 1, D_k for x = -1."""
+    p, q = _split(0, k, x)
+    return q + p, q
+
+
+def _estimate(p: int, ln_size) -> int:
+    """Least k in 1..p+1 with the float ln_size(k) >= p*ln 2, by binary
+    search; both brackets reach 2^-p by k = p+1, as (p+1)! >= 2^p."""
+    target = p * math.log(2)
+    lo, hi = 1, p + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ln_size(mid) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _k_for_e(precision_bits: int) -> int:
-    target = precision_bits + 1  # x >= 2^p  iff  bit_length(x) >= p+1
-    with _ENC_LOCK:
-        while not _E_BITS or _E_BITS[-1] < target:
-            k = len(_E_BITS) + 1
-            _E_BITS.append((factorial(k) * k).bit_length())
-        return bisect_left(_E_BITS, target) + 1
+    """Least k >= 1 with k!*k >= 2^p: the e bracket at k has width 1/(k!*k).
+
+    A log-gamma estimate picks k; the exact test moves it to the least
+    such k, so the index, and every bracket, does not depend on floats.
+    """
+    p = precision_bits
+    k = _estimate(p, lambda k: math.lgamma(k + 1) + math.log(k))
+    f = math.factorial(k)
+    while (f * k).bit_length() <= p:  # x >= 2^p  iff  bit_length(x) >= p+1
+        k += 1
+        f *= k
+    while k > 1 and (f // k * (k - 1)).bit_length() > p:
+        f //= k
+        k -= 1
+    return k
 
 
 def _k_for_e_inv(precision_bits: int) -> int:
-    target = precision_bits + 1
-    with _ENC_LOCK:
-        while not _EI_BITS or _EI_BITS[-1] < target:
-            k = len(_EI_BITS) + 1
-            _EI_BITS.append(factorial(2 * k).bit_length())
-        return bisect_left(_EI_BITS, target) + 1
+    """Least k >= 1 with (2k)! >= 2^p: the 1/e bracket at k has width 1/(2k)!."""
+    p = precision_bits
+    k = _estimate(p, lambda k: math.lgamma(2 * k + 1))
+    f = math.factorial(2 * k)
+    while f.bit_length() <= p:
+        k += 1
+        f *= 2 * k * (2 * k - 1)
+    while k > 1 and (f // (2 * k * (2 * k - 1))).bit_length() > p:
+        f //= 2 * k * (2 * k - 1)
+        k -= 1
+    return k
+
+
+def _check_precision(what: str, precision_bits: int) -> None:
+    if precision_bits < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    cap = _resolve_cap(None)
+    if precision_bits > cap:
+        raise PrecisionCapError(
+            f"{what} at {precision_bits} bits is above the precision cap of {cap} bits"
+        )
 
 
 def enclose_e(precision_bits: int) -> IntervalReal:
     """Enclosure of e of width at most 2^-precision_bits.
 
     Lower endpoint is the exact partial sum S_k/k!; the width is the
-    tail bound 1/(k!*k).
+    tail bound 1/(k!*k).  Raises PrecisionCapError, before any work,
+    when precision_bits is above the precision cap.
     """
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    _check_precision("enclose_e", precision_bits)
     k = _k_for_e(precision_bits)
-    lo = _Q(partial_sum_pos(k), factorial(k))
-    return IntervalReal(lo, lo + _Q(1, factorial(k) * k))
+    s, f = _series(k, 1)
+    lo = _Q(s, f)
+    return IntervalReal(lo, lo + _Q(1, f * k))
 
 
 def enclose_e_inv(precision_bits: int) -> IntervalReal:
@@ -330,15 +393,14 @@ def enclose_e_inv(precision_bits: int) -> IntervalReal:
     Consecutive partial sums of the alternating series sum (-1)^i/i!
     bracket the limit; with D_m the m-th derangement number the partial
     sum through i = m is exactly D_m/m!, so the bracket is
-    [D_{2k-1}/(2k-1)!, D_{2k}/(2k)!] of width 1/(2k)!.
+    [D_{2k-1}/(2k-1)!, D_{2k}/(2k)!] of width 1/(2k)!, and
+    D_{2k} = 2k*D_{2k-1} + 1.  Raises PrecisionCapError, before any
+    work, when precision_bits is above the precision cap.
     """
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    _check_precision("enclose_e_inv", precision_bits)
     k = _k_for_e_inv(precision_bits)
-    return IntervalReal(
-        _Q(derangements(2 * k - 1), factorial(2 * k - 1)),
-        _Q(derangements(2 * k), factorial(2 * k)),
-    )
+    d, f = _series(2 * k - 1, -1)
+    return IntervalReal(_Q(d, f), _Q(2 * k * d + 1, 2 * k * f))
 
 
 def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
@@ -360,23 +422,23 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
 
 # _FIXED[name] = (P, lo, hi) with lo <= x * 2^P <= hi, for x = e or 1/e.
 # It only ever grows, to exactly the largest precision asked for.  The
-# triple is built outside _FIXED_LOCK (the builders take _ENC_LOCK and
-# the exact-table lock themselves) and swapped in under it.
+# builders share no state, so a triple is built outside _FIXED_LOCK and
+# only swapped in under it.
 _FIXED_LOCK = threading.Lock()
 _FIXED = {"e": (0, 2, 3), "e_inv": (0, 0, 1)}
 
 
 def _build_e(bits: int) -> tuple[int, int, int]:
     # e - S_k/k! < 1/(k!*k) <= 2^-bits, so lo + 2 bounds e * 2^bits.
-    k = _k_for_e(bits)
-    lo = (partial_sum_pos(k) << bits) // factorial(k)
+    s, f = _series(_k_for_e(bits), 1)
+    lo = (s << bits) // f
     return bits, lo, lo + 2
 
 
 def _build_e_inv(bits: int) -> tuple[int, int, int]:
     # 1/e - D_{2k-1}/(2k-1)! < 1/(2k)! <= 2^-bits, so lo + 2 bounds it.
-    k = _k_for_e_inv(bits)
-    lo = (derangements(2 * k - 1) << bits) // factorial(2 * k - 1)
+    d, f = _series(2 * _k_for_e_inv(bits) - 1, -1)
+    lo = (d << bits) // f
     return bits, lo, lo + 2
 
 

@@ -30,22 +30,22 @@ __all__ = [
     "dpoly_eval",
 ]
 
-# Growing memo tables, shared by every caller.  _TABLE_LOCK guards the
-# append-only growth; reads of already-filled slots are safe without it.
+# Memo tables of the exact route, shared by its callers.  Each table grows
+# on its own, to the largest n asked of it, so factorial(n) builds neither
+# S nor D.  _TABLE_LOCK guards the append-only growth; reads of
+# already-filled slots are safe without it.  The certified layer builds
+# its brackets of e and 1/e by binary splitting and never reads them.
 _TABLE_LOCK = threading.Lock()
-_FACT = [1]       # _FACT[n] = n!
+_FACT = [1]       # _FACT[n] = n!, via n! = n*(n-1)!
 _PSUM = [1]       # _PSUM[n] = sum_{i=0}^n n!/i!, via S_n = n*S_{n-1} + 1
 _DER = [1]        # _DER[n] = D_n, via D_n = n*D_{n-1} + (-1)^n
 
 
-def _grow(n: int) -> None:
+def _grow(table: list[int], n: int, step) -> None:
+    """Extend table through index n by table[k] = step(k, table[k-1])."""
     with _TABLE_LOCK:
-        k = len(_FACT)
-        while k <= n:
-            _FACT.append(_FACT[k - 1] * k)
-            _PSUM.append(k * _PSUM[k - 1] + 1)
-            _DER.append(k * _DER[k - 1] + (-1 if k % 2 else 1))
-            k += 1
+        for k in range(len(table), n + 1):
+            table.append(step(k, table[k - 1]))
 
 
 def factorial(n: int) -> int:
@@ -53,7 +53,7 @@ def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial requires n >= 0 (got {n})")
     if n >= len(_FACT):
-        _grow(n)
+        _grow(_FACT, n, lambda k, prev: k * prev)
     return _FACT[n]
 
 
@@ -67,7 +67,7 @@ def partial_sum_pos(n: int) -> int:
     if n < 1:
         raise DomainError(f"partial_sum_pos requires n >= 1 (got {n})")
     if n >= len(_PSUM):
-        _grow(n)
+        _grow(_PSUM, n, lambda k, prev: k * prev + 1)
     return _PSUM[n]
 
 
@@ -76,7 +76,7 @@ def derangements(n: int) -> int:
     if n < 0:
         raise DomainError(f"derangements requires n >= 0 (got {n})")
     if n >= len(_DER):
-        _grow(n)
+        _grow(_DER, n, lambda k, prev: k * prev + (-1 if k % 2 else 1))
     return _DER[n]
 
 

@@ -1,17 +1,20 @@
 """Certified engine: enclosures of e and 1/e, interval arithmetic,
 and the adaptive certified floor."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from math import factorial, floor
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecount import certified
+from ecount import certified, exact
 from ecount.certified import (
     DEFAULT_PRECISION_CAP,
     CertifiedFloor,
@@ -32,6 +35,7 @@ from ecount.certified import (
 from ecount.errors import DomainError, PrecisionCapError
 
 Q = Fraction
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # First digits of e and 1/e, used as spot anchors only (the enclosures
 # themselves are what the library trusts).
@@ -165,6 +169,161 @@ def test_product_of_enclosures_contains_one():
         prod = enclose_e(p) * enclose_e_inv(p)
         assert prod.contains(1)
         assert prod.width < Q(1, 2 ** (p - 4))
+
+
+# --- the bracket index and its independence from exact ------------------
+
+
+def test_bracket_index_is_the_least_k_for_every_precision():
+    # Brute least-k loops: the e bracket at k has width 1/(k!*k), the 1/e
+    # bracket 1/(2k)!; each index is the least k reaching 2^-p.
+    k_e = k_i = 1
+    for p in range(0, 4097):
+        while factorial(k_e) * k_e < 2**p:
+            k_e += 1
+        while factorial(2 * k_i) < 2**p:
+            k_i += 1
+        assert certified._k_for_e(p) == k_e, p
+        assert certified._k_for_e_inv(p) == k_i, p
+
+
+def test_brackets_are_binary_split_partial_sums():
+    s = d = 1
+    for k in range(1, 120):
+        s, d = k * s + 1, k * d + (-1 if k % 2 else 1)
+        assert certified._series(k, 1) == (s, factorial(k))
+        assert certified._series(k, -1) == (d, factorial(k))
+
+
+def test_brackets_read_nothing_from_exact(monkeypatch):
+    # The certified route builds its own brackets: with every exact-route
+    # function broken, the enclosures and the kernel give the same
+    # answers, also when the kernel must rebuild its cached triples.
+    f = EForm(Q(1, 3), 2, -5)
+    g = EForm(0, factorial(400), factorial(400))
+    precisions = (0, 1, 64, 1000, 5000)
+
+    def answers():
+        # from an empty cache each time: a finer cached triple gives other,
+        # equally valid, bounds
+        monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+        return (
+            [(enclose_e(p), enclose_e_inv(p), eform_bounds(f, p)) for p in precisions],
+            certified_floor(g),
+        )
+
+    expected = answers()
+
+    def broken(n):
+        raise AssertionError("the certified brackets called the exact route")
+
+    for name in ("partial_sum_pos", "derangements", "factorial"):
+        original = getattr(exact, name)
+        for module in (exact, certified):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, broken)
+    assert answers() == expected
+
+
+def test_certified_floor_grows_no_exact_table():
+    code = (
+        "import math\n"
+        "from ecount import certified, exact\n"
+        "certified.certified_floor(certified.EForm(0, math.factorial(4000), 0))\n"
+        "certified.eform_sign(certified.EForm(-1, 0, math.factorial(4001)))\n"
+        "print(len(exact._FACT), len(exact._PSUM), len(exact._DER))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_enclosures_refuse_precision_above_the_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an enclosure above the cap started its bracket")
+
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "100")
+    assert enclose_e(100).width <= Q(1, 2**100)
+    assert enclose_e_inv(100).width <= Q(1, 2**100)
+    monkeypatch.setattr(certified, "_k_for_e", no_work)
+    monkeypatch.setattr(certified, "_k_for_e_inv", no_work)
+    monkeypatch.setattr(certified, "_split", no_work)
+    for call in (enclose_e, enclose_e_inv, lambda p: eform_eval(EForm(0, 1, 1), p)):
+        with pytest.raises(PrecisionCapError, match="precision cap"):
+            call(101)
+    monkeypatch.delenv("ECOUNT_PRECISION_CAP")
+    with pytest.raises(PrecisionCapError, match="precision cap"):
+        enclose_e(DEFAULT_PRECISION_CAP + 1)
+    with pytest.raises(DomainError):
+        enclose_e_inv(-1)
+
+
+# --- continued-fraction audit of the brackets ------------------------------
+
+# The convergents h/k of a continued fraction bracket its value
+# alternately, and consecutive ones differ by exactly 1/(k0*k1).  They
+# share no code with factorial sums, so they audit both brackets
+# independently of how the library builds them.
+
+
+def _e_quotients():
+    """Partial quotients of e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]."""
+    yield 2
+    i = 1
+    while True:
+        yield 2 * (i + 1) // 3 if i % 3 == 2 else 1
+        i += 1
+
+
+def _e_inv_quotients():
+    """Partial quotients of 1/e = [0; 2, 1, 2, 1, 1, 4, ...]."""
+    yield 0
+    yield from _e_quotients()
+
+
+def _audit(quotients, p, lo, hi):
+    """Prove lo <= x <= hi from the convergents of x, with lo and hi
+    given as (numerator, denominator) pairs, denominators positive.
+
+    Every consecutive pair brackets x.  From the first pair whose gap is
+    below 2^-(p+2) on, none may lie wholly outside [lo, hi], and one must
+    lie inside it, which proves x is there, before the gap falls below
+    2^-(p + 16 + 4*bit_length(p)): that leaves room for x to sit as close
+    to an endpoint as the tail of a bracket allows.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    depth = p + 16 + 4 * p.bit_length()
+    h0, k0, h1, k1 = 1, 0, next(quotients), 1
+    for a in quotients:
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        if k0.bit_length() + k1.bit_length() <= p + 2 or (k0 * k1) >> (p + 2) == 0:
+            continue
+        above = [h * lo_d >= lo_n * k for h, k in ((h0, k0), (h1, k1))]
+        below = [h * hi_d <= hi_n * k for h, k in ((h0, k0), (h1, k1))]
+        assert any(above) and any(below), f"x is outside the bracket at p={p}"
+        if all(above) and all(below):
+            return
+        assert (k0 * k1) >> depth == 0, f"no convergent pair inside the bracket at p={p}"
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+def test_brackets_contain_continued_fraction_convergents(monkeypatch, name):
+    # A private cache, so the large precisions below do not stay behind.
+    monkeypatch.setattr(certified, "_FIXED", dict(certified._FIXED))
+    enclose, quotients = {
+        "e": (enclose_e, _e_quotients),
+        "e_inv": (enclose_e_inv, _e_inv_quotients),
+    }[name]
+    for p in [*range(0, 257), 1000, 4096, 1 << 15, 1 << 17]:
+        iv = enclose(p)
+        lo, hi = (iv.lo.numerator, iv.lo.denominator), (iv.hi.numerator, iv.hi.denominator)
+        _audit(quotients(), p, lo, hi)
+        f_lo, f_hi = certified._fixed(name, p)
+        _audit(quotients(), p, (f_lo, 1 << p), (f_hi, 1 << p))
 
 
 def test_eform_eval_width_bound():

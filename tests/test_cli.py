@@ -433,6 +433,9 @@ def test_large_argument_probes_answer_in_time(runner, op, n, arg):
         ("inc-gamma", "--z", "-1000000"),
         ("hyp1f1", "--x", "1000000"),
         ("hyp1f1", "--x", "-1000000"),
+        # Died with MemoryError after 6.9 s while it built 10^8-bit
+        # brackets of e; the enclosures now refuse before any work.
+        ("frac-e-nfact", "--precision-bits", "100000000"),
     ],
 )
 def test_huge_argument_probes_hit_the_precision_cap(runner, op, flag, arg):
@@ -445,11 +448,22 @@ def test_huge_argument_probes_hit_the_precision_cap(runner, op, flag, arg):
 # --- large sizes for the counting sums ------------------------------------
 
 
+_PROBE_ADDRESS_SPACE = 800 << 20
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_PROBE_ADDRESS_SPACE, _PROBE_ADDRESS_SPACE))
+
+
 @pytest.mark.parametrize("op", ["paths", "cycles"])
 def test_large_count_probes_answer_in_time(op):
     # Each probe timed out at 30 s while every term was its own factorial
-    # quotient.  A fresh interpreter, because the exact memo tables reach
-    # about 1 GB at this n and must not stay in the test process.
+    # quotient, and peaked at 958 MB while one table growth filled the
+    # factorial, partial-sum and derangement tables at once; now only the
+    # factorial table grows, to about 330 MB.  A fresh interpreter, with
+    # its address space limited in the child only.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     t0 = time.monotonic()
@@ -457,6 +471,7 @@ def test_large_count_probes_answer_in_time(op):
         [sys.executable, "-c", "from ecount.cli import main; main()",
          "compute", op, "--n", "20000", "--format", "json"],
         capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
     )
     seconds = time.monotonic() - t0
     assert proc.returncode == 0, proc.stderr

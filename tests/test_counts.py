@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecount import counts
+from ecount import certified, counts, exact
 from ecount.certified import EForm, eform_eval, eform_sign
 from ecount.errors import DomainError, InvariantViolation
 from ecount.exact import derangements, factorial, partial_sum_pos
@@ -190,6 +190,20 @@ def test_bound_families_match_single_bounds(n, m_max):
     assert counts._bound_N_family(n, m_max) == [
         counts.bound_N(n, m) for m in range(1, m_max + 1)
     ]
+
+
+def test_path_count_grows_the_factorial_table_only(monkeypatch):
+    # From empty tables and an empty bracket cache: the exact route needs
+    # (n-2)! alone, and the certified route builds its own bracket of e.
+    tables = {name: [1] for name in ("_FACT", "_PSUM", "_DER")}
+    for name, table in tables.items():
+        monkeypatch.setattr(exact, name, table)
+    monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+    value = counts.path_count(2551)
+    assert {name: len(t) for name, t in tables.items()} == {
+        "_FACT": 2550, "_PSUM": 1, "_DER": 1
+    }
+    assert value == partial_sum_pos(2549)
 
 
 def test_cycle_length_guard_is_real(monkeypatch):
