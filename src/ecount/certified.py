@@ -13,19 +13,25 @@ rationals, a classical fact assumed here, not re-proved), so the
 refinement always terminates; a configurable precision cap turns a
 would-be infinite loop on a rational-valued form into an error instead.
 
+An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
+arithmetic takes no gcd of numerators; `Fraction` appears only at the
+API edge, in the reduced coefficients `.a`, `.b`, `.c`.
+
 Floors and signs are decided by a fixed-point kernel,
 :func:`eform_bounds`: integers lo <= f * 2^p <= hi at the shared scale
-2^-p, with `Fraction` kept at the API edge (the coefficients a, b, c).
-e and 1/e are each held as one cached triple (P, lo, hi) with
-lo <= x * 2^P <= hi, cut from the exact brackets below by one floor
-division; a request for p <= P shifts it right, flooring the lower and
-ceiling the upper endpoint, and a larger p rebuilds it at exactly p.
-The coefficients are put over one denominator, and the sums are divided
-by it once, with floor division for lo and ceiling division for hi, so
-every step rounds outward and the refinement loop builds no `Fraction`.
-One driver serves floors and signs: a floor is decided when
-lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  When |b| + |c| is
-small it asks the kernel for a few guard bits more than p, so that the
+2^-p, read from A, B, C and D.  e and 1/e are each held as one cached
+entry (P, lo, hi) with lo <= x * 2^P <= hi, cut from the exact brackets
+below by one floor division; a request for p <= P shifts it right,
+flooring the lower and ceiling the upper endpoint, and a larger p
+extends it to exactly p by the bracket's new terms and one short
+division.  The sums are divided by D once, with floor division for lo
+and ceiling division for hi, so every step rounds outward and the
+refinement loop builds no `Fraction`.  One driver serves floors and
+signs: a floor is decided when lo >> p == hi >> p, a sign when lo > 0
+or hi < 0.  It starts 64 bits above the magnitude of the form and then
+adds 64, 128, 256, ... bits, so a form thousands of bits wide retries a
+few words finer rather than at twice its size.  When |b| + |c| is small
+it asks the kernel for a few guard bits more than p, so that the
 kernel's own rounding does not outweigh the enclosure error.
 
 :func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
@@ -239,51 +245,149 @@ class IntervalReal:
         )
 
 
-@dataclass(frozen=True)
+def _ratio(q) -> tuple[int, int]:
+    """(numerator, denominator) of a rational q, denominator > 0."""
+    if isinstance(q, int):
+        return q, 1
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 class EForm:
-    """The rational-linear expression a + b*e + c*(1/e)."""
+    """The rational-linear expression a + b*e + c*(1/e).
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    Held as integers (A, B, C, D), D > 0, for (A + B*e + C/e) / D, not
+    necessarily in lowest terms.  `+`, `-` and `scale` take no gcd when
+    the denominators agree and one gcd of the two denominators when
+    they differ; `==` and `hash` compare values.  `.a`, `.b` and `.c`
+    are reduced `Fraction`s: the ones the form was built from, or else
+    reduced from the integers on first use, once per form.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _Q(self.a))
-        object.__setattr__(self, "b", _Q(self.b))
-        object.__setattr__(self, "c", _Q(self.c))
+    __slots__ = ("_ints", "_abc")
+
+    def __init__(self, a, b, c) -> None:
+        (na, da), (nb, db), (nc, dc) = _ratio(a), _ratio(b), _ratio(c)
+        d = da
+        for x in (db, dc):
+            if x != d and x != 1:
+                d = d // math.gcd(d, x) * x
+        _set(self, "_ints", (na * (d // da), nb * (d // db), nc * (d // dc), d))
+        if d != 1 and all(isinstance(x, (int, Fraction)) for x in (a, b, c)):
+            # Already in lowest terms: keep them rather than reduce again.
+            _set(self, "_abc", tuple(x if type(x) is Fraction else _Q(x) for x in (a, b, c)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EForm is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EForm is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return _of, self._ints
+
+    def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
+        try:
+            return self._abc
+        except AttributeError:
+            big_a, big_b, big_c, den = self._ints
+            abc = (_Q(big_a, den), _Q(big_b, den), _Q(big_c, den))
+            _set(self, "_abc", abc)
+            return abc
+
+    @property
+    def a(self) -> Fraction:
+        return self._fractions()[0]
+
+    @property
+    def b(self) -> Fraction:
+        return self._fractions()[1]
+
+    @property
+    def c(self) -> Fraction:
+        return self._fractions()[2]
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0
+        _, big_b, big_c, _ = self._ints
+        return big_b == 0 and big_c == 0
 
     @classmethod
     def from_rational(cls, q) -> "EForm":
-        return cls(_Q(q), _ZERO, _ZERO)
+        num, den = _ratio(q)
+        return _of(num, 0, 0, den)
+
+    def __eq__(self, other):
+        if not isinstance(other, EForm):
+            return NotImplemented
+        a1, b1, c1, d1 = self._ints
+        a2, b2, c2, d2 = other._ints
+        if d1 == d2:
+            return a1 == a2 and b1 == b2 and c1 == c2
+        return a1 * d2 == a2 * d1 and b1 * d2 == b2 * d1 and c1 * d2 == c2 * d1
+
+    def __hash__(self) -> int:
+        return hash(self._fractions())
+
+    def __repr__(self) -> str:
+        a, b, c = self._fractions()
+        return f"EForm(a={a!r}, b={b!r}, c={c!r})"
 
     def __add__(self, other) -> "EForm":
-        if isinstance(other, EForm):
-            return EForm(self.a + other.a, self.b + other.b, self.c + other.c)
-        return EForm(self.a + _Q(other), self.b, self.c)
+        return _sum(self._ints, _ints_of(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "EForm":
-        return EForm(-self.a, -self.b, -self.c)
+        big_a, big_b, big_c, den = self._ints
+        return _of(-big_a, -big_b, -big_c, den)
 
     def __sub__(self, other) -> "EForm":
-        if not isinstance(other, EForm):
-            other = EForm.from_rational(other)
-        return self + (-other)
+        return _sum(self._ints, _ints_of(other), -1)
 
     def __rsub__(self, other) -> "EForm":
-        return (-self) + _Q(other)
+        return _sum(_ints_of(other), self._ints, -1)
 
     def scale(self, q) -> "EForm":
-        q = _Q(q)
-        return EForm(self.a * q, self.b * q, self.c * q)
+        num, den = _ratio(q)
+        big_a, big_b, big_c, d = self._ints
+        return _of(big_a * num, big_b * num, big_c * num, d * den)
 
     def to_triple(self) -> tuple[str, str, str]:
-        return (str(self.a), str(self.b), str(self.c))
+        a, b, c = self._fractions()
+        return (str(a), str(b), str(c))
+
+
+_set = object.__setattr__
+
+
+def _of(big_a: int, big_b: int, big_c: int, den: int) -> EForm:
+    """The EForm (big_a + big_b*e + big_c/e) / den, for den > 0."""
+    f = object.__new__(EForm)
+    _set(f, "_ints", (big_a, big_b, big_c, den))
+    return f
+
+
+def _ints_of(x) -> tuple[int, int, int, int]:
+    if isinstance(x, EForm):
+        return x._ints
+    num, den = _ratio(x)
+    return num, 0, 0, den
+
+
+def _sum(f: tuple, g: tuple, sign: int) -> EForm:
+    """f + sign*g over integer forms; one gcd, of the denominators, when
+    they differ."""
+    a1, b1, c1, d1 = f
+    a2, b2, c2, d2 = g
+    if sign < 0:
+        a2, b2, c2 = -a2, -b2, -c2
+    if d1 == d2:
+        return _of(a1 + a2, b1 + b2, c1 + c2, d1)
+    gcd = math.gcd(d1, d2)
+    m1, m2 = d2 // gcd, d1 // gcd
+    return _of(a1 * m1 + a2 * m2, b1 * m1 + b2 * m2, c1 * m1 + c2 * m2, d1 * m1)
 
 
 # --- enclosures -------------------------------------------------------
@@ -420,61 +524,69 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
 
 # --- fixed-point kernel -----------------------------------------------
 
-# _FIXED[name] = (P, lo, hi) with lo <= x * 2^P <= hi, for x = e or 1/e.
-# It only ever grows, to exactly the largest precision asked for.  The
-# builders share no state, so a triple is built outside _FIXED_LOCK and
-# only swapped in under it.
+# _FIXED[name] = (P, lo, hi, ...) with lo <= x * 2^P <= hi, for x = e or 1/e.
+# It only ever grows, to exactly the largest precision asked for.  A grown
+# entry goes on with (m, f, r): the bracket's lower endpoint is s/f with
+# f = m!, S_m/m! for e and D_m/m! (m = 2k-1) for 1/e, and r is the
+# remainder of lo = (s << P) // f, from which the next, finer entry is
+# extended.  A builder reads one entry and writes a new one, so it runs
+# outside _FIXED_LOCK and only the swap is under it.
 _FIXED_LOCK = threading.Lock()
 _FIXED = {"e": (0, 2, 3), "e_inv": (0, 0, 1)}
+_SIGN = {"e": 1, "e_inv": -1}
 
 
-def _build_e(bits: int) -> tuple[int, int, int]:
-    # e - S_k/k! < 1/(k!*k) <= 2^-bits, so lo + 2 bounds e * 2^bits.
-    s, f = _series(_k_for_e(bits), 1)
-    lo = (s << bits) // f
-    return bits, lo, lo + 2
+def _grow(name: str, entry: tuple, bits: int) -> tuple:
+    """The _FIXED entry of x = e (name "e") or 1/e ("e_inv") at bits > P.
 
-
-def _build_e_inv(bits: int) -> tuple[int, int, int]:
-    # 1/e - D_{2k-1}/(2k-1)! < 1/(2k)! <= 2^-bits, so lo + 2 bounds it.
-    d, f = _series(2 * _k_for_e_inv(bits) - 1, -1)
-    lo = (d << bits) // f
-    return bits, lo, lo + 2
-
-
-_BUILDERS = {"e": _build_e, "e_inv": _build_e_inv}
+    Its bracket index m is the least one at bits: e - S_m/m! < 1/(m!*m)
+    and 1/e - D_m/m! < 1/(m+1)!, each at most 2^-bits, so lo + 2 bounds
+    x * 2^bits.  An entry that carries its bracket is extended by the
+    terms m+1..m' alone: with (P_e, Q_e) from _split, s' = s*Q_e +
+    (-1)^m*P_e over f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
+    N = (r*Q_e << d) + ((-1)^m*P_e << bits), d = bits - P, so one
+    division of N by f', whose quotient has about d + log2(m) bits,
+    finishes lo and r; s itself is never needed again.
+    """
+    x = _SIGN[name]
+    m_new = _k_for_e(bits) if x > 0 else 2 * _k_for_e_inv(bits) - 1
+    if len(entry) == 3:
+        s, f = _series(m_new, x)
+        lo, r = divmod(s << bits, f)
+    else:
+        big_p, lo, _, m, f, r = entry
+        p_e, q_e = _split(m, m_new, x)
+        if x < 0 and m % 2:
+            p_e = -p_e
+        f *= q_e
+        q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)
+        lo = (lo << (bits - big_p)) + q
+    return bits, lo, lo + 2, m_new, f, r
 
 
 def _fixed(name: str, p: int) -> tuple[int, int]:
     """Integers lo <= x * 2^p <= hi for x = e or 1/e; hi - lo <= 2."""
-    triple = _FIXED[name]
-    if triple[0] < p:
-        triple = _BUILDERS[name](p)
+    entry = _FIXED[name]
+    if entry[0] < p:
+        entry = _grow(name, entry, p)
         with _FIXED_LOCK:
             if _FIXED[name][0] < p:
-                _FIXED[name] = triple
-    big_p, lo, hi = triple
+                _FIXED[name] = entry
+    big_p, lo, hi = entry[:3]
     shift = big_p - p
     return lo >> shift, -(-hi >> shift)
-
-
-def _integer_form(f: EForm) -> tuple[int, int, int, int]:
-    """Integers (A, B, C, D) with f = (A + B*e + C/e) / D and D > 0."""
-    a, b, c = f.a, f.b, f.c
-    ad, bd, cd = a.denominator, b.denominator, c.denominator
-    return a.numerator * bd * cd, b.numerator * ad * cd, c.numerator * ad * bd, ad * bd * cd
 
 
 def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward.
 
     e and 1/e enter as fixed-point enclosures of width at most 2 * 2^-p,
-    and the one division by the common denominator of a, b, c floors lo
-    and ceils hi, so (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
+    and the one division by the form's denominator D floors lo and ceils
+    hi, so (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
     """
     if p < 0:
         raise DomainError(f"precision_bits must be >= 0 (got {p})")
-    big_a, big_b, big_c, den = _integer_form(f)
+    big_a, big_b, big_c, den = f._ints
     lo, spread = big_a << p, 0
     for num, name in ((big_b, "e"), (big_c, "e_inv")):
         if num:
@@ -500,7 +612,7 @@ class CertifiedFloor:
 def _start_bits(f: EForm) -> int:
     # Normalize for the coefficient scale: |a| + 3|b| + |c| bounds the
     # magnitude, so 64 guard bits survive the cancellation in a + b*e + c/e.
-    big_a, big_b, big_c, den = _integer_form(f)
+    big_a, big_b, big_c, den = f._ints
     return 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
 
 
@@ -521,25 +633,34 @@ def _guard_bits(f: EForm) -> int:
     # Extra bits that keep the kernel's own rounding, 2^(1-p), below the
     # error (|b| + |c|) * 2^-p that the enclosures of e and 1/e carry at
     # p, so forms with tiny b and c decide at the same p as eform_eval.
-    _, big_b, big_c, den = _integer_form(f)
+    # A common factor of B, C and D moves it by at most one bit.
+    _, big_b, big_c, den = f._ints
     return max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
 
 
 def _refine(
     f: EForm, start_bits: int | None, cap: int | None, decide, what: str
 ) -> tuple[int, int]:
-    """(answer, p) at the first p, doubling from the start, where
-    decide(lo, hi, bits) answers on the eform_bounds of f at p plus the
-    guard bits; PrecisionCapError once p passes the cap."""
+    """(answer, p) at the first p where decide(lo, hi, bits) answers on
+    the eform_bounds of f at p plus the guard bits; PrecisionCapError
+    once p passes the cap.
+
+    p starts at the start bits and then grows by 64, 128, 256, ... bits:
+    a small form roughly doubles p, while a form whose start already
+    spans thousands of bits retries a few words finer instead of
+    recomputing its products at twice the size.
+    """
     cap = _resolve_cap(cap)
     p = max(8, _start_bits(f) if start_bits is None else start_bits)
     guard = _guard_bits(f)
+    step = 64
     while p <= cap:
         lo, hi = eform_bounds(f, p + guard)
         result = decide(lo, hi, p + guard)
         if result is not None:
             return result, p
-        p *= 2
+        p += step
+        step *= 2
     raise PrecisionCapError(
         f"{what} of {f.to_triple()} undecided at precision cap {cap} bits"
     )
@@ -553,13 +674,15 @@ def certified_floor_info(
 ) -> CertifiedFloor:
     """Floor of f with the deciding precision, by adaptive refinement.
 
-    Precision doubles until both interval endpoints share a floor.  The
-    result does not depend on the starting precision: any enclosure
-    whose endpoints agree on a floor yields the floor of the enclosed
-    value.
+    Precision grows from the start bits, by 64, 128, 256, ... bits,
+    until both interval endpoints share a floor.  The result does not
+    depend on the starting precision: any enclosure whose endpoints
+    agree on a floor yields the floor of the enclosed value.  A rational
+    form is floored exactly, at precision 0.
     """
     if f.is_rational:
-        return CertifiedFloor(floor(f.a), 0)
+        big_a, _, _, den = f._ints
+        return CertifiedFloor(big_a // den, 0)
     return CertifiedFloor(*_refine(f, start_bits, max_precision_bits, _decide_floor, "floor"))
 
 
@@ -582,7 +705,8 @@ def eform_sign(f: EForm, *, max_precision_bits: int | None = None) -> int:
     enclosure is refined until it excludes zero.
     """
     if f.is_rational:
-        return (f.a > 0) - (f.a < 0)
+        big_a = f._ints[0]
+        return (big_a > 0) - (big_a < 0)
     return _refine(f, None, max_precision_bits, _decide_sign, "sign")[0]
 
 
@@ -600,4 +724,4 @@ def frac_e_nfact(n: int) -> EForm:
     """
     if n < 1:
         raise DomainError(f"frac_e_nfact requires n >= 1 (got {n})")
-    return EForm(-partial_sum_pos(n), factorial(n), _ZERO)
+    return EForm(-partial_sum_pos(n), factorial(n), 0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecount import certified, exact
+from ecount import certified, counts, exact
 from ecount.certified import (
     DEFAULT_PRECISION_CAP,
     CertifiedFloor,
@@ -425,6 +425,122 @@ def test_eform_arithmetic():
     assert EForm.from_rational(Q(3, 4)).is_rational
 
 
+# --- the integer representation ------------------------------------------
+
+
+def _triple(f: EForm) -> tuple[Fraction, Fraction, Fraction]:
+    big_a, big_b, big_c, den = f._ints
+    return Q(big_a, den), Q(big_b, den), Q(big_c, den)
+
+
+def test_unreduced_and_reduced_forms_are_one_value():
+    half = EForm(Q(1, 2), 2, 0)
+    assert EForm(Q(2, 4), 2, 0) == half
+    # Arithmetic keeps a common factor: (2 + 2e) / 2, (3 + 6e) / 3.
+    unreduced = [
+        EForm(Q(1, 2), 0, 0) + EForm(Q(1, 2), 1, 0),
+        EForm(1, 2, 0).scale(Q(1, 3)).scale(3),
+    ]
+    assert [f._ints for f in unreduced] == [(2, 2, 0, 2), (3, 6, 0, 3)]
+    assert unreduced == [EForm(1, 1, 0), EForm(1, 2, 0)]
+    assert unreduced[1] != EForm(1, 2, 1)
+    assert EForm(1, 2, 0) != (1, 2, 0)
+    table = {half: "half", unreduced[0]: "one"}
+    assert table[EForm(Q(2, 4), 2, 0)] == "half"
+    assert table[EForm(1, 1, 0)] == "one"
+    assert len({EForm(1, 2, 0), unreduced[1], EForm(Q(3, 3), Q(6, 3), 0)}) == 1
+    assert certified_floor_info(unreduced[1]) == certified_floor_info(EForm(1, 2, 0))
+
+
+def test_eform_is_immutable():
+    f = EForm(1, 2, 3)
+    with pytest.raises(AttributeError):
+        f.a = Q(5)
+    with pytest.raises(AttributeError):
+        f._ints = (0, 0, 0, 1)
+    with pytest.raises(AttributeError):
+        del f._ints
+    assert f == EForm(1, 2, 3)
+
+
+def test_coefficients_are_reduced_fractions_built_once():
+    f = EForm(Q(1, 2), 0, 0) + EForm(Q(1, 6), Q(2, 3), -1) - EForm(0, 0, Q(5, 3))
+    assert f._ints[3] == 6
+    for coefficient in (f.a, f.b, f.c):
+        assert type(coefficient) is Fraction
+    assert (f.a, f.b, f.c) == (Q(2, 3), Q(2, 3), Q(-8, 3))
+    assert f.a is f.a and f.c is f.c
+    assert f.to_triple() == ("2/3", "2/3", "-8/3")
+    assert repr(f) == "EForm(a=Fraction(2, 3), b=Fraction(2, 3), c=Fraction(-8, 3))"
+    g = EForm(0, factorial(20), 0)
+    assert type(g.b) is Fraction and g.b == factorial(20)
+    # A form built from Fractions keeps them: they are in lowest terms.
+    half = Q(1, 2)
+    assert EForm(half, 3, 0).a is half
+
+
+def test_eform_survives_pickle_and_copy():
+    import copy
+    import pickle
+
+    f = EForm(Q(1, 2), 0, 0) + EForm(Q(1, 2), 1, Q(-7, 3))
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert g == f and g._ints == f._ints
+
+
+_SMALL = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(_SMALL, _SMALL, _SMALL),
+    st.tuples(_SMALL, _SMALL, _SMALL),
+    _SMALL,
+    st.sampled_from(["form", "rational", "int"]),
+)
+def test_arithmetic_matches_fraction_triples(x, y, q, kind):
+    # The reference keeps each form as a triple of reduced Fractions.
+    f = EForm(*x)
+    other = {"form": EForm(*y), "rational": y[0], "int": int(y[0])}[kind]
+    g = {"form": y, "rational": (y[0], 0, 0), "int": (int(y[0]), 0, 0)}[kind]
+    plus = tuple(u + v for u, v in zip(x, g))
+    minus = tuple(u - v for u, v in zip(x, g))
+    cases = [
+        (f + other, plus),
+        (other + f, plus),
+        (f - other, minus),
+        (other - f, tuple(-v for v in minus)),
+        (-f, tuple(-u for u in x)),
+        (f.scale(q), tuple(u * q for u in x)),
+        ((f - other).scale(q) + f, tuple((u - v) * q + u for u, v in zip(x, g))),
+    ]
+    for got, want in cases:
+        assert got._ints[3] > 0
+        assert _triple(got) == want
+        assert (got.a, got.b, got.c) == want
+        assert got == EForm(*want) and hash(got) == hash(EForm(*want))
+        assert got.to_triple() == tuple(str(Q(v)) for v in want)
+        assert got.is_rational == (want[1] == want[2] == 0)
+
+
+def test_sum_takes_one_gcd_of_the_denominators(monkeypatch):
+    calls = []
+    real_gcd = certified.math.gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    f, g, h = EForm(Q(1, 6), 1, 0), EForm(Q(1, 10), 0, Q(3, 4)), EForm(Q(5, 6), 7, 0)
+    monkeypatch.setattr(certified.math, "gcd", counting_gcd)
+    same = f + h
+    assert calls == []
+    assert same._ints == (6, 48, 0, 6)
+    total = f - g
+    assert calls == [(6, 20)]
+    assert total._ints == (4, 60, -45, 60)
+
+
 @settings(max_examples=60)
 @given(
     st.fractions(min_value=-1000, max_value=1000),
@@ -473,15 +589,17 @@ def _scaled(lo: int, hi: int, p: int) -> IntervalReal:
 
 
 def _reference(f: EForm, decide) -> tuple[int, int]:
-    """The refinement loop over exact eform_eval intervals: doubling p
-    from 64 guard bits above the coefficient scale until decide(iv)
-    answers; returns (answer, deciding p)."""
+    """The refinement loop over exact eform_eval intervals: p starts 64
+    guard bits above the coefficient scale and grows by 64, 128, 256, ...
+    bits until decide(iv) answers; returns (answer, deciding p)."""
     p = max(8, 64 + int(abs(f.a) + 3 * abs(f.b) + abs(f.c)).bit_length())
+    step = 64
     while True:
         answer = decide(eform_eval(f, p))
         if answer is not None:
             return answer, p
-        p *= 2
+        p += step
+        step *= 2
 
 
 def _reference_floor(iv: IntervalReal):
@@ -516,6 +634,11 @@ def test_eform_bounds_smaller_precision_after_larger(f, p, extra):
 @given(_EFORMS)
 @example(EForm(-3, Q(-1, 10**30), Q(1, 10**31)))  # tiny b, c just below an integer
 @example(EForm(0, factorial(300), -factorial(300)))
+# These need a second step: thm7's form at n = 100, m = 6 and a chain
+# link at n = 300; thm7's form at n = 76, m = 10 needs a third.
+@example(counts.bound_N(100, 6) + EForm(0, 0, factorial(100)))
+@example(EForm.from_rational(counts.bound_M(300, 10)) - frac_e_nfact(300))
+@example(counts.bound_N(76, 10) + EForm(0, 0, factorial(76)))
 def test_kernel_decisions_match_eform_eval_loop(f):
     info = certified_floor_info(f)
     sign = eform_sign(f)
@@ -525,6 +648,25 @@ def test_kernel_decisions_match_eform_eval_loop(f):
         return
     assert (info.value, info.precision_bits) == _reference(f, _reference_floor)
     assert sign == _reference(f, _reference_sign)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["e", "e_inv"]),
+    st.lists(st.integers(min_value=1, max_value=700), min_size=1, max_size=6),
+)
+def test_grown_entries_equal_fresh_builds(name, steps):
+    # Each entry extended from the one before it, term by term, equals
+    # the entry built from scratch at its precision, bracket and all.
+    entry = certified._grow(name, (0, 0, 0), steps[0])
+    bits = steps[0]
+    for step in steps[1:]:
+        bits += step
+        entry = certified._grow(name, entry, bits)
+        assert entry == certified._grow(name, (0, 0, 0), bits)
+    big_p, lo, hi, m, f, r = entry
+    s, m_factorial = certified._series(m, 1 if name == "e" else -1)
+    assert f == m_factorial and (s << big_p) == lo * f + r and 0 <= r < f and hi == lo + 2
 
 
 def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():

@@ -389,6 +389,30 @@ _PROBE_SECONDS = 10.0
 _PROBE_DIGITS = 1500
 
 
+_PROBE_ADDRESS_SPACE = 800 << 20
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_PROBE_ADDRESS_SPACE, _PROBE_ADDRESS_SPACE))
+
+
+def _compute_in_child(*args):
+    """`ecount compute ... --format json` in a fresh interpreter whose
+    address space is limited in the child only; (process, seconds)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ecount.cli import main; main()",
+         "compute", *args, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    return proc, time.monotonic() - t0
+
+
 def _timed_compute(runner, *args):
     t0 = time.monotonic()
     res = _run(runner, "compute", *args, "--format", "json")
@@ -438,23 +462,17 @@ def test_large_argument_probes_answer_in_time(runner, op, n, arg):
         ("frac-e-nfact", "--precision-bits", "100000000"),
     ],
 )
-def test_huge_argument_probes_hit_the_precision_cap(runner, op, flag, arg):
-    res, seconds = _timed_compute(runner, op, "--n", "3", flag, arg)
-    assert res.exit_code == 1
+def test_huge_argument_probes_hit_the_precision_cap(op, flag, arg):
+    # In a child with a limited address space: a cap check that let the
+    # work start fails here, by MemoryError or the timeout, instead of
+    # growing without bound.
+    proc, seconds = _compute_in_child(op, "--n", "3", flag, arg)
+    assert proc.returncode == 1
     assert seconds < _PROBE_SECONDS
-    assert "precision cap" in res.stderr
+    assert "precision cap" in proc.stderr
 
 
 # --- large sizes for the counting sums ------------------------------------
-
-
-_PROBE_ADDRESS_SPACE = 800 << 20
-
-
-def _limit_address_space():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (_PROBE_ADDRESS_SPACE, _PROBE_ADDRESS_SPACE))
 
 
 @pytest.mark.parametrize("op", ["paths", "cycles"])
@@ -462,18 +480,8 @@ def test_large_count_probes_answer_in_time(op):
     # Each probe timed out at 30 s while every term was its own factorial
     # quotient, and peaked at 958 MB while one table growth filled the
     # factorial, partial-sum and derangement tables at once; now only the
-    # factorial table grows, to about 330 MB.  A fresh interpreter, with
-    # its address space limited in the child only.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
-    t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-c", "from ecount.cli import main; main()",
-         "compute", op, "--n", "20000", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=_limit_address_space,
-    )
-    seconds = time.monotonic() - t0
+    # factorial table grows, to about 330 MB.
+    proc, seconds = _compute_in_child(op, "--n", "20000")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verified"] is True
     assert seconds < _PROBE_SECONDS
