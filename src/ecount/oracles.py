@@ -23,12 +23,18 @@ remains is a polynomial whose moment integral is an exact rational
 but not on m, so they form one table per pass and a panel's surrogate
 integral is an integer Horner sum in its midpoint.  e^-m is enclosed
 at a scale 2^-p with integer endpoints rounded outward (`_exp_iv`),
-from the certified kernel's fixed-point enclosures of e and 1/e.  Each
-panel therefore yields a certified interval, worked out as integer
-numerators over one denominator and rounded outward to dyadic
-endpoints a few bits finer than the panel's width share; the tail
-bound is rounded up to a dyadic too, so the running total stays a sum
-of short dyadics.  Panel shares are chosen so the total width (panels
+from the certified kernel's fixed-point enclosures of e and 1/e.  Its
+factors are worked out at P, p rounded up to a multiple of 64, so one
+chain of powers of e (or 1/e) serves every panel in that band, and
+the product is shifted down to 2^-p.  All operands are nonnegative,
+so a floored lower bound shifted right with floor stays a lower bound
+and a ceiled upper bound shifted with ceiling stays an upper bound.
+Each panel, an integer numerator pair over lcm(cut denominators) *
+2^depth, yields a certified interval, worked out as integer numerators
+over one denominator and rounded outward to dyadic endpoints a few
+bits finer than the panel's width share; a piece's dyadics add up as
+integers at the finest scale seen, and the tail bound is rounded up
+to a dyadic too.  Panel shares are chosen so the total width (panels
 plus tail) stays below tol, and the width is checked after the
 rounding.
 
@@ -48,7 +54,6 @@ closed form it audits: not derangement numbers, not D_n(z), not
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, repeat
@@ -199,13 +204,10 @@ def _ceil_log2(num: int, den: int) -> int:
     return b + 1
 
 
-def _midpoint_form(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+def _midpoint_form(a: int, b: int, d: int) -> tuple[int, int, int]:
     """Integers (M, H, den) with midpoint M/den and half-width H/den of
-    [a, b], den the least common denominator of midpoint and half-width."""
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    d = lcm(ad, bd)
-    lo, hi = an * (d // ad), bn * (d // bd)
-    big_m, big_h, den = hi + lo, hi - lo, 2 * d
+    [a/d, b/d], den their least common denominator."""
+    big_m, big_h, den = b + a, b - a, 2 * d
     g = gcd(big_m, big_h, den)
     return big_m // g, big_h // g, den // g
 
@@ -294,7 +296,9 @@ class _PassTables:
     def power(self, p: int, q: int) -> tuple[int, int]:
         """Integers lo <= e^q * 2^p <= hi: the |q|-th power of the
         fixed-point enclosure of e (or 1/e), floored and ceiled step by
-        step."""
+        step.  `exp` asks only for p a multiple of 64, one chain per sign
+        and band, and shifts the result down: floor keeps lo below and
+        ceiling keeps hi above, as both are nonnegative."""
         one = 1 << p
         if not q:
             return one, one
@@ -339,23 +343,24 @@ class _PassTables:
 
     def exp(self, num: int, den: int, bits: int) -> tuple[int, int, int]:
         """Integers (lo, hi, p) with lo <= e^(num/den) * 2^p <= hi and
-        (hi - lo) * 2^-p <= 2^-bits * max(1, e^(num/den))."""
+        (hi - lo) * 2^-p <= 2^-bits * max(1, e^(num/den)); the factors
+        are taken at the band P >= p and their product shifted to 2^p."""
         q, r = divmod(num, den)
         p = bits + bits.bit_length() + abs(q).bit_length() + 8
-        base_lo, base_hi = self.power(p, q)
-        tay_lo, tay_hi = self.taylor(p, r, den)
-        return base_lo * tay_lo >> p, -(-base_hi * tay_hi >> p), p
+        big = -(-p // 64) * 64
+        base_lo, base_hi = self.power(big, q)
+        tay_lo, tay_hi = self.taylor(big, r, den)
+        return base_lo * tay_lo >> 2 * big - p, -(-base_hi * tay_hi >> 2 * big - p), p
 
 
 def _exp_iv(x: Fraction, bits: int) -> IntervalReal:
     """Enclosure of e^x with dyadic endpoints, for rational x.
 
     The width is at most 2^-bits * max(1, e^x).  Splits x = q + r with
-    integer q and r in [0, 1) and works with integers at scale 2^-p:
-    e^q is the |q|-th power of the fixed-point enclosure of e (or 1/e)
-    from the certified kernel, e^r a Taylor sum whose terms are floored
-    for the lower and ceiled for the upper endpoint.  Every operand is
-    nonnegative, so floor and ceiling keep each endpoint outward.
+    integer q and r in [0, 1): e^q is the |q|-th power of the
+    fixed-point enclosure of e (or 1/e) from the certified kernel, e^r
+    a Taylor sum whose terms are floored for the lower and ceiled for
+    the upper endpoint, both at the 64-bit band of the scale 2^-p.
     """
     lo, hi, p = _PassTables(0).exp(x.numerator, x.denominator, bits)
     return IntervalReal(_Q(lo, 1 << p), _Q(hi, 1 << p))
@@ -379,26 +384,28 @@ def _panel_core(n: int, a: Fraction, b: Fraction, order: int) -> Fraction:
     builds such a table for each order up to `_MAX_ORDER` that its
     panels use, so a high order costs once per pass.
     """
-    big_m, big_h, den = _midpoint_form(a, b)
+    d = lcm(a.denominator, b.denominator)
+    big_m, big_h, den = _midpoint_form(int(a * d), int(b * d), d)
     coeffs, denom = _PassTables(n).core(den, big_h, order)
     return _Q(_horner(coeffs, big_m), denom)
 
 
 def _panel(
     n: int,
-    a: Fraction,
-    b: Fraction,
-    share: Fraction,
+    a: int,
+    b: int,
+    d: int,
+    share: tuple[int, int],
     tables: _PassTables | None = None,
-) -> IntervalReal | None:
-    """Certified enclosure of the integral over one panel with dyadic
-    endpoints, or None if the panel must be subdivided to meet its
-    width share.  tables is the pass's `_PassTables` (a fresh one if
-    omitted); the work is all integer numerators over one denominator."""
+) -> tuple[int, int, int] | None:
+    """Certified enclosure (lo, hi, bits), meaning [lo, hi] / 2^bits, of
+    the integral over [a/d, b/d], or None if the panel must be subdivided
+    to meet its width share s_num / s_den.  tables is the pass's
+    `_PassTables` (a fresh one if omitted); the work is all integer."""
     if tables is None:
         tables = _PassTables(n)
-    big_m, big_h, den = _midpoint_form(a, b)
-    s_num, s_den = share.numerator, share.denominator
+    big_m, big_h, den = _midpoint_form(a, b, d)
+    s_num, s_den = share
     # integral of |t|^n over [a, b] = amom / amom_den
     k = n + 1
     left, right = big_m - big_h, big_m + big_h
@@ -439,8 +446,7 @@ def _panel(
         out_lo = (min(prods) << out_bits) // out_den
         out_hi = -((-max(prods) << out_bits) // out_den)
         if (out_hi - out_lo) * s_den <= s_num << out_bits:
-            unit = 1 << out_bits
-            return IntervalReal(_Q(out_lo, unit), _Q(out_hi, unit))
+            return out_lo, out_hi, out_bits
         bits *= 2
     return None
 
@@ -475,41 +481,46 @@ def _quad_pieces(
     u = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
     pw = einv_hi**u
     while True:
-        num = u ** (n + 1) * pw << tail_bits
-        tail = _Q(-(-num // ((u - n) << (64 * u))), 1 << tail_bits)
-        if tail <= tol / 2:
+        t_num = -(-(u ** (n + 1) * pw << tail_bits) // ((u - n) << (64 * u)))
+        if 2 * t_num * tol.denominator <= tol.numerator << tail_bits:
             break
         u += 1
         pw *= einv_hi
+    tail = _Q(t_num, 1 << tail_bits)
 
-    # unit panels aligned to integers, split at the cuts
-    points = sorted(set(cuts) | {_Q(k) for k in range(floor(z) + 1, u + 1)})
-
-    unit_share = tol / (2 * (u - z))
+    # unit panels split at the cuts; [a, b] at depth k is [a, b] / (den * 2^k)
+    # with share tol/2 * (b - a) / ((U - z) * den * 2^k)
+    den = lcm(*(c.denominator for c in cuts))
+    cut_nums = [c.numerator * (den // c.denominator) for c in cuts]
+    points = sorted(set(cut_nums).union(range((floor(z) + 1) * den, u * den + 1, den)))
+    share_den = 2 * tol.denominator * (u * den - cut_nums[0])
     tables = _PassTables(n)
     evals = 0
-    lows = [_Q(0)] * len(cuts)
-    highs = [_Q(0)] * len(cuts)
+    # piece i sums to [lows[i], highs[i]] / 2^bits[i], at the finest bits seen
+    lows, highs, bits = [0] * len(cuts), [0] * len(cuts), [0] * len(cuts)
     stack = [
-        (a, b, unit_share * (b - a), bisect_right(cuts, a) - 1)
-        for a, b in zip(points, points[1:])
+        (a, b, 0, sum(c <= a for c in cut_nums) - 1) for a, b in zip(points, points[1:])
     ]
     while stack:
-        a, b, share, piece = stack.pop()
+        a, b, depth, piece = stack.pop()
         evals += 1
         if evals > _EVAL_BUDGET:
             raise PrecisionCapError(
                 f"quad_gamma(n={n}, z={z}): evaluation budget exhausted before tol={tol}"
             )
-        enclosure = _panel(n, a, b, share, tables)
+        share = (tol.numerator * (b - a), share_den << depth)
+        enclosure = _panel(n, a, b, den << depth, share, tables)
         if enclosure is None:
-            mid = (a + b) / 2
-            stack.append((a, mid, share / 2, piece))
-            stack.append((mid, b, share / 2, piece))
+            stack.append((2 * a, a + b, depth + 1, piece))
+            stack.append((a + b, 2 * b, depth + 1, piece))
             continue
-        lows[piece] += enclosure.lo
-        highs[piece] += enclosure.hi
-    return [IntervalReal(lo, hi) for lo, hi in zip(lows, highs)], tail, evals
+        lo, hi, k = enclosure
+        top = max(k, bits[piece])
+        lows[piece] = (lows[piece] << top - bits[piece]) + (lo << top - k)
+        highs[piece] = (highs[piece] << top - bits[piece]) + (hi << top - k)
+        bits[piece] = top
+    pieces = zip(lows, highs, bits)
+    return [IntervalReal(_Q(lo, 1 << k), _Q(hi, 1 << k)) for lo, hi, k in pieces], tail, evals
 
 
 def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:

@@ -92,17 +92,17 @@ def hyp2f0(n: int, x: Fraction) -> Fraction:
     """Exact sum of the terminating series F(n; x).
 
     Terms follow the ratio t_{k+1} = t_k * (k - n) * x, so the series
-    stops by itself after n+1 terms.
+    stops by itself after n+1 terms.  With x = p/q it runs on integers:
+    term is t_k * q^k and acc the k-th partial sum times q^k.
     """
     if n < 0:
         raise DomainError(f"hyp2f0 requires n >= 0 (got {n})")
-    x = _Q(x)
-    term = _Q(1)
-    acc = _Q(1)
+    p, q = _Q(x).as_integer_ratio()
+    term = acc = 1
     for k in range(n):
-        term *= (k - n) * x
-        acc += term
-    return acc
+        term *= (k - n) * p
+        acc = acc * q + term
+    return _Q(acc, q**n)
 
 
 def hyp2f0_identity_check(n: int, x: Fraction) -> Fraction:

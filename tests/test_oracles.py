@@ -4,15 +4,16 @@ These are the independent checks everything else is measured against,
 so they get their own direct tests at small sizes.
 """
 
+import hashlib
 import time
 from fractions import Fraction
-from math import ceil, comb, floor, prod
+from math import ceil, comb, floor, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecount import counts, oracles
+from ecount import counts, oracles, specials
 from ecount.certified import (
     EForm,
     IntervalReal,
@@ -132,6 +133,46 @@ def test_quad_gamma_tolerance_scales():
     assert tight.value.width <= Q(1, 10**12)
 
 
+# sha256 of the enclosure endpoints below, as computed before the panel pass
+# moved to integer coordinates: any change to a single bit shows here.
+_ENCLOSURE_DIGEST = "248d451af5f1c247683bfa6842456a62c5d7f00951bde0c8dd980611d753fb1a"
+
+
+def test_quadrature_enclosures_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(26):
+        for z in (Q(-1), Q(0), Q(1), Q(-5, 6), Q(7, 3), Q(1, 2)):
+            v = oracles.quad_gamma(n, z, Q(1, 10**9)).value
+            digest.update(f"{v.lo} {v.hi}\n".encode())
+    for n in range(1, 21):
+        for rec in specials.integral_identities(n):
+            digest.update(f"{rec.enclosure.lo} {rec.enclosure.hi}\n".encode())
+    assert digest.hexdigest() == _ENCLOSURE_DIGEST
+
+
+def test_one_power_chain_per_sign_and_64_bit_band(monkeypatch):
+    # The panels of a pass ask for e^-m at many scales 2^-p; the chains
+    # of powers of e and 1/e are built only at p rounded up to 64 bits.
+    passes, scales = [], []
+
+    class Tables(oracles._PassTables):
+        def __init__(self, n):
+            super().__init__(n)
+            passes.append(self)
+
+        def exp(self, num, den, bits):
+            res = super().exp(num, den, bits)
+            scales.append(res[2])
+            return res
+
+    monkeypatch.setattr(oracles, "_PassTables", Tables)
+    oracles.quad_gamma(25, Q(-1), Q(1, 10**9))
+    (tables,) = passes
+    bands = {-(-p // 64) * 64 for p in scales}
+    assert len(set(scales)) > 2 * len(bands)
+    assert {big for big, _ in tables._powers} <= bands
+
+
 def test_quad_gamma_domain():
     with pytest.raises(DomainError):
         oracles.quad_gamma(-1, Q(0), Q(1, 100))
@@ -238,17 +279,20 @@ def test_exp_iv_encloses_a_finer_enclosure(x, bits):
 
 def _exp_iv_fraction(x, bits):
     """e^x at scale 2^-p, computed directly: |floor(x)| chained fixed-point
-    products of e or 1/e and a Taylor sum of e^r."""
+    products of e or 1/e and a Taylor sum of e^r, both at P = p rounded up
+    to a multiple of 64, their product shifted down to 2^-p with the lower
+    end floored and the upper ceiled."""
     q = floor(x)
     r = x - q
     p = bits + bits.bit_length() + abs(q).bit_length() + 8
-    one = 1 << p
+    big = -(-p // 64) * 64
+    one = 1 << big
     base_lo = base_hi = one
     if q:
-        lo, hi = eform_bounds(EForm(0, 1, 0) if q > 0 else EForm(0, 0, 1), p)
+        lo, hi = eform_bounds(EForm(0, 1, 0) if q > 0 else EForm(0, 0, 1), big)
         for _ in range(abs(q)):
-            base_lo = base_lo * lo >> p
-            base_hi = -(-base_hi * hi >> p)
+            base_lo = base_lo * lo >> big
+            base_hi = -(-base_hi * hi >> big)
     tay_lo = tay_hi = one
     if r:
         num, den = r.numerator, r.denominator
@@ -261,7 +305,10 @@ def _exp_iv_fraction(x, bits):
             tay_lo += t_lo
             tay_hi += t_hi
         tay_hi += t_hi
-    return IntervalReal(Q(base_lo * tay_lo >> p, one), Q(-(-base_hi * tay_hi >> p), one))
+    shift = 2 * big - p
+    return IntervalReal(
+        Q(base_lo * tay_lo >> shift, 1 << p), Q(-(-base_hi * tay_hi >> shift), 1 << p)
+    )
 
 
 def _abs_moment(n, a, b):
@@ -305,6 +352,19 @@ def _panel_fraction(n, a, b, share, max_order):
     return None
 
 
+def _panel_interval(n, a, b, share, tables=None):
+    """oracles._panel on the panel [a, b] and the share, all Fractions,
+    with its (lo, hi, bits) result read as an IntervalReal."""
+    d = lcm(a.denominator, b.denominator)
+    res = oracles._panel(
+        n, int(a * d), int(b * d), d, (share.numerator, share.denominator), tables
+    )
+    if res is None:
+        return None
+    lo, hi, bits = res
+    return IntervalReal(Q(lo, 1 << bits), Q(hi, 1 << bits))
+
+
 @st.composite
 def _panels(draw):
     """Panels as a pass makes them: unit panels, panels from a cut to the
@@ -339,11 +399,11 @@ _SHARES = st.builds(
 def test_panel_matches_the_fraction_panel(n, panel, share):
     a, b = panel
     want = _panel_fraction(n, a, b, share, oracles._MAX_ORDER)
-    assert oracles._panel(n, a, b, share) == want
+    assert _panel_interval(n, a, b, share) == want
     # again from the tables a first evaluation filled
     tables = oracles._PassTables(n)
-    assert oracles._panel(n, a, b, share, tables) == want
-    assert oracles._panel(n, a, b, share, tables) == want
+    assert _panel_interval(n, a, b, share, tables) == want
+    assert _panel_interval(n, a, b, share, tables) == want
 
 
 @pytest.mark.parametrize("n", (0, 7, 20))
@@ -355,8 +415,8 @@ def test_one_table_serves_panels_of_every_width_and_offset(n):
     for a in (Q(-2), Q(-1, 3), Q(1, 6), Q(5, 6), Q(3), Q(7)):
         for width in (Q(1), Q(1, 2), Q(1, 3), Q(2, 3), Q(1, 6), Q(5, 6)):
             for share in (Q(1, 10**3), Q(1, 10**9), Q(1, 10**30)):
-                want = oracles._panel(n, a, a + width, share)
-                assert oracles._panel(n, a, a + width, share, tables) == want
+                want = _panel_interval(n, a, a + width, share)
+                assert _panel_interval(n, a, a + width, share, tables) == want
 
 
 def _gamma_closed_form(n, z):

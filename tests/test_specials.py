@@ -35,6 +35,49 @@ def test_hyp2f0_polynomial_identity_exact():
     assert dpoly_eval(3, Q(1, 2)) == Q(79, 8)
 
 
+def _hyp2f0_fraction(n, x):
+    """F(n; x) by the term ratio t_{k+1} = t_k * (k - n) * x in Fractions."""
+    term = acc = Q(1)
+    for k in range(n):
+        term *= (k - n) * x
+        acc += term
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**4),
+)
+@example(0, Q(0))
+@example(60, Q(0))
+@example(60, Q(-1))
+@example(37, Q(-7, 3))
+def test_hyp2f0_matches_the_fraction_recurrence(n, x):
+    assert specials.hyp2f0(n, x) == _hyp2f0_fraction(n, x)
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_hyp2f0_checks_catch_an_off_by_one_route(delta, monkeypatch):
+    def shifted(f):
+        return lambda *args: f(*args) + delta
+
+    with monkeypatch.context() as m:
+        m.setattr(specials, "dpoly_eval", shifted(dpoly_eval))
+        with pytest.raises(InvariantViolation):
+            specials.hyp2f0_identity_check(7, Q(-3, 2))
+    with monkeypatch.context() as m:
+        m.setattr(specials, "partial_sum_pos", shifted(partial_sum_pos))
+        with pytest.raises(InvariantViolation):
+            specials.hyp2f0_special(9, -1)
+        specials.hyp2f0_special(9, 1)
+    with monkeypatch.context() as m:
+        m.setattr(specials, "derangement_eq2", shifted(specials.derangement_eq2))
+        with pytest.raises(InvariantViolation):
+            specials.hyp2f0_special(8, 1)
+        specials.hyp2f0_special(8, -1)
+
+
 def test_hyp2f0_identity_rejects_zero():
     with pytest.raises(DomainError):
         specials.hyp2f0_identity_check(3, Q(0))
