@@ -6,7 +6,7 @@ layer on every access and never stored here, so a monkeypatched layer
 attribute is the one the package hands out.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -81,15 +81,23 @@ _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 __all__ = [*sorted(_LAYER_OF), "__version__"]
 
 
+def _layer(layer: str):
+    # __import__, not importlib.import_module: only the import statement's
+    # path reports the layer in `python -X importtime`.
+    module = f"{__name__}.{layer}"
+    __import__(module)
+    return sys.modules[module]
+
+
 def __getattr__(name: str):
     # A layer's own name gives the layer module, as `ecount.counts` did
     # when this package imported every layer.
     if name in _LAYERS:
-        return import_module(f"{__name__}.{name}")
+        return _layer(name)
     layer = _LAYER_OF.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{layer}"), name)
+    return getattr(_layer(layer), name)
 
 
 def __dir__() -> list[str]:

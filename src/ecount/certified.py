@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
@@ -138,18 +138,44 @@ def fraction_to_decimal(x: Fraction, digits: int, round_up: bool) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class IntervalReal:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints.
 
-    lo: Fraction
-    hi: Fraction
+    Immutable; `==` and `hash` compare the endpoints.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _Q(self.lo))
-        object.__setattr__(self, "hi", _Q(self.hi))
-        if self.lo > self.hi:
-            raise DomainError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi) -> None:
+        lo = lo if type(lo) is Fraction else _Q(lo)
+        hi = hi if type(hi) is Fraction else _Q(hi)
+        if lo > hi:
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntervalReal is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntervalReal is immutable (cannot delete {name!r})")
+
+    def __reduce__(self):
+        return IntervalReal, (self.lo, self.hi)
+
+    def __eq__(self, other):
+        if type(other) is not IntervalReal:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"IntervalReal(lo={self.lo!r}, hi={self.hi!r})"
 
     @classmethod
     def point(cls, x) -> "IntervalReal":
@@ -357,9 +383,6 @@ class EForm:
     def to_triple(self) -> tuple[str, str, str]:
         a, b, c = self._fractions()
         return (str(a), str(b), str(c))
-
-
-_set = object.__setattr__
 
 
 def _of(big_a: int, big_b: int, big_c: int, den: int) -> EForm:
@@ -597,16 +620,14 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     return q, q - (-(r + spread) // den)
 
 
-@dataclass(frozen=True)
-class CertifiedFloor:
-    """Floor value together with the precision that decided it.
+class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
+    """Floor value (int) together with the precision (int) that decided it.
 
     precision_bits is 0 when the form was rational and no interval
     refinement was needed.
     """
 
-    value: int
-    precision_bits: int
+    __slots__ = ()
 
 
 def _start_bits(f: EForm) -> int:

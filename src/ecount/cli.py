@@ -11,81 +11,87 @@ function does (`floor-e-nfact` and the derangement floor forms).
 `verify` dispatches through one registry of suites (`_SUITES`).
 
 Exit codes: 0 success, 1 identity violation (or a certification that
-could not complete), 2 usage error, 3 domain error.  All data output is
-byte-deterministic for fixed inputs; elapsed time goes to a summary
-line on stderr.  Big integers are printed as decimal strings, rationals
-as "p/q", intervals as outward-rounded decimal endpoint pairs with an
-explicit precision_bits field.  The precision cap of the certified
-engine can be overridden with the ECOUNT_PRECISION_CAP env var.
+could not complete), 2 usage error (argparse's usage line and message
+on stderr), 3 domain error.  All data output is byte-deterministic for
+fixed inputs; elapsed time goes to a summary line on stderr.  Big
+integers are printed as decimal strings, rationals as "p/q", intervals
+as outward-rounded decimal endpoint pairs with an explicit
+precision_bits field.  The precision cap of the certified engine can be
+overridden with the ECOUNT_PRECISION_CAP env var.
+
+The parser is stdlib argparse and the records are namedtuples: a cold
+call loads no third-party package, and neither dataclasses nor inspect.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, Iterator
-
-import click
 
 import ecount
 
 from .errors import DomainError, InvariantViolation, PrecisionCapError
 
+# Annotations only; typing is not imported at run time.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
+    from typing import Any
+
     from .certified import EForm, IntervalReal
 
 _Q = Fraction
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
-class RationalParam(click.ParamType):
-    """Accepts integers or p/q strings; decimal floats are rejected."""
-
-    name = "rational"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Fraction):
-            return value
-        text = str(value).strip()
-        if not _RAT_RE.match(text):
-            self.fail(
-                f"{text!r} is not an integer or p/q rational "
-                "(decimal floats are rejected to preserve exactness)",
-                param,
-                ctx,
-            )
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            self.fail(f"{text!r} has a zero denominator", param, ctx)
+class _UsageError(Exception):
+    """A command line that parsed but names no valid call; exit code 2."""
 
 
-class RangeParam(click.ParamType):
+def _rational(text: str) -> Fraction:
+    """An integer or p/q string; decimal floats are rejected."""
+    text = text.strip()
+    if not _RAT_RE.match(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer or p/q rational "
+            "(decimal floats are rejected to preserve exactness)"
+        )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        # argparse reports ValueError and TypeError from a type only
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+
+
+def _range(text: str) -> tuple[int, int]:
     """Inclusive integer range written as A..B."""
-
-    name = "range"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        text = str(value).strip()
-        m = re.match(r"^(-?\d+)\.\.(-?\d+)$", text)
-        if not m:
-            self.fail(f"{text!r} is not a range of the form A..B", param, ctx)
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            self.fail(f"range {text!r} is empty (lo > hi)", param, ctx)
-        return (lo, hi)
+    text = text.strip()
+    m = _RANGE_RE.match(text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range of the form A..B")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty (lo > hi)")
+    return (lo, hi)
 
 
-RAT = RationalParam()
-RANGE = RangeParam()
+def _writable(out: str) -> str:
+    """An --out path that can be written, checked before any suite runs."""
+    if os.path.isdir(out):
+        raise argparse.ArgumentTypeError(f"cannot write {out!r}: it is a directory")
+    target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+    if not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {out!r}")
+    return out
+
 
 _DEFAULT_TOL = _Q(1, 10**9)
 
@@ -105,16 +111,21 @@ def _eform_json(f: EForm) -> list[str]:
     return list(f.to_triple())
 
 
-@dataclass
-class CountReport:
-    """One computed quantity with optional dual-route detail."""
+class CountReport(
+    namedtuple(
+        "CountReport",
+        "op params value verified route_a route_b",
+        defaults=(None, None, None),
+    )
+):
+    """One computed quantity with optional dual-route detail.
 
-    op: str
-    params: dict[str, Any]
-    value: Any
-    verified: bool | None = None
-    route_a: str | None = None
-    route_b: str | None = None
+    `verified` is True or False when the value was checked, else None;
+    `route_a` and `route_b` are the two routes' values as strings, when
+    there are two.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"op": self.op, "params": self.params, "value": self.value}
@@ -139,29 +150,19 @@ def _value_text(value: Any) -> str:
 
 def _print_report(report: CountReport, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
         return
-    click.echo(_value_text(report.value))
+    print(_value_text(report.value))
     if report.verified is not None:
-        click.echo(f"verified={str(report.verified).lower()}")
+        print(f"verified={str(report.verified).lower()}")
         if report.route_a is not None and report.route_a == report.route_b:
-            click.echo(f"routes agree on {report.route_a}")
+            print(f"routes agree on {report.route_a}")
         elif report.route_a is not None:
-            click.echo(f"route_a={report.route_a} route_b={report.route_b}")
+            print(f"route_a={report.route_a} route_b={report.route_b}")
 
 
-@click.group()
-@click.version_option(package_name="ecount", prog_name="ecount")
-@click.pass_context
-def main(ctx: click.Context) -> None:
-    """Exact counts in complete graphs, certified by enclosures of e."""
-    # Counts run to tens of thousands of digits, and Python >= 3.11 refuses
-    # str(int) past 4300 of them by default.  Lift that limit while the
-    # command runs, and put it back when it ends.
-    if hasattr(sys, "set_int_max_str_digits"):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        ctx.call_on_close(lambda: sys.set_int_max_str_digits(limit))
+def _elapsed(t0: float) -> None:
+    print(f"# elapsed_ms={int((time.monotonic() - t0) * 1000)}", file=sys.stderr)
 
 
 @contextmanager
@@ -174,14 +175,14 @@ def _exit_codes() -> Iterator[None]:
     try:
         yield
     except DomainError as exc:
-        click.echo(f"domain error: {exc}", err=True)
+        print(f"domain error: {exc}", file=sys.stderr)
         sys.exit(3)
     except (InvariantViolation, PrecisionCapError) as exc:
-        click.echo(f"violation: {exc}", err=True)
+        print(f"violation: {exc}", file=sys.stderr)
         sys.exit(1)
     except (MemoryError, RecursionError) as exc:
         detail = f": {exc}" if str(exc) else ""
-        click.echo(f"violation: out of resources ({type(exc).__name__}{detail})", err=True)
+        print(f"violation: out of resources ({type(exc).__name__}{detail})", file=sys.stderr)
         sys.exit(1)
 
 
@@ -196,19 +197,17 @@ _ROUTES = "routes"
 _CHECKED = "checked"
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(namedtuple("Op", "params run check defaults", defaults=(None, {}))):
     """One `compute` op.
 
     `params` are its JSON param keys in print order; each names the flag
     it comes from (see _FLAG).  `run` takes their values in that order.
-    A flag left unset falls back to `defaults`, else it is required.
+    `check` is None, _ROUTES, _CHECKED or a second route (see above).
+    A flag left unset falls back to `defaults`, a dict from param key to
+    value, else it is required.
     """
 
-    params: tuple[str, ...]
-    run: Callable[..., Any]
-    check: str | Callable[..., Any] | None = None
-    defaults: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
 
 _FLAG = {"m_max": "m", "precision_bits": "bits"}
@@ -296,7 +295,7 @@ def _op_args(name: str, op: Op, flags: dict[str, Any]) -> list[Any]:
         if value is None:
             value = op.defaults.get(key)
         if value is None:
-            raise click.UsageError(f"--{flag} is required for op {name!r}")
+            raise _UsageError(f"--{flag} is required for op {name!r}")
         args.append(value)
     return args
 
@@ -304,7 +303,7 @@ def _op_args(name: str, op: Op, flags: dict[str, Any]) -> list[Any]:
 def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
     op = _OPS.get(name)
     if op is None:
-        raise click.UsageError(f"unknown op {name!r}")
+        raise _UsageError(f"unknown op {name!r}")
     args = _op_args(name, op, flags)
     params = {k: v if isinstance(v, int) else str(v) for k, v in zip(op.params, args)}
     value = op.run(*args)
@@ -317,24 +316,13 @@ def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
     return CountReport(name, params, shown, value == other, str(value), str(other))
 
 
-@main.command("compute")
-@click.argument("op")
-@click.option("--n", type=int, default=None, help="Primary size parameter.")
-@click.option("--m", type=int, default=None, help="Secondary index where the op takes one.")
-@click.option("--x", type=RAT, default=None, help="Rational evaluation point (p/q or integer).")
-@click.option("--z", type=RAT, default=None, help="Rational lower integration limit.")
-@click.option("--precision-bits", "bits", type=int, default=96, show_default=True)
-@click.option("--tol", type=RAT, default=_DEFAULT_TOL, help="Quadrature tolerance (rational).")
-@click.option(
-    "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
-)
-def cmd_compute(op, fmt, **flags) -> None:
+def cmd_compute(args: argparse.Namespace) -> None:
     """Compute one quantity; see README for the op list."""
     t0 = time.monotonic()
     with _exit_codes():
-        report = _compute_report(op, flags)
-    _print_report(report, fmt)
-    click.echo(f"# elapsed_ms={int((time.monotonic() - t0) * 1000)}", err=True)
+        report = _compute_report(args.op, vars(args))
+    _print_report(report, args.fmt)
+    _elapsed(t0)
     if report.verified is False:
         sys.exit(1)
 
@@ -342,11 +330,15 @@ def cmd_compute(op, fmt, **flags) -> None:
 # --- verify suites ----------------------------------------------------
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """The checks one suite ran, and the message of each that failed."""
+
+    __slots__ = ("suite", "checks", "failures")
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.checks = 0
+        self.failures: list[str] = []
 
     def expect(self, cond: bool, message: str) -> None:
         self.checks += 1
@@ -540,30 +532,12 @@ _SUITES: dict[str, Callable[..., None]] = {
 }
 
 
-def _writable(ctx: click.Context, param: click.Parameter, out: str | None) -> str | None:
-    """Refuse an --out path that cannot be written, before any suite runs."""
-    if out is not None:
-        target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
-        if not os.access(target, os.W_OK):
-            raise click.BadParameter(f"cannot write {out!r}", ctx, param)
-    return out
-
-
-@main.command("verify")
-@click.argument("suite", type=click.Choice(tuple(_SUITES) + ("all",)))
-@click.option("--n-range", type=RANGE, default=None, help="Override as A..B.")
-@click.option("--m-range", type=RANGE, default=None, help="Override as A..B.")
-@click.option("--precision-bits", "bits", type=int, default=None)
-@click.option("--tol", type=RAT, default=_DEFAULT_TOL, show_default="1/10^9")
-@click.option("--lam", "--lambda", "lam", type=RAT, default=None, help="Check floor(n!/e + lam) instead of the stock family.")
-@click.option(
-    "--out", type=click.Path(dir_okay=False), default=None, callback=_writable,
-    help="Write a JSON report.",
-)
-def cmd_verify(suite, out, **options) -> None:
+def cmd_verify(args: argparse.Namespace) -> None:
     """Run an identity suite; exit 0 only if every check passes."""
     t0 = time.monotonic()
-    results = [SuiteResult(name) for name in (_SUITES if suite == "all" else (suite,))]
+    options = {key: getattr(args, key) for key in ("n_range", "m_range", "bits", "tol", "lam")}
+    suites = _SUITES if args.suite == "all" else (args.suite,)
+    results = [SuiteResult(name) for name in suites]
     with _exit_codes():
         for r in results:
             _SUITES[r.suite](r, **options)
@@ -571,13 +545,13 @@ def cmd_verify(suite, out, **options) -> None:
     total = sum(r.checks for r in results)
     failed = sum(len(r.failures) for r in results)
     for r in results:
-        click.echo(f"suite {r.suite}: {r.checks} checks, {len(r.failures)} failures")
+        print(f"suite {r.suite}: {r.checks} checks, {len(r.failures)} failures")
         for message in r.failures[:5]:
-            click.echo(f"  FAIL {message}")
+            print(f"  FAIL {message}")
         if len(r.failures) > 5:
-            click.echo(f"  ... {len(r.failures) - 5} more")
-    click.echo(f"verify: {total} checks, {failed} failures")
-    if out:
+            print(f"  ... {len(r.failures) - 5} more")
+    print(f"verify: {total} checks, {failed} failures")
+    if args.out:
         payload = {
             "suites": [
                 {"suite": r.suite, "checks": r.checks, "failures": r.failures}
@@ -586,10 +560,10 @@ def cmd_verify(suite, out, **options) -> None:
             "total_checks": total,
             "total_failures": failed,
         }
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    click.echo(f"# elapsed_ms={int((time.monotonic() - t0) * 1000)}", err=True)
+    _elapsed(t0)
     if failed:
         sys.exit(1)
 
@@ -611,21 +585,21 @@ _TABLE_QUANTITIES = (
 
 def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        print(json.dumps(rows, indent=2))
         return
     if not rows:
         return
     headers = list(rows[0].keys())
     if fmt == "csv":
-        click.echo(",".join(headers))
+        print(",".join(headers))
         for row in rows:
-            click.echo(",".join(str(row[h]) for h in headers))
+            print(",".join(str(row[h]) for h in headers))
         return
     # markdown
-    click.echo("| " + " | ".join(headers) + " |")
-    click.echo("|" + "|".join(" --- " for _ in headers) + "|")
+    print("| " + " | ".join(headers) + " |")
+    print("|" + "|".join(" --- " for _ in headers) + "|")
     for row in rows:
-        click.echo("| " + " | ".join(str(row[h]) for h in headers) + " |")
+        print("| " + " | ".join(str(row[h]) for h in headers) + " |")
 
 
 def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, Any]]:
@@ -646,28 +620,153 @@ def _op_row(quantity: str, n: int, bits: int) -> dict[str, Any]:
     return {"n": n, "a": a, "b": b, "c": c, "lo": iv["lo"], "hi": iv["hi"]}
 
 
-@main.command("table")
-@click.argument("quantity", type=click.Choice(_TABLE_QUANTITIES))
-@click.option("--n-range", type=RANGE, default=None, help="Rows over n (A..B).")
-@click.option("--n", type=int, default=None, help="Fixed n (bounds table).")
-@click.option("--m-range", type=RANGE, default=(1, 5), help="Rows over m for bounds.")
-@click.option("--precision-bits", "bits", type=int, default=96, show_default=True)
-@click.option(
-    "--format", "fmt", type=click.Choice(["csv", "json", "md"]), default="csv",
-    show_default=True,
-)
-def cmd_table(quantity, n_range, n, m_range, bits, fmt) -> None:
+def cmd_table(args: argparse.Namespace) -> None:
     """Emit one row per n (or per m for the bounds table)."""
     with _exit_codes():
-        if quantity == "bounds":
-            if n is None:
-                raise click.UsageError("--n is required for the bounds table")
-            rows = _bounds_rows(n, m_range, bits)
+        if args.quantity == "bounds":
+            if args.n is None:
+                raise _UsageError("--n is required for the bounds table")
+            rows = _bounds_rows(args.n, args.m_range, args.bits)
         else:
-            if n_range is None:
-                raise click.UsageError("--n-range is required for this table")
-            rows = [_op_row(quantity, k, bits) for k in range(n_range[0], n_range[1] + 1)]
-    _emit_rows(rows, fmt)
+            if args.n_range is None:
+                raise _UsageError("--n-range is required for this table")
+            lo, hi = args.n_range
+            rows = [_op_row(args.quantity, k, args.bits) for k in range(lo, hi + 1)]
+    _emit_rows(rows, args.fmt)
+
+
+# --- the command line -------------------------------------------------
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Exact counts in complete graphs, certified by enclosures of e.",
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s, version {ecount.__version__}"
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    compute = commands.add_parser(
+        "compute", help="Compute one quantity; see README for the op list.",
+        allow_abbrev=False,
+    )
+    compute.add_argument("op", metavar="OP")
+    compute.add_argument("--n", type=int, help="Primary size parameter.")
+    compute.add_argument("--m", type=int, help="Secondary index where the op takes one.")
+    compute.add_argument("--x", type=_rational, help="Rational evaluation point (p/q or integer).")
+    compute.add_argument("--z", type=_rational, help="Rational lower integration limit.")
+    compute.add_argument(
+        "--precision-bits", dest="bits", type=int, default=96, help="(default: 96)"
+    )
+    compute.add_argument(
+        "--tol", type=_rational, default=_DEFAULT_TOL, help="Quadrature tolerance (rational)."
+    )
+    compute.add_argument(
+        "--format", dest="fmt", choices=("text", "json"), default="text", help="(default: text)"
+    )
+    compute.set_defaults(run=cmd_compute, parser=compute)
+
+    verify = commands.add_parser(
+        "verify", help="Run an identity suite; exit 0 only if every check passes.",
+        allow_abbrev=False,
+    )
+    verify.add_argument("suite", choices=(*_SUITES, "all"), metavar="SUITE", help="%(choices)s")
+    verify.add_argument("--n-range", type=_range, metavar="A..B", help="Override the n range.")
+    verify.add_argument("--m-range", type=_range, metavar="A..B", help="Override the m range.")
+    verify.add_argument("--precision-bits", dest="bits", type=int)
+    verify.add_argument("--tol", type=_rational, default=_DEFAULT_TOL, help="(default: 1/10^9)")
+    verify.add_argument(
+        "--lam", "--lambda", dest="lam", type=_rational,
+        help="Check floor(n!/e + lam) instead of the stock family.",
+    )
+    verify.add_argument("--out", type=_writable, help="Write a JSON report.")
+    verify.set_defaults(run=cmd_verify, parser=verify)
+
+    table = commands.add_parser(
+        "table", help="Emit one row per n (or per m for the bounds table).",
+        allow_abbrev=False,
+    )
+    table.add_argument(
+        "quantity", choices=_TABLE_QUANTITIES, metavar="QUANTITY", help="%(choices)s"
+    )
+    table.add_argument("--n-range", type=_range, metavar="A..B", help="Rows over n.")
+    table.add_argument("--n", type=int, help="Fixed n (bounds table).")
+    table.add_argument(
+        "--m-range", type=_range, default=(1, 5), metavar="A..B",
+        help="Rows over m for bounds (default: 1..5).",
+    )
+    table.add_argument(
+        "--precision-bits", dest="bits", type=int, default=96, help="(default: 96)"
+    )
+    table.add_argument(
+        "--format", dest="fmt", choices=("csv", "json", "md"), default="csv",
+        help="(default: csv)",
+    )
+    table.set_defaults(run=cmd_table, parser=table)
+    return parser
+
+
+def _bind_values(argv: list[str]) -> list[str]:
+    """argv with a flag joined to a value that starts with '-', as --x=-3/2.
+
+    Every long flag but --help and --version takes one value, the next
+    word whatever it looks like.  argparse alone reads a word that starts
+    with '-' as a flag unless it looks like a negative number, and before
+    Python 3.13 -3/2 and -2..5 do not.
+    """
+    out = argv[:1]
+    for word in argv[1:]:
+        flag = out[-1]
+        if (
+            word.startswith("-")
+            and flag.startswith("--")
+            and "=" not in flag
+            and flag not in ("--", "--help", "--version")
+        ):
+            out[-1] = f"{flag}={word}"
+        else:
+            out.append(word)
+    return out
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run the command line `args` (default: sys.argv[1:]) and exit.
+
+    Always ends in SystemExit with the command's exit code, 0 included.
+    """
+    parser = _parser(prog_name or "ecount")
+    ns = parser.parse_args(_bind_values(sys.argv[1:] if args is None else list(args)))
+    # Counts run to tens of thousands of digits, and Python >= 3.11 refuses
+    # str(int) past 4300 of them by default.  Lift that limit while the
+    # command runs, and put it back when it ends.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        ns.run(ns)
+        sys.stdout.flush()
+    except _UsageError as exc:
+        ns.parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader of stdout went away (`ecount table ... | head`): stop
+        # quietly, and point stdout at devnull so the final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    sys.exit(0)
+
+
+# Callers written for the click command group that `main` once was call
+# `main.main(args=..., prog_name=...)`.
+main.main = main
 
 
 if __name__ == "__main__":

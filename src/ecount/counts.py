@@ -24,8 +24,8 @@ quotient per term.  The certified route still takes its factorial from
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -210,15 +210,14 @@ def _cycle_totals(n: int) -> tuple[int, int]:
     return count, direct
 
 
-@dataclass(frozen=True)
-class PathCycleCounts:
-    """Path and cycle tallies of K_n for one n."""
+class PathCycleCounts(
+    namedtuple(
+        "PathCycleCounts", "n path_count path_length_sum cycle_count cycle_length_sum"
+    )
+):
+    """Path and cycle tallies (ints) of K_n for one n."""
 
-    n: int
-    path_count: int
-    path_length_sum: int
-    cycle_count: int
-    cycle_length_sum: int
+    __slots__ = ()
 
 
 def path_cycle_counts(n: int) -> PathCycleCounts:
@@ -382,16 +381,14 @@ def _bound_N_family(n: int, m_max: int) -> list[EForm]:
     return family
 
 
-@dataclass(frozen=True)
-class BoundsChain:
-    """Fractional part of e*n! with its two-sided bound family.
+class BoundsChain(namedtuple("BoundsChain", "n frac m_list")):
+    """Fractional part of e*n! (an EForm) with its two-sided bound family.
 
-    m_list holds (m, M_m(n), N_m(n)) for m = 1..m_max.
+    m_list holds (m, M_m(n), N_m(n)) for m = 1..m_max: an int, a
+    Fraction and an EForm.
     """
 
-    n: int
-    frac: EForm
-    m_list: tuple[tuple[int, Fraction, EForm], ...]
+    __slots__ = ()
 
 
 def chain_check(n: int, m_max: int) -> BoundsChain:

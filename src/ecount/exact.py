@@ -16,7 +16,7 @@ value at -1 is D_n and at 1 is S_n.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -80,16 +80,14 @@ def derangements(n: int) -> int:
     return _DER[n]
 
 
-@dataclass(frozen=True)
-class DerangementPoly:
+class DerangementPoly(namedtuple("DerangementPoly", "n coeffs")):
     """Coefficient form of D_n(x) = sum_{i=0}^n (n!/i!) x^i.
 
-    `coeffs[i]` is the coefficient of x^i, so coeffs[n] = 1 and
-    coeffs[0] = n!.  Instances are immutable.
+    `coeffs` is a tuple of ints, `coeffs[i]` the coefficient of x^i, so
+    coeffs[n] = 1 and coeffs[0] = n!.  Instances are immutable.
     """
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def eval(self, x: Fraction) -> Fraction:
         """Exact value at a rational point, by Horner's rule."""

@@ -54,7 +54,7 @@ closed form it audits: not derangement numbers, not D_n(z), not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, repeat
 from math import ceil, comb, factorial, floor, gcd, lcm
@@ -85,26 +85,21 @@ MAX_BRUTE_CYCLES = 8
 _EVAL_BUDGET = 50_000
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    """Count of enumerated objects and their total edge length."""
+class EnumerationResult(namedtuple("EnumerationResult", "count total_length")):
+    """Count of enumerated objects and their total edge length (ints)."""
 
-    count: int
-    total_length: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Certified integral enclosure.
+class QuadratureResult(namedtuple("QuadratureResult", "value evaluations tail_bound")):
+    """Certified integral enclosure `value`, an IntervalReal.
 
-    evaluations counts panel-enclosure computations (including retries
-    after subdivision); tail_bound dominates the discarded integral
-    over [U, inf).
+    evaluations (int) counts panel-enclosure computations (including
+    retries after subdivision); tail_bound (a Fraction) dominates the
+    discarded integral over [U, inf).
     """
 
-    value: IntervalReal
-    evaluations: int
-    tail_bound: Fraction
+    __slots__ = ()
 
 
 def brute_derangements(n: int) -> int:
@@ -451,6 +446,40 @@ def _panel(
     return None
 
 
+def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
+    """The least integer U >= u_min whose analytic tail bound, rounded up
+    to a dyadic, is at most tol/2, and that bound; u_min >= 2n + 1.
+
+    With e^-1 <= h / 2^64 the bound is U^(n+1) * h^U / ((U - n) * 2^(64 U)).
+    For U >= 2n + 1 the ratio of consecutive bounds is at most
+    (1 + 1/U)^(n+1) * h / 2^64 < 1, so the bound, and its rounding up,
+    never increase with U: the search doubles its step from u_min until
+    a U fits, then bisects down to the least one.
+    """
+    _, einv_hi = eform_bounds(_E_INV, 64)
+    tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
+    limit = tol.numerator << tail_bits
+
+    def tail_num(u: int) -> int:
+        return -(-(u ** (n + 1) * einv_hi**u << tail_bits) // ((u - n) << (64 * u)))
+
+    def fits(u: int) -> bool:
+        return 2 * tail_num(u) * tol.denominator <= limit
+
+    # bad < U <= good throughout; u_min - 1 stands for "below the range"
+    bad, good, step = u_min - 1, u_min, 1
+    while not fits(good):
+        bad, step = good, 2 * step
+        good = bad + step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if fits(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, _Q(tail_num(good), 1 << tail_bits)
+
+
 def _quad_pieces(
     n: int, cuts: list[Fraction], tol: Fraction
 ) -> tuple[list[IntervalReal], Fraction, int]:
@@ -472,21 +501,7 @@ def _quad_pieces(
     if tol <= 0:
         raise DomainError(f"quad_gamma requires tol > 0 (got {tol})")
     z = cuts[0]
-
-    # upper cutoff: smallest integer U past every cut with the analytic
-    # tail, rounded up to a dyadic, below tol/2; with e^-1 <= h / 2^64
-    # the tail bound is U^(n+1) * h^U / ((U - n) * 2^(64 U))
-    _, einv_hi = eform_bounds(_E_INV, 64)
-    tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
-    u = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
-    pw = einv_hi**u
-    while True:
-        t_num = -(-(u ** (n + 1) * pw << tail_bits) // ((u - n) << (64 * u)))
-        if 2 * t_num * tol.denominator <= tol.numerator << tail_bits:
-            break
-        u += 1
-        pw *= einv_hi
-    tail = _Q(t_num, 1 << tail_bits)
+    u, tail = _tail_cutoff(n, max(2 * n + 1, ceil(cuts[-1]) + 1, 6), tol)
 
     # unit panels split at the cuts; [a, b] at depth k is [a, b] / (den * 2^k)
     # with share tol/2 * (b - a) / ((U - z) * den * 2^k)

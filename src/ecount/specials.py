@@ -41,7 +41,7 @@ else 2^20 bits), instead of running for hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
@@ -79,13 +79,11 @@ _LOG2_E_UP = _Q(14427, 10000)
 _LOG2_3_UP = _Q(317, 200)
 
 
-@dataclass(frozen=True)
-class GammaQuery:
-    """Arguments of the incomplete-gamma evaluation Gamma(n+1, z)."""
+class GammaQuery(namedtuple("GammaQuery", "n z precision_bits")):
+    """Arguments of the incomplete-gamma evaluation Gamma(n+1, z): ints
+    n and precision_bits, a rational z."""
 
-    n: int
-    z: Fraction
-    precision_bits: int
+    __slots__ = ()
 
 
 def hyp2f0(n: int, x: Fraction) -> Fraction:
@@ -313,13 +311,12 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     return series_iv
 
 
-@dataclass(frozen=True)
-class IntegralIdentity:
-    """One checked integral of e^-t * t^n over a fixed range."""
+class IntegralIdentity(namedtuple("IntegralIdentity", "label closed_form enclosure")):
+    """One checked integral of e^-t * t^n over a fixed range: its label,
+    its closed form (an EForm) and its quadrature enclosure (an
+    IntervalReal)."""
 
-    label: str
-    closed_form: EForm
-    enclosure: IntervalReal
+    __slots__ = ()
 
 
 def _times_e(f: EForm) -> EForm:

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior through click's test runner."""
+"""End-to-end CLI behavior, run in process by tests/cli_runner.py."""
 
 import json
 import os
@@ -11,26 +11,20 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
 from ecount import certified, cli, counts, exact, oracles
-from ecount.cli import main
 from ecount.errors import InvariantViolation
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+def _run(*args):
+    return invoke(args)
 
 
-def _run(runner, *args):
-    return runner.invoke(main, list(args))
-
-
-def test_compute_derangements(runner):
-    res = _run(runner, "compute", "derangements", "--n", "5")
+def test_compute_derangements():
+    res = _run("compute", "derangements", "--n", "5")
     assert res.exit_code == 0
     assert res.stdout == "44\n"
 
@@ -47,14 +41,14 @@ def _decimal(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def test_compute_derangements_past_int_digit_limit(runner):
+def test_compute_derangements_past_int_digit_limit():
     # D_1700 has 4,756 digits, more than the 4300 that str(int) allows
     # by default on Python 3.11+.
     d = 1
     for k in range(1, 1701):
         d = k * d + (-1) ** k
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    res = _run(runner, "compute", "derangements", "--n", "1700")
+    res = _run("compute", "derangements", "--n", "1700")
     assert res.exit_code == 0, res.output
     assert res.stdout == _decimal(d) + "\n"
     assert len(res.stdout) == 4757
@@ -63,116 +57,190 @@ def test_compute_derangements_past_int_digit_limit(runner):
         assert sys.get_int_max_str_digits() == limit
 
 
-def test_compute_paths_dual_route(runner):
-    res = _run(runner, "compute", "paths", "--n", "4")
+def test_compute_paths_dual_route():
+    res = _run("compute", "paths", "--n", "4")
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
     assert lines[0] == "5"
     assert lines[1] == "verified=true"
 
 
-def test_compute_eq6_shows_route(runner):
-    res = _run(runner, "compute", "eq6", "--n", "3")
+def test_compute_eq6_shows_route():
+    res = _run("compute", "eq6", "--n", "3")
     assert res.exit_code == 0
     assert res.stdout.splitlines()[0] == "2"
     assert "verified=true" in res.stdout
 
 
-def test_compute_json_format(runner):
-    res = _run(runner, "compute", "derangements", "--n", "8", "--format", "json")
+def test_compute_json_format():
+    res = _run("compute", "derangements", "--n", "8", "--format", "json")
     data = json.loads(res.stdout)
     assert data["op"] == "derangements"
     assert data["value"] == "14833"
 
 
-def test_unknown_op_is_usage_error(runner):
-    res = _run(runner, "compute", "no-such-op", "--n", "3")
+def test_unknown_op_is_usage_error():
+    res = _run("compute", "no-such-op", "--n", "3")
     assert res.exit_code == 2
 
 
-def test_domain_error_exit_code(runner):
-    res = _run(runner, "compute", "paths", "--n", "2")
+def test_domain_error_exit_code():
+    res = _run("compute", "paths", "--n", "2")
     assert res.exit_code == 3
     assert "n >= 3" in res.stderr
 
 
-def test_missing_param_is_usage_error(runner):
-    res = _run(runner, "compute", "paths")
+def test_missing_param_is_usage_error():
+    res = _run("compute", "paths")
     assert res.exit_code == 2
 
 
-def test_rational_option_rejects_floats(runner):
-    res = _run(runner, "compute", "dpoly-eval", "--n", "3", "--x", "0.5")
+def test_rational_option_rejects_floats():
+    res = _run("compute", "dpoly-eval", "--n", "3", "--x", "0.5")
     assert res.exit_code == 2
-    res = _run(runner, "compute", "dpoly-eval", "--n", "3", "--x", "1/2")
+    res = _run("compute", "dpoly-eval", "--n", "3", "--x", "1/2")
     assert res.exit_code == 0
     assert res.stdout == "79/8\n"
 
 
-def test_compute_integrals_text(runner):
-    res = _run(runner, "compute", "integrals", "--n", "1")
+# --- argparse pitfalls ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dpoly-eval", "--n", "3", "--x", "-3/2"),
+        ("dpoly-eval", "--n", "3", "--x=-3/2"),
+        ("inc-gamma", "--n", "3", "--z", "-1/2"),
+    ],
+)
+def test_a_negative_rational_is_a_value_not_a_flag(args):
+    # argparse before Python 3.13 takes a word starting with '-' for a flag
+    # unless it reads as a negative number, and -3/2 does not.
+    res = _run("compute", *args)
+    assert res.exit_code == 0, res.stderr
+    if args[0] == "dpoly-eval":
+        assert res.stdout == "3/8\n"  # D_3(-3/2) = 6 - 9 + 27/4 - 27/8
+    else:
+        assert res.stdout == _run("compute", "inc-gamma", "--n", "3", "--z=-1/2").stdout
+        assert res.stdout.startswith("[5.976614606287964532326359105826, ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "dpoly-eval", "--n", "3", "--x", "1/0"),
+        ("compute", "inc-gamma", "--n", "3", "--z", "-1/0"),
+        ("compute", "integrals", "--n", "1", "--tol=1/0"),
+        ("verify", "derangement-family", "--lam", "1/0"),
+    ],
+)
+def test_a_zero_denominator_is_a_usage_error(args):
+    # argparse turns only ValueError and TypeError from a type into a usage
+    # error; Fraction raises ZeroDivisionError.
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "has a zero denominator" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "derangements", "--n", "5", "--prec", "40"),
+        ("compute", "derangements", "--n", "5", "--form", "json"),
+        ("compute", "derangements", "--n", "5", "--precision=40"),
+        ("verify", "eq1", "--n-r", "1..3"),
+        ("verify", "derangement-family", "--lamb", "0"),
+        ("table", "derangements", "--n-range", "0..3", "--fo", "json"),
+    ],
+)
+def test_an_abbreviated_flag_is_a_usage_error(args):
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert "unrecognized arguments" in res.stderr
+    assert res.stdout == ""
+
+
+def test_lam_and_lambda_are_one_flag():
+    lam = _run("verify", "derangement-family", "--lam", "1/2", "--n-range", "1..6")
+    lambda_ = _run("verify", "derangement-family", "--lambda", "1/2", "--n-range", "1..6")
+    assert lam.exit_code == lambda_.exit_code == 0
+    assert lam.stdout == lambda_.stdout == (
+        "suite derangement-family: 6 checks, 0 failures\nverify: 6 checks, 0 failures\n"
+    )
+    failing = _run("verify", "derangement-family", "--lambda", "0", "--n-range", "1..6")
+    assert failing.exit_code == 1
+    assert failing.stdout == _run(
+        "verify", "derangement-family", "--lam", "0", "--n-range", "1..6"
+    ).stdout
+
+
+def test_compute_integrals_text():
+    res = _run("compute", "integrals", "--n", "1")
     assert res.exit_code == 0
 
 
-def test_elapsed_goes_to_stderr(runner):
-    res = _run(runner, "compute", "derangements", "--n", "3")
+def test_elapsed_goes_to_stderr():
+    res = _run("compute", "derangements", "--n", "3")
     assert "elapsed_ms" not in res.stdout
     assert "# elapsed_ms=" in res.stderr
 
 
-def test_stdout_byte_deterministic(runner):
-    a = _run(runner, "compute", "integrals", "--n", "3", "--format", "json")
-    b = _run(runner, "compute", "integrals", "--n", "3", "--format", "json")
+def test_stdout_byte_deterministic():
+    a = _run("compute", "integrals", "--n", "3", "--format", "json")
+    b = _run("compute", "integrals", "--n", "3", "--format", "json")
     assert a.stdout == b.stdout
-    c = _run(runner, "verify", "paths-cycles", "--n-range", "3..12")
-    d = _run(runner, "verify", "paths-cycles", "--n-range", "3..12")
+    c = _run("verify", "paths-cycles", "--n-range", "3..12")
+    d = _run("verify", "paths-cycles", "--n-range", "3..12")
     assert c.stdout == d.stdout
 
 
-def test_verify_eq1_small(runner):
-    res = _run(runner, "verify", "eq1", "--n-range", "1..40")
+def test_verify_eq1_small():
+    res = _run("verify", "eq1", "--n-range", "1..40")
     assert res.exit_code == 0
     assert "suite eq1: 40 checks, 0 failures" in res.stdout
 
 
-def test_verify_lambda_counterexample(runner):
-    res = _run(runner, "verify", "derangement-family", "--lambda", "0", "--n-range", "1..6")
+def test_verify_lambda_counterexample():
+    res = _run("verify", "derangement-family", "--lambda", "0", "--n-range", "1..6")
     assert res.exit_code == 1
     first_fail = next(l for l in res.stdout.splitlines() if "FAIL" in l)
     assert "n=2" in first_fail
 
 
-def test_verify_out_report(runner, tmp_path):
+def test_verify_out_report(tmp_path):
     out = tmp_path / "report.json"
-    res = _run(runner, "verify", "eq1", "--n-range", "1..10", "--out", str(out))
+    res = _run("verify", "eq1", "--n-range", "1..10", "--out", str(out))
     assert res.exit_code == 0
     data = json.loads(out.read_text())
     assert data["total_checks"] == 10
     assert data["total_failures"] == 0
 
 
-def test_verify_unknown_suite(runner):
-    res = _run(runner, "verify", "bogus")
+def test_verify_unknown_suite():
+    res = _run("verify", "bogus")
     assert res.exit_code == 2
 
 
-def test_table_derangements_csv(runner):
-    res = _run(runner, "table", "derangements", "--n-range", "0..10")
+def test_table_derangements_csv():
+    res = _run("table", "derangements", "--n-range", "0..10")
     assert res.exit_code == 0
     lines = res.stdout.splitlines()
     assert lines[0] == "n,value"
     assert lines[-1] == "10,1334961"
 
 
-def test_table_paths_json(runner):
-    res = _run(runner, "table", "paths", "--n-range", "3..8", "--format", "json")
+def test_table_paths_json():
+    res = _run("table", "paths", "--n-range", "3..8", "--format", "json")
     rows = json.loads(res.stdout)
     assert len(rows) == 6
     assert rows[0] == {"n": 3, "value": "2"}
 
 
-def test_table_bounds_md_monotone(runner):
-    res = _run(runner, "table", "bounds", "--n", "5", "--m-range", "1..5", "--format", "md")
+def test_table_bounds_md_monotone():
+    res = _run("table", "bounds", "--n", "5", "--m-range", "1..5", "--format", "md")
     assert res.exit_code == 0
     from fractions import Fraction
 
@@ -181,19 +249,19 @@ def test_table_bounds_md_monotone(runner):
     assert ms == sorted(ms, reverse=True)
 
 
-def test_table_requires_range(runner):
-    res = _run(runner, "table", "derangements")
+def test_table_requires_range():
+    res = _run("table", "derangements")
     assert res.exit_code == 2
 
 
-def test_table_bad_range(runner):
-    res = _run(runner, "table", "derangements", "--n-range", "9..3")
+def test_table_bad_range():
+    res = _run("table", "derangements", "--n-range", "9..3")
     assert res.exit_code == 2
 
 
-def test_precision_cap_env(runner, monkeypatch):
+def test_precision_cap_env(monkeypatch):
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "4")
-    res = _run(runner, "compute", "floor-e-nfact", "--n", "5")
+    res = _run("compute", "floor-e-nfact", "--n", "5")
     assert res.exit_code == 1
     assert "violation" in res.stderr
 
@@ -216,9 +284,9 @@ def test_verify_past_the_precision_cap_is_a_violation():
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
-def test_verify_quadrature_budget_overrun_is_a_violation(runner, monkeypatch):
+def test_verify_quadrature_budget_overrun_is_a_violation(monkeypatch):
     monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
-    res = _run(runner, "verify", "special-fn", "--n-range", "1..1")
+    res = _run("verify", "special-fn", "--n-range", "1..1")
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "violation: " in res.stderr
@@ -240,23 +308,46 @@ def test_verify_out_to_an_unwritable_path_is_a_usage_error(tmp_path):
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
-def test_verify_refuses_an_unwritable_path_before_any_suite(runner, monkeypatch, tmp_path):
+def test_verify_out_to_a_directory_is_a_usage_error(tmp_path):
+    res = _run("verify", "eq1", "--n-range", "1..2", "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "is a directory" in res.stderr
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly():
+    # As in `ecount table ... | head -1`: the rows run to megabytes, far
+    # past a pipe's buffer, and the reader closes after one line.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from ecount.cli import main; main()",
+         "table", "derangements", "--n-range", "0..2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"n,value\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def test_verify_refuses_an_unwritable_path_before_any_suite(monkeypatch, tmp_path):
     ran = []
     monkeypatch.setitem(cli._SUITES, "eq1", lambda r, **_: ran.append(r.suite))
-    res = _run(runner, "verify", "eq1", "--out", str(tmp_path / "missing" / "x.json"))
+    res = _run("verify", "eq1", "--out", str(tmp_path / "missing" / "x.json"))
     assert res.exit_code == 2
     assert ran == []
-    res = _run(runner, "verify", "eq1", "--out", str(tmp_path / "x.json"))
+    res = _run("verify", "eq1", "--out", str(tmp_path / "x.json"))
     assert res.exit_code == 0
     assert ran == ["eq1"]
 
 
-def test_verify_reports_a_violation_a_suite_does_not_catch(runner, monkeypatch):
+def test_verify_reports_a_violation_a_suite_does_not_catch(monkeypatch):
     def broken(n, *args, **kwargs):
         raise InvariantViolation(f"broken at n={n}")
 
     monkeypatch.setattr(counts, "average_path_length", broken)
-    res = _run(runner, "verify", "paths-cycles", "--n-range", "3..4")
+    res = _run("verify", "paths-cycles", "--n-range", "3..4")
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "violation: broken at n=3" in res.stderr
@@ -275,7 +366,7 @@ def test_verify_reports_a_violation_a_suite_does_not_catch(runner, monkeypatch):
         (("verify", "paths-cycles", "--n-range", "3..60"), 4 * 58),
     ],
 )
-def test_each_certified_floor_runs_once(runner, monkeypatch, args, floors):
+def test_each_certified_floor_runs_once(monkeypatch, args, floors):
     calls = []
     real = certified.certified_floor
 
@@ -285,7 +376,7 @@ def test_each_certified_floor_runs_once(runner, monkeypatch, args, floors):
 
     monkeypatch.setattr(certified, "certified_floor", counted)
     monkeypatch.setattr(counts, "certified_floor", counted)
-    res = _run(runner, *args)
+    res = _run(*args)
     assert res.exit_code == 0, res.output
     assert len(calls) == floors
 
@@ -314,7 +405,7 @@ def _assert_contract(args, flags):
     with an answer or a typed error."""
     args = args + [f"{flag}={value}" for flag, value in flags if value is not None]
     t0 = time.monotonic()
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert time.monotonic() - t0 < 5.0, args
     assert res.exit_code in (0, 1, 2, 3), (args, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), args
@@ -358,23 +449,34 @@ def test_table_contract_fuzz(quantity, n_range, n, m_range, fmt):
         ("table", "derangements", "--n-range", "1..3"),
     ],
 )
-def test_running_out_of_memory_or_stack_is_a_violation(runner, monkeypatch, args, error):
+def test_running_out_of_memory_or_stack_is_a_violation(monkeypatch, args, error):
     # The library call fails as an exhausted process would, without
     # allocating anything; the CLI reports it as a typed violation.
     def exhausted(n):
         raise error
 
     monkeypatch.setattr(exact, "derangements", exhausted)
-    res = _run(runner, *args)
+    res = _run(*args)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert f"violation: out of resources ({type(error).__name__}" in res.stderr
     assert "Traceback" not in res.output
 
 
-def test_table_past_the_precision_cap_is_a_violation(runner, monkeypatch):
+def test_an_interrupt_ends_the_command_with_exit_code_1(monkeypatch):
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(exact, "derangements", interrupted)
+    res = _run("compute", "derangements", "--n", "5")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr == "\nAborted!\n"
+
+
+def test_table_past_the_precision_cap_is_a_violation(monkeypatch):
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "2")
-    res = _run(runner, "table", "paths", "--n-range", "3..5")
+    res = _run("table", "paths", "--n-range", "3..5")
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "violation: " in res.stderr
@@ -413,9 +515,9 @@ def _compute_in_child(*args):
     return proc, time.monotonic() - t0
 
 
-def _timed_compute(runner, *args):
+def _timed_compute(*args):
     t0 = time.monotonic()
-    res = _run(runner, "compute", *args, "--format", "json")
+    res = _run("compute", *args, "--format", "json")
     return res, time.monotonic() - t0
 
 
@@ -435,9 +537,9 @@ def _exp_times(x: int, factor: int) -> tuple[Fraction, Fraction]:
     "op, n, arg",
     [("inc-gamma", 3, 2000), ("inc-gamma", 3, -2000), ("hyp1f1", 2, 3000), ("hyp1f1", 2, -3000)],
 )
-def test_large_argument_probes_answer_in_time(runner, op, n, arg):
+def test_large_argument_probes_answer_in_time(op, n, arg):
     flag = "--z" if op == "inc-gamma" else "--x"
-    res, seconds = _timed_compute(runner, op, "--n", str(n), flag, str(arg))
+    res, seconds = _timed_compute(op, "--n", str(n), flag, str(arg))
     assert res.exit_code == 0, res.output
     assert seconds < _PROBE_SECONDS
     value = json.loads(res.stdout)["value"]
@@ -487,8 +589,8 @@ def test_large_count_probes_answer_in_time(op):
     assert seconds < _PROBE_SECONDS
 
 
-def test_large_bounds_probe_answers_in_time(runner):
+def test_large_bounds_probe_answers_in_time():
     # 4.6 s while each bound summed one product per term.
-    res, seconds = _timed_compute(runner, "bounds", "--n", "2", "--m", "400")
+    res, seconds = _timed_compute("bounds", "--n", "2", "--m", "400")
     assert res.exit_code == 0, res.output
     assert seconds < 1.0

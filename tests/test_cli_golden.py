@@ -17,9 +17,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from ecount.cli import main
+from cli_runner import invoke
 
 GOLDEN = Path(__file__).with_name("cli_golden.txt")
 
@@ -125,7 +124,8 @@ def _header(command: str) -> str:
 def run_block(command: str) -> str:
     """The transcript block of one command, header line included."""
     env, words = _split(command)
-    res = CliRunner().invoke(main, words, env=env, prog_name="ecount")
+    # argparse wraps its usage lines to the terminal width, read from COLUMNS
+    res = invoke(words, env={"COLUMNS": "80", **env})
     stderr = "".join(
         line for line in res.stderr.splitlines(True) if not line.startswith("# elapsed_ms=")
     )

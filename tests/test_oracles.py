@@ -150,6 +150,56 @@ def test_quadrature_enclosures_match_the_pinned_digest():
     assert digest.hexdigest() == _ENCLOSURE_DIGEST
 
 
+def _linear_tail_num(n, u, tol):
+    """The rounded-up tail bound at u and whether it is at most tol/2."""
+    _, einv_hi = eform_bounds(EForm(0, 0, 1), 64)
+    tail_bits = max(1, ceil_log2(2 / tol) + oracles._GUARD_BITS)
+    t_num = -(-(u ** (n + 1) * einv_hi**u << tail_bits) // ((u - n) << (64 * u)))
+    return Q(t_num, 1 << tail_bits), 2 * t_num * tol.denominator <= tol.numerator << tail_bits
+
+
+def _linear_cutoff(n, u, tol):
+    """The cut-off as the quadrature found it before the bisection: the
+    first u from u_min on whose tail bound fits."""
+    _, einv_hi = eform_bounds(EForm(0, 0, 1), 64)
+    tail_bits = max(1, ceil_log2(2 / tol) + oracles._GUARD_BITS)
+    pw = einv_hi**u
+    while True:
+        t_num = -(-(u ** (n + 1) * pw << tail_bits) // ((u - n) << (64 * u)))
+        if 2 * t_num * tol.denominator <= tol.numerator << tail_bits:
+            return u, Q(t_num, 1 << tail_bits)
+        u += 1
+        pw *= einv_hi
+
+
+def _u_min(n, cuts):
+    return max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
+
+
+@pytest.mark.parametrize("tol", [Q(3, 2), Q(1, 1000), Q(1, 10**9), Q(1, 2**100)])
+def test_tail_cutoff_matches_the_linear_search(tol):
+    # Every n up to 60 with cuts that set u_min or not, then a linear
+    # scan of up to 1,300 steps at a few large n.
+    for n in range(61):
+        for cuts in ([Q(0)], [Q(-1), Q(0), Q(1)], [Q(7, 3)], [Q(90)]):
+            u_min = _u_min(n, cuts)
+            assert oracles._tail_cutoff(n, u_min, tol) == _linear_cutoff(n, u_min, tol)
+    if tol == Q(1, 10**9):
+        for n in (100, 175, 250):
+            assert oracles._tail_cutoff(n, 2 * n + 1, tol) == _linear_cutoff(n, 2 * n + 1, tol)
+
+
+def test_tail_cutoff_is_the_least_fitting_u_up_to_n_250():
+    # Between the linear scans above, each cut-off fits and the u below it,
+    # if in range, does not: with the bound non-increasing in u, that is
+    # the least fitting u the linear scan would stop at.
+    tol = Q(1, 10**9)
+    for n in range(61, 251, 7):
+        u, tail = oracles._tail_cutoff(n, 2 * n + 1, tol)
+        assert _linear_tail_num(n, u, tol) == (tail, True)
+        assert u == 2 * n + 1 or not _linear_tail_num(n, u - 1, tol)[1]
+
+
 def test_one_power_chain_per_sign_and_64_bit_band(monkeypatch):
     # The panels of a pass ask for e^-m at many scales 2^-p; the chains
     # of powers of e and 1/e are built only at p rounded up to 64 bits.

@@ -1,15 +1,20 @@
 """The package API, and which layers a command loads."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import ecount
-from ecount import counts
+from ecount import certified, cli, counts, exact, oracles, specials
+from ecount.certified import EForm, IntervalReal
+from ecount.errors import DomainError
 
 # The package's public names, as they stood when every layer was
 # imported eagerly.
@@ -110,34 +115,111 @@ def test_names_are_looked_up_on_every_access(monkeypatch):
     assert "path_count" not in vars(ecount)
 
 
+# --- the value records ------------------------------------------------------
+
+_IV = IntervalReal(Fraction(1, 3), Fraction(1, 2))
+_F = EForm(-2, 1, 0)
+
+# Each immutable record of the library and the CLI with sample field
+# values, all of them given.  (cli.SuiteResult, the verify suites' mutable
+# tally, is not a value record.)
+_RECORDS = [
+    (certified.CertifiedFloor, (2, 64)),
+    (certified.IntervalReal, (Fraction(1, 3), Fraction(1, 2))),
+    (counts.PathCycleCounts, (4, 5, 11, 10, 36)),
+    (counts.BoundsChain, (5, _F, ((1, Fraction(1, 5), _F),))),
+    (exact.DerangementPoly, (2, (2, 2, 1))),
+    (oracles.EnumerationResult, (5, 11)),
+    (oracles.QuadratureResult, (_IV, 7, Fraction(1, 10**9))),
+    (specials.GammaQuery, (3, Fraction(-1, 2), 96)),
+    (specials.IntegralIdentity, ("int_0^1", _F, _IV)),
+    (cli.CountReport, ("paths", {"n": 4}, "5", True, "5", "5")),
+    (cli.Op, (("n",), abs, "routes", {"m": 3})),
+]
+
+
+def _fields(cls) -> tuple[str, ...]:
+    return getattr(cls, "_fields", None) or cls.__slots__
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS, ids=[c.__name__ for c, _ in _RECORDS])
+def test_records_behave_as_frozen_values(cls, values):
+    fields = _fields(cls)
+    record = cls(*values)
+    assert record == cls(**dict(zip(fields, values)))
+    assert [getattr(record, f) for f in fields] == list(values)
+    # Fields left out take their defaults.
+    defaults = getattr(cls, "_field_defaults", {})
+    short = cls(*values[: len(fields) - len(defaults)])
+    assert all(getattr(short, f) == v for f, v in defaults.items())
+    # Equal by value, and hashed by value where every field is hashable.
+    twin = cls(*copy.deepcopy(values))
+    assert twin == record and twin is not record
+    if not any(isinstance(v, dict) for v in values):
+        assert hash(twin) == hash(record)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, values)
+    ) + ")"
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is cls and clone == record
+
+
+def test_interval_endpoints_become_fractions_in_order():
+    iv = IntervalReal(1, "3/2")
+    assert (type(iv.lo), type(iv.hi)) == (Fraction, Fraction)
+    assert iv == IntervalReal(Fraction(1), Fraction(3, 2))
+    assert IntervalReal(2, 2).width == 0
+    with pytest.raises(DomainError, match="out of order"):
+        IntervalReal(Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(AttributeError):
+        del iv.lo
+    assert iv != (iv.lo, iv.hi)
+
+
 # --- what a fresh interpreter loads ---------------------------------------
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Runs the CLI on its arguments, then prints the loaded ecount layers as
-# the last line of stderr.
-_PROBE = """
+# Modules that no command needs: the old command-line and record
+# libraries, the modules they pulled in, and the installed-package
+# metadata reader.
+_UNNEEDED = ("click", "dataclasses", "inspect", "importlib.metadata")
+
+# Runs the CLI on its arguments, then prints the loaded ecount layers and
+# the loaded modules of _UNNEEDED as the last two lines of stderr.
+_PROBE = f"""
 import sys
 try:
     from ecount.cli import main
     main()
 finally:
     print(*sorted(m[7:] for m in sys.modules if m.startswith("ecount.")), file=sys.stderr)
+    print(*[m for m in {_UNNEEDED!r} if m in sys.modules], file=sys.stderr)
 """
 
 
-def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+def _run_fresh(
+    code: str, *args: str, options: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *options, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
-def _loaded_layers(*args: str) -> set[str]:
+def _loaded(*args: str) -> tuple[set[str], set[str]]:
+    """The ecount layers and the modules of _UNNEEDED that `ecount ARGS`
+    loads in a fresh interpreter."""
     proc = _run_fresh(_PROBE, *args)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    layers, unneeded = proc.stderr.splitlines()[-2:]
+    return set(layers.split()), set(unneeded.split())
 
 
 @pytest.mark.parametrize(
@@ -151,9 +233,36 @@ def _loaded_layers(*args: str) -> set[str]:
     ],
 )
 def test_a_command_loads_only_the_layers_it_calls(args, absent):
-    loaded = _loaded_layers(*args)
+    loaded, unneeded = _loaded(*args)
     assert "cli" in loaded
     assert not loaded & absent, loaded
+    assert not unneeded, unneeded
+
+
+def test_version_is_the_package_version():
+    proc = _run_fresh("from ecount.cli import main; main()", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"ecount, version {ecount.__version__}\n" == "ecount, version 0.1.0\n"
+    assert proc.stderr == ""
+    assert _loaded("--version") == ({"cli", "errors"}, set())
+    # One source for the version: setuptools reads ecount.__version__.
+    pyproject = (Path(_SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = {attr = "ecount.__version__"}' in pyproject
+
+
+def test_importtime_reports_the_layers_a_command_loads():
+    # What the CI step reads: `-X importtime` lists a layer that the
+    # package loads on first use, and no module of _UNNEEDED.
+    proc = _run_fresh(
+        "from ecount.cli import main; main()", "compute", "paths", "--n", "5",
+        options=("-X", "importtime"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[-1].strip() for line in lines if "|" in line}
+    assert {"ecount.exact", "ecount.certified", "ecount.counts"} <= imported
+    assert not imported & {"ecount.oracles", "ecount.specials", *_UNNEEDED}
 
 
 def test_import_ecount_loads_no_layer():
