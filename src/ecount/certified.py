@@ -26,12 +26,21 @@ flooring the lower and ceiling the upper endpoint, and a larger p
 extends it to exactly p by the bracket's new terms and one short
 division.  The sums are divided by D once, with floor division for lo
 and ceiling division for hi, so every step rounds outward and the
-refinement loop builds no `Fraction`.  One driver serves floors and
-signs: a floor is decided when lo >> p == hi >> p, a sign when lo > 0
-or hi < 0.  It starts 64 bits above the magnitude of the form and then
-adds 64, 128, 256, ... bits, so a form thousands of bits wide retries a
-few words finer rather than at twice its size.  When |b| + |c| is small
-it asks the kernel for a few guard bits more than p, so that the
+refinement loop builds no `Fraction`.  A form with |B| = |C|, such as
+(e + 1/e)*n!, takes one product, of B with the summed endpoints of
+e + 1/e or e - 1/e, where the others take one per nonzero coefficient.
+One refinement loop serves floors and signs: a floor is decided when
+lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It starts 64 bits
+above the magnitude of the form and then adds 64, 128, 256, ... bits,
+so a form thousands of bits wide retries a few words finer rather than
+at twice its size.  Each step is a call of :func:`eform_bounds`, which
+keeps the products of its last call: a call on the same form at a
+finer p shifts them by the d new bits and adds B and C times the
+change of the endpoints, about d bits wide, which gives the same
+integers as a fresh start at a cost linear in their size.  This is the
+reuse of the last approximation in Ziv's adaptive strategy, and a first
+step and a retry take the one code path.  When |b| + |c| is small the
+loop asks the kernel for a few guard bits more than p, so that the
 kernel's own rounding does not outweigh the enclosure error.
 
 :func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
@@ -344,6 +353,15 @@ class EForm:
         num, den = _ratio(q)
         return _of(num, 0, 0, den)
 
+    @classmethod
+    def from_integers(cls, big_a: int, big_b: int, big_c: int, den: int) -> "EForm":
+        """The form (big_a + big_b*e + big_c/e) / den for integers with
+        den > 0, kept over den as given: no gcd is taken here, and .a, .b
+        and .c are reduced on first use."""
+        if den <= 0:
+            raise DomainError(f"EForm denominator must be > 0 (got {den})")
+        return _of(big_a, big_b, big_c, den)
+
     def __eq__(self, other):
         if not isinstance(other, EForm):
             return NotImplemented
@@ -600,23 +618,57 @@ def _fixed(name: str, p: int) -> tuple[int, int]:
     return lo >> shift, -(-hi >> shift)
 
 
+# The last step of eform_bounds, (ints, p, x_b, x_c, s): see there.
+_LAST_STEP: tuple = (None, 0, 0, 0, 0)
+
+
 def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward.
 
     e and 1/e enter as fixed-point enclosures of width at most 2 * 2^-p,
     and the one division by the form's denominator D floors lo and ceils
     hi, so (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
+
+    With x_b and x_c the endpoints of e and 1/e at p that make
+    s = B*x_b + C*x_c a lower bound (the lower one for a positive
+    coefficient, the upper one for a negative one), s takes one product
+    per nonzero coefficient, and one in all when |B| = |C|: B times the
+    summed endpoints of e + 1/e or e - 1/e.  A call on the same form as
+    the call before, at p = p0 + d with d >= 0, extends that call's s
+    instead: s = (s0 << d) + B*(x_b - (y_b << d)) + C*(x_c - (y_c << d))
+    is exactly B*x_b + C*x_c, and as both endpoints enclose the same
+    number each correction is about d bits wide, so a step finer costs
+    O(bits) rather than a product as wide as B.  The refinement loop
+    makes exactly such calls; the result is the same integers either way.
     """
+    global _LAST_STEP
     if p < 0:
         raise DomainError(f"precision_bits must be >= 0 (got {p})")
-    big_a, big_b, big_c, den = f._ints
-    lo, spread = big_a << p, 0
-    for num, name in ((big_b, "e"), (big_c, "e_inv")):
-        if num:
-            x_lo, x_hi = _fixed(name, p)
-            lo += num * (x_lo if num > 0 else x_hi)
-            spread += abs(num) * (x_hi - x_lo)
-    q, r = divmod(lo, den)
+    ints = f._ints
+    big_a, big_b, big_c, den = ints
+    x_b = x_c = spread = 0
+    if big_b:
+        e_lo, e_hi = _fixed("e", p)
+        x_b = e_lo if big_b > 0 else e_hi
+        spread = abs(big_b) * (e_hi - e_lo)
+    if big_c:
+        i_lo, i_hi = _fixed("e_inv", p)
+        x_c = i_lo if big_c > 0 else i_hi
+        spread += abs(big_c) * (i_hi - i_lo)
+    # One read of the tuple, so a call from another thread cannot mix in
+    # a state of a different form; the tuple holds ints, so `is` is safe.
+    last, p0, y_b, y_c, s = _LAST_STEP
+    if last is ints and p >= p0:
+        d = p - p0
+        s = (s << d) + big_b * (x_b - (y_b << d)) + big_c * (x_c - (y_c << d))
+    elif big_b == big_c:
+        s = big_b * (x_b + x_c)
+    elif big_b == -big_c:
+        s = big_b * (x_b - x_c)
+    else:
+        s = big_b * x_b + big_c * x_c
+    _LAST_STEP = (ints, p, x_b, x_c, s)
+    q, r = divmod((big_a << p) + s, den)
     return q, q - (-(r + spread) // den)
 
 
@@ -668,8 +720,10 @@ def _refine(
 
     p starts at the start bits and then grows by 64, 128, 256, ... bits:
     a small form roughly doubles p, while a form whose start already
-    spans thousands of bits retries a few words finer instead of
-    recomputing its products at twice the size.
+    spans thousands of bits retries a few words finer.  Each retry asks
+    eform_bounds for the same form at a finer p, so it extends the
+    products of the step before, and only the first step multiplies B
+    and C by full-width endpoints.
     """
     cap = _resolve_cap(cap)
     p = max(8, _start_bits(f) if start_bits is None else start_bits)

@@ -21,12 +21,13 @@ overridden with the ECOUNT_PRECISION_CAP env var.
 
 The parser is stdlib argparse and the records are namedtuples: a cold
 call loads no third-party package, and neither dataclasses nor inspect.
+`json` is imported only by `_json`, when JSON is written: `--format
+json`, a list or dict value, `verify --out` and `table --format json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -138,19 +139,23 @@ class CountReport(
         return out
 
 
+def _json(value: Any, indent: int | None = None) -> str:
+    import json  # here, not at the top: a command that writes no JSON never loads it
+
+    return json.dumps(value, indent=indent)
+
+
 def _value_text(value: Any) -> str:
-    if isinstance(value, dict):
-        if "lo" in value:
-            return f"[{value['lo']}, {value['hi']}] (precision_bits={value['precision_bits']})"
-        return json.dumps(value)
-    if isinstance(value, list):
-        return json.dumps(value)
+    if isinstance(value, dict) and "lo" in value:
+        return f"[{value['lo']}, {value['hi']}] (precision_bits={value['precision_bits']})"
+    if isinstance(value, (dict, list)):
+        return _json(value)
     return str(value)
 
 
 def _print_report(report: CountReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json(report.to_json(), indent=2))
         return
     print(_value_text(report.value))
     if report.verified is not None:
@@ -561,8 +566,7 @@ def cmd_verify(args: argparse.Namespace) -> None:
             "total_failures": failed,
         }
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(_json(payload, indent=2) + "\n")
     _elapsed(t0)
     if failed:
         sys.exit(1)
@@ -585,7 +589,7 @@ _TABLE_QUANTITIES = (
 
 def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(_json(rows, indent=2))
         return
     if not rows:
         return

@@ -331,7 +331,9 @@ def bound_N(n: int, m: int) -> EForm:
              + n! * frac(e*(n+2m)!)/(n+2m)!,
     with the fractional part expanded over e (it contributes the b*e
     term and a rational correction).  The rational part is summed over a
-    common denominator built as one running suffix product.
+    common denominator built as one running suffix product, and the form
+    is built on it unreduced: no gcd of numbers as wide as (n+2m)!/n! is
+    taken here, and `.a` is reduced only when read.
     """
     _require(n >= 2, f"bound_N requires n >= 2 (got n={n})")
     _require(m >= 1, f"bound_N requires m >= 1 (got m={m})")
@@ -344,8 +346,7 @@ def bound_N(n: int, m: int) -> EForm:
         acc += (n + 2 * i - 1) * p
         p *= (n + 2 * i) * (n + 2 * i - 1)
     # Now p = prod(n+1..top).
-    a = _Q(acc - partial_sum_pos(top), p)
-    return EForm(a, factorial(n), 0)
+    return EForm.from_integers(acc - partial_sum_pos(top), factorial(n) * p, 0, p)
 
 
 def _bound_M_family(n: int, m_max: int) -> list[Fraction]:
@@ -370,6 +371,9 @@ def _bound_N_family(n: int, m_max: int) -> list[EForm]:
     With top = n+2m, bound_N's accumulated numerator and its product
     p = prod(n+1..top) grow as acc_m = acc_{m-1}*top*(top-1) + (top-1)
     and p_m = p_{m-1}*top*(top-1), from acc = 0 and p = 1 at m = 0.
+    Each bound is built on p unreduced, as bound_N builds it, so each p
+    divides the next, and the gcd that a difference of two bounds takes
+    ends after one division.
     """
     nf = factorial(n)
     family = []
@@ -377,7 +381,7 @@ def _bound_N_family(n: int, m_max: int) -> list[EForm]:
     for m in range(1, m_max + 1):
         top = n + 2 * m
         acc, p = acc * top * (top - 1) + top - 1, p * top * (top - 1)
-        family.append(EForm(_Q(acc - partial_sum_pos(top), p), nf, 0))
+        family.append(EForm.from_integers(acc - partial_sum_pos(top), nf * p, 0, p))
     return family
 
 

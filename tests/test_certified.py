@@ -452,6 +452,17 @@ def test_unreduced_and_reduced_forms_are_one_value():
     assert certified_floor_info(unreduced[1]) == certified_floor_info(EForm(1, 2, 0))
 
 
+def test_from_integers_keeps_the_given_denominator():
+    f = EForm.from_integers(3, 6, -9, 9)
+    assert f._ints == (3, 6, -9, 9)
+    assert f == EForm(Q(1, 3), Q(2, 3), -1)
+    assert (f.a, f.b, f.c) == (Q(1, 3), Q(2, 3), Q(-1))
+    assert hash(f) == hash(EForm(Q(1, 3), Q(2, 3), -1))
+    for den in (0, -3):
+        with pytest.raises(DomainError):
+            EForm.from_integers(1, 1, 0, den)
+
+
 def test_eform_is_immutable():
     f = EForm(1, 2, 3)
     with pytest.raises(AttributeError):
@@ -648,6 +659,111 @@ def test_kernel_decisions_match_eform_eval_loop(f):
         return
     assert (info.value, info.precision_bits) == _reference(f, _reference_floor)
     assert sign == _reference(f, _reference_sign)[0]
+
+
+def _separate_bounds(f: EForm, p: int) -> tuple[int, int]:
+    """The kernel's bounds at p from scratch: one full product per
+    nonzero coefficient, with the cached endpoint that makes it a lower
+    bound, and one outward division by D."""
+    big_a, big_b, big_c, den = f._ints
+    lo, spread = big_a << p, 0
+    for num, name in ((big_b, "e"), (big_c, "e_inv")):
+        if num:
+            x_lo, x_hi = certified._fixed(name, p)
+            lo += num * (x_lo if num > 0 else x_hi)
+            spread += abs(num) * (x_hi - x_lo)
+    q, r = divmod(lo, den)
+    return q, q - (-(r + spread) // den)
+
+
+# Forms with B = C, B = -C (both signs), B = 0, C = 0 and D > 1, and the
+# multi-step forms of test_kernel_decisions_match_eform_eval_loop.
+_STEP_FORMS = [
+    EForm(0, factorial(300), factorial(300)),
+    EForm(Q(-5, 3), -factorial(250), -factorial(250)),
+    EForm(Q(1, 3), factorial(200), -factorial(200)),
+    EForm(7, -factorial(180), factorial(180)),
+    EForm(Q(-7, 5), 0, factorial(150)),
+    EForm(Q(2, 9), -factorial(120), 0),
+    EForm(Q(1, 7), Q(factorial(90), 11), Q(-factorial(80), 13)),
+    EForm(Q(1, 3), Q(-1, 10**30), Q(1, 10**31)),
+    counts.bound_N(100, 6) + EForm(0, 0, factorial(100)),
+    counts.bound_N(76, 10) + EForm(0, 0, factorial(76)),
+    EForm.from_rational(counts.bound_M(300, 10)) - frac_e_nfact(300),
+]
+
+
+@pytest.mark.parametrize("grow_between", [False, True])
+@pytest.mark.parametrize("f", _STEP_FORMS)
+def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f, grow_between):
+    # A decide that says no four times: every step, extended from the one
+    # before, gives the bounds eform_bounds gives at its precision, and
+    # those are the bounds of one full product per coefficient.  With
+    # grow_between, the cache of e and 1/e is grown between the first two
+    # steps to a finer bracket than the second step needs, so that step
+    # extends endpoints cut from another bracket.
+    monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+    seen = []
+
+    def decide(lo, hi, bits):
+        assert (lo, hi) == eform_bounds(f, bits) == _separate_bounds(f, bits)
+        seen.append(bits)
+        if grow_between and len(seen) == 1:
+            for name in ("e", "e_inv"):
+                certified._fixed(name, bits + 5000)
+        return "yes" if len(seen) == 5 else None
+
+    answer, p = certified._refine(f, None, None, decide, "test")
+    assert answer == "yes"
+    assert [b - a for a, b in zip(seen, seen[1:])] == [64, 128, 256, 512]
+    assert seen[-1] - p == certified._guard_bits(f)
+    if grow_between:
+        assert min(t[0] for t in certified._FIXED.values()) == seen[0] + 5000
+
+
+class _Recording(int):
+    """An integer coefficient that records the bit width of each number
+    it is multiplied by."""
+
+    widths: list[int] = []
+
+    def __mul__(self, other):
+        _Recording.widths.append(abs(other).bit_length())
+        return int(self) * other
+
+
+def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
+    # Only the first step multiplies B and C by endpoints as wide as p;
+    # every retry multiplies them by corrections about d bits wide, d the
+    # 64, 128, 256, 512 bits it adds, and still gives the fresh bounds.
+    big_b, big_c = _Recording(factorial(300)), _Recording(-factorial(290))
+    f = EForm.from_integers(1, big_b, big_c, 7)
+    steps = []
+
+    def decide(lo, hi, bits):
+        steps.append(list(_Recording.widths))
+        assert (lo, hi) == _separate_bounds(f, bits)
+        _Recording.widths.clear()
+        return "yes" if len(steps) == 5 else None
+
+    _Recording.widths.clear()
+    certified._refine(f, None, None, decide, "test")
+    first, retries = steps[0], steps[1:]
+    assert len(first) == 2 and min(first) > 2000
+    assert [len(w) for w in retries] == [2, 2, 2, 2]
+    for w, d in zip(retries, (64, 128, 256, 512)):
+        assert max(w) <= d + 3
+
+
+def test_interleaved_forms_each_get_their_own_bounds():
+    # The kernel extends only the last call's products, and only for the
+    # same form at a p no smaller than before: any other call starts
+    # afresh, so interleaved and descending calls give the fresh bounds.
+    forms = [_STEP_FORMS[0], _STEP_FORMS[2], _STEP_FORMS[0], _STEP_FORMS[6]]
+    for p in (2200, 2300, 2264, 2264, 2100, 2600):
+        for f in forms:
+            assert eform_bounds(f, p) == _separate_bounds(f, p)
+            assert eform_bounds(f, p + 70) == _separate_bounds(f, p + 70)
 
 
 @settings(max_examples=60, deadline=None)

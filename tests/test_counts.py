@@ -192,6 +192,27 @@ def test_bound_families_match_single_bounds(n, m_max):
     ]
 
 
+def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients():
+    # The N bounds are built on their unreduced common denominators; as
+    # values, hash keys and reduced coefficients they are the Fraction
+    # sums of the definition.
+    for n in range(2, 41):
+        nf = factorial(n)
+        family = counts._bound_N_family(n, 12)
+        assert len(family) == 12
+        for m, big_n in enumerate(family, start=1):
+            single = counts.bound_N(n, m)
+            assert big_n == single and hash(big_n) == hash(single)
+            top = n + 2 * m
+            a = sum(Q(nf * (n + 2 * i - 1), factorial(n + 2 * i)) for i in range(1, m + 1))
+            a -= Q(nf * partial_sum_pos(top), factorial(top))
+            for f in (big_n, single):
+                assert isinstance(f, EForm)
+                assert (f.a, f.b, f.c) == (a, nf, 0)
+                assert type(f.a) is Fraction
+            assert hash(big_n) == hash(EForm(a, nf, 0))
+
+
 def test_path_count_grows_the_factorial_table_only(monkeypatch):
     # From empty tables and an empty bracket cache: the exact route needs
     # (n-2)! alone, and the certified route builds its own bracket of e.

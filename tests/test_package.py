@@ -184,10 +184,10 @@ def test_interval_endpoints_become_fractions_in_order():
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Modules that no command needs: the old command-line and record
-# libraries, the modules they pulled in, and the installed-package
-# metadata reader.
-_UNNEEDED = ("click", "dataclasses", "inspect", "importlib.metadata")
+# Modules that no command below needs: the old command-line and record
+# libraries, the modules they pulled in, the installed-package metadata
+# reader, and json, which only a command that writes JSON loads.
+_UNNEEDED = ("click", "dataclasses", "inspect", "importlib.metadata", "json")
 
 # Runs the CLI on its arguments, then prints the loaded ecount layers and
 # the loaded modules of _UNNEEDED as the last two lines of stderr.
