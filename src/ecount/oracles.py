@@ -13,15 +13,22 @@ integer U whose analytic tail bound
 
     integral over [U, inf) <= U^n * e^(-U) / (1 - n/U)      (U > n)
 
-is below tol/2, and [z, U] is covered by panels of width <= 1.  On a
-panel with midpoint m the factor e^-(t-m) is replaced by its Taylor
-polynomial of the smallest even order K <= _MAX_ORDER (240) that meets
-the panel's share; the truncation error is bounded by the same
-geometric-tail estimate used everywhere in this package, and what
-remains is a polynomial whose moment integral is an exact rational
-(`_panel_core`).  Its moment sums depend on the panel's width and K
-but not on m, so they form one table per pass and a panel's surrogate
-integral is an integer Horner sum in its midpoint.  e^-m is enclosed
+is below tol/2.  The panels of [z, U] are sized to the integrand, whose
+peak at t = n is about sqrt(n) wide: the grid holds every integer in
+(z, 1], the multiples in [z, U) of a power of two w near sqrt(n + 1)
+(1 at n = 0, 2 at n = 1..6, 4 at n = 7..30, ..., 16 at n = 127..510)
+and U.  On a panel with midpoint m the factor e^-(t-m) is replaced by
+its Taylor polynomial of the smallest order K on the ladder 16, 32, ...,
+_MAX_ORDER (240) whose truncation error, times the integral of |t|^n
+over the panel and a bound on e^-m (3^ceil(-m) for m < 0, 2^-floor(m)
+for m >= 0, as 2 < e < 3), meets a quarter of the panel's share; a
+panel that no order serves is halved.  The truncation error is bounded
+by the same geometric-tail estimate used everywhere in this package,
+and what remains is a polynomial whose moment integral is an exact
+rational (`_panel_core`).  Its moment sums depend on the panel's width
+and K but not on m, so they form one table per pass and a panel's
+surrogate integral is an integer Horner sum in its midpoint; the coarse
+ladder keeps the tables of a pass few.  e^-m is enclosed
 at a scale 2^-p with integer endpoints rounded outward (`_exp_iv`),
 from the certified kernel's fixed-point enclosures of e and 1/e.  Its
 factors are worked out at P, p rounded up to a multiple of 64, so one
@@ -57,7 +64,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, repeat
-from math import ceil, comb, factorial, floor, gcd, lcm
+from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import mul, ne
 
 from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
@@ -185,9 +192,11 @@ _E_INV = EForm(0, 0, 1)
 # rounding then adds at most 2 * 2^-GUARD of the share to the width.
 _GUARD_BITS = 4
 
-# Even Taylor orders 6, 8, ..., _MAX_ORDER are tried on each panel.  The
-# moment table of an order is built once per pass, so a high cap is paid
-# once per call, not once per panel.
+# Taylor orders _ORDER_STEP, 2 * _ORDER_STEP, ..., _MAX_ORDER are tried on
+# each panel.  The moment table of an order is built once per pass, so a
+# coarse ladder keeps the tables of a pass few and a high cap is paid once
+# per call, not once per panel.
+_ORDER_STEP = 16
 _MAX_ORDER = 240
 
 
@@ -269,7 +278,7 @@ class _PassTables:
         return entry
 
     def remainders(self, den: int, big_h: int) -> list[tuple[int, int, int]]:
-        """(K, rem_num, rem_den) for K = 6, 8, ..., _MAX_ORDER, where
+        """(K, rem_num, rem_den) for K = 16, 32, ..., _MAX_ORDER, where
         rem_num / rem_den = half^(K+1) / ((K+1)! * (1 - half/(K+2))) bounds
         the Taylor remainder of e^-u on |u| <= half = H/den:
         rem = H^(K+1) (K+2) / (den^K (K+1)! ((K+2) den - H))."""
@@ -277,12 +286,12 @@ class _PassTables:
         entry = self._remainders.get(key)
         if entry is None:
             entry = self._remainders[key] = []
-            h_pow, d_pow, fact = big_h**7, den**6, factorial(7)
-            for order in range(6, _MAX_ORDER + 1, 2):
-                if order > 6:
-                    h_pow *= big_h * big_h
-                    d_pow *= den * den
-                    fact *= order * (order + 1)
+            h_step, d_step = big_h**_ORDER_STEP, den**_ORDER_STEP
+            h_pow, d_pow, fact = big_h, 1, 1
+            for order in range(_ORDER_STEP, _MAX_ORDER + 1, _ORDER_STEP):
+                h_pow *= h_step
+                d_pow *= d_step
+                fact *= prod(range(order - _ORDER_STEP + 2, order + 2))
                 entry.append(
                     (order, h_pow * (order + 2), d_pow * fact * ((order + 2) * den - big_h))
                 )
@@ -411,12 +420,16 @@ def _panel(
     else:
         amom = right**k + (-left) ** k
     amom_den = k * den**k
-    # crude bound on e^-m (3 > e covers the negative-m case)
-    ebound = 3 ** -(big_m // den) if big_m < 0 else 1
+    # e^-m <= ebound / 2^e_shift: 3^ceil(-m) for m < 0 (3 > e), and
+    # 2^-floor(m) for m >= 0 (2 < e)
+    if big_m < 0:
+        ebound, e_shift = 3 ** -(big_m // den), 0
+    else:
+        ebound, e_shift = 1, big_m // den
 
-    # smallest even order K <= _MAX_ORDER whose remainder bound rem has
-    # rem * amom * ebound <= share/4, compared over integers
-    c_num, c_den = 4 * amom * ebound * s_den, amom_den * s_num
+    # smallest order K on the ladder whose remainder bound rem has
+    # rem * amom * e^-m <= share/4, compared over integers
+    c_num, c_den = 4 * amom * ebound * s_den, amom_den * s_num << e_shift
     for order, rem_num, rem_den in tables.remainders(den, big_h):
         if c_num * rem_num <= c_den * rem_den:
             break
@@ -430,6 +443,8 @@ def _panel(
     in_den = core_den * scale
     lo, hi = core - err, core + err
 
+    # e^-m comes back about 2^-bits wide in absolute terms when m >= 0, so
+    # the working bits take ebound but not the shift
     bits = max(16, _ceil_log2(4 * max(-lo, hi) * ebound * s_den, in_den * s_num))
     out_bits = max(1, _ceil_log2(s_den, s_num) + _GUARD_BITS)
     for _ in range(3):
@@ -488,8 +503,8 @@ def _quad_pieces(
     cuts is an increasing list of rationals.  Returns one dyadic
     enclosure per piece [cuts[i], cuts[i+1]], the last piece running to
     the cut-off U, plus the tail bound for [U, inf) and the number of
-    panel evaluations.  The panels are the unit panels of [cuts[0], U],
-    also split at each cut, and a panel's width share is
+    panel evaluations.  The panels are those of the module's grid over
+    [cuts[0], U], also split at each cut, and a panel's width share is
     tol/2 * width / (U - cuts[0]), so the pieces together are at most
     tol/2 wide.  Raises PrecisionCapError if the evaluation budget runs
     out before every panel meets its share.
@@ -503,11 +518,15 @@ def _quad_pieces(
     z = cuts[0]
     u, tail = _tail_cutoff(n, max(2 * n + 1, ceil(cuts[-1]) + 1, 6), tol)
 
-    # unit panels split at the cuts; [a, b] at depth k is [a, b] / (den * 2^k)
-    # with share tol/2 * (b - a) / ((U - z) * den * 2^k)
+    # the grid: the cuts, every integer in (z, 1], the multiples of a power
+    # of two near sqrt(n + 1) in [z, U) and U itself; [a, b] at depth k is
+    # [a, b] / (den * 2^k) with share tol/2 * (b - a) / ((U - z) * den * 2^k)
     den = lcm(*(c.denominator for c in cuts))
     cut_nums = [c.numerator * (den // c.denominator) for c in cuts]
-    points = sorted(set(cut_nums).union(range((floor(z) + 1) * den, u * den + 1, den)))
+    step = den << (n + 1).bit_length() // 2
+    grid = set(cut_nums).union(range((floor(z) + 1) * den, den + 1, den), range(0, u * den, step))
+    points = sorted(x for x in grid if x >= cut_nums[0])
+    points.append(u * den)
     share_den = 2 * tol.denominator * (u * den - cut_nums[0])
     tables = _PassTables(n)
     evals = 0

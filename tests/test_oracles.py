@@ -133,9 +133,10 @@ def test_quad_gamma_tolerance_scales():
     assert tight.value.width <= Q(1, 10**12)
 
 
-# sha256 of the enclosure endpoints below, as computed before the panel pass
-# moved to integer coordinates: any change to a single bit shows here.
-_ENCLOSURE_DIGEST = "248d451af5f1c247683bfa6842456a62c5d7f00951bde0c8dd980611d753fb1a"
+# sha256 of the enclosure endpoints below, as computed with panels about
+# sqrt(n + 1) wide and the order ladder 16, 32, ..., 240: any change to a
+# single bit shows here.
+_ENCLOSURE_DIGEST = "e19b53f7f4d925db26a13fe4367fbade86bff3cde69b8755dc40741d2c11fd33"
 
 
 def test_quadrature_enclosures_match_the_pinned_digest():
@@ -221,6 +222,46 @@ def test_one_power_chain_per_sign_and_64_bit_band(monkeypatch):
     bands = {-(-p // 64) * 64 for p in scales}
     assert len(set(scales)) > 2 * len(bands)
     assert {big for big, _ in tables._powers} <= bands
+
+
+def test_panel_grid_stays_inside_z_to_u(monkeypatch):
+    # Panels about sqrt(n + 1) wide start from multiples of their width;
+    # none may reach below the lower limit z or past the cut-off U, and
+    # each enclosure still holds the closed form e^-z * D_n(z).
+    seen = []
+    panel = oracles._panel
+
+    def recording_panel(n, a, b, d, *rest):
+        seen.append((a, b, d))
+        return panel(n, a, b, d, *rest)
+
+    monkeypatch.setattr(oracles, "_panel", recording_panel)
+    for tol in (Q(1, 10**9), Q(1, 10**3)):
+        for z in (Q(7, 5), Q(2), Q(7, 3), Q(5), Q(9)):
+            for n in range(41):
+                seen.clear()
+                res = oracles.quad_gamma(n, z, tol)
+                u, _ = oracles._tail_cutoff(n, _u_min(n, [z]), tol)
+                assert len(seen) == res.evaluations
+                assert all(z <= Q(a, d) < Q(b, d) <= u for a, b, d in seen), (n, z)
+                closed = specials.inc_gamma_int(specials.GammaQuery(n, z, 200))
+                assert res.value.encloses(closed), (n, z, tol)
+
+
+# quad_gamma(n, z, tol).evaluations for n = 0, 1, 2 with unit panels and
+# the order ladder 6, 8, ..., 240, for z = -1, 0, 1, -5/6, 7/3, 1/2
+_UNIT_PANEL_EVALUATIONS = {
+    Q(1, 10**9): ((23, 22, 21, 23, 20, 22), (26, 25, 24, 26, 23, 25), (30, 29, 28, 30, 27, 29)),
+    Q(1, 10**3): ((9, 8, 7, 9, 6, 8), (12, 11, 10, 12, 9, 11), (14, 13, 12, 14, 11, 13)),
+}
+
+
+def test_wide_panels_cut_the_evaluation_count():
+    assert oracles.quad_gamma(25, Q(-1), Q(1, 10**9)).evaluations <= 45
+    for tol, by_n in _UNIT_PANEL_EVALUATIONS.items():
+        for n, counts_before in enumerate(by_n):
+            for z, before in zip((Q(-1), Q(0), Q(1), Q(-5, 6), Q(7, 3), Q(1, 2)), counts_before):
+                assert oracles.quad_gamma(n, z, tol).evaluations <= before, (n, z, tol)
 
 
 def test_quad_gamma_domain():
@@ -373,26 +414,28 @@ def _abs_moment(n, a, b):
 
 def _panel_fraction(n, a, b, share, max_order):
     """The panel enclosure in Fraction and IntervalReal arithmetic: the
-    smallest even order whose remainder times the |t|^n moment and a bound
-    on e^-m is <= share/4, the surrogate core summed term by term, the
-    product with e^-m and outward rounding a few bits past the share."""
+    smallest order 16, 32, ... whose remainder times the |t|^n moment and
+    the bound 3^ceil(-m) (m < 0) or 2^-floor(m) (m >= 0) on e^-m is
+    <= share/4, the surrogate core summed term by term, the product with
+    e^-m (worked out to bits sized by max(1, that bound)) and outward
+    rounding a few bits past the share."""
     m = (a + b) / 2
     half = (b - a) / 2
     amom = _abs_moment(n, a, b)
-    ebound = Q(3) ** ceil(-m) if m < 0 else Q(1)
+    ebound = Q(3) ** ceil(-m) if m < 0 else Q(1, 2 ** floor(m))
     c = 4 * amom * ebound / share
-    order = 6
+    order = 16
     while True:
         rem = half ** (order + 1) / (factorial(order + 1) * (1 - half / (order + 2)))
         if c * rem <= 1:
             break
-        order += 2
+        order += 16
         if order > max_order:
             return None
     core = _panel_core_reference(n, a, b, order)
     inner = IntervalReal(core - rem * amom, core + rem * amom)
     mag = max(abs(inner.lo), abs(inner.hi))
-    bits = max(16, ceil_log2(4 * mag * ebound / share))
+    bits = max(16, ceil_log2(4 * mag * max(1, ebound) / share))
     out_bits = max(1, ceil_log2(1 / share) + 4)
     for _ in range(3):
         out = (_exp_iv_fraction(-m, bits) * inner).round_out(out_bits)
@@ -417,13 +460,18 @@ def _panel_interval(n, a, b, share, tables=None):
 
 @st.composite
 def _panels(draw):
-    """Panels as a pass makes them: unit panels, panels from a cut to the
-    next integer, and halves of those after subdivision."""
+    """Panels as a pass makes them: unit panels, panels 2 to 16 wide on
+    multiples of their width, panels from a cut to the next integer, and
+    halves of those after subdivision."""
     a = draw(st.fractions(min_value=-3, max_value=70, max_denominator=12))
-    kind = draw(st.sampled_from(("unit", "cut", "half")))
+    kind = draw(st.sampled_from(("unit", "wide", "cut", "half")))
     if kind == "unit":
         a = Q(floor(a))
         return a, a + 1
+    if kind == "wide":
+        width = 2 ** draw(st.integers(min_value=1, max_value=4))
+        a = Q(max(0, floor(a)) // width * width)
+        return a, a + width
     if kind == "cut":
         return a, Q(floor(a) + 1)
     return a, a + Q(1, 2 ** draw(st.integers(min_value=1, max_value=8)))
@@ -446,6 +494,8 @@ _SHARES = st.builds(
 @example(3, (Q(-5, 6), Q(0)), Q(1, 10**9))
 @example(3, (Q(0), Q(1)), Q(50, 7))
 @example(30, (Q(-1), Q(0)), Q(1, 2**2500))
+@example(20, (Q(20), Q(24)), Q(1, 10**11))
+@example(8, (Q(56), Q(64)), Q(1, 10**9))
 def test_panel_matches_the_fraction_panel(n, panel, share):
     a, b = panel
     want = _panel_fraction(n, a, b, share, oracles._MAX_ORDER)
