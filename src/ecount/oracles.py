@@ -13,7 +13,8 @@ integer U whose analytic tail bound
 
     integral over [U, inf) <= U^n * e^(-U) / (1 - n/U)      (U > n)
 
-is below tol/2.  The panels of [z, U] are sized to the integrand, whose
+is below tol/2 (the least such U, guessed in floats and confirmed
+exactly).  The panels of [z, U] are sized to the integrand, whose
 peak at t = n is about sqrt(n) wide: the grid holds every integer in
 (z, 1], the multiples in [z, U) of a power of two w near sqrt(n + 1)
 (1 at n = 0, 2 at n = 1..6, 4 at n = 7..30, ..., 16 at n = 127..510)
@@ -62,9 +63,10 @@ closed form it audits: not derangement numbers, not D_n(z), not
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations, repeat
-from math import ceil, comb, factorial, floor, gcd, lcm, prod
+from math import ceil, comb, factorial, floor, gcd, lcm, log, prod
 from operator import mul, ne
 
 from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
@@ -236,7 +238,7 @@ class _PassTables:
     def __init__(self, n: int) -> None:
         self.n = n
         self._cores: dict[tuple[int, int, int], tuple[list[int], int]] = {}
-        self._remainders: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._remainders: dict[tuple[int, int], tuple[list[tuple[int, int, int]], list[int]]] = {}
         self._powers: dict[tuple[int, bool], tuple[int, int, list[int], list[int]]] = {}
         self._taylor: dict[tuple[int, int, int], tuple[int, int]] = {}
 
@@ -277,25 +279,30 @@ class _PassTables:
             entry = self._cores[key] = (coeffs, ell * factorial(order) * den**top)
         return entry
 
-    def remainders(self, den: int, big_h: int) -> list[tuple[int, int, int]]:
-        """(K, rem_num, rem_den) for K = 16, 32, ..., _MAX_ORDER, where
+    def remainders(self, den: int, big_h: int) -> Iterator[tuple[int, int, int]]:
+        """Yields (K, rem_num, rem_den) for K = 16, 32, ..., _MAX_ORDER, where
         rem_num / rem_den = half^(K+1) / ((K+1)! * (1 - half/(K+2))) bounds
         the Taylor remainder of e^-u on |u| <= half = H/den:
-        rem = H^(K+1) (K+2) / (den^K (K+1)! ((K+2) den - H))."""
+        rem = H^(K+1) (K+2) / (den^K (K+1)! ((K+2) den - H)).
+
+        The rows are built only up to the highest K a panel has read: the
+        running H^(K+1), den^K and (K+1)! are kept with them, and the next
+        row extends those by one step of the ladder."""
         key = (den, big_h)
         entry = self._remainders.get(key)
         if entry is None:
-            entry = self._remainders[key] = []
-            h_step, d_step = big_h**_ORDER_STEP, den**_ORDER_STEP
-            h_pow, d_pow, fact = big_h, 1, 1
-            for order in range(_ORDER_STEP, _MAX_ORDER + 1, _ORDER_STEP):
-                h_pow *= h_step
-                d_pow *= d_step
-                fact *= prod(range(order - _ORDER_STEP + 2, order + 2))
-                entry.append(
-                    (order, h_pow * (order + 2), d_pow * fact * ((order + 2) * den - big_h))
-                )
-        return entry
+            entry = self._remainders[key] = ([], [big_h, 1, 1])
+        rows, running = entry
+        yield from rows
+        while len(rows) < _MAX_ORDER // _ORDER_STEP:
+            order = (len(rows) + 1) * _ORDER_STEP
+            h_pow, d_pow, fact = running
+            h_pow *= big_h**_ORDER_STEP
+            d_pow *= den**_ORDER_STEP
+            fact *= prod(range(order - _ORDER_STEP + 2, order + 2))
+            running[:] = h_pow, d_pow, fact
+            rows.append((order, h_pow * (order + 2), d_pow * fact * ((order + 2) * den - big_h)))
+            yield rows[-1]
 
     def power(self, p: int, q: int) -> tuple[int, int]:
         """Integers lo <= e^q * 2^p <= hi: the |q|-th power of the
@@ -468,31 +475,50 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     With e^-1 <= h / 2^64 the bound is U^(n+1) * h^U / ((U - n) * 2^(64 U)).
     For U >= 2n + 1 the ratio of consecutive bounds is at most
     (1 + 1/U)^(n+1) * h / 2^64 < 1, so the bound, and its rounding up,
-    never increase with U: the search doubles its step from u_min until
-    a U fits, then bisects down to the least one.
+    never increase with U.  A float guess g solves
+    (n+1) ln U - U - ln(U - n) = ln(tol/2), the logarithm of the bound
+    at tol/2, by fixed-point steps; the logs of tol come from its integer
+    numerator and denominator, so no tiny tol underflows.  Exact `fits`
+    tests then confirm it: from g, the search doubles its step up while
+    U does not fit, or down while U - 1 still fits, then bisects to the
+    least fitting U.  A right guess costs two exact tests.
     """
     _, einv_hi = eform_bounds(_E_INV, 64)
     tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
     limit = tol.numerator << tail_bits
 
-    def tail_num(u: int) -> int:
-        return -(-(u ** (n + 1) * einv_hi**u << tail_bits) // ((u - n) << (64 * u)))
+    nums: dict[int, int] = {}
 
     def fits(u: int) -> bool:
-        return 2 * tail_num(u) * tol.denominator <= limit
+        num = nums[u] = -(-(u ** (n + 1) * einv_hi**u << tail_bits) // ((u - n) << (64 * u)))
+        return 2 * num * tol.denominator <= limit
+
+    # U = (n+1) ln U - ln(U - n) - ln(tol/2) contracts for U >= 2n + 1,
+    # where the slope (n+1)/U - 1/(U - n) of its right side is below 1/2
+    log_half_tol = log(tol.numerator) - log(tol.denominator) - log(2)
+    guess = float(u_min)
+    for _ in range(8):
+        guess = max(float(u_min), (n + 1) * log(guess) - log(guess - n) - log_half_tol)
+    guess = max(u_min, ceil(guess))
 
     # bad < U <= good throughout; u_min - 1 stands for "below the range"
-    bad, good, step = u_min - 1, u_min, 1
-    while not fits(good):
-        bad, step = good, 2 * step
-        good = bad + step
+    if fits(guess):
+        bad, good, step = guess - 1, guess, 1
+        while bad >= u_min and fits(bad):
+            good, step = bad, 2 * step
+            bad = max(u_min - 1, good - step)
+    else:
+        bad, good, step = guess, guess + 1, 1
+        while not fits(good):
+            bad, step = good, 2 * step
+            good = bad + step
     while good - bad > 1:
         mid = (bad + good) // 2
         if fits(mid):
             good = mid
         else:
             bad = mid
-    return good, _Q(tail_num(good), 1 << tail_bits)
+    return good, _Q(nums[good], 1 << tail_bits)
 
 
 def _quad_pieces(

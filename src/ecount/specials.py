@@ -14,7 +14,8 @@ certified intervals from independent routes and must overlap.
 
 Finally, integral over [z, inf) of e^-t * t^n dt equals e^-z * D_n(z),
 which turns six specific integrals of e^-t * t^n into exact e-linear
-closed forms; each is checked against the rigorous quadrature oracle.
+closed forms; each must lie in its enclosure from the rigorous
+quadrature oracle, a containment the certified kernel decides.
 One quadrature pass, cut at -1, 0 and 1, gives the enclosures of all six:
 the finite ranges are sums of their own panels, and the ranges to
 infinity add the panels beyond and the tail bound.
@@ -242,13 +243,16 @@ def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
     from the other end when p < 0.  Every term is at most e^|x| <= 2^mag,
     so each of the K rounded terms carries error of order 2^mag units and
     the guard is mag + log2(K) bits; if the width still misses 2^-bits
-    the guard doubles and the sum runs again.
+    the guard doubles and the sum runs again.  The ratio's magnitude is
+    below 1/2 from the term after k_geo = ceil(2|x|) - 1 on: for rational
+    x, 2|x| <= k + 1 exactly when k >= k_geo, so the loop tests ints only.
     """
     num, den = x.numerator, x.denominator
-    ax = abs(x)
-    mag = ceil(ax * _LOG2_E_UP)
+    mag = ceil(abs(x) * _LOG2_E_UP)
+    two_ax = -(-2 * abs(num) // den)
+    k_geo = two_ax - 1
     # about 2|x| terms until the ratio drops to 1/2, then mag + bits more
-    terms = ceil(2 * ax) + mag + bits + 2
+    terms = two_ax + mag + bits + 2
     guard = mag + terms.bit_length() + 2
     while True:
         # the tail target 2^-(bits+1) is 2^guard units
@@ -267,7 +271,7 @@ def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
             acc_lo += lo
             acc_hi += hi
             # after the ratio drops below 1/2 the tail is geometric
-            if 2 * ax <= k + 1:
+            if k >= k_geo:
                 big = 2 * max(-lo, hi) * abs(num) * (n + 2 + k)
                 bound = -(-big // (den * (n + 3 + k) * (k + 1)))
                 if bound <= 1 << guard:
@@ -341,8 +345,10 @@ def integral_identities(
     The [-1, 1] case is e*D_n - floor(e*n!)/e; for n >= 2 the D_n here
     is produced as the two-floor difference
     floor((e + 1/e)*n!) - floor(e*n!), a rewriting that is only valid
-    from n = 2 on.  Each closed form must overlap its quadrature
-    enclosure, else InvariantViolation.
+    from n = 2 on.  Each closed form must lie in its quadrature
+    enclosure, which the certified kernel decides as the signs of
+    f - lo and hi - f, else InvariantViolation naming every range that
+    fails; precision_bits only sets the digits of that message.
 
     The enclosures come from one quadrature pass over [-1, U], cut at 0
     and 1, with pieces P1 = [-1, 0], P2 = [0, 1] and P3 = [1, U]:
@@ -392,12 +398,19 @@ def integral_identities(
         IntegralIdentity("-1..0", left_form, p_left),
         IntegralIdentity("-1..1", EForm(0, b_sym, -floor_e), p_left + p_mid),
     )
-    for rec in records:
-        closed_iv = eform_eval(rec.closed_form, precision_bits)
-        if not closed_iv.overlaps(rec.enclosure):
-            raise InvariantViolation(
+    outside = [
+        rec
+        for rec in records
+        if eform_sign(rec.closed_form - rec.enclosure.lo) < 0
+        or eform_sign(rec.enclosure.hi - rec.closed_form) < 0
+    ]
+    if outside:
+        raise InvariantViolation(
+            "; ".join(
                 f"integral over [{rec.label}] at n={n}: closed form "
-                f"{closed_iv.to_decimal(15)} does not meet quadrature "
-                f"{rec.enclosure.to_decimal(15)}"
+                f"{eform_eval(rec.closed_form, precision_bits).to_decimal(15)} "
+                f"does not lie in quadrature {rec.enclosure.to_decimal(15)}"
+                for rec in outside
             )
+        )
     return records

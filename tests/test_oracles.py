@@ -5,6 +5,7 @@ so they get their own direct tests at small sizes.
 """
 
 import hashlib
+import math
 import time
 from fractions import Fraction
 from math import ceil, comb, floor, lcm, prod
@@ -199,6 +200,41 @@ def test_tail_cutoff_is_the_least_fitting_u_up_to_n_250():
         u, tail = oracles._tail_cutoff(n, 2 * n + 1, tol)
         assert _linear_tail_num(n, u, tol) == (tail, True)
         assert u == 2 * n + 1 or not _linear_tail_num(n, u - 1, tol)[1]
+
+
+# (U, tail numerator, log2 of the tail denominator) of _tail_cutoff(n,
+# max(2n + 1, 6), tol), as the doubling-and-bisection search found them
+_TAIL_CUTOFF_PINS = {
+    (0, Q(1, 10**400)): (922, 15, 1334),
+    (5, Q(1, 10**400)): (957, 1, 1331),
+    (40, Q(1, 10**400)): (1206, 13, 1334),
+    (0, Q(1, 2**3000)): (2081, 7, 3005),
+    (5, Q(1, 2**3000)): (2119, 5, 3004),
+    (40, Q(1, 2**3000)): (2392, 9, 3005),
+    (1000, Q(1, 10**9)): (9143, 9, 35),
+}
+
+
+@pytest.mark.parametrize("n, tol", list(_TAIL_CUTOFF_PINS))
+def test_tail_cutoff_keeps_its_values_at_tiny_tol_and_large_n(n, tol):
+    # tol far below the smallest float and an n far past the linear
+    # scans above: the float guess must neither fail nor move U.
+    u, num, bits = _TAIL_CUTOFF_PINS[n, tol]
+    assert oracles._tail_cutoff(n, max(2 * n + 1, 6), tol) == (u, Q(num, 1 << bits))
+
+
+@pytest.mark.parametrize("skew", (0.5, 0.9, 1.1, 3.0))
+def test_tail_cutoff_finds_the_least_u_from_a_bad_guess(skew, monkeypatch):
+    # Logs scaled by skew put the float guess far below or above the
+    # cut-off; the exact search from the guess must still end at it.
+    want = {
+        (n, tol): oracles._tail_cutoff(n, 2 * n + 1, tol)
+        for n in (0, 3, 17, 60)
+        for tol in (Q(1, 1000), Q(1, 10**9), Q(1, 10**40))
+    }
+    monkeypatch.setattr(oracles, "log", lambda v: skew * math.log(v))
+    for (n, tol), got in want.items():
+        assert oracles._tail_cutoff(n, 2 * n + 1, tol) == got == _linear_cutoff(n, 2 * n + 1, tol)
 
 
 def test_one_power_chain_per_sign_and_64_bit_band(monkeypatch):
@@ -504,6 +540,23 @@ def test_panel_matches_the_fraction_panel(n, panel, share):
     tables = oracles._PassTables(n)
     assert _panel_interval(n, a, b, share, tables) == want
     assert _panel_interval(n, a, b, share, tables) == want
+
+
+@pytest.mark.parametrize("den, big_h", ((2, 1), (1, 4), (6, 1), (3, 2)))
+def test_remainder_rows_are_built_only_as_far_as_read(den, big_h):
+    # Each row bounds the Taylor remainder half^(K+1) / ((K+1)! (1 -
+    # half/(K+2))); reading three rows builds three, and reading on
+    # extends them to the full ladder with the same first rows.
+    tables = oracles._PassTables(3)
+    first = list(zip(range(3), tables.remainders(den, big_h)))
+    assert len(tables._remainders[den, big_h][0]) == 3
+    rows = list(tables.remainders(den, big_h))
+    assert [row for _, row in first] == rows[:3]
+    half = Q(big_h, den)
+    orders = range(oracles._ORDER_STEP, oracles._MAX_ORDER + 1, oracles._ORDER_STEP)
+    assert [k for k, _, _ in rows] == list(orders)
+    for k, num, rem_den in rows:
+        assert Q(num, rem_den) == half ** (k + 1) / (factorial(k + 1) * (1 - half / (k + 2)))
 
 
 @pytest.mark.parametrize("n", (0, 7, 20))

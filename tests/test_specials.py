@@ -1,6 +1,8 @@
 """Hypergeometric forms, the exponential enclosure, the incomplete
 gamma bridge, and the six integral identities."""
 
+import hashlib
+import re
 from fractions import Fraction
 from math import floor
 
@@ -249,6 +251,47 @@ def test_series_1f1_doubles_a_short_guard(monkeypatch):
     assert iv.encloses(_series_reference(3, Q(40), 260))
 
 
+# sha256 of the _series_1f1 endpoints below, as the series computed them
+# before its stop test ran on integers
+_SERIES_DIGEST = "f3ebdb546afd1bed57682d8b7ab067f77e0495d13452657e5c11382326ccc1ae"
+
+
+def test_series_1f1_endpoints_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for n in (0, 5, 19):
+        for x in (Q(1, 2), Q(-1, 2), Q(50), Q(-50), Q(2597, 8), Q(-2597, 8)):
+            for bits in (60, 96):
+                iv = specials._series_1f1(n, x, bits)
+                h.update(f"{n} {x} {bits} {iv.lo} {iv.hi}\n".encode())
+    assert h.hexdigest() == _SERIES_DIGEST
+
+
+def test_series_1f1_makes_no_fraction_operation_per_term(monkeypatch):
+    # The series stops on an integer test, so its Fraction work is the same
+    # few operations at x = 1/2 (a handful of terms) as at x = -2597/8
+    # (about 2,000 terms).
+    counts = {}
+
+    def counting(name):
+        method = getattr(Fraction, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    made = []
+    for x in (Q(1, 2), Q(-2597, 8)):
+        counts.clear()
+        specials._series_1f1(5, x, 96)
+        made.append(dict(counts))
+    assert made[0] == made[1]
+    assert sum(made[0].values()) < 10
+
+
 def test_exp_and_series_stop_at_the_precision_cap(monkeypatch):
     # The working precision is known before any big work, so an argument
     # past the cap raises at once instead of running for hours.
@@ -433,3 +476,41 @@ def test_integral_identities_keep_the_evaluation_budget(monkeypatch):
     monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
     with pytest.raises(PrecisionCapError):
         specials.integral_identities(5)
+
+
+def test_integral_check_needs_no_interval_evaluation(monkeypatch):
+    # Containment is decided by the certified kernel's signs; eform_eval
+    # only formats the message of a failed check.
+    def refuse(*args):
+        raise AssertionError("eform_eval called on a passing check")
+
+    monkeypatch.setattr(specials, "eform_eval", refuse)
+    for n in range(1, 9):
+        assert len(specials.integral_identities(n)) == 6
+
+
+@pytest.mark.parametrize("index, label", ((0, "-1..0"), (1, "0..1"), (2, "1..inf")))
+def test_integral_check_names_a_shifted_piece(index, label, monkeypatch):
+    # Piece `index` of the pass moves up by twice its width; the width of
+    # the last piece, which runs to infinity, includes the tail bound.
+    real = specials._quad_pieces
+
+    def shifted(n, cuts, tol):
+        pieces, tail, evals = real(n, cuts, tol)
+        piece = pieces[index]
+        step = 2 * (piece.width + (tail if index == 2 else 0))
+        pieces[index] = IntervalReal(piece.lo + step, piece.hi + step)
+        return pieces, tail, evals
+
+    monkeypatch.setattr(specials, "_quad_pieces", shifted)
+    for n in (1, 4, 11):
+        with pytest.raises(InvariantViolation, match=re.escape(f"[{label}] at n={n}: ")):
+            specials.integral_identities(n)
+
+
+def test_integral_closed_forms_lie_in_their_enclosures():
+    from ecount.certified import eform_eval
+
+    for n in range(1, 21):
+        for r in specials.integral_identities(n):
+            assert r.enclosure.encloses(eform_eval(r.closed_form, 200)), (n, r.label)
