@@ -15,7 +15,9 @@ would-be infinite loop on a rational-valued form into an error instead.
 
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
-API edge, in the reduced coefficients `.a`, `.b`, `.c`.
+API edge, in the reduced coefficients `.a`, `.b`, `.c`.  A form of int
+coefficients, or one made by `EForm.from_integers`, is built, floored
+and signed without any `Fraction`.
 
 Floors and signs are decided by a fixed-point kernel,
 :func:`eform_bounds`: integers lo <= f * 2^p <= hi at the shared scale
@@ -293,16 +295,24 @@ class EForm:
     """The rational-linear expression a + b*e + c*(1/e).
 
     Held as integers (A, B, C, D), D > 0, for (A + B*e + C/e) / D, not
-    necessarily in lowest terms.  `+`, `-` and `scale` take no gcd when
-    the denominators agree and one gcd of the two denominators when
-    they differ; `==` and `hash` compare values.  `.a`, `.b` and `.c`
-    are reduced `Fraction`s: the ones the form was built from, or else
-    reduced from the integers on first use, once per form.
+    necessarily in lowest terms.  Three `int` coefficients give (a, b,
+    c, 1) directly, with no `Fraction`; other coefficients are brought
+    to the least common denominator D.  `+`, `-` and `scale` take no gcd
+    when the denominators agree and one gcd of the two denominators when
+    they differ; `==` and `hash` compare values.
+
+    `.a`, `.b` and `.c` are reduced `Fraction`s.  A form built over D > 1
+    from `int` and `Fraction` coefficients keeps them as Fractions when it
+    is built; any other form reduces A/D, B/D and C/D when they are first
+    read (by them, `hash`, `repr` or `to_triple`), once per form.
     """
 
     __slots__ = ("_ints", "_abc")
 
     def __init__(self, a, b, c) -> None:
+        if type(a) is int and type(b) is int and type(c) is int:
+            _set(self, "_ints", (a, b, c, 1))
+            return
         (na, da), (nb, db), (nc, dc) = _ratio(a), _ratio(b), _ratio(c)
         d = da
         for x in (db, dc):

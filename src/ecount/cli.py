@@ -768,8 +768,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     sys.exit(0)
 
 
-# Callers written for the click command group that `main` once was call
-# `main.main(args=..., prog_name=...)`.
+# The traced entry point of the benchmark, perfbench/cli_shim.py, calls
+# `ecount.cli.main.main(args=..., prog_name=...)`, the call shape of the
+# click command group that `main` once was; tests/test_cli.py pins it.
 main.main = main
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .certified import EForm, certified_floor, eform_lt
 from .errors import DomainError, InvariantViolation
@@ -238,7 +238,9 @@ def derangement_lambda(n: int, lam: Fraction) -> int:
     window breaks.
     """
     _require(n >= 1, f"derangement_lambda requires n >= 1 (got {n})")
-    return certified_floor(EForm(_Q(lam), 0, factorial(n)))
+    lam = _Q(lam)
+    den = lam.denominator
+    return certified_floor(EForm.from_integers(lam.numerator, 0, factorial(n) * den, den))
 
 
 def derangement_eq2(n: int) -> int:
@@ -250,13 +252,15 @@ def derangement_eq2(n: int) -> int:
 def derangement_eq3(n: int) -> int:
     """certified floor(n!/e + 1/n), equal to derangements(n) for n >= 2."""
     _require(n >= 2, f"derangement_eq3 requires n >= 2 (got {n})")
-    return certified_floor(EForm(_Q(1, n), 0, factorial(n)))
+    return certified_floor(EForm.from_integers(1, 0, factorial(n) * n, n))
 
 
 def derangement_eq4(n: int) -> int:
     """certified floor(n!/e + (n+2)/(n+1)^2), equal to derangements(n) for n >= 2."""
     _require(n >= 2, f"derangement_eq4 requires n >= 2 (got {n})")
-    return certified_floor(EForm(_Q(n + 2, (n + 1) ** 2), 0, factorial(n)))
+    # (n+2)/(n+1)^2 is in lowest terms, as n+2 and n+1 are coprime.
+    den = (n + 1) ** 2
+    return certified_floor(EForm.from_integers(n + 2, 0, factorial(n) * den, den))
 
 
 def derangement_eq5(n: int, m: int) -> int:
@@ -270,10 +274,15 @@ def derangement_eq5(n: int, m: int) -> int:
     _require(n >= 2, f"derangement_eq5 requires n >= 2 (got n={n})")
     _require(m >= 3, f"derangement_eq5 requires m >= 3 (got m={m})")
     nf = factorial(n)
-    # Over the common denominator t^2 * (t-1)!/n! with t = n+m-1.
+    # Over the common denominator t^2 * (t-1)!/n! with t = n+m-1, then
+    # reduced, so the form is the one built from A as a Fraction.
     t = n + m - 1
-    a = _Q(partial_sum_pos(t - 1) * t * t + n + m, t * t * prod(range(n + 1, t)))
-    return certified_floor(EForm(a, 0, nf)) - certified_floor(EForm(0, nf, 0))
+    num = partial_sum_pos(t - 1) * t * t + n + m
+    den = t * t * prod(range(n + 1, t))
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    head = EForm.from_integers(num, 0, nf * den, den)
+    return certified_floor(head) - certified_floor(EForm(0, nf, 0))
 
 
 def derangement_eq6(n: int) -> int:

@@ -1,7 +1,9 @@
 """Certified engine: enclosures of e and 1/e, interval arithmetic,
 and the adaptive certified floor."""
 
+import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -497,6 +499,70 @@ def test_eform_survives_pickle_and_copy():
     f = EForm(Q(1, 2), 0, 0) + EForm(Q(1, 2), 1, Q(-7, 3))
     for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert g == f and g._ints == f._ints
+
+
+_COEFFICIENT = st.one_of(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+)
+
+
+def _over_least_common_denominator(a, b, c) -> tuple[int, int, int, int]:
+    qs = [Q(x) for x in (a, b, c)]
+    den = math.lcm(*(q.denominator for q in qs))
+    return (*(q.numerator * (den // q.denominator) for q in qs), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)
+@example(0, factorial(30), factorial(30))
+@example(-(10**60), 0, 7)
+@example(Q(1, 2), 3, 0)
+@example(Q(3), Q(-4), 5)
+def test_int_coefficients_build_the_form_fraction_coefficients_build(a, b, c):
+    # Three ints take the integer branch of EForm(); the same values as
+    # Fractions take the general one.  Both give the form over the least
+    # common denominator, with the same coefficients, value and hash.
+    f = EForm(a, b, c)
+    general = EForm(Q(a), Q(b), Q(c))
+    assert f._ints == general._ints == _over_least_common_denominator(a, b, c)
+    assert (f.a, f.b, f.c) == (general.a, general.b, general.c) == (Q(a), Q(b), Q(c))
+    assert all(type(x) is Fraction for x in (f.a, f.b, f.c, general.a, general.b, general.c))
+    assert f == general and hash(f) == hash(general) == hash((Q(a), Q(b), Q(c)))
+    assert f.to_triple() == general.to_triple() and repr(f) == repr(general)
+    for g in (f, general):
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._ints == g._ints and clone == f and hash(clone) == hash(f)
+    if f._ints[3] > 1:
+        # Over a denominator D > 1, a Fraction coefficient is kept as given.
+        for given_value, read in zip((a, b, c), (f.a, f.b, f.c)):
+            if type(given_value) is Fraction:
+                assert read is given_value
+
+
+def test_integer_forms_are_floored_and_signed_without_a_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    n = 50
+    nf, s = factorial(n), exact.partial_sum_pos(n)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    results = [
+        certified_floor(EForm(0, nf, 0)),
+        certified_floor(EForm(0, nf, nf)),
+        certified_floor(EForm.from_integers(1, 0, nf * n, n)),
+        eform_sign(EForm(-s, nf, 0)),
+        eform_sign(EForm(s + 1, -nf, 0)),
+        eform_sign(EForm(0, nf, 0) - EForm.from_integers(1, nf, 0, 3)),
+        eform_lt(EForm(-s, nf, 0), EForm.from_integers(1, 0, 0, n)),
+    ]
+    assert made == []
+    monkeypatch.undo()
+    assert results == [s, s + exact.derangements(n), exact.derangements(n), 1, 1, 1, True]
 
 
 _SMALL = st.fractions(min_value=-50, max_value=50, max_denominator=60)

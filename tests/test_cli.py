@@ -41,6 +41,19 @@ def _decimal(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def test_main_main_alias_runs_main_with_args_and_prog_name(capsys):
+    # perfbench/cli_shim.py runs the command through this alias.
+    assert cli.main.main is cli.main
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["compute", "derangements", "--n", "5"], prog_name="ecount")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "44\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=["compute", "no-such-op"], prog_name="shim")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: shim compute ")
+
+
 def test_compute_derangements_past_int_digit_limit():
     # D_1700 has 4,756 digits, more than the 4300 that str(int) allows
     # by default on Python 3.11+.

@@ -2,10 +2,10 @@
 certified bound chain."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecount import certified, counts, exact
@@ -317,6 +317,117 @@ def test_thm7_tail_added_once():
         for m in (2, 3):
             assert counts.derangement_thm7(n, m) == derangements(n)
             assert thm7_tail_inside(n, m) != derangements(n)
+
+
+def _sum_over_one_gcd(f: EForm, g: EForm) -> tuple[int, int, int, int]:
+    """The integers of f + g over d1 * d2 / gcd(d1, d2), whatever d1 and d2."""
+    a1, b1, c1, d1 = f._ints
+    a2, b2, c2, d2 = g._ints
+    g = gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return a1 * m1 + a2 * m2, b1 * m1 + b2 * m2, c1 * m1 + c2 * m2, d1 * m1
+
+
+def _recording(real, seen):
+    def record(*forms, **kwargs):
+        seen.extend(forms)
+        return real(*forms, **kwargs)
+
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=40),
+    st.fractions(min_value=0, max_value=2, max_denominator=1000),
+)
+@example(1, 1, Q(1, 3))
+@example(2, 3, Q(1, 2))
+@example(300, 40, Q(1))
+def test_integer_built_forms_are_the_fraction_built_ones(n, m, lam):
+    # The floor family and the chain build their forms from integers; each
+    # has the integers of the form built from the Fraction coefficients.
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counts, "certified_floor", _recording(certified.certified_floor, seen))
+        mp.setattr(counts, "eform_lt", _recording(certified.eform_lt, seen))
+        _check_forms_of_the_family_and_chain(n, m, lam, seen)
+
+
+def _check_forms_of_the_family_and_chain(n, m, lam, seen):
+    nf = factorial(n)
+    zero = Q(0)
+    cases = [
+        (lambda: counts.derangement_eq2(n), [EForm(zero, zero, Q(nf + 1))]),
+        (lambda: counts.derangement_lambda(n, lam), [EForm(lam, zero, Q(nf))]),
+    ]
+    if n >= 2:
+        m5, t = max(m, 3), n + max(m, 3) - 1
+        head5 = nf * (sum(Q(1, factorial(i)) for i in range(t)) + Q(n + m5, t * factorial(t)))
+        e_nf = EForm(zero, Q(nf), zero)
+        cases += [
+            (lambda: counts.derangement_eq3(n), [EForm(Q(1, n), zero, Q(nf))]),
+            (lambda: counts.derangement_eq4(n), [EForm(Q(n + 2, (n + 1) ** 2), zero, Q(nf))]),
+            (lambda: counts.derangement_eq5(n, m5), [EForm(head5, zero, Q(nf)), e_nf]),
+            (lambda: counts.derangement_eq6(n), [EForm(zero, Q(nf), Q(nf)), e_nf]),
+        ]
+    for call, want in cases:
+        seen.clear()
+        call()
+        assert [f._ints for f in seen] == [f._ints for f in want]
+    if n < 2:
+        return
+
+    seen.clear()
+    assert counts.derangement_thm7(n, m) == derangements(n)
+    (form,) = seen
+    assert form._ints == _sum_over_one_gcd(counts.bound_N(n, m), EForm(zero, zero, Q(nf)))
+
+    seen.clear()
+    dn = derangements(n)
+    counts.chain_check(n, m)
+    chain = seen[:1] + seen[1::2]
+    assert seen[2::2] == seen[1:-1:2]
+    head = EForm(Q(dn), zero, Q(-nf)) if n % 2 == 0 else EForm(Q(-dn), zero, Q(nf))
+    want = [head]
+    want += [counts.bound_N(n, k) for k in range(m, 0, -1)]
+    want += [EForm(Q(-partial_sum_pos(n)), Q(nf), zero)]
+    want += [EForm.from_rational(counts.bound_M(n, k)) for k in range(m + 2, 0, -1)]
+    want += [EForm(Q(1), zero, zero)]
+    assert [f._ints for f in chain] == [f._ints for f in want]
+
+
+def test_integer_derangement_floors_make_no_fraction(monkeypatch):
+    # eq2-eq6 and thm7 build their forms from integers and floor them
+    # without a Fraction; derangement_lambda makes the one Fraction of lam.
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    n, lam = 50, Q(2, 5)
+    calls = {
+        "eq2": lambda: counts.derangement_eq2(n),
+        "eq3": lambda: counts.derangement_eq3(n),
+        "eq4": lambda: counts.derangement_eq4(n),
+        "eq5": lambda: counts.derangement_eq5(n, 7),
+        "eq6": lambda: counts.derangement_eq6(n),
+        "thm7": lambda: counts.derangement_thm7(n, 3),
+        "lambda": lambda: counts.derangement_lambda(n, lam),
+    }
+    dn = derangements(n)
+    made_by = {}
+    for name, call in calls.items():
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        made.clear()
+        result = call()
+        monkeypatch.undo()
+        assert result == dn, name
+        made_by[name] = list(made)
+    assert made_by == {**{name: [] for name in calls}, "lambda": [(lam,)]}
 
 
 # --- bounds ------------------------------------------------------------
