@@ -10,8 +10,10 @@ expression over shrinking interval enclosures of e and 1/e until both
 interval endpoints share a floor.  Unless b = c = 0 the value is
 irrational (this rests on the linear independence of 1, e, 1/e over the
 rationals, a classical fact assumed here, not re-proved), so the
-refinement always terminates; a configurable precision cap turns a
-would-be infinite loop on a rational-valued form into an error instead.
+refinement always terminates; a precision cap turns a would-be
+infinite loop on a rational-valued form into an error instead.  The cap
+is ECOUNT_PRECISION_CAP, else 2^20 bits, and `_check_cap` is the one
+test of a requested precision against it, here and in `specials`.
 
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
@@ -48,8 +50,9 @@ kernel's own rounding does not outweigh the enclosure error.
 :func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
 are `Fraction` values, so callers that print intervals get the same
 digits as before.  :meth:`IntervalReal.round_out` rounds outward to
-dyadic endpoints; `oracles.quad_gamma` applies it to every panel
-enclosure, so its endpoints stay a few bits finer than the tolerance.
+dyadic endpoints.  The quadrature oracle rounds each panel the same
+way, but on integer numerators, and does not call it; the tests use it
+as that rounding's `Fraction` reference.
 
 Enclosures:
 
@@ -106,10 +109,8 @@ _Q = Fraction
 _ZERO = Fraction(0)
 
 
-def _resolve_cap(cap: int | None) -> int:
-    """Precision cap: explicit argument, else ECOUNT_PRECISION_CAP, else default."""
-    if cap is not None:
-        return cap
+def _resolve_cap() -> int:
+    """Precision cap: ECOUNT_PRECISION_CAP, else DEFAULT_PRECISION_CAP."""
     env = os.environ.get("ECOUNT_PRECISION_CAP")
     if env is None:
         return DEFAULT_PRECISION_CAP
@@ -121,14 +122,28 @@ def _resolve_cap(cap: int | None) -> int:
         ) from None
 
 
+def _check_cap(what: str, bits: int) -> None:
+    """PrecisionCapError when the `bits` that `what` needs pass the cap."""
+    cap = _resolve_cap()
+    if bits > cap:
+        raise PrecisionCapError(
+            f"{what} needs {bits} working bits, above the precision cap of {cap}"
+        )
+
+
+def _ceil_log2(num: int, den: int) -> int:
+    """Smallest integer b with num / den <= 2^b, for positive integers."""
+    b = num.bit_length() - den.bit_length()
+    if (num <= den << b) if b >= 0 else (num << -b <= den):
+        return b
+    return b + 1
+
+
 def ceil_log2(q: Fraction) -> int:
     """Smallest integer b with q <= 2^b, for q > 0."""
     if q <= 0:
         raise DomainError(f"ceil_log2 requires q > 0 (got {q})")
-    b = q.numerator.bit_length() - q.denominator.bit_length() - 1
-    while q > Fraction(1 << max(b, 0), 1 << max(-b, 0)):
-        b += 1
-    return b
+    return _ceil_log2(q.numerator, q.denominator)
 
 
 def fraction_to_decimal(x: Fraction, digits: int, round_up: bool) -> str:
@@ -518,16 +533,6 @@ def _k_for_e_inv(precision_bits: int) -> int:
     return k
 
 
-def _check_precision(what: str, precision_bits: int) -> None:
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
-    cap = _resolve_cap(None)
-    if precision_bits > cap:
-        raise PrecisionCapError(
-            f"{what} at {precision_bits} bits is above the precision cap of {cap} bits"
-        )
-
-
 def enclose_e(precision_bits: int) -> IntervalReal:
     """Enclosure of e of width at most 2^-precision_bits.
 
@@ -535,7 +540,9 @@ def enclose_e(precision_bits: int) -> IntervalReal:
     tail bound 1/(k!*k).  Raises PrecisionCapError, before any work,
     when precision_bits is above the precision cap.
     """
-    _check_precision("enclose_e", precision_bits)
+    if precision_bits < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    _check_cap("enclose_e", precision_bits)
     k = _k_for_e(precision_bits)
     s, f = _series(k, 1)
     lo = _Q(s, f)
@@ -552,7 +559,9 @@ def enclose_e_inv(precision_bits: int) -> IntervalReal:
     D_{2k} = 2k*D_{2k-1} + 1.  Raises PrecisionCapError, before any
     work, when precision_bits is above the precision cap.
     """
-    _check_precision("enclose_e_inv", precision_bits)
+    if precision_bits < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    _check_cap("enclose_e_inv", precision_bits)
     k = _k_for_e_inv(precision_bits)
     d, f = _series(2 * k - 1, -1)
     return IntervalReal(_Q(d, f), _Q(2 * k * d + 1, 2 * k * f))
@@ -721,9 +730,7 @@ def _guard_bits(f: EForm) -> int:
     return max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
 
 
-def _refine(
-    f: EForm, start_bits: int | None, cap: int | None, decide, what: str
-) -> tuple[int, int]:
+def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, int]:
     """(answer, p) at the first p where decide(lo, hi, bits) answers on
     the eform_bounds of f at p plus the guard bits; PrecisionCapError
     once p passes the cap.
@@ -735,7 +742,7 @@ def _refine(
     products of the step before, and only the first step multiplies B
     and C by full-width endpoints.
     """
-    cap = _resolve_cap(cap)
+    cap = _resolve_cap()
     p = max(8, _start_bits(f) if start_bits is None else start_bits)
     guard = _guard_bits(f)
     step = 64
@@ -751,12 +758,7 @@ def _refine(
     )
 
 
-def certified_floor_info(
-    f: EForm,
-    *,
-    start_bits: int | None = None,
-    max_precision_bits: int | None = None,
-) -> CertifiedFloor:
+def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> CertifiedFloor:
     """Floor of f with the deciding precision, by adaptive refinement.
 
     Precision grows from the start bits, by 64, 128, 256, ... bits,
@@ -768,22 +770,15 @@ def certified_floor_info(
     if f.is_rational:
         big_a, _, _, den = f._ints
         return CertifiedFloor(big_a // den, 0)
-    return CertifiedFloor(*_refine(f, start_bits, max_precision_bits, _decide_floor, "floor"))
+    return CertifiedFloor(*_refine(f, start_bits, _decide_floor, "floor"))
 
 
-def certified_floor(
-    f: EForm,
-    *,
-    start_bits: int | None = None,
-    max_precision_bits: int | None = None,
-) -> int:
+def certified_floor(f: EForm, *, start_bits: int | None = None) -> int:
     """Certified floor of a + b*e + c/e; see certified_floor_info."""
-    return certified_floor_info(
-        f, start_bits=start_bits, max_precision_bits=max_precision_bits
-    ).value
+    return certified_floor_info(f, start_bits=start_bits).value
 
 
-def eform_sign(f: EForm, *, max_precision_bits: int | None = None) -> int:
+def eform_sign(f: EForm) -> int:
     """Sign of f as -1, 0 or 1.
 
     Exact for rational forms (the only way to return 0); otherwise the
@@ -792,12 +787,12 @@ def eform_sign(f: EForm, *, max_precision_bits: int | None = None) -> int:
     if f.is_rational:
         big_a = f._ints[0]
         return (big_a > 0) - (big_a < 0)
-    return _refine(f, None, max_precision_bits, _decide_sign, "sign")[0]
+    return _refine(f, None, _decide_sign, "sign")[0]
 
 
-def eform_lt(f: EForm, g: EForm, *, max_precision_bits: int | None = None) -> bool:
+def eform_lt(f: EForm, g: EForm) -> bool:
     """Certified strict comparison f < g."""
-    return eform_sign(g - f, max_precision_bits=max_precision_bits) == 1
+    return eform_sign(g - f) == 1
 
 
 def frac_e_nfact(n: int) -> EForm:

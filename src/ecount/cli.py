@@ -225,13 +225,16 @@ def _frac_e_nfact(n: int, bits: int) -> dict[str, Any]:
 
 
 def _integrals(n: int, tol: Fraction, bits: int) -> list[dict[str, Any]]:
+    # bits only set the printed digits, so the library does not check them
+    if bits < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {bits})")
     return [
         {
             "label": r.label,
             "eform": _eform_json(r.closed_form),
             "quadrature": _interval_json(r.enclosure, bits),
         }
-        for r in ecount.integral_identities(n, tol=tol, precision_bits=bits)
+        for r in ecount.integral_identities(n, tol=tol)
     ]
 
 
@@ -473,7 +476,7 @@ def _suite_special_fn(
             diff == (0,) * n + (1,),
             f"n={n}: poly minus derivative is not x^n",
         )
-    h_bits = bits or 40
+    h_bits = 40 if bits is None else bits
     h_lo, h_hi = n_range or (0, 10)
     for n in range(max(h_lo, 0), h_hi + 1):
         for x in (_Q(1, 2), _Q(1), _Q(2)):

@@ -69,7 +69,7 @@ from itertools import permutations, repeat
 from math import ceil, comb, factorial, floor, gcd, lcm, log, prod
 from operator import mul, ne
 
-from .certified import EForm, IntervalReal, ceil_log2, eform_bounds
+from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
 from .errors import DomainError, PrecisionCapError
 
 __all__ = [
@@ -200,14 +200,6 @@ _GUARD_BITS = 4
 # per call, not once per panel.
 _ORDER_STEP = 16
 _MAX_ORDER = 240
-
-
-def _ceil_log2(num: int, den: int) -> int:
-    """Smallest integer b with num / den <= 2^b, for positive integers."""
-    b = num.bit_length() - den.bit_length()
-    if (num <= den << b) if b >= 0 else (num << -b <= den):
-        return b
-    return b + 1
 
 
 def _midpoint_form(a: int, b: int, d: int) -> tuple[int, int, int]:

@@ -35,7 +35,8 @@ with `Fraction` kept at the API edge:
   bits taken from the largest term; if the width still misses 2^-bits
   the guard doubles and the sum runs again.
 
-Each works out its precision w before any big work and raises
+Each works out its precision w before any big work and passes it to
+`_check_cap`, the certified layer's one cap test, which raises
 PrecisionCapError when w passes the precision cap (ECOUNT_PRECISION_CAP,
 else 2^20 bits), instead of running for hours.
 """
@@ -49,14 +50,14 @@ from math import ceil, floor
 from .certified import (
     EForm,
     IntervalReal,
-    _resolve_cap,
+    _check_cap,
     ceil_log2,
     certified_floor,
     eform_eval,
     eform_sign,
 )
 from .counts import derangement_eq2
-from .errors import DomainError, InvariantViolation, PrecisionCapError
+from .errors import DomainError, InvariantViolation
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 from .oracles import _quad_pieces
 
@@ -138,15 +139,6 @@ def hyp2f0_special(n: int, sign: int) -> int:
             f"hyp2f0 special value at n={n}, x={sign}: got {value}, expected {expected}"
         )
     return int(expected)
-
-
-def _check_cap(what: str, w: int) -> None:
-    """PrecisionCapError when working precision w passes the cap."""
-    cap = _resolve_cap(None)
-    if w > cap:
-        raise PrecisionCapError(
-            f"{what} needs {w} working bits, above the precision cap of {cap}"
-        )
 
 
 def _square_out(lo: int, hi: int, w: int, s: int) -> tuple[int, int]:
@@ -323,32 +315,24 @@ class IntegralIdentity(namedtuple("IntegralIdentity", "label closed_form enclosu
     __slots__ = ()
 
 
-def _times_e(f: EForm) -> EForm:
-    """e * f for a form with no e-term, folding e * (1/e) to 1."""
-    if f.b != 0:
-        raise DomainError("cannot multiply a form containing e by e")
-    return EForm(f.c, f.a, 0)
-
-
 def integral_identities(
-    n: int,
-    tol: Fraction = _Q(1, 10**9),
-    precision_bits: int = 96,
+    n: int, tol: Fraction = _Q(1, 10**9)
 ) -> tuple[IntegralIdentity, ...]:
     """Six integrals of e^-t * t^n as exact EForms, against quadrature.
 
     Ranges: [-1, inf), [0, inf), [1, inf), [0, 1], [-1, 0], [-1, 1].
     Every floor entering a closed form is certified.  The [-1, 0] case
-    goes through the parity split of frac(n!/e): the expansion used is
-    n!/e - D_n for odd n and n!/e - D_n + 1 for even n, and the value's
-    sign (negative for odd n, positive for even n) is certified too.
+    is e*D_n - n!, that is -e * frac(n!/e) for odd n and
+    e - e * frac(n!/e) for even n, and its sign (negative for odd n,
+    positive for even n) is certified against the parity.
     The [-1, 1] case is e*D_n - floor(e*n!)/e; for n >= 2 the D_n here
     is produced as the two-floor difference
     floor((e + 1/e)*n!) - floor(e*n!), a rewriting that is only valid
     from n = 2 on.  Each closed form must lie in its quadrature
     enclosure, which the certified kernel decides as the signs of
     f - lo and hi - f, else InvariantViolation naming every range that
-    fails; precision_bits only sets the digits of that message.
+    fails, with the closed form's value printed to 15 digits from a
+    64-bit enclosure.
 
     The enclosures come from one quadrature pass over [-1, U], cut at 0
     and 1, with pieces P1 = [-1, 0], P2 = [0, 1] and P3 = [1, U]:
@@ -375,15 +359,8 @@ def integral_identities(
     q_0 = p_mid + q_1
     q_m1 = p_left + q_0
 
-    # [-1, 0]: written through the parity expansion of frac(n!/e)
-    if n % 2:
-        # frac(n!/e) = n!/e - D_n; the integral is -e * frac(n!/e)
-        frac_form = EForm(-dn, 0, nf)
-        left_form = -_times_e(frac_form)
-    else:
-        # frac(n!/e) = n!/e - D_n + 1; the integral is e - e * frac(n!/e)
-        frac_form = EForm(-dn + 1, 0, nf)
-        left_form = EForm(0, 1, 0) - _times_e(frac_form)
+    # [-1, 0]: e*D_n - n!, whose sign follows the parity of n
+    left_form = EForm(-nf, dn, 0)
     expected_sign = -1 if n % 2 else 1
     if eform_sign(left_form) != expected_sign:
         raise InvariantViolation(
@@ -408,7 +385,7 @@ def integral_identities(
         raise InvariantViolation(
             "; ".join(
                 f"integral over [{rec.label}] at n={n}: closed form "
-                f"{eform_eval(rec.closed_form, precision_bits).to_decimal(15)} "
+                f"{eform_eval(rec.closed_form, 64).to_decimal(15)} "
                 f"does not lie in quadrature {rec.enclosure.to_decimal(15)}"
                 for rec in outside
             )

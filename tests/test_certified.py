@@ -116,6 +116,40 @@ def test_ceil_log2():
         assert ceil_log2(Q(2) ** k) == k
 
 
+def _ceil_log2_by_search(q: Fraction) -> int:
+    """The least b with q <= 2^b, by the Fraction loop ceil_log2 once ran."""
+    b = q.numerator.bit_length() - q.denominator.bit_length() - 1
+    while q > Fraction(1 << max(b, 0), 1 << max(-b, 0)):
+        b += 1
+    return b
+
+
+_wide = st.integers(min_value=1, max_value=1 << 4000)
+
+
+@given(
+    st.one_of(
+        st.builds(Q, _wide, _wide),
+        st.builds(lambda k: Q(2) ** k, st.integers(min_value=-3000, max_value=3000)),
+        # just below and just above a power of two
+        st.builds(
+            lambda k, d: Q(2) ** k + d,
+            st.integers(-64, 64),
+            st.sampled_from([Q(-1, 1 << 80), Q(1, 1 << 80)]),
+        ),
+    )
+)
+@example(Q(1))
+@example(Q(1 << 3000, 3))
+@example(Q(1, 1 << 3000))
+def test_ceil_log2_is_the_least_b_with_q_at_most_2_to_the_b(q):
+    b = ceil_log2(q)
+    assert b == _ceil_log2_by_search(q)
+    two_b = Q(2) ** b
+    assert q <= two_b and q > two_b / 2
+    assert certified._ceil_log2(q.numerator, q.denominator) == b
+
+
 @given(
     st.fractions(min_value=-100, max_value=100),
     st.fractions(min_value=-100, max_value=100),
@@ -372,12 +406,6 @@ def test_certified_floor_start_bits_independent():
     for start in (8, 16, base.precision_bits * 4):
         again = certified_floor_info(f, start_bits=start)
         assert again.value == base.value
-
-
-def test_precision_cap_raises():
-    # A cap below any deciding precision must fail loudly, not wrongly.
-    with pytest.raises(PrecisionCapError):
-        certified_floor(EForm(0, 1, 0), max_precision_bits=4)
 
 
 def test_precision_cap_env_override(monkeypatch):
@@ -779,7 +807,7 @@ def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f,
                 certified._fixed(name, bits + 5000)
         return "yes" if len(seen) == 5 else None
 
-    answer, p = certified._refine(f, None, None, decide, "test")
+    answer, p = certified._refine(f, None, decide, "test")
     assert answer == "yes"
     assert [b - a for a, b in zip(seen, seen[1:])] == [64, 128, 256, 512]
     assert seen[-1] - p == certified._guard_bits(f)
@@ -813,7 +841,7 @@ def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
         return "yes" if len(steps) == 5 else None
 
     _Recording.widths.clear()
-    certified._refine(f, None, None, decide, "test")
+    certified._refine(f, None, decide, "test")
     first, retries = steps[0], steps[1:]
     assert len(first) == 2 and min(first) > 2000
     assert [len(w) for w in retries] == [2, 2, 2, 2]

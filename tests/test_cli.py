@@ -195,6 +195,14 @@ def test_compute_integrals_text():
     assert res.exit_code == 0
 
 
+def test_integrals_at_negative_precision_bits_is_a_domain_error():
+    # The bits only set the printed digits, so the CLI refuses them itself.
+    res = _run("compute", "integrals", "--n", "3", "--precision-bits", "-5")
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert "domain error: precision_bits must be >= 0 (got -5)" in res.stderr
+
+
 def test_elapsed_goes_to_stderr():
     res = _run("compute", "derangements", "--n", "3")
     assert "elapsed_ms" not in res.stdout
@@ -295,6 +303,13 @@ def test_verify_past_the_precision_cap_is_a_violation():
     assert proc.returncode == 1
     assert "violation: " in proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_verify_special_fn_refuses_zero_precision_bits():
+    # An explicit --precision-bits 0 is refused, not replaced by the default.
+    res = _run("verify", "special-fn", "--n-range", "0..1", "--precision-bits", "0")
+    assert res.exit_code == 3
+    assert "precision_bits must be >= 1 (got 0)" in res.stderr
 
 
 def test_verify_quadrature_budget_overrun_is_a_violation(monkeypatch):
