@@ -66,11 +66,12 @@ Enclosures:
 
 The index k is the least one whose bracket width is at most 2^-p: a
 log-gamma estimate picks it and an exact integer test corrects it.
-Each bracket is built by its own binary split of sum x^i * k!/i!
-(x = 1 for S_k, x = -1 for D_{2k-1}), so this layer keeps no tables
-and grows nothing past the precision asked for.  It shares no code with
-the recurrence tables of :mod:`ecount.exact`, which :func:`frac_e_nfact`
-alone reads: the two routes behind every count stay independent.
+Each enclosure is built by its own binary split of sum x^i * k!/i!
+(x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
+grows by the split of the new terms alone, never past the precision
+asked for.  Neither shares code with the recurrence tables of
+:mod:`ecount.exact`, which :func:`frac_e_nfact` alone reads: the two
+routes behind every count stay independent.
 """
 
 from __future__ import annotations
@@ -584,43 +585,39 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
 
 # --- fixed-point kernel -----------------------------------------------
 
-# _FIXED[name] = (P, lo, hi, ...) with lo <= x * 2^P <= hi, for x = e or 1/e.
-# It only ever grows, to exactly the largest precision asked for.  A grown
-# entry goes on with (m, f, r): the bracket's lower endpoint is s/f with
-# f = m!, S_m/m! for e and D_m/m! (m = 2k-1) for 1/e, and r is the
-# remainder of lo = (s << P) // f, from which the next, finer entry is
-# extended.  A builder reads one entry and writes a new one, so it runs
-# outside _FIXED_LOCK and only the swap is under it.
+# _FIXED[name] = (P, lo, hi, m, f, r) with lo <= x * 2^P <= hi, for x = e
+# or 1/e.  It only ever grows, to exactly the largest precision asked for.
+# The bracket's lower endpoint is s/f with f = m!, S_m/m! for e and
+# D_m/m! (m = 2k-1) for 1/e, and r is the remainder of lo = (s << P) // f,
+# from which the next, finer entry is extended; the seeds are the m = 1
+# brackets at P = 0.  A builder reads one entry and writes a new one, so
+# it runs outside _FIXED_LOCK and only the swap is under it.
 _FIXED_LOCK = threading.Lock()
-_FIXED = {"e": (0, 2, 3), "e_inv": (0, 0, 1)}
+_FIXED = {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
 _SIGN = {"e": 1, "e_inv": -1}
 
 
 def _grow(name: str, entry: tuple, bits: int) -> tuple:
     """The _FIXED entry of x = e (name "e") or 1/e ("e_inv") at bits > P.
 
-    Its bracket index m is the least one at bits: e - S_m/m! < 1/(m!*m)
-    and 1/e - D_m/m! < 1/(m+1)!, each at most 2^-bits, so lo + 2 bounds
-    x * 2^bits.  An entry that carries its bracket is extended by the
-    terms m+1..m' alone: with (P_e, Q_e) from _split, s' = s*Q_e +
-    (-1)^m*P_e over f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
+    Its bracket index m' is the least one at bits: e - S_m'/m'! < 1/(m'!*m')
+    and 1/e - D_m'/m'! < 1/(m'+1)!, each at most 2^-bits, so lo + 2 bounds
+    x * 2^bits.  The entry's bracket m is extended by the terms m+1..m'
+    alone: with (P_e, Q_e) from _split, s' = s*Q_e + (-1)^m*P_e over
+    f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
     N = (r*Q_e << d) + ((-1)^m*P_e << bits), d = bits - P, so one
-    division of N by f', whose quotient has about d + log2(m) bits,
+    division of N by f', whose quotient has about d + log2(m') bits,
     finishes lo and r; s itself is never needed again.
     """
     x = _SIGN[name]
     m_new = _k_for_e(bits) if x > 0 else 2 * _k_for_e_inv(bits) - 1
-    if len(entry) == 3:
-        s, f = _series(m_new, x)
-        lo, r = divmod(s << bits, f)
-    else:
-        big_p, lo, _, m, f, r = entry
-        p_e, q_e = _split(m, m_new, x)
-        if x < 0 and m % 2:
-            p_e = -p_e
-        f *= q_e
-        q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)
-        lo = (lo << (bits - big_p)) + q
+    big_p, lo, _, m, f, r = entry
+    p_e, q_e = _split(m, m_new, x)
+    if x < 0 and m % 2:
+        p_e = -p_e
+    f *= q_e
+    q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)
+    lo = (lo << (bits - big_p)) + q
     return bits, lo, lo + 2, m_new, f, r
 
 

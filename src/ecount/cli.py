@@ -320,8 +320,10 @@ def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
         return CountReport(name, params, shown)
     if op.check == _CHECKED:
         return CountReport(name, params, shown, verified=True)
+    # One decimal string per value: the routes show `shown` where they agree.
     other = value if op.check == _ROUTES else op.check(*args)
-    return CountReport(name, params, shown, value == other, str(value), str(other))
+    agree = value == other
+    return CountReport(name, params, shown, agree, shown, shown if agree else str(other))
 
 
 def cmd_compute(args: argparse.Namespace) -> None:
@@ -547,6 +549,9 @@ def cmd_verify(args: argparse.Namespace) -> None:
     suites = _SUITES if args.suite == "all" else (args.suite,)
     results = [SuiteResult(name) for name in suites]
     with _exit_codes():
+        # Checked once, before any suite runs, whichever suites read it.
+        if args.bits is not None and args.bits < 1:
+            raise DomainError(f"precision_bits must be >= 1 (got {args.bits})")
         for r in results:
             _SUITES[r.suite](r, **options)
 
@@ -612,9 +617,9 @@ def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
 def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, Any]]:
     digits = _digits_for_bits(bits)
     rows = []
-    for m in range(m_range[0], m_range[1] + 1):
-        n_lo, n_hi = ecount.eform_eval(ecount.bound_N(n, m), bits).to_decimal(digits)
-        rows.append({"m": m, "M": str(ecount.bound_M(n, m)), "N_lo": n_lo, "N_hi": n_hi})
+    for m, big_m, big_n in ecount.counts._bound_rows(n, *m_range):
+        n_lo, n_hi = ecount.eform_eval(big_n, bits).to_decimal(digits)
+        rows.append({"m": m, "M": str(big_m), "N_lo": n_lo, "N_hi": n_hi})
     return rows
 
 

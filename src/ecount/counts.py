@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .certified import EForm, certified_floor, eform_lt
 from .errors import DomainError, InvariantViolation
@@ -267,21 +267,17 @@ def derangement_eq5(n: int, m: int) -> int:
     """Two-floor form of derangements(n), for n >= 2 and m >= 3.
 
     floor(n! * (A + 1/e)) - floor(e*n!) where the rational head is
-    A = (sum_{i=0}^{n+m-2} 1/i!) + (n+m)/((n+m-1)*(n+m-1)!); the inner
-    sum is the exact integer partial_sum_pos(n+m-2) over (n+m-2)!.
-    Both floors are certified.
+    A = (sum_{i=0}^{n+m-2} 1/i!) + (n+m)/((n+m-1)*(n+m-1)!), so that
+    n!*A = S_n + M_m(n) = (S_n*q + p)/q with S_n = partial_sum_pos(n)
+    and p/q = M_m(n) in lowest terms.  Both floors are certified.
     """
     _require(n >= 2, f"derangement_eq5 requires n >= 2 (got n={n})")
     _require(m >= 3, f"derangement_eq5 requires m >= 3 (got m={m})")
     nf = factorial(n)
-    # Over the common denominator t^2 * (t-1)!/n! with t = n+m-1, then
-    # reduced, so the form is the one built from A as a Fraction.
-    t = n + m - 1
-    num = partial_sum_pos(t - 1) * t * t + n + m
-    den = t * t * prod(range(n + 1, t))
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    head = EForm.from_integers(num, 0, nf * den, den)
+    p, q = next(_m_pairs(n, m, m))
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    head = EForm.from_integers(partial_sum_pos(n) * q + p, 0, nf * q, q)
     return certified_floor(head) - certified_floor(EForm(0, nf, 0))
 
 
@@ -308,29 +304,61 @@ def derangement_thm7(n: int, m: int) -> int:
 # --- fractional-part bounds -------------------------------------------
 
 
+def _require_bound(what: str, n: int, m: int) -> None:
+    _require(n >= 2, f"{what} requires n >= 2 (got n={n})")
+    _require(m >= 1, f"{what} requires m >= 1 (got m={m})")
+
+
+def _m_pairs(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int]]:
+    """M_m(n) as unreduced pairs (num, den) for m = m_lo..m_hi, one pass.
+
+    With t = n+m-1, M_m(n) = (t + 1 + t*A_t) / (t*(n+1)*P_t), where
+    A_t = sum_{i=n+1}^{t-1} prod(i+1..t) and P_t = prod(n+2..t) start at
+    0 and 1 for m = 2 and grow as A_t = t*(A_{t-1} + 1), P_t = P_{t-1}*t.
+    Short of m_lo they take two steps at a time, by the small product
+    k = (t-1)*t: A_t = k*A_{t-2} + t^2 and P_t = k*P_{t-2}.
+    """
+    if m_lo == 1:
+        yield 1, n
+    tail, p, start = 0, 1, n + 1
+    while start + 2 < n + m_lo:
+        start += 2
+        k = (start - 1) * start
+        tail, p = k * tail + start * start, k * p
+    for t in range(start, n + m_hi):
+        if t > start:
+            tail, p = t * (tail + 1), p * t
+        if t + 1 >= n + m_lo:
+            yield t + 1 + t * tail, t * (n + 1) * p
+
+
+def _n_forms(n: int, m_lo: int, m_hi: int) -> Iterator[EForm]:
+    """N_m(n) for m = m_lo..m_hi, one pass, each over its p unreduced.
+
+    With top = n+2m, N_m(n) = ((acc - S_top) + n!*p*e) / p, where
+    acc_m = acc_{m-1}*k + (top-1) and p_m = p_{m-1}*k = prod(n+1..top),
+    with the small product k = top*(top-1).  Each p divides the next, so
+    the gcd that a difference of two bounds takes ends after one division.
+    """
+    nf = factorial(n)
+    acc, p = 0, 1
+    for top in range(n + 2, n + 2 * m_hi + 1, 2):
+        k = top * (top - 1)
+        acc, p = acc * k + (top - 1), p * k
+        if top >= n + 2 * m_lo:
+            yield EForm.from_integers(acc - partial_sum_pos(top), nf * p, 0, p)
+
+
 def bound_M(n: int, m: int) -> Fraction:
     """Rational upper bound M_m(n) on frac(e*n!), strictly decreasing in m.
 
     M_1 = 1/n, M_2 = (n+2)/(n+1)^2, and for m >= 3
     M_m(n) = n! * ((n+m)/((n+m-1)*(n+m-1)!) + sum_{i=n+1}^{n+m-2} 1/i!),
-    summed over a common denominator built as one running suffix product.
+    so n!*A = S_n + M_m(n) for the head A of derangement_eq5.  It is the
+    m-th step of the one ascending pass, reduced.
     """
-    _require(n >= 2, f"bound_M requires n >= 2 (got n={n})")
-    _require(m >= 1, f"bound_M requires m >= 1 (got m={m})")
-    if m == 1:
-        return _Q(1, n)
-    if m == 2:
-        return _Q(n + 2, (n + 1) ** 2)
-    # Over the common denominator t * t!/n! with t = n+m-1, where
-    # n!/i! = prod(i+1..t) / (t!/n!); p runs through those suffix
-    # products from i = t-1 down to i = n+1.
-    t = n + m - 1
-    tail, p = 0, 1
-    for i in range(t - 1, n, -1):
-        p *= i + 1
-        tail += p
-    # Now p = prod(n+2..t).
-    return _Q(n + m + t * tail, t * (n + 1) * p)
+    _require_bound("bound_M", n, m)
+    return _Q(*next(_m_pairs(n, m, m)))
 
 
 def bound_N(n: int, m: int) -> EForm:
@@ -339,59 +367,20 @@ def bound_N(n: int, m: int) -> EForm:
     N_m(n) = n! * sum_{i=1}^m (n+2i-1)/(n+2i)!
              + n! * frac(e*(n+2m)!)/(n+2m)!,
     with the fractional part expanded over e (it contributes the b*e
-    term and a rational correction).  The rational part is summed over a
-    common denominator built as one running suffix product, and the form
-    is built on it unreduced: no gcd of numbers as wide as (n+2m)!/n! is
-    taken here, and `.a` is reduced only when read.
+    term and a rational correction).  It is the m-th step of the one
+    ascending pass, over (n+2m)!/n! unreduced: no gcd that wide is taken
+    here, and `.a` is reduced only when read.
     """
-    _require(n >= 2, f"bound_N requires n >= 2 (got n={n})")
-    _require(m >= 1, f"bound_N requires m >= 1 (got m={m})")
-    # Over the common denominator (n+2m)!/n!, where
-    # n!/(n+2i)! = prod(n+2i+1..n+2m) / ((n+2m)!/n!); p runs through
-    # those suffix products from i = m down to i = 1.
-    top = n + 2 * m
-    acc, p = 0, 1
-    for i in range(m, 0, -1):
-        acc += (n + 2 * i - 1) * p
-        p *= (n + 2 * i) * (n + 2 * i - 1)
-    # Now p = prod(n+1..top).
-    return EForm.from_integers(acc - partial_sum_pos(top), factorial(n) * p, 0, p)
+    _require_bound("bound_N", n, m)
+    return next(_n_forms(n, m, m))
 
 
-def _bound_M_family(n: int, m_max: int) -> list[Fraction]:
-    """[bound_M(n, m) for m = 1..m_max] in one ascending pass.
-
-    With t = n+m-1, bound_M's sum of suffix products
-    A_t = sum_{i=n+1}^{t-1} prod(i+1..t) and its product P_t = prod(n+2..t)
-    grow as A_t = t*A_{t-1} + t and P_t = P_{t-1}*t, from A = 0 and P = 1
-    at the m = 2 case t = n+1.
-    """
-    family = [_Q(1, n), _Q(n + 2, (n + 1) ** 2)]
-    tail, p = 0, 1
-    for t in range(n + 2, n + m_max):
-        tail, p = t * tail + t, p * t
-        family.append(_Q(t + 1 + t * tail, t * (n + 1) * p))
-    return family[:m_max]
-
-
-def _bound_N_family(n: int, m_max: int) -> list[EForm]:
-    """[bound_N(n, m) for m = 1..m_max] in one ascending pass.
-
-    With top = n+2m, bound_N's accumulated numerator and its product
-    p = prod(n+1..top) grow as acc_m = acc_{m-1}*top*(top-1) + (top-1)
-    and p_m = p_{m-1}*top*(top-1), from acc = 0 and p = 1 at m = 0.
-    Each bound is built on p unreduced, as bound_N builds it, so each p
-    divides the next, and the gcd that a difference of two bounds takes
-    ends after one division.
-    """
-    nf = factorial(n)
-    family = []
-    acc, p = 0, 1
-    for m in range(1, m_max + 1):
-        top = n + 2 * m
-        acc, p = acc * top * (top - 1) + top - 1, p * top * (top - 1)
-        family.append(EForm.from_integers(acc - partial_sum_pos(top), nf * p, 0, p))
-    return family
+def _bound_rows(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, Fraction, EForm]]:
+    """(m, M_m(n), N_m(n)) for m = m_lo..m_hi, from one pass of each
+    builder; refused, before any is built, as bound_N(n, m_lo) is."""
+    _require_bound("bound_N", n, m_lo)
+    pairs = zip(_m_pairs(n, m_lo, m_hi), _n_forms(n, m_lo, m_hi))
+    return ((m, _Q(*big_m), big_n) for m, (big_m, big_n) in enumerate(pairs, start=m_lo))
 
 
 class BoundsChain(namedtuple("BoundsChain", "n frac m_list")):
@@ -413,8 +402,8 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
     Every inequality is decided by interval refinement (rational vs
     rational comparisons are exact).  A violated link raises
     InvariantViolation naming the failing pair.  The bounds M_m and N_m
-    come from one ascending pass each, not one bound_M or bound_N call
-    per m.
+    come from one ascending pass each, the builders that bound_M and
+    bound_N read.
     """
     _require(n >= 2, f"chain_check requires n >= 2 (got n={n})")
     _require(m_max >= 1, f"chain_check requires m_max >= 1 (got m_max={m_max})")
@@ -427,14 +416,14 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
         head = EForm(-dn, 0, nf)
     frac = EForm(-partial_sum_pos(n), nf, 0)
 
-    big_m = dict(enumerate(_bound_M_family(n, m_max + 2), start=1))
-    big_n = dict(enumerate(_bound_N_family(n, m_max), start=1))
+    big_m = [_Q(*pair) for pair in _m_pairs(n, 1, m_max + 2)]
+    big_n = list(_n_forms(n, 1, m_max))
 
     chain: list[tuple[str, EForm]] = [("|n!/e - D_n|", head)]
-    chain.extend((f"N_{m}", big_n[m]) for m in range(m_max, 0, -1))
+    chain.extend((f"N_{m}", big_n[m - 1]) for m in range(m_max, 0, -1))
     chain.append(("frac(e*n!)", frac))
     chain.extend(
-        (f"M_{m}", EForm.from_rational(big_m[m])) for m in range(m_max + 2, 0, -1)
+        (f"M_{m}", EForm.from_rational(big_m[m - 1])) for m in range(m_max + 2, 0, -1)
     )
     chain.append(("1", EForm.from_rational(1)))
 
@@ -444,5 +433,5 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
                 f"bounds chain broken at n={n}: expected {name_lo} < {name_hi}"
             )
 
-    m_list = tuple((m, big_m[m], big_n[m]) for m in range(1, m_max + 1))
+    m_list = tuple(zip(range(1, m_max + 1), big_m, big_n))
     return BoundsChain(n=n, frac=frac, m_list=m_list)

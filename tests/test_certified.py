@@ -44,6 +44,10 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 E_50 = Q("2.71828182845904523536028747135266249775724709369995")
 E_INV_50 = Q("0.36787944117144232159552377016146086744581113103176")
 
+# The empty cache of e and 1/e: the m = 1 brackets 2 <= e <= 3 and
+# 0 <= 1/e <= 1 at P = 0, as (P, lo, hi, m, m!, remainder).
+_SEED = {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
+
 
 # --- interval arithmetic ------------------------------------------------
 
@@ -240,9 +244,9 @@ def test_brackets_read_nothing_from_exact(monkeypatch):
     precisions = (0, 1, 64, 1000, 5000)
 
     def answers():
-        # from an empty cache each time: a finer cached triple gives other,
+        # from an empty cache each time: a finer cached entry gives other,
         # equally valid, bounds
-        monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+        monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
         return (
             [(enclose_e(p), enclose_e_inv(p), eform_bounds(f, p)) for p in precisions],
             certified_floor(g),
@@ -796,7 +800,7 @@ def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f,
     # grow_between, the cache of e and 1/e is grown between the first two
     # steps to a finer bracket than the second step needs, so that step
     # extends endpoints cut from another bracket.
-    monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+    monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
     seen = []
 
     def decide(lo, hi, bits):
@@ -867,16 +871,36 @@ def test_interleaved_forms_each_get_their_own_bounds():
 )
 def test_grown_entries_equal_fresh_builds(name, steps):
     # Each entry extended from the one before it, term by term, equals
-    # the entry built from scratch at its precision, bracket and all.
-    entry = certified._grow(name, (0, 0, 0), steps[0])
+    # the entry grown from the seed at its precision in one step, bracket
+    # and all, and the bracket is the one _series builds from scratch.
+    entry = certified._grow(name, _SEED[name], steps[0])
     bits = steps[0]
     for step in steps[1:]:
         bits += step
         entry = certified._grow(name, entry, bits)
-        assert entry == certified._grow(name, (0, 0, 0), bits)
+        assert entry == certified._grow(name, _SEED[name], bits)
     big_p, lo, hi, m, f, r = entry
     s, m_factorial = certified._series(m, 1 if name == "e" else -1)
     assert f == m_factorial and (s << big_p) == lo * f + r and 0 <= r < f and hi == lo + 2
+
+
+def test_a_fresh_cache_holds_the_seed_brackets():
+    # A new process starts from the m = 1 brackets, each in the one entry
+    # shape _grow extends; at p = 0 they read 2 <= e <= 3, 0 <= 1/e <= 1.
+    code = (
+        "from ecount import certified as c\n"
+        "print(sorted(c._FIXED.items()), c._fixed('e', 0), c._fixed('e_inv', 0))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{sorted(_SEED.items())} (2, 3) (0, 1)"
+    for name, x in (("e", 1), ("e_inv", -1)):
+        big_p, lo, hi, m, f, r = _SEED[name]
+        assert certified._series(m, x) == (lo, f) and r == 0
 
 
 def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():

@@ -85,6 +85,25 @@ def test_compute_eq6_shows_route():
     assert "verified=true" in res.stdout
 
 
+@pytest.mark.parametrize("op", ["paths", "eq2"])
+def test_a_report_makes_one_string_of_its_value(op):
+    # Where the routes agree, they show the value's one decimal string.
+    report = cli._compute_report(op, {"n": 400})
+    assert report.verified is True
+    assert report.route_a is report.value and report.route_b is report.value
+
+
+def test_a_report_of_disagreeing_routes_shows_both(monkeypatch):
+    monkeypatch.setattr(exact, "derangements", lambda n: 7)
+    report = cli._compute_report("eq2", {"n": 5})
+    assert (report.value, report.verified, report.route_a, report.route_b) == (
+        "44", False, "44", "7"
+    )
+    res = _run("compute", "eq2", "--n", "5")
+    assert res.exit_code == 1
+    assert res.stdout == "44\nverified=false\nroute_a=44 route_b=7\n"
+
+
 def test_compute_json_format():
     res = _run("compute", "derangements", "--n", "8", "--format", "json")
     data = json.loads(res.stdout)
@@ -310,6 +329,24 @@ def test_verify_special_fn_refuses_zero_precision_bits():
     res = _run("verify", "special-fn", "--n-range", "0..1", "--precision-bits", "0")
     assert res.exit_code == 3
     assert "precision_bits must be >= 1 (got 0)" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "eq1", "--n-range", "1..2", "--precision-bits", "-5"),
+        ("verify", "all", "--precision-bits", "0"),
+    ],
+)
+def test_verify_refuses_precision_bits_below_one_before_any_suite(monkeypatch, args):
+    ran = []
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, lambda r, **_: ran.append(r.suite))
+    res = _run(*args)
+    assert res.exit_code == 3
+    assert ran == []
+    assert "suite" not in res.stdout
+    assert f"domain error: precision_bits must be >= 1 (got {args[-1]})" in res.stderr
 
 
 def test_verify_quadrature_budget_overrun_is_a_violation(monkeypatch):

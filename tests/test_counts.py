@@ -1,6 +1,7 @@
 """Path/cycle counts, the floor family for derangements, and the
 certified bound chain."""
 
+import json
 from fractions import Fraction
 from math import gcd, prod
 
@@ -181,15 +182,26 @@ def test_suffix_products_match_prod_bounds(n, m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=40))
-def test_bound_families_match_single_bounds(n, m_max):
-    # chain_check builds every M_m and N_m in one ascending pass each.
-    assert counts._bound_M_family(n, m_max) == [
-        counts.bound_M(n, m) for m in range(1, m_max + 1)
+@example(2, 1, 1)
+@example(2, 1, 2)
+@example(3, 2, 2)
+@example(5, 3, 3)
+@example(5, 4, 9)
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=40),
+)
+def test_bound_families_match_single_bounds(n, m_lo, width):
+    # One ascending pass builds every M_m and N_m from m_lo on (M two
+    # steps at a time below m_lo); each is the bound built on its own, by
+    # one math.prod per term.
+    m_hi = m_lo + width
+    want = range(m_lo, m_hi + 1)
+    assert [Q(*pair) for pair in counts._m_pairs(n, m_lo, m_hi)] == [
+        _prod_bound_m(n, m) for m in want
     ]
-    assert counts._bound_N_family(n, m_max) == [
-        counts.bound_N(n, m) for m in range(1, m_max + 1)
-    ]
+    assert list(counts._n_forms(n, m_lo, m_hi)) == [_prod_bound_n(n, m) for m in want]
 
 
 def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients():
@@ -198,7 +210,7 @@ def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients()
     # sums of the definition.
     for n in range(2, 41):
         nf = factorial(n)
-        family = counts._bound_N_family(n, 12)
+        family = list(counts._n_forms(n, 1, 12))
         assert len(family) == 12
         for m, big_n in enumerate(family, start=1):
             single = counts.bound_N(n, m)
@@ -219,7 +231,9 @@ def test_path_count_grows_the_factorial_table_only(monkeypatch):
     tables = {name: [1] for name in ("_FACT", "_PSUM", "_DER")}
     for name, table in tables.items():
         monkeypatch.setattr(exact, name, table)
-    monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 3), "e_inv": (0, 0, 1)})
+    monkeypatch.setattr(
+        certified, "_FIXED", {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
+    )
     value = counts.path_count(2551)
     assert {name: len(t) for name, t in tables.items()} == {
         "_FACT": 2550, "_PSUM": 1, "_DER": 1
@@ -468,6 +482,23 @@ def test_bound_n_positive_and_decreasing():
             if prev is not None:
                 assert eform_sign(prev - f) == 1
             prev = f
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_table_bounds_rows_are_the_prod_bounds(n):
+    # `table bounds` reads one pass of each builder; its rows are the
+    # bounds that one math.prod per term gives, printed as the CLI prints.
+    from cli_runner import invoke
+    from ecount.cli import _digits_for_bits
+
+    res = invoke(["table", "bounds", "--n", str(n), "--m-range", "1..30", "--format", "json"])
+    assert res.exit_code == 0
+    digits = _digits_for_bits(96)
+    want = []
+    for m in range(1, 31):
+        n_lo, n_hi = eform_eval(_prod_bound_n(n, m), 96).to_decimal(digits)
+        want.append({"m": m, "M": str(_prod_bound_m(n, m)), "N_lo": n_lo, "N_hi": n_hi})
+    assert json.loads(res.stdout) == want
 
 
 def test_chain_check_passes():
