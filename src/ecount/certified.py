@@ -69,9 +69,9 @@ log-gamma estimate picks it and an exact integer test corrects it.
 Each enclosure is built by its own binary split of sum x^i * k!/i!
 (x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
 grows by the split of the new terms alone, never past the precision
-asked for.  Neither shares code with the recurrence tables of
-:mod:`ecount.exact`, which :func:`frac_e_nfact` alone reads: the two
-routes behind every count stay independent.
+asked for.  Neither shares code with the recurrence marks and 2x2
+product trees of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
+reads: the two routes behind every count stay independent.
 """
 
 from __future__ import annotations
@@ -727,6 +727,21 @@ def _guard_bits(f: EForm) -> int:
     return max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
 
 
+# A, B, C and D of at most this many bits (77 decimal digits) are named
+# by their reduced triple in a refusal, wider ones by their bit lengths.
+_NAME_BITS = 256
+
+
+def _name(f: EForm) -> str:
+    """f as its (a, b, c) triple, or, when one of A, B, C and D is wider
+    than _NAME_BITS, by their bit lengths, decided before any str runs."""
+    if max(x.bit_length() for x in f._ints) <= _NAME_BITS:
+        return str(f.to_triple())
+    return "a form with A, B, C, D of {}, {}, {}, {} bits".format(
+        *(x.bit_length() for x in f._ints)
+    )
+
+
 def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, int]:
     """(answer, p) at the first p where decide(lo, hi, bits) answers on
     the eform_bounds of f at p plus the guard bits; PrecisionCapError
@@ -750,9 +765,7 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
             return result, p
         p += step
         step *= 2
-    raise PrecisionCapError(
-        f"{what} of {f.to_triple()} undecided at precision cap {cap} bits"
-    )
+    raise PrecisionCapError(f"{what} of {_name(f)} undecided at precision cap {cap} bits")
 
 
 def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> CertifiedFloor:

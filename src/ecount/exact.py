@@ -11,10 +11,23 @@ central sequences are
 
 together with the polynomial D_n(x) = sum_{i=0}^n (n!/i!) x^i whose
 value at -1 is D_n and at 1 is S_n.
+
+All three are T_n = sum_{i=0}^n x^i * n!/i! for x = 0, 1 and -1, so
+T_0 = 1 and T_k = k*T_{k-1} + x^k.  Up to n = 4096 they are read from
+sparse marks of that recurrence: every value below 512 and every 8th
+value from 512 through 4096 is kept, and a read past a mark applies the
+at most 7 missing steps as one block.  Above 4096 nothing is stored:
+n! is `math.factorial`, and S_n and D_n are the first row of a product
+tree of the 2x2 matrices of the homogeneous recurrence
+T_k = (k+x)*T_{k-1} - x*(k-1)*T_{k-2} (binary splitting, Brent &
+Zimmermann, *Modern Computer Arithmetic* 4.9).  The certified layer
+brackets e and 1/e by its own binary split of the series and never
+calls this one.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -30,54 +43,111 @@ __all__ = [
     "dpoly_eval",
 ]
 
-# Memo tables of the exact route, shared by its callers.  Each table grows
-# on its own, to the largest n asked of it, so factorial(n) builds neither
-# S nor D.  _TABLE_LOCK guards the append-only growth; reads of
-# already-filled slots are safe without it.  The certified layer builds
-# its brackets of e and 1/e by binary splitting and never reads them.
+# Marks of the exact route, one list per sequence, shared by its callers:
+# the value at every n below _DENSE, then at every _STRIDE-th n through
+# _N0.  Each list is filled in order, on its own, to the largest mark
+# asked of it, so factorial(n) fills neither S nor D, and no list grows
+# past _N0.  _TABLE_LOCK guards the append-only filling; reads of
+# already-filled marks are safe without it.
+_DENSE, _STRIDE, _N0 = 512, 8, 4096
 _TABLE_LOCK = threading.Lock()
-_FACT = [1]       # _FACT[n] = n!, via n! = n*(n-1)!
-_PSUM = [1]       # _PSUM[n] = sum_{i=0}^n n!/i!, via S_n = n*S_{n-1} + 1
-_DER = [1]        # _DER[n] = D_n, via D_n = n*D_{n-1} + (-1)^n
+_FACT_MARKS = [1]   # x = 0: n!
+_PSUM_MARKS = [1]   # x = 1: S_n
+_DER_MARKS = [1]    # x = -1: D_n
+# steps per leaf of the product tree above _N0
+_LEAF = 32
 
 
-def _grow(table: list[int], n: int, step) -> None:
-    """Extend table through index n by table[k] = step(k, table[k-1])."""
-    with _TABLE_LOCK:
-        for k in range(len(table), n + 1):
-            table.append(step(k, table[k - 1]))
+def _index(slot: int) -> int:
+    """The n whose value a mark list holds at position `slot`."""
+    return slot if slot < _DENSE else _DENSE + (slot - _DENSE) * _STRIDE
+
+
+def _block(lo: int, hi: int, x: int) -> tuple[int, int]:
+    """(P, R) with T_hi = P*T_lo + R, for T_k = k*T_{k-1} + x^k."""
+    p, r = 1, 0
+    s = x**lo
+    for k in range(lo + 1, hi + 1):
+        s *= x
+        p *= k
+        r = k * r + s
+    return p, r
+
+
+def _read(marks: list[int], x: int, n: int) -> int:
+    """T_n for 0 <= n <= _N0, from the mark at or below n."""
+    if n < _DENSE:
+        slot = mark = n
+    else:
+        slot = _DENSE + (n - _DENSE) // _STRIDE
+        mark = _index(slot)
+    if slot >= len(marks):
+        with _TABLE_LOCK:
+            for s in range(len(marks), slot + 1):
+                p, r = _block(_index(s - 1), _index(s), x)
+                marks.append(p * marks[s - 1] + r)
+    if mark == n:
+        return marks[slot]
+    p, r = _block(mark, n, x)
+    return p * marks[slot] + r
+
+
+def _matrix(lo: int, hi: int, x: int) -> tuple[int, int, int, int]:
+    """M_hi * ... * M_{lo+1} as (a, b, c, d) = [[a, b], [c, d]], where
+    M_k = [[k + x, -x*(k - 1)], [1, 0]] maps (T_{k-1}, T_{k-2}) to
+    (T_k, T_{k-1})."""
+    if hi - lo <= _LEAF:
+        a, b, c, d = 1, 0, 0, 1
+        for k in range(lo + 1, hi + 1):
+            u, v = k + x, -x * (k - 1)
+            a, b, c, d = u * a + v * c, u * b + v * d, a, b
+        return a, b, c, d
+    mid = (lo + hi) // 2
+    a1, b1, c1, d1 = _matrix(mid, hi, x)
+    a2, b2, c2, d2 = _matrix(lo, mid, x)
+    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
+
+
+def _tree(x: int, n: int) -> int:
+    """T_n for x = 1 or -1 and n >= 2, from (T_1, T_0) = (1 + x, 1)."""
+    mid = (1 + n) // 2
+    a1, b1, _, _ = _matrix(mid, n, x)
+    a2, b2, c2, d2 = _matrix(1, mid, x)
+    t1 = 1 + x
+    return a1 * (a2 * t1 + b2) + b1 * (c2 * t1 + d2)
 
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:
         raise DomainError(f"factorial requires n >= 0 (got {n})")
-    if n >= len(_FACT):
-        _grow(_FACT, n, lambda k, prev: k * prev)
-    return _FACT[n]
+    if n > _N0:
+        return math.factorial(n)
+    return _read(_FACT_MARKS, 0, n)
 
 
 def partial_sum_pos(n: int) -> int:
     """sum_{i=0}^n n!/i! as an exact integer, for n >= 1.
 
-    Computed by the recurrence S_0 = 1, S_k = k*S_{k-1} + 1.  For
-    n >= 1 this integer equals floor(e*n!); the certified-floor route
-    in :mod:`ecount.certified` re-derives the same value independently.
+    Defined by the recurrence S_0 = 1, S_k = k*S_{k-1} + 1, read from
+    its marks up to n = 4096 and by a product tree above.  For n >= 1
+    this integer equals floor(e*n!); the certified-floor route in
+    :mod:`ecount.certified` re-derives the same value independently.
     """
     if n < 1:
         raise DomainError(f"partial_sum_pos requires n >= 1 (got {n})")
-    if n >= len(_PSUM):
-        _grow(_PSUM, n, lambda k, prev: k * prev + 1)
-    return _PSUM[n]
+    if n > _N0:
+        return _tree(1, n)
+    return _read(_PSUM_MARKS, 1, n)
 
 
 def derangements(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
     if n < 0:
         raise DomainError(f"derangements requires n >= 0 (got {n})")
-    if n >= len(_DER):
-        _grow(_DER, n, lambda k, prev: k * prev + (-1 if k % 2 else 1))
-    return _DER[n]
+    if n > _N0:
+        return _tree(-1, n)
+    return _read(_DER_MARKS, -1, n)
 
 
 class DerangementPoly(namedtuple("DerangementPoly", "n coeffs")):

@@ -271,7 +271,7 @@ def test_certified_floor_grows_no_exact_table():
         "from ecount import certified, exact\n"
         "certified.certified_floor(certified.EForm(0, math.factorial(4000), 0))\n"
         "certified.eform_sign(certified.EForm(-1, 0, math.factorial(4001)))\n"
-        "print(len(exact._FACT), len(exact._PSUM), len(exact._DER))\n"
+        "print(len(exact._FACT_MARKS), len(exact._PSUM_MARKS), len(exact._DER_MARKS))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
@@ -280,6 +280,22 @@ def test_certified_floor_grows_no_exact_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "1", "1"]
+
+
+def test_a_cap_refusal_names_a_wide_form_by_its_bit_lengths(monkeypatch):
+    # 10^5000 has more digits than str() of an int may have by default:
+    # the refusal must not try to print it.
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "64")
+    with pytest.raises(PrecisionCapError) as info:
+        certified_floor(EForm(0, 10**5000, 0))
+    message = str(info.value)
+    assert len(message) < 500
+    assert message == (
+        "floor of a form with A, B, C, D of 0, 16610, 0, 1 bits"
+        " undecided at precision cap 64 bits"
+    )
+    with pytest.raises(PrecisionCapError, match=r"^floor of \('0', '120', '0'\) undecided"):
+        certified_floor(EForm(0, 120, 0))
 
 
 def test_enclosures_refuse_precision_above_the_cap_before_any_work(monkeypatch):

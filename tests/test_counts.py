@@ -226,18 +226,21 @@ def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients()
 
 
 def test_path_count_grows_the_factorial_table_only(monkeypatch):
-    # From empty tables and an empty bracket cache: the exact route needs
+    # From empty marks and an empty bracket cache: the exact route needs
     # (n-2)! alone, and the certified route builds its own bracket of e.
-    tables = {name: [1] for name in ("_FACT", "_PSUM", "_DER")}
-    for name, table in tables.items():
+    marks = {name: [1] for name in ("_FACT_MARKS", "_PSUM_MARKS", "_DER_MARKS")}
+    for name, table in marks.items():
         monkeypatch.setattr(exact, name, table)
     monkeypatch.setattr(
         certified, "_FIXED", {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
     )
     value = counts.path_count(2551)
-    assert {name: len(t) for name, t in tables.items()} == {
-        "_FACT": 2550, "_PSUM": 1, "_DER": 1
+    # 2549! is read from the mark at 2544: all 512 below 512, then
+    # 512, 520, ..., 2544
+    assert {name: len(t) for name, t in marks.items()} == {
+        "_FACT_MARKS": 512 + (2544 - 512) // 8 + 1, "_PSUM_MARKS": 1, "_DER_MARKS": 1
     }
+    assert marks["_FACT_MARKS"][-1] == factorial(2544)
     assert value == partial_sum_pos(2549)
 
 

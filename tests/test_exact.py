@@ -1,12 +1,16 @@
 """Integer-arithmetic layer: factorials, partial sums, derangements,
 and the derangement polynomial."""
 
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecount import certified, exact
 from ecount.errors import DomainError
 from ecount.exact import (
     DerangementPoly,
@@ -134,3 +138,107 @@ def test_dpoly_rejects_negative():
         dpoly(-1)
     with pytest.raises(DomainError, match=r"^dpoly_eval requires n >= 0 \(got -1\)$"):
         dpoly_eval(-1, Fraction(1, 2))
+
+
+# --- marks and product trees ---------------------------------------------
+
+N0 = exact._N0
+# (x, function, marks) for T_n = sum_{i<=n} x^i * n!/i!
+_SEQUENCES = (
+    (0, factorial, "_FACT_MARKS"),
+    (1, partial_sum_pos, "_PSUM_MARKS"),
+    (-1, derangements, "_DER_MARKS"),
+)
+
+
+def _loop(x, n):
+    """T_n by the plain recurrence T_0 = 1, T_k = k*T_{k-1} + x^k."""
+    t = 1
+    for k in range(1, n + 1):
+        t = k * t + x**k
+    return t
+
+
+def _loops(x, n_max):
+    """[T_0, ..., T_{n_max}] by the same plain recurrence."""
+    values = [1]
+    for k in range(1, n_max + 1):
+        values.append(k * values[-1] + x**k)
+    return values
+
+
+@pytest.fixture
+def empty_marks(monkeypatch):
+    for _, _, name in _SEQUENCES:
+        monkeypatch.setattr(exact, name, [1])
+
+
+def test_marks_sit_below_512_and_at_every_8th_n_through_n0(empty_marks):
+    want = list(range(512)) + list(range(512, N0 + 1, 8))
+    for x, fn, name in _SEQUENCES:
+        fn(N0)
+        values = _loops(x, N0)
+        assert getattr(exact, name) == [values[n] for n in want]
+
+
+@pytest.mark.parametrize("x,fn,name", _SEQUENCES, ids=[s[2] for s in _SEQUENCES])
+def test_sequences_agree_with_plain_loops(empty_marks, x, fn, name):
+    values = _loops(x, N0 + 1)
+    # first fill in order through 600, then read every residue mod 8
+    # around marks, and the edges of the dense range and of N0
+    indices = list(range(1 if x == 1 else 0, 601)) + [511, 512, 513]
+    indices += list(range(1024, 1041)) + [N0 - 1, N0, N0 + 1, 2047, 2048, 2049, 600, 3]
+    for n in indices:
+        assert fn(n) == values[n], n
+    for n in (5000, 20000):
+        assert fn(n) == _loop(x, n), n
+
+
+def test_exact_reads_nothing_from_the_certified_brackets(empty_marks, monkeypatch):
+    # The mirror of test_brackets_read_nothing_from_exact: with the
+    # certified binary split broken, the exact route answers on both
+    # sides of N0.
+    def broken(*args):
+        raise AssertionError("the exact route called the certified split")
+
+    monkeypatch.setattr(certified, "_split", broken)
+    monkeypatch.setattr(certified, "_series", broken)
+    for x, fn, _ in _SEQUENCES:
+        for n in (1, 700, N0, N0 + 1, 6000):
+            assert fn(n) == _loop(x, n), (fn, n)
+
+
+def test_threads_from_empty_marks_read_the_sequential_values(empty_marks):
+    # Four readers start from empty marks at interleaved indices, the
+    # first ones above N0, and fill the marks below while the others read.
+    n_max = N0 + 400
+    want = {x: _loops(x, n_max) for x, _, _ in _SEQUENCES}
+    started = time.monotonic()
+    failures = []
+
+    def reader(offset):
+        try:
+            for n in range(n_max - offset, 0, -97):
+                for x, fn, _ in _SEQUENCES:
+                    if fn(n) != want[x][n]:
+                        failures.append((fn.__name__, n))
+        except BaseException as exc:  # reported below
+            failures.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i * 13,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert failures == []
+    assert time.monotonic() - started < 60
+    for x, _, name in _SEQUENCES:
+        marks = getattr(exact, name)
+        assert 512 < len(marks) <= 512 + (N0 - 512) // 8 + 1
+        assert marks == [want[x][exact._index(i)] for i in range(len(marks))]
