@@ -69,8 +69,8 @@ log-gamma estimate picks it and an exact integer test corrects it.
 Each enclosure is built by its own binary split of sum x^i * k!/i!
 (x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
 grows by the split of the new terms alone, never past the precision
-asked for.  Neither shares code with the recurrence marks and 2x2
-product trees of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
+asked for.  Neither shares code with the recurrence marks and split
+blocks of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
 reads: the two routes behind every count stay independent.
 """
 

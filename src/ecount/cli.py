@@ -315,13 +315,15 @@ def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
     args = _op_args(name, op, flags)
     params = {k: v if isinstance(v, int) else str(v) for k, v in zip(op.params, args)}
     value = op.run(*args)
+    # The second route runs before the value is made a string: a route
+    # that refuses then costs no decimal conversion of a long value.
+    other = op.check(*args) if callable(op.check) else value
     shown = value if isinstance(value, (dict, list)) else str(value)
     if op.check is None:
         return CountReport(name, params, shown)
     if op.check == _CHECKED:
         return CountReport(name, params, shown, verified=True)
     # One decimal string per value: the routes show `shown` where they agree.
-    other = value if op.check == _ROUTES else op.check(*args)
     agree = value == other
     return CountReport(name, params, shown, agree, shown, shown if agree else str(other))
 

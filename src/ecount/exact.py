@@ -13,16 +13,15 @@ together with the polynomial D_n(x) = sum_{i=0}^n (n!/i!) x^i whose
 value at -1 is D_n and at 1 is S_n.
 
 All three are T_n = sum_{i=0}^n x^i * n!/i! for x = 0, 1 and -1, so
-T_0 = 1 and T_k = k*T_{k-1} + x^k.  Up to n = 4096 they are read from
-sparse marks of that recurrence: every value below 512 and every 8th
-value from 512 through 4096 is kept, and a read past a mark applies the
-at most 7 missing steps as one block.  Above 4096 nothing is stored:
-n! is `math.factorial`, and S_n and D_n are the first row of a product
-tree of the 2x2 matrices of the homogeneous recurrence
-T_k = (k+x)*T_{k-1} - x*(k-1)*T_{k-2} (binary splitting, Brent &
-Zimmermann, *Modern Computer Arithmetic* 4.9).  The certified layer
-brackets e and 1/e by its own binary split of the series and never
-calls this one.
+T_0 = 1 and T_k = k*T_{k-1} + x^k, and this one recurrence is the only
+route.  Sparse marks of it are kept through n = 4096: every value below
+512 and every 8th value from 512 through 4096.  Every read, at any n,
+takes the nearest mark at or below min(n, 4096) and applies the missing
+steps as one block (P, R) with T_n = P*T_mark + R; a long block splits
+itself in halves (binary splitting, Brent & Zimmermann, *Modern Computer
+Arithmetic* 4.9).  Above 4096 nothing more is stored, and n! is
+`math.factorial`.  The certified layer brackets e and 1/e by its own
+binary split of the series and never calls this one.
 """
 
 from __future__ import annotations
@@ -47,14 +46,15 @@ __all__ = [
 # the value at every n below _DENSE, then at every _STRIDE-th n through
 # _N0.  Each list is filled in order, on its own, to the largest mark
 # asked of it, so factorial(n) fills neither S nor D, and no list grows
-# past _N0.  _TABLE_LOCK guards the append-only filling; reads of
-# already-filled marks are safe without it.
+# past _N0: every read steps from the nearest mark at or below
+# min(n, _N0) by one _block.  _TABLE_LOCK guards the append-only filling;
+# reads of already-filled marks are safe without it.
 _DENSE, _STRIDE, _N0 = 512, 8, 4096
 _TABLE_LOCK = threading.Lock()
 _FACT_MARKS = [1]   # x = 0: n!
 _PSUM_MARKS = [1]   # x = 1: S_n
 _DER_MARKS = [1]    # x = -1: D_n
-# steps per leaf of the product tree above _N0
+# steps a block takes in one loop before it splits itself in halves
 _LEAF = 32
 
 
@@ -65,6 +65,11 @@ def _index(slot: int) -> int:
 
 def _block(lo: int, hi: int, x: int) -> tuple[int, int]:
     """(P, R) with T_hi = P*T_lo + R, for T_k = k*T_{k-1} + x^k."""
+    if hi - lo > _LEAF:
+        mid = (lo + hi) // 2
+        p1, r1 = _block(lo, mid, x)
+        p2, r2 = _block(mid, hi, x)
+        return p2 * p1, p2 * r1 + r2
     p, r = 1, 0
     s = x**lo
     for k in range(lo + 1, hi + 1):
@@ -75,11 +80,11 @@ def _block(lo: int, hi: int, x: int) -> tuple[int, int]:
 
 
 def _read(marks: list[int], x: int, n: int) -> int:
-    """T_n for 0 <= n <= _N0, from the mark at or below n."""
+    """T_n for n >= 0, from the mark at or below min(n, _N0)."""
     if n < _DENSE:
         slot = mark = n
     else:
-        slot = _DENSE + (n - _DENSE) // _STRIDE
+        slot = _DENSE + ((n if n < _N0 else _N0) - _DENSE) // _STRIDE
         mark = _index(slot)
     if slot >= len(marks):
         with _TABLE_LOCK:
@@ -90,31 +95,6 @@ def _read(marks: list[int], x: int, n: int) -> int:
         return marks[slot]
     p, r = _block(mark, n, x)
     return p * marks[slot] + r
-
-
-def _matrix(lo: int, hi: int, x: int) -> tuple[int, int, int, int]:
-    """M_hi * ... * M_{lo+1} as (a, b, c, d) = [[a, b], [c, d]], where
-    M_k = [[k + x, -x*(k - 1)], [1, 0]] maps (T_{k-1}, T_{k-2}) to
-    (T_k, T_{k-1})."""
-    if hi - lo <= _LEAF:
-        a, b, c, d = 1, 0, 0, 1
-        for k in range(lo + 1, hi + 1):
-            u, v = k + x, -x * (k - 1)
-            a, b, c, d = u * a + v * c, u * b + v * d, a, b
-        return a, b, c, d
-    mid = (lo + hi) // 2
-    a1, b1, c1, d1 = _matrix(mid, hi, x)
-    a2, b2, c2, d2 = _matrix(lo, mid, x)
-    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
-
-
-def _tree(x: int, n: int) -> int:
-    """T_n for x = 1 or -1 and n >= 2, from (T_1, T_0) = (1 + x, 1)."""
-    mid = (1 + n) // 2
-    a1, b1, _, _ = _matrix(mid, n, x)
-    a2, b2, c2, d2 = _matrix(1, mid, x)
-    t1 = 1 + x
-    return a1 * (a2 * t1 + b2) + b1 * (c2 * t1 + d2)
 
 
 def factorial(n: int) -> int:
@@ -130,14 +110,12 @@ def partial_sum_pos(n: int) -> int:
     """sum_{i=0}^n n!/i! as an exact integer, for n >= 1.
 
     Defined by the recurrence S_0 = 1, S_k = k*S_{k-1} + 1, read from
-    its marks up to n = 4096 and by a product tree above.  For n >= 1
+    its marks and one block of steps from the nearest one.  For n >= 1
     this integer equals floor(e*n!); the certified-floor route in
     :mod:`ecount.certified` re-derives the same value independently.
     """
     if n < 1:
         raise DomainError(f"partial_sum_pos requires n >= 1 (got {n})")
-    if n > _N0:
-        return _tree(1, n)
     return _read(_PSUM_MARKS, 1, n)
 
 
@@ -145,8 +123,6 @@ def derangements(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
     if n < 0:
         raise DomainError(f"derangements requires n >= 0 (got {n})")
-    if n > _N0:
-        return _tree(-1, n)
     return _read(_DER_MARKS, -1, n)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cli_runner import invoke
 from ecount import certified, cli, counts, exact, oracles
-from ecount.errors import InvariantViolation
+from ecount.errors import InvariantViolation, PrecisionCapError
 
 
 def _run(*args):
@@ -102,6 +102,27 @@ def test_a_report_of_disagreeing_routes_shows_both(monkeypatch):
     res = _run("compute", "eq2", "--n", "5")
     assert res.exit_code == 1
     assert res.stdout == "44\nverified=false\nroute_a=44 route_b=7\n"
+
+
+def test_a_refused_second_route_makes_no_string_of_the_value(monkeypatch):
+    # floor-e-nfact at a large n: the certified route refuses at the cap
+    # before the exact value, a long decimal, is ever printed.
+    strings = []
+
+    class Recorded(int):
+        def __str__(self):
+            strings.append(int(self))
+            return super().__str__()
+
+    def refused(*args, **kw):
+        raise PrecisionCapError("floor undecided at precision cap 4 bits")
+
+    monkeypatch.setattr(exact, "partial_sum_pos", lambda n: Recorded(326))
+    monkeypatch.setattr(certified, "certified_floor", refused)
+    res = _run("compute", "floor-e-nfact", "--n", "5")
+    assert res.exit_code == 1
+    assert "precision cap" in res.stderr
+    assert strings == []
 
 
 def test_compute_json_format():

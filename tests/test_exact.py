@@ -1,13 +1,15 @@
 """Integer-arithmetic layer: factorials, partial sums, derangements,
 and the derangement polynomial."""
 
+import hashlib
+import math
 import sys
 import threading
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecount import certified, exact
@@ -140,7 +142,7 @@ def test_dpoly_rejects_negative():
         dpoly_eval(-1, Fraction(1, 2))
 
 
-# --- marks and product trees ---------------------------------------------
+# --- marks and split blocks ----------------------------------------------
 
 N0 = exact._N0
 # (x, function, marks) for T_n = sum_{i<=n} x^i * n!/i!
@@ -192,6 +194,37 @@ def test_sequences_agree_with_plain_loops(empty_marks, x, fn, name):
         assert fn(n) == values[n], n
     for n in (5000, 20000):
         assert fn(n) == _loop(x, n), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.sampled_from([-1, 0, 1]),
+    lo=st.integers(0, 5000),
+    steps=st.integers(0, 4 * exact._LEAF + 3),
+)
+@example(x=-1, lo=4095, steps=1000)
+@example(x=1, lo=0, steps=4097)
+@example(x=-1, lo=1, steps=4097)
+def test_a_split_block_is_the_recurrence(x, lo, steps):
+    hi = lo + steps
+    p, r = exact._block(lo, hi, x)
+    values = _loops(x, hi)
+    assert p == math.prod(range(lo + 1, hi + 1))
+    assert p * values[lo] + r == values[hi]
+
+
+# sha256 of the little-endian bytes of D_100000 and S_100000, computed by
+# the product tree of 2x2 matrices that served n > N0 before the split block
+_DIGESTS_AT_100000 = (
+    (derangements, "7164756427cd2d580aaac4ea67120206572422baafabb3ac764d1715dd577bae"),
+    (partial_sum_pos, "44c583463af0120b7a4b21162d7e6fda349bd79ca559738b00b4ae5e00043017"),
+)
+
+
+@pytest.mark.parametrize("fn,digest", _DIGESTS_AT_100000, ids=["D", "S"])
+def test_values_at_100000_keep_their_digests(fn, digest):
+    v = fn(100000)
+    assert hashlib.sha256(v.to_bytes((v.bit_length() + 7) // 8, "little")).hexdigest() == digest
 
 
 def test_exact_reads_nothing_from_the_certified_brackets(empty_marks, monkeypatch):
