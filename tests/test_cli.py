@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import factorial
@@ -123,6 +124,60 @@ def test_a_refused_second_route_makes_no_string_of_the_value(monkeypatch):
     assert res.exit_code == 1
     assert "precision cap" in res.stderr
     assert strings == []
+
+
+def test_floor_e_nfact_is_refused_at_the_cap_before_its_exact_route(monkeypatch):
+    # The certified floor is the printed route and runs first: when it
+    # refuses, the exact partial sum (here one that would fail) never runs.
+    def refused(*args, **kw):
+        raise PrecisionCapError("floor undecided at precision cap 4 bits")
+
+    def never(n):
+        raise AssertionError("the exact route ran before the refusal")
+
+    monkeypatch.setattr(exact, "partial_sum_pos", never)
+    monkeypatch.setattr(certified, "certified_floor", refused)
+    res = _run("compute", "floor-e-nfact", "--n", "5")
+    assert res.exit_code == 1
+    assert "precision cap" in res.stderr
+    assert "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_bounds_makes_one_string_of_n_factorial(monkeypatch):
+    # frac(e*n!) and every N_m have b = n!: the report converts it to
+    # decimal once.  Each form gets its own copy of n!, so only equal
+    # values, not shared objects, are merged.
+    n, m_max = 40, 8
+    strings = []
+
+    class Recorded(int):
+        def __str__(self):
+            strings.append(int(self))
+            return super().__str__()
+
+    class Form(namedtuple("Form", "a b c")):  # an EForm's printed face
+        def to_triple(self):
+            return tuple(str(q) for q in self)
+
+    def recorded(f):
+        assert f.b == factorial(n)
+        return Form(f.a, Recorded(factorial(n)), f.c)
+
+    real = counts.chain_check
+    plain = cli._compute_report("bounds", {"n": n, "m": m_max}).value
+
+    def chain_check(n, m):
+        chain = real(n, m)
+        return chain._replace(
+            frac=recorded(chain.frac),
+            m_list=tuple((m, big_m, recorded(big_n)) for m, big_m, big_n in chain.m_list),
+        )
+
+    monkeypatch.setattr(counts, "chain_check", chain_check)
+    report = cli._compute_report("bounds", {"n": n, "m": m_max})
+    assert report.value == plain
+    assert strings == [factorial(n)]
 
 
 def test_compute_json_format():

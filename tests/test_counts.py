@@ -228,19 +228,22 @@ def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients()
 def test_path_count_grows_the_factorial_table_only(monkeypatch):
     # From empty marks and an empty bracket cache: the exact route needs
     # (n-2)! alone, and the certified route builds its own bracket of e.
-    marks = {name: [1] for name in ("_FACT_MARKS", "_PSUM_MARKS", "_DER_MARKS")}
+    marks = {
+        name: [1] + [None] * (exact._SLOTS - 1)
+        for name in ("_FACT_MARKS", "_PSUM_MARKS", "_DER_MARKS")
+    }
     for name, table in marks.items():
         monkeypatch.setattr(exact, name, table)
     monkeypatch.setattr(
         certified, "_FIXED", {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
     )
     value = counts.path_count(2551)
-    # 2549! is read from the mark at 2544: all 512 below 512, then
-    # 512, 520, ..., 2544
-    assert {name: len(t) for name, t in marks.items()} == {
-        "_FACT_MARKS": 512 + (2544 - 512) // 8 + 1, "_PSUM_MARKS": 1, "_DER_MARKS": 1
-    }
-    assert marks["_FACT_MARKS"][-1] == factorial(2544)
+    # 2549! is read from the mark at 2544, the slot 512 + (2544 - 512) / 8:
+    # that slot is stored, beside slot 0, and no S or D slot is
+    slot = 512 + (2544 - 512) // 8
+    stored = {name: [s for s, t in enumerate(t) if t is not None] for name, t in marks.items()}
+    assert stored == {"_FACT_MARKS": [0, slot], "_PSUM_MARKS": [0], "_DER_MARKS": [0]}
+    assert marks["_FACT_MARKS"][slot] == factorial(2544)
     assert value == partial_sum_pos(2549)
 
 

@@ -169,18 +169,41 @@ def _loops(x, n_max):
     return values
 
 
+def _empty():
+    """Marks as at import: slot 0 holds T_0 = 1, every other slot None."""
+    return [1] + [None] * (exact._SLOTS - 1)
+
+
+def _slot(n):
+    """The slot a read at n uses: the one at or below min(n, N0)."""
+    n = min(n, N0)
+    return n if n < 512 else 512 + (n - 512) // 8
+
+
+def _stored(marks):
+    return {s for s, t in enumerate(marks) if t is not None}
+
+
 @pytest.fixture
 def empty_marks(monkeypatch):
     for _, _, name in _SEQUENCES:
-        monkeypatch.setattr(exact, name, [1])
+        monkeypatch.setattr(exact, name, _empty())
 
 
 def test_marks_sit_below_512_and_at_every_8th_n_through_n0(empty_marks):
     want = list(range(512)) + list(range(512, N0 + 1, 8))
+    assert exact._SLOTS == len(want) == 961
+    assert [exact._index(s) for s in range(exact._SLOTS)] == want
     for x, fn, name in _SEQUENCES:
-        fn(N0)
+        marks = getattr(exact, name)
+        # one read stores its own slot and no other
+        fn(2551)
+        assert _stored(marks) == {0, _slot(2551)}
+        # reading every n through N0 stores exactly the layout
+        for n in range(1, N0 + 1):
+            fn(n)
         values = _loops(x, N0)
-        assert getattr(exact, name) == [values[n] for n in want]
+        assert marks == [values[n] for n in want]
 
 
 @pytest.mark.parametrize("x,fn,name", _SEQUENCES, ids=[s[2] for s in _SEQUENCES])
@@ -213,6 +236,83 @@ def test_a_split_block_is_the_recurrence(x, lo, steps):
     assert p * values[lo] + r == values[hi]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    reads=st.lists(
+        st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, N0 + 50)),
+        min_size=1,
+        max_size=30,
+    )
+)
+@example(reads=[(1, N0 + 50), (1, 1), (0, N0 + 50), (-1, 600), (-1, 600), (-1, 599)])
+def test_reads_in_any_order_store_only_the_slots_they_use(reads):
+    # From empty marks, reads at random n, in random order and with
+    # repeats: every value is the plain loop's, and the stored slots are
+    # slot 0 and the slot of each read that took one.  factorial above N0
+    # is math.factorial and takes none.
+    fns = {x: fn for x, fn, _ in _SEQUENCES}
+    with pytest.MonkeyPatch.context() as mp:
+        for _, _, name in _SEQUENCES:
+            mp.setattr(exact, name, _empty())
+        want = {x: _loops(x, max([n for y, n in reads if y == x], default=0)) for x in fns}
+        used = {x: {0} for x in fns}
+        for x, n in reads:
+            if x == 1 and n == 0:
+                continue  # partial_sum_pos starts at n = 1
+            assert fns[x](n) == want[x][n], (x, n)
+            if x != 0 or n <= N0:
+                used[x].add(_slot(n))
+        for x, _, name in _SEQUENCES:
+            assert _stored(getattr(exact, name)) == used[x]
+
+
+def _prefix_read(marks, x, n):
+    """A read from marks filled as a prefix: every slot up to the one read
+    is stored, in order, each by one block from the slot before it."""
+    slot = _slot(n)
+    for s in range(len(marks), slot + 1):
+        p, r = exact._block(exact._index(s - 1), exact._index(s), x)
+        marks.append(p * marks[s - 1] + r)
+    p, r = exact._block(exact._index(slot), n, x)
+    return p * marks[slot] + r
+
+
+def test_sweeps_cost_what_a_prefix_fill_costs_ascending_and_stay_bounded_descending(
+    monkeypatch,
+):
+    # Ascending, each first read splits from the slot just below it, the
+    # same blocks a prefix fill computes.  Descending, each first read
+    # splits from slot 0: the stated price of storing only what is read.
+    def ascending_on_demand():
+        for _, _, name in _SEQUENCES:
+            monkeypatch.setattr(exact, name, _empty())
+        started = time.perf_counter()
+        for n in range(1, N0 + 1):
+            for _, fn, _ in _SEQUENCES:
+                fn(n)
+        return time.perf_counter() - started
+
+    def ascending_prefix():
+        prefixes = {x: [1] for x, _, _ in _SEQUENCES}
+        started = time.perf_counter()
+        for n in range(1, N0 + 1):
+            for x, marks in prefixes.items():
+                _prefix_read(marks, x, n)
+        return time.perf_counter() - started
+
+    # min of alternating runs, so a busy moment on the host hits both
+    on_demand, prefix = zip(*((ascending_on_demand(), ascending_prefix()) for _ in range(3)))
+    assert min(on_demand) < 1.2 * min(prefix), (on_demand, prefix)
+
+    for _, _, name in _SEQUENCES:
+        monkeypatch.setattr(exact, name, _empty())
+    started = time.perf_counter()
+    for n in range(N0, 0, -1):
+        for _, fn, _ in _SEQUENCES:
+            fn(n)
+    assert time.perf_counter() - started < 5
+
+
 # sha256 of the little-endian bytes of D_100000 and S_100000, computed by
 # the product tree of 2x2 matrices that served n > N0 before the split block
 _DIGESTS_AT_100000 = (
@@ -243,7 +343,7 @@ def test_exact_reads_nothing_from_the_certified_brackets(empty_marks, monkeypatc
 
 def test_threads_from_empty_marks_read_the_sequential_values(empty_marks):
     # Four readers start from empty marks at interleaved indices, the
-    # first ones above N0, and fill the marks below while the others read.
+    # first ones above N0, and store slots while the others read them.
     n_max = N0 + 400
     want = {x: _loops(x, n_max) for x, _, _ in _SEQUENCES}
     started = time.monotonic()
@@ -271,7 +371,10 @@ def test_threads_from_empty_marks_read_the_sequential_values(empty_marks):
         sys.setswitchinterval(old)
     assert failures == []
     assert time.monotonic() - started < 60
+    read = [n for i in range(4) for n in range(n_max - i * 13, 0, -97)]
     for x, _, name in _SEQUENCES:
         marks = getattr(exact, name)
-        assert 512 < len(marks) <= 512 + (N0 - 512) // 8 + 1
-        assert marks == [want[x][exact._index(i)] for i in range(len(marks))]
+        stored = _stored(marks)
+        # factorial above N0 is math.factorial and stores nothing
+        assert stored == {0} | {_slot(n) for n in read if x != 0 or n <= N0}
+        assert all(marks[s] == want[x][exact._index(s)] for s in stored)
