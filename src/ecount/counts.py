@@ -13,13 +13,15 @@ routes so that one can audit the other:
   correction terms, together with the rational bounds M_m(n) and the
   e-linear bounds N_m(n) that squeeze the fractional parts involved.
 
-The "exact" route sums integers; the "certified" route builds an
-:class:`~ecount.certified.EForm` and takes its certified floor.  Each
-exact sum is one pass of small-by-big multiplications: the path terms
-w(i), the cycle terms (n-1)!/(n-i)! and the common denominators of the
-bounds M_m(n) and N_m(n) are running products, never one factorial
-quotient per term.  The certified route still takes its factorial from
-:func:`~ecount.exact.factorial`, never from the running product.
+The "exact" route works with integers; the "certified" route builds an
+:class:`~ecount.certified.EForm` and takes its certified floor.  The
+path and cycle tallies are differences of the partial sums
+S_m = sum_{k<=m} m!/k!, which :func:`~ecount.exact.partial_sum_pos`
+reads by binary splitting: w_n = S_{n-2} and c_n = S_{n-1} - n.  Their
+certified route reads :mod:`ecount.exact` only for m!, and runs first,
+so a refusal at the precision cap costs no sum.  The common
+denominators of the bounds M_m(n) and N_m(n) are running products of
+small factors, never one factorial quotient per term.
 """
 
 from __future__ import annotations
@@ -75,40 +77,34 @@ def path_count_by_length(n: int, i: int) -> int:
     return factorial(n - 2) // factorial(n - 1 - i)
 
 
-def _path_terms(n: int) -> Iterator[tuple[int, int]]:
-    """(i, w(i)) for i = 1..n-1 by the running product w(1) = 1,
-    w(i+1) = w(i)*(n-1-i)."""
-    w = 1
-    for i in range(1, n):
-        yield i, w
-        w *= n - 1 - i
+def _checked_sum(m: int, caller: str) -> int:
+    """S_m = floor(e*m!), read both ways: the certified floor first, so a
+    refusal at the precision cap costs no sum, then partial_sum_pos(m).
+    Raises InvariantViolation, naming the caller, when they differ."""
+    floored = certified_floor(EForm(0, factorial(m), 0))
+    exact = partial_sum_pos(m)
+    if exact != floored:
+        raise InvariantViolation(
+            f"{caller}: partial sum S_{m} gives {exact}, floor(e*{m}!) gives {floored}"
+        )
+    return exact
 
 
 def path_count(n: int) -> int:
     """Total number of simple paths between a fixed vertex pair of K_n.
 
-    Exact route: sum of w(i) over i, each term the running product
-    w(i+1) = w(i)*(n-1-i) of the one before.  The certified route
-    evaluates floor(e*(n-2)!); both must agree on every call.
+    w_n = sum_i w(i) = sum_k (n-2)!/k! = S_{n-2}: the partial sum read
+    from the exact route, checked against the certified floor(e*(n-2)!).
     """
     _require(n >= 3, f"path_count requires n >= 3 (got {n})")
-    return _checked_path_count(n, sum(w for _, w in _path_terms(n)))
-
-
-def _checked_path_count(n: int, exact: int) -> int:
-    floored = certified_floor(EForm(0, factorial(n - 2), 0))
-    if exact != floored:
-        raise InvariantViolation(
-            f"path_count({n}): summation gives {exact}, floor(e*(n-2)!) gives {floored}"
-        )
-    return exact
+    return _checked_sum(n - 2, f"path_count({n})")
 
 
 def path_length_sum(n: int) -> int:
     """Total edge count over all simple paths between the fixed pair.
 
     The closed form 1 + (n-2)*w_n is checked against the direct sum
-    of i*w(i).
+    sum_i i*w(i) = S_{n-1} - S_{n-2}.
     """
     _require(n >= 3, f"path_length_sum requires n >= 3 (got {n})")
     return _path_totals(n)[1]
@@ -122,14 +118,10 @@ def average_path_length(n: int) -> Fraction:
 
 
 def _path_totals(n: int) -> tuple[int, int]:
-    """(w_n, total path length) from one pass over the terms, each
-    route run once."""
-    count = direct = 0
-    for i, w in _path_terms(n):
-        count += w
-        direct += i * w
-    _checked_path_count(n, count)
+    """(w_n, total path length), each route run once."""
+    count = _checked_sum(n - 2, f"path_count({n})")
     closed = 1 + (n - 2) * count
+    direct = partial_sum_pos(n - 1) - count
     if closed != direct:
         raise InvariantViolation(
             f"path_length_sum({n}): closed form {closed} != direct sum {direct}"
@@ -140,15 +132,16 @@ def _path_totals(n: int) -> tuple[int, int]:
 def path_argmax_lengths(n: int) -> set[int]:
     """Edge counts i at which w(i) is maximal, as the full tie set.
 
-    w(i) is nondecreasing with w(n-2) = w(n-1) = (n-2)!, so the result
-    is {n-2, n-1} for n >= 4 and {1, 2} for n = 3 (both counts are 1).
+    Read from the step factors w(i)/w(i-1) = n-i, all >= 1: w never
+    falls, so w(i) is a new maximum when its step exceeds 1 and ties the
+    maximum when it is 1.  No w(i) is built.
     """
     _require(n >= 3, f"path_argmax_lengths requires n >= 3 (got {n})")
-    top, best = 0, set()
-    for i, w in _path_terms(n):
-        if w > top:
-            top, best = w, {i}
-        elif w == top:
+    best = {1}
+    for i in range(2, n):
+        if n - i > 1:
+            best = {i}
+        elif n - i == 1:
             best.add(i)
     return best
 
@@ -156,58 +149,32 @@ def path_argmax_lengths(n: int) -> set[int]:
 def cycle_count(n: int) -> int:
     """Cycles through a fixed vertex of K_n, orientations distinct.
 
-    Exact route: sum over cycle length i of (n-1)!/(n-i)! ordered
-    choices of the i-1 intermediate vertices, each term the running
-    product term(i+1) = term(i)*(n-i) of the one before.  Certified
-    route: floor(e*(n-1)!) - n.
+    Summed over cycle length i, the (n-1)!/(n-i)! ordered choices of the
+    i-1 intermediate vertices give c_n = S_{n-1} - n: the partial sum
+    read from the exact route, checked against the certified
+    floor(e*(n-1)!).
     """
     _require(n >= 3, f"cycle_count requires n >= 3 (got {n})")
-    return _checked_cycle_count(n, sum(term for _, term in _cycle_terms(n)))
-
-
-def _cycle_terms(n: int) -> Iterator[tuple[int, int]]:
-    """(i, (n-1)!/(n-i)!) for i = 3..n by the running product
-    term(3) = (n-1)(n-2), term(i+1) = term(i)*(n-i)."""
-    term = (n - 1) * (n - 2)
-    for i in range(3, n + 1):
-        yield i, term
-        term *= n - i
-
-
-def _checked_cycle_count(n: int, exact: int) -> int:
-    floored = certified_floor(EForm(0, factorial(n - 1), 0)) - n
-    if exact != floored:
-        raise InvariantViolation(
-            f"cycle_count({n}): summation gives {exact}, floor route gives {floored}"
-        )
-    return exact
+    return _checked_sum(n - 1, f"cycle_count({n})") - n
 
 
 def cycle_length_sum(n: int) -> int:
     """Total length over all cycles through the fixed vertex.
 
-    Direct sum of i*(n-1)!/(n-i)!, checked against the floor-difference
-    form floor(e*n!) - floor(e*(n-1)!) - 2n + 1.
+    The direct sum sum_i i*(n-1)!/(n-i)! = S_n - S_{n-1} - 2n + 1 is
+    checked against the floor difference floor(e*n!) - floor(e*(n-1)!)
+    - 2n + 1.
     """
     _require(n >= 3, f"cycle_length_sum requires n >= 3 (got {n})")
     return _cycle_totals(n)[1]
 
 
 def _cycle_totals(n: int) -> tuple[int, int]:
-    """(c_n, total cycle length) from one pass over the terms.  The
-    floor difference reuses floor(e*(n-1)!) = c_n + n, which the count
-    check has just certified."""
-    count = direct = 0
-    for i, term in _cycle_terms(n):
-        count += term
-        direct += i * term
-    _checked_cycle_count(n, count)
-    floored = certified_floor(EForm(0, factorial(n), 0)) - (count + n) - 2 * n + 1
-    if direct != floored:
-        raise InvariantViolation(
-            f"cycle_length_sum({n}): summation gives {direct}, floor route gives {floored}"
-        )
-    return count, direct
+    """(c_n, total cycle length).  S_{n-1} = c_n + n is checked by the
+    count, so the two length routes agree exactly when S_n does with
+    floor(e*n!)."""
+    count = _checked_sum(n - 1, f"cycle_count({n})") - n
+    return count, _checked_sum(n, f"cycle_length_sum({n})") - (count + n) - 2 * n + 1
 
 
 class PathCycleCounts(
@@ -222,6 +189,7 @@ class PathCycleCounts(
 
 def path_cycle_counts(n: int) -> PathCycleCounts:
     """All four tallies for one n, with three certified floors in all."""
+    _require(n >= 3, f"path_cycle_counts requires n >= 3 (got {n})")
     paths, path_length = _path_totals(n)
     cycles, cycle_length = _cycle_totals(n)
     return PathCycleCounts(n, paths, path_length, cycles, cycle_length)

@@ -722,12 +722,25 @@ def test_huge_argument_probes_hit_the_precision_cap(op, flag, arg):
 def test_large_count_probes_answer_in_time(op):
     # Each probe timed out at 30 s while every term was its own factorial
     # quotient, and peaked at 958 MB while one table growth filled the
-    # factorial, partial-sum and derangement tables at once; now only the
-    # factorial table grows, to about 330 MB.
+    # factorial, partial-sum and derangement tables at once; now the
+    # exact route reads S_{n-2} or S_{n-1} by one binary split from the
+    # mark at 4096 and stores nothing above it.
     proc, seconds = _compute_in_child(op, "--n", "20000")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verified"] is True
     assert seconds < _PROBE_SECONDS
+
+
+@pytest.mark.parametrize("op", ["paths", "cycle-length-sum"])
+def test_count_probes_past_the_cap_are_refused_before_the_sum(op):
+    # The certified floor at n = 10^5 is refused at the precision cap.
+    # It runs before the exact sum, so the refusal costs no sum: 3.4 s
+    # (paths) and 7.1 s (cycle-length-sum) while an O(n) sum ran first.
+    proc, seconds = _compute_in_child(op, "--n", "100000")
+    assert proc.returncode == 1
+    assert "precision cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert seconds < 2.0
 
 
 def test_large_bounds_probe_answers_in_time():

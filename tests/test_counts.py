@@ -104,7 +104,7 @@ def _counted(monkeypatch, name):
 def test_each_route_runs_once(monkeypatch, n):
     floors = _counted(monkeypatch, "certified_floor")
     terms = _counted(monkeypatch, "path_count_by_length")
-    # The sums take their terms as running products, so none of them
+    # The tallies are differences of partial sums S_m, so none of them
     # calls path_count_by_length.
     for fn, want_floors, want_terms in (
         (counts.path_count, 1, 0),
@@ -132,11 +132,44 @@ def _quotient_cycle_sums(n):
     return sum(terms.values()), sum(i * t for i, t in terms.items())
 
 
+def _running_path_sums(n):
+    """(w_n, total path length), each term w(i+1) = w(i)*(n-1-i) the
+    running product of the one before."""
+    count = total = 0
+    w = 1
+    for i in range(1, n):
+        count, total = count + w, total + i * w
+        w *= n - 1 - i
+    return count, total
+
+
+def _running_cycle_sums(n):
+    """(c_n, total cycle length), each term (n-1)!/(n-i)! the running
+    product term(i+1) = term(i)*(n-i) of the one before."""
+    count = total = 0
+    term = (n - 1) * (n - 2)
+    for i in range(3, n + 1):
+        count, total = count + term, total + i * term
+        term *= n - i
+    return count, total
+
+
+# S_m is read at m = n-2, n-1 and n: from dense marks (m < 512), from
+# strided marks (512 <= m <= 4096) and above the last mark, N0 = 4096.
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=3, max_value=400))
-def test_running_products_match_quotient_sums(n):
-    paths, path_length = _quotient_path_sums(n)
-    cycles, cycle_length = _quotient_cycle_sums(n)
+@example(511)
+@example(512)
+@example(513)
+@example(514)
+@example(4097)
+@example(4098)
+@given(st.integers(min_value=3, max_value=5000))
+def test_tallies_match_reference_sums(n):
+    paths, path_length = _running_path_sums(n)
+    cycles, cycle_length = _running_cycle_sums(n)
+    if n <= 400:
+        assert _quotient_path_sums(n) == (paths, path_length)
+        assert _quotient_cycle_sums(n) == (cycles, cycle_length)
     assert counts.path_count(n) == paths
     assert counts.path_length_sum(n) == path_length
     assert counts.average_path_length(n) == Q(path_length, paths)
@@ -225,9 +258,10 @@ def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients()
             assert hash(big_n) == hash(EForm(a, nf, 0))
 
 
-def test_path_count_grows_the_factorial_table_only(monkeypatch):
-    # From empty marks and an empty bracket cache: the exact route needs
-    # (n-2)! alone, and the certified route builds its own bracket of e.
+def test_path_count_stores_one_factorial_and_one_sum_mark(monkeypatch):
+    # From empty marks and an empty bracket cache: the certified route
+    # needs (n-2)! and builds its own bracket of e, and the exact route
+    # reads S_{n-2}.
     marks = {
         name: [1] + [None] * (exact._SLOTS - 1)
         for name in ("_FACT_MARKS", "_PSUM_MARKS", "_DER_MARKS")
@@ -238,12 +272,14 @@ def test_path_count_grows_the_factorial_table_only(monkeypatch):
         certified, "_FIXED", {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
     )
     value = counts.path_count(2551)
-    # 2549! is read from the mark at 2544, the slot 512 + (2544 - 512) / 8:
-    # that slot is stored, beside slot 0, and no S or D slot is
+    # 2549! and S_2549 are read from the marks at 2544, the slot
+    # 512 + (2544 - 512) / 8: that slot is stored in each, beside slot 0,
+    # and no D slot is
     slot = 512 + (2544 - 512) // 8
     stored = {name: [s for s, t in enumerate(t) if t is not None] for name, t in marks.items()}
-    assert stored == {"_FACT_MARKS": [0, slot], "_PSUM_MARKS": [0], "_DER_MARKS": [0]}
+    assert stored == {"_FACT_MARKS": [0, slot], "_PSUM_MARKS": [0, slot], "_DER_MARKS": [0]}
     assert marks["_FACT_MARKS"][slot] == factorial(2544)
+    assert marks["_PSUM_MARKS"][slot] == partial_sum_pos(2544)
     assert value == partial_sum_pos(2549)
 
 
@@ -263,6 +299,25 @@ def test_cycle_length_guard_is_real(monkeypatch):
         counts.path_cycle_counts(n)
 
 
+def test_length_guards_bite_on_the_exact_side(monkeypatch):
+    # S_{n-1} enters only the direct sum of the path length, and S_n only
+    # that of the cycle length: one more there must raise, naming the
+    # length function, while the count it rests on still passes.
+    n = 6
+    for fn, m, count, want in (
+        (counts.path_length_sum, n - 1, counts.path_count, PATHS[n]),
+        (counts.cycle_length_sum, n, counts.cycle_count, CYCLES[n]),
+    ):
+        monkeypatch.setattr(
+            counts, "partial_sum_pos", lambda k, m=m: partial_sum_pos(k) + (k == m)
+        )
+        assert count(n) == want
+        with pytest.raises(InvariantViolation, match=fn.__name__):
+            fn(n)
+        with pytest.raises(InvariantViolation, match=fn.__name__):
+            counts.path_cycle_counts(n)
+
+
 def test_counts_domain_errors():
     for fn in (
         counts.path_count,
@@ -271,6 +326,7 @@ def test_counts_domain_errors():
         counts.cycle_length_sum,
         counts.average_path_length,
         counts.path_argmax_lengths,
+        counts.path_cycle_counts,
     ):
         with pytest.raises(DomainError):
             fn(2)
