@@ -3,12 +3,12 @@
 Three subcommands: `compute` evaluates a single quantity, `verify` runs
 identity suites over ranges, and `table` emits rows in csv/json/md.
 `compute` and `table` are driven by one table of ops (`_OPS`): each op
-names its flags and the library call behind it.  Where that call
-already checks two routes against each other (paths, cycles and their
-length sums), the CLI reports the agreement and does not recompute
-either route; it computes a second route itself only where no library
-function does (`floor-e-nfact` and the derangement floor forms).
-`verify` dispatches through one registry of suites (`_SUITES`).
+names its flags and the library call behind it.  Where an op has two
+routes (paths, cycles and their length sums, `floor-e-nfact` and the
+derangement floor forms), its call is a checked entry of `counts`,
+which runs both and raises when they disagree; the CLI reports the
+agreement and computes no route of its own.  `verify` dispatches
+through one registry of suites (`_SUITES`).
 
 Exit codes: 0 success, 1 identity violation (or a certification that
 could not complete), 2 usage error (argparse's usage line and message
@@ -120,19 +120,10 @@ def _eform_json(f: EForm, strings: dict[Fraction, str]) -> list[str]:
     return out
 
 
-class CountReport(
-    namedtuple(
-        "CountReport",
-        "op params value verified route_a route_b",
-        defaults=(None, None, None),
-    )
-):
-    """One computed quantity with optional dual-route detail.
-
-    `verified` is True or False when the value was checked, else None;
-    `route_a` and `route_b` are the two routes' values as strings, when
-    there are two.
-    """
+class CountReport(namedtuple("CountReport", "op params value verified", defaults=(None,))):
+    """One computed quantity: `verified` is True when the library checked
+    it, else None.  A two-route op's routes agreed on `value`, or the
+    library raised and no report was made."""
 
     __slots__ = ()
 
@@ -140,10 +131,8 @@ class CountReport(
         out: dict[str, Any] = {"op": self.op, "params": self.params, "value": self.value}
         if self.verified is not None:
             out["verified"] = self.verified
-        if self.route_a is not None:
-            out["route_a"] = self.route_a
-        if self.route_b is not None:
-            out["route_b"] = self.route_b
+            if _OPS[self.op].check == _ROUTES:
+                out["route_a"] = out["route_b"] = self.value
         return out
 
 
@@ -166,12 +155,10 @@ def _print_report(report: CountReport, fmt: str) -> None:
         print(_json(report.to_json(), indent=2))
         return
     print(_value_text(report.value))
-    if report.verified is not None:
-        print(f"verified={str(report.verified).lower()}")
-        if report.route_a is not None and report.route_a == report.route_b:
-            print(f"routes agree on {report.route_a}")
-        elif report.route_a is not None:
-            print(f"route_a={report.route_a} route_b={report.route_b}")
+    if report.verified:
+        print("verified=true")
+        if _OPS[report.op].check == _ROUTES:
+            print(f"routes agree on {report.value}")
 
 
 def _elapsed(t0: float) -> None:
@@ -201,11 +188,10 @@ def _exit_codes() -> Iterator[None]:
 
 # --- the op table -------------------------------------------------------
 
-# How an op's value is verified, where it is.  _ROUTES: the library
-# function computes both routes and raises when they disagree, so the CLI
-# reports the agreement without a second computation.  _CHECKED: the
-# library checked an enclosure or a chain.  A callable instead computes a
-# second route from the op's arguments, compared by the CLI.
+# How an op's value is verified, where it is.  _ROUTES: the op calls a
+# checked entry of `counts`, which computes both routes and raises when
+# they disagree, so the CLI reports the agreement.  _CHECKED: the library
+# checked an enclosure or a chain.  The CLI computes no route itself.
 _ROUTES = "routes"
 _CHECKED = "checked"
 
@@ -215,7 +201,7 @@ class Op(namedtuple("Op", "params run check defaults", defaults=(None, {}))):
 
     `params` are its JSON param keys in print order; each names the flag
     it comes from (see _FLAG).  `run` takes their values in that order.
-    `check` is None, _ROUTES, _CHECKED or a second route (see above).
+    `check` is None, _ROUTES or _CHECKED (see above).
     A flag left unset falls back to `defaults`, a dict from param key to
     value, else it is required.
     """
@@ -260,14 +246,17 @@ def _bounds(n: int, m: int) -> dict[str, Any]:
     }
 
 
-def _derangements(n: int, *_: Any) -> int:
-    return ecount.derangements(n)
+def _derangement_form(form: str) -> Callable[..., int]:
+    """The op of the derangement floor form counts.<form>, checked in
+    `counts` against derangements(n)."""
+    return lambda *args: ecount.counts._checked_form(getattr(ecount.counts, form), *args)
 
 
-# The ops reach the library through the package's public names, looked
-# up when called, not at import: the package loads a layer on its first
-# use, so a call loads only the layers its op needs, and a monkeypatched
-# or traced layer attribute is the one that runs.
+# The ops reach the library through the package's public names, or its
+# `counts` layer for the checked entries, looked up when called, not at
+# import: the package loads a layer on its first use, so a call loads
+# only the layers its op needs, and a monkeypatched or traced layer
+# attribute is the one that runs.
 _OPS: dict[str, Op] = {
     "derangements": Op(("n",), lambda n: ecount.derangements(n)),
     "dpoly-eval": Op(("n", "x"), lambda n, x: ecount.dpoly_eval(n, x)),
@@ -277,17 +266,15 @@ _OPS: dict[str, Op] = {
     "cycle-length-sum": Op(("n",), lambda n: ecount.cycle_length_sum(n), _ROUTES),
     "avg-path-length": Op(("n",), lambda n: ecount.average_path_length(n)),
     "floor-e-nfact": Op(
-        ("n",),
-        lambda n: ecount.certified_floor(ecount.EForm(0, ecount.factorial(n), 0)),
-        lambda n: ecount.partial_sum_pos(n),
+        ("n",), lambda n: ecount.counts._checked_sum("floor_e_nfact", n, n), _ROUTES
     ),
     "frac-e-nfact": Op(("n", "precision_bits"), _frac_e_nfact),
-    "eq2": Op(("n",), lambda n: ecount.derangement_eq2(n), _derangements),
-    "eq3": Op(("n",), lambda n: ecount.derangement_eq3(n), _derangements),
-    "eq4": Op(("n",), lambda n: ecount.derangement_eq4(n), _derangements),
-    "eq6": Op(("n",), lambda n: ecount.derangement_eq6(n), _derangements),
-    "eq5": Op(("n", "m"), lambda n, m: ecount.derangement_eq5(n, m), _derangements, {"m": 3}),
-    "thm7": Op(("n", "m"), lambda n, m: ecount.derangement_thm7(n, m), _derangements, {"m": 1}),
+    "eq2": Op(("n",), _derangement_form("derangement_eq2"), _ROUTES),
+    "eq3": Op(("n",), _derangement_form("derangement_eq3"), _ROUTES),
+    "eq4": Op(("n",), _derangement_form("derangement_eq4"), _ROUTES),
+    "eq6": Op(("n",), _derangement_form("derangement_eq6"), _ROUTES),
+    "eq5": Op(("n", "m"), _derangement_form("derangement_eq5"), _ROUTES, {"m": 3}),
+    "thm7": Op(("n", "m"), _derangement_form("derangement_thm7"), _ROUTES, {"m": 1}),
     "hyp2f0": Op(("n", "x"), lambda n, x: ecount.hyp2f0(n, x)),
     "hyp1f1": Op(
         ("n", "x", "precision_bits"),
@@ -326,17 +313,9 @@ def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
     args = _op_args(name, op, flags)
     params = {k: v if isinstance(v, int) else str(v) for k, v in zip(op.params, args)}
     value = op.run(*args)
-    # The second route runs before the value is made a string: a route
-    # that refuses then costs no decimal conversion of a long value.
-    other = op.check(*args) if callable(op.check) else value
+    # One decimal string per value: both routes show `shown`.
     shown = value if isinstance(value, (dict, list)) else str(value)
-    if op.check is None:
-        return CountReport(name, params, shown)
-    if op.check == _CHECKED:
-        return CountReport(name, params, shown, verified=True)
-    # One decimal string per value: the routes show `shown` where they agree.
-    agree = value == other
-    return CountReport(name, params, shown, agree, shown, shown if agree else str(other))
+    return CountReport(name, params, shown, True if op.check else None)
 
 
 def cmd_compute(args: argparse.Namespace) -> None:
@@ -346,8 +325,6 @@ def cmd_compute(args: argparse.Namespace) -> None:
         report = _compute_report(args.op, vars(args))
     _print_report(report, args.fmt)
     _elapsed(t0)
-    if report.verified is False:
-        sys.exit(1)
 
 
 # --- verify suites ----------------------------------------------------
@@ -387,14 +364,11 @@ _Range = tuple[int, int] | None
 
 
 def _suite_eq1(r: SuiteResult, n_range: _Range, **_: Any) -> None:
-    from . import certified, exact
-    from .certified import EForm
+    from . import counts
 
     lo, hi = n_range or (1, 500)
     for n in range(max(lo, 1), hi + 1):
-        a = exact.partial_sum_pos(n)
-        b = certified.certified_floor(EForm(0, exact.factorial(n), 0))
-        r.expect(a == b, f"n={n}: partial sum {a} != certified floor {b}")
+        r.attempt(counts._checked_sum, "eq1", n, n)
 
 
 def _suite_derangement_family(
@@ -413,23 +387,20 @@ def _suite_derangement_family(
         return
     m5_lo, m5_hi = m_range or (3, 6)
     m7_lo, m7_hi = m_range or (1, 3)
+    check = counts._checked_form
     for n in range(max(lo, 1), hi + 1):
-        dn = exact.derangements(n)
-        r.expect(counts.derangement_eq2(n) == dn, f"eq2 fails at n={n}")
+        r.attempt(check, counts.derangement_eq2, n)
         for lam_fixed in (_Q(1, 3), _Q(5, 12), _Q(1, 2)):
-            r.expect(
-                counts.derangement_lambda(n, lam_fixed) == dn,
-                f"lambda={lam_fixed} fails at n={n}",
-            )
+            r.attempt(check, counts.derangement_lambda, n, lam_fixed)
         if n < 2:
             continue
-        r.expect(counts.derangement_eq3(n) == dn, f"eq3 fails at n={n}")
-        r.expect(counts.derangement_eq4(n) == dn, f"eq4 fails at n={n}")
-        r.expect(counts.derangement_eq6(n) == dn, f"eq6 fails at n={n}")
+        r.attempt(check, counts.derangement_eq3, n)
+        r.attempt(check, counts.derangement_eq4, n)
+        r.attempt(check, counts.derangement_eq6, n)
         for m in range(max(m5_lo, 3), m5_hi + 1):
-            r.expect(counts.derangement_eq5(n, m) == dn, f"eq5 m={m} fails at n={n}")
+            r.attempt(check, counts.derangement_eq5, n, m)
         for m in range(max(m7_lo, 1), m7_hi + 1):
-            r.expect(counts.derangement_thm7(n, m) == dn, f"thm7 m={m} fails at n={n}")
+            r.attempt(check, counts.derangement_thm7, n, m)
 
 
 def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
@@ -638,11 +609,7 @@ def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, 
 
 def _op_row(quantity: str, n: int, bits: int) -> dict[str, Any]:
     op = _OPS[quantity]
-    # A row shows one route.  Where the CLI holds a second route of its
-    # own (floor-e-nfact's exact partial sum), that one: over a range of n
-    # it costs a fraction of one certified floor per row.
-    run = op.check if callable(op.check) else op.run
-    value = run(*_op_args(quantity, op, {"n": n, "bits": bits}))
+    value = op.run(*_op_args(quantity, op, {"n": n, "bits": bits}))
     if quantity != "frac-e-nfact":
         return {"n": n, "value": str(value)}
     (a, b, c), iv = value["eform"], value["interval"]

@@ -18,16 +18,25 @@ The "exact" route works with integers; the "certified" route builds an
 path and cycle tallies are differences of the partial sums
 S_m = sum_{k<=m} m!/k!, which :func:`~ecount.exact.partial_sum_pos`
 reads by binary splitting: w_n = S_{n-2} and c_n = S_{n-1} - n.  Their
-certified route reads :mod:`ecount.exact` only for m!, and runs first,
-so a refusal at the precision cap costs no sum.  The common
+certified route reads :mod:`ecount.exact` only for m!.  The common
 denominators of the bounds M_m(n) and N_m(n) are running products of
 small factors, never one factorial quotient per term.
+
+This module is the one place where two routes meet: `_agree` compares
+them and raises InvariantViolation, naming the call and both values,
+when they differ.  `_checked_sum` serves the tallies and floor(e*n!)
+(eq1); `_checked_form` checks a derangement floor form against
+derangements(n).  The public derangement forms return their certified
+floor alone.  Each check runs the certified route first, so a refusal
+at the precision cap costs no exact work, and reads its routes as
+module globals (or as the form passed in) when called, so a patched or
+wrapped route is the one that runs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -66,6 +75,32 @@ def _require(cond: bool, msg: str) -> None:
         raise DomainError(msg)
 
 
+# --- where the two routes meet ----------------------------------------
+
+
+def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
+    """exact, once it equals certified; else InvariantViolation naming the
+    call name(*args) and both values, the message built only then."""
+    if certified != exact:
+        call = ", ".join(map(str, args))
+        raise InvariantViolation(
+            f"{name}({call}): certified route gives {certified}, exact route gives {exact}"
+        )
+    return exact
+
+
+def _checked_sum(name: str, n: int, m: int) -> int:
+    """S_m = floor(e*m!) for the call name(n), read both ways: the
+    certified floor first, then partial_sum_pos(m)."""
+    return _agree(name, (n,), certified_floor(EForm(0, factorial(m), 0)), partial_sum_pos(m))
+
+
+def _checked_form(form: Callable[..., int], n: int, *rest: object) -> int:
+    """form(n, *rest), a derangement floor form, once it equals
+    derangements(n), which runs only after the form has answered."""
+    return _agree(form.__name__, (n, *rest), form(n, *rest), derangements(n))
+
+
 # --- paths and cycles in K_n ------------------------------------------
 
 
@@ -77,19 +112,6 @@ def path_count_by_length(n: int, i: int) -> int:
     return factorial(n - 2) // factorial(n - 1 - i)
 
 
-def _checked_sum(m: int, caller: str) -> int:
-    """S_m = floor(e*m!), read both ways: the certified floor first, so a
-    refusal at the precision cap costs no sum, then partial_sum_pos(m).
-    Raises InvariantViolation, naming the caller, when they differ."""
-    floored = certified_floor(EForm(0, factorial(m), 0))
-    exact = partial_sum_pos(m)
-    if exact != floored:
-        raise InvariantViolation(
-            f"{caller}: partial sum S_{m} gives {exact}, floor(e*{m}!) gives {floored}"
-        )
-    return exact
-
-
 def path_count(n: int) -> int:
     """Total number of simple paths between a fixed vertex pair of K_n.
 
@@ -97,7 +119,7 @@ def path_count(n: int) -> int:
     from the exact route, checked against the certified floor(e*(n-2)!).
     """
     _require(n >= 3, f"path_count requires n >= 3 (got {n})")
-    return _checked_sum(n - 2, f"path_count({n})")
+    return _checked_sum("path_count", n, n - 2)
 
 
 def path_length_sum(n: int) -> int:
@@ -118,15 +140,11 @@ def average_path_length(n: int) -> Fraction:
 
 
 def _path_totals(n: int) -> tuple[int, int]:
-    """(w_n, total path length), each route run once."""
-    count = _checked_sum(n - 2, f"path_count({n})")
+    """(w_n, total path length), each route run once.  The closed form
+    stands on the certified side: it reads only the checked count."""
+    count = _checked_sum("path_count", n, n - 2)
     closed = 1 + (n - 2) * count
-    direct = partial_sum_pos(n - 1) - count
-    if closed != direct:
-        raise InvariantViolation(
-            f"path_length_sum({n}): closed form {closed} != direct sum {direct}"
-        )
-    return count, closed
+    return count, _agree("path_length_sum", (n,), closed, partial_sum_pos(n - 1) - count)
 
 
 def path_argmax_lengths(n: int) -> set[int]:
@@ -155,7 +173,7 @@ def cycle_count(n: int) -> int:
     floor(e*(n-1)!).
     """
     _require(n >= 3, f"cycle_count requires n >= 3 (got {n})")
-    return _checked_sum(n - 1, f"cycle_count({n})") - n
+    return _checked_sum("cycle_count", n, n - 1) - n
 
 
 def cycle_length_sum(n: int) -> int:
@@ -173,8 +191,8 @@ def _cycle_totals(n: int) -> tuple[int, int]:
     """(c_n, total cycle length).  S_{n-1} = c_n + n is checked by the
     count, so the two length routes agree exactly when S_n does with
     floor(e*n!)."""
-    count = _checked_sum(n - 1, f"cycle_count({n})") - n
-    return count, _checked_sum(n, f"cycle_length_sum({n})") - (count + n) - 2 * n + 1
+    count = _checked_sum("cycle_count", n, n - 1) - n
+    return count, _checked_sum("cycle_length_sum", n, n) - (count + n) - 2 * n + 1
 
 
 class PathCycleCounts(

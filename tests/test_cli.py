@@ -88,21 +88,26 @@ def test_compute_eq6_shows_route():
 
 @pytest.mark.parametrize("op", ["paths", "eq2"])
 def test_a_report_makes_one_string_of_its_value(op):
-    # Where the routes agree, they show the value's one decimal string.
+    # The routes agreed, and both show the value's one decimal string.
     report = cli._compute_report(op, {"n": 400})
     assert report.verified is True
-    assert report.route_a is report.value and report.route_b is report.value
+    data = report.to_json()
+    assert data["route_a"] is report.value and data["route_b"] is report.value
 
 
 def test_a_report_of_disagreeing_routes_shows_both(monkeypatch):
-    monkeypatch.setattr(exact, "derangements", lambda n: 7)
-    report = cli._compute_report("eq2", {"n": 5})
-    assert (report.value, report.verified, report.route_a, report.route_b) == (
-        "44", False, "44", "7"
-    )
+    # counts refuses the call, naming it and both routes' values, and the
+    # CLI prints no value.
+    monkeypatch.setattr(counts, "derangements", lambda n: 7)
+    with pytest.raises(InvariantViolation, match=r"derangement_eq2\(5\): .* 44, .* 7$"):
+        cli._compute_report("eq2", {"n": 5})
     res = _run("compute", "eq2", "--n", "5")
     assert res.exit_code == 1
-    assert res.stdout == "44\nverified=false\nroute_a=44 route_b=7\n"
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == (
+        "violation: derangement_eq2(5): certified route gives 44, exact route gives 7\n"
+    )
 
 
 def test_a_refused_second_route_makes_no_string_of_the_value(monkeypatch):
@@ -118,8 +123,8 @@ def test_a_refused_second_route_makes_no_string_of_the_value(monkeypatch):
     def refused(*args, **kw):
         raise PrecisionCapError("floor undecided at precision cap 4 bits")
 
-    monkeypatch.setattr(exact, "partial_sum_pos", lambda n: Recorded(326))
-    monkeypatch.setattr(certified, "certified_floor", refused)
+    monkeypatch.setattr(counts, "partial_sum_pos", lambda n: Recorded(326))
+    monkeypatch.setattr(counts, "certified_floor", refused)
     res = _run("compute", "floor-e-nfact", "--n", "5")
     assert res.exit_code == 1
     assert "precision cap" in res.stderr
@@ -127,21 +132,83 @@ def test_a_refused_second_route_makes_no_string_of_the_value(monkeypatch):
 
 
 def test_floor_e_nfact_is_refused_at_the_cap_before_its_exact_route(monkeypatch):
-    # The certified floor is the printed route and runs first: when it
-    # refuses, the exact partial sum (here one that would fail) never runs.
+    # counts runs the certified floor first: when it refuses, the exact
+    # partial sum (here one that would fail) never runs.
     def refused(*args, **kw):
         raise PrecisionCapError("floor undecided at precision cap 4 bits")
 
     def never(n):
         raise AssertionError("the exact route ran before the refusal")
 
-    monkeypatch.setattr(exact, "partial_sum_pos", never)
-    monkeypatch.setattr(certified, "certified_floor", refused)
+    monkeypatch.setattr(counts, "partial_sum_pos", never)
+    monkeypatch.setattr(counts, "certified_floor", refused)
     res = _run("compute", "floor-e-nfact", "--n", "5")
     assert res.exit_code == 1
     assert "precision cap" in res.stderr
     assert "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+
+
+# The two-route ops of `compute`, each run at n = 6.  eq5 and eq6 subtract
+# floor(e*n!) from another floor, and cycle-length-sum subtracts
+# floor(e*(n-1)!) from it, so their certified side is shifted only on
+# floor(e*n!): shifting every floor by one would cancel.
+_TWO_ROUTES = (
+    "paths", "path-length-sum", "cycles", "cycle-length-sum", "floor-e-nfact",
+    "eq2", "eq3", "eq4", "eq5", "eq6", "thm7",
+)
+_E_NFACT_ONLY = ("cycle-length-sum", "eq5", "eq6")
+
+# Ops with one route and no `verified` line.  avg-path-length divides two
+# tallies that `counts` checks, but prints no `verified` line, so the
+# golden transcript stays as it is.
+_SINGLE_ROUTE = (
+    "derangements", "dpoly-eval", "avg-path-length", "hyp2f0", "frac-e-nfact", "inc-gamma"
+)
+
+
+def test_every_op_is_fault_injected_checked_or_single_route():
+    lists = {
+        cli._ROUTES: set(_TWO_ROUTES),
+        cli._CHECKED: {name for name, op in cli._OPS.items() if op.check == cli._CHECKED},
+        None: set(_SINGLE_ROUTE),
+    }
+    for name, op in cli._OPS.items():
+        assert [check for check, names in lists.items() if name in names] == [op.check], name
+    assert set().union(*lists.values()) == set(cli._OPS)
+
+
+@pytest.mark.parametrize("side", ["exact", "certified"])
+@pytest.mark.parametrize("op", _TWO_ROUTES)
+def test_a_fault_in_either_route_is_refused(monkeypatch, op, side):
+    # One route of the op is moved by one; counts must refuse the call.
+    n = 6
+    moved = []
+
+    def shifted(real, applies):
+        def route(*a, **kw):
+            value = real(*a, **kw)
+            if applies(*a):
+                moved.append(value)
+                return value + 1
+            return value
+
+        return route
+
+    if side == "certified":
+        e_nfact = certified.EForm(0, factorial(n), 0)
+        applies = (lambda f: f == e_nfact) if op in _E_NFACT_ONLY else (lambda f: True)
+        monkeypatch.setattr(counts, "certified_floor", shifted(counts.certified_floor, applies))
+    else:
+        route = "derangements" if op.startswith(("eq", "thm")) else "partial_sum_pos"
+        monkeypatch.setattr(counts, route, shifted(getattr(counts, route), lambda k: True))
+    res = _run("compute", op, "--n", str(n))
+    assert moved, "the fault reached no route"
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("violation: ")
+    assert "verified=true" not in res.output
+    assert "Traceback" not in res.output
 
 
 def test_bounds_makes_one_string_of_n_factorial(monkeypatch):
@@ -596,7 +663,10 @@ def test_running_out_of_memory_or_stack_is_a_violation(monkeypatch, args, error)
     def exhausted(n):
         raise error
 
+    # compute and table read derangements from exact; the derangement-family
+    # suite checks its forms against the one counts reads.
     monkeypatch.setattr(exact, "derangements", exhausted)
+    monkeypatch.setattr(counts, "derangements", exhausted)
     res = _run(*args)
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ecount import certified, counts, exact
 from ecount.certified import EForm, eform_eval, eform_sign
-from ecount.errors import DomainError, InvariantViolation
+from ecount.errors import DomainError, InvariantViolation, PrecisionCapError
 from ecount.exact import derangements, factorial, partial_sum_pos
 
 Q = Fraction
@@ -586,3 +586,53 @@ def test_dual_route_guard_is_real(monkeypatch):
     monkeypatch.setattr(counts, "certified_floor", lambda f, **kw: direct + 1)
     with pytest.raises(InvariantViolation):
         counts.path_count(n)
+
+
+_FORMS = [
+    (counts.derangement_eq2, ()),
+    (counts.derangement_eq3, ()),
+    (counts.derangement_eq4, ()),
+    (counts.derangement_eq5, (3,)),
+    (counts.derangement_eq6, ()),
+    (counts.derangement_thm7, (1,)),
+    (counts.derangement_lambda, (Q(1, 3),)),
+]
+
+
+@pytest.mark.parametrize("form, rest", _FORMS, ids=[f.__name__ for f, _ in _FORMS])
+def test_checked_form_is_refused_before_its_exact_route(monkeypatch, form, rest):
+    # The form's certified floor runs first: when it refuses at the cap,
+    # derangements(n) (here one that would fail) never runs.
+    def refused(*args, **kw):
+        raise PrecisionCapError("floor undecided at precision cap 4 bits")
+
+    def never(n):
+        raise AssertionError("the exact route ran before the refusal")
+
+    monkeypatch.setattr(counts, "certified_floor", refused)
+    monkeypatch.setattr(counts, "derangements", never)
+    with pytest.raises(PrecisionCapError):
+        counts._checked_form(form, 6, *rest)
+
+
+@pytest.mark.parametrize("form, rest", _FORMS, ids=[f.__name__ for f, _ in _FORMS])
+def test_checked_form_names_the_call_and_both_values(monkeypatch, form, rest):
+    assert counts._checked_form(form, 6, *rest) == 265
+    monkeypatch.setattr(counts, "derangements", lambda n: derangements(n) - 1)
+    call = ", ".join(map(str, (6, *rest)))
+    want = f"{form.__name__}({call}): certified route gives 265, exact route gives 264"
+    with pytest.raises(InvariantViolation) as exc:
+        counts._checked_form(form, 6, *rest)
+    assert str(exc.value) == want
+
+
+def test_agreeing_routes_make_no_string_of_their_values():
+    strings = []
+
+    class Recorded(int):
+        def __str__(self):
+            strings.append(int(self))
+            return super().__str__()
+
+    assert counts._agree("f", (Recorded(5),), Recorded(7), Recorded(7)) == 7
+    assert strings == []

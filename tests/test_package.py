@@ -133,7 +133,7 @@ _RECORDS = [
     (oracles.QuadratureResult, (_IV, 7, Fraction(1, 10**9))),
     (specials.GammaQuery, (3, Fraction(-1, 2), 96)),
     (specials.IntegralIdentity, ("int_0^1", _F, _IV)),
-    (cli.CountReport, ("paths", {"n": 4}, "5", True, "5", "5")),
+    (cli.CountReport, ("paths", {"n": 4}, "5", True)),
     (cli.Op, (("n",), abs, "routes", {"m": 3})),
 ]
 
