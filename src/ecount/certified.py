@@ -17,9 +17,9 @@ test of a requested precision against it, here and in `specials`.
 
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
-API edge, in the reduced coefficients `.a`, `.b`, `.c`.  A form of int
-coefficients, or one made by `EForm.from_integers`, is built, floored
-and signed without any `Fraction`.
+API edge, in the reduced coefficients `.a`, `.b`, `.c`, made when they
+are read, so floors and signs make no `Fraction`.  Besides its integers
+a form holds only its last refinement step.
 
 Floors and signs are decided by a fixed-point kernel,
 :func:`eform_bounds`: integers lo <= f * 2^p <= hi at the shared scale
@@ -38,12 +38,14 @@ lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It starts 64 bits
 above the magnitude of the form and then adds 64, 128, 256, ... bits,
 so a form thousands of bits wide retries a few words finer rather than
 at twice its size.  Each step is a call of :func:`eform_bounds`, which
-keeps the products of its last call: a call on the same form at a
-finer p shifts them by the d new bits and adds B and C times the
-change of the endpoints, about d bits wide, which gives the same
-integers as a fresh start at a cost linear in their size.  This is the
-reuse of the last approximation in Ziv's adaptive strategy, and a first
-step and a retry take the one code path.  When |b| + |c| is small the
+keeps its products on the form: the next call on that form at a finer
+p shifts them by the d new bits and adds B and C times the change of
+the endpoints, about d bits wide, which gives the same integers as a
+fresh start at a cost linear in their size.  This is the reuse of the
+last approximation in Ziv's adaptive strategy, and a first step and a
+retry take the one code path.  As each form holds its own step, forms
+refined in turn, or in different threads, do not restart one another,
+and a step lives no longer than its form.  When |b| + |c| is small the
 loop asks the kernel for a few guard bits more than p, so that the
 kernel's own rounding does not outweigh the enclosure error.
 
@@ -317,15 +319,16 @@ class EForm:
     when the denominators agree and one gcd of the two denominators when
     they differ; `==` and `hash` compare values.
 
-    `.a`, `.b` and `.c` are reduced `Fraction`s.  A form built over D > 1
-    from `int` and `Fraction` coefficients keeps them as Fractions when it
-    is built; any other form reduces A/D, B/D and C/D when they are first
-    read (by them, `hash`, `repr` or `to_triple`), once per form.
+    `.a`, `.b` and `.c` are reduced `Fraction`s, each made from A/D,
+    B/D or C/D when it is read; none is kept.  Besides its integers a
+    form holds only its last refinement step (see `eform_bounds`), which
+    is never compared, hashed or pickled.
     """
 
-    __slots__ = ("_ints", "_abc")
+    __slots__ = ("_ints", "_step")
 
     def __init__(self, a, b, c) -> None:
+        _set(self, "_step", None)
         if type(a) is int and type(b) is int and type(c) is int:
             _set(self, "_ints", (a, b, c, 1))
             return
@@ -335,9 +338,6 @@ class EForm:
             if x != d and x != 1:
                 d = d // math.gcd(d, x) * x
         _set(self, "_ints", (na * (d // da), nb * (d // db), nc * (d // dc), d))
-        if d != 1 and all(isinstance(x, (int, Fraction)) for x in (a, b, c)):
-            # Already in lowest terms: keep them rather than reduce again.
-            _set(self, "_abc", tuple(x if type(x) is Fraction else _Q(x) for x in (a, b, c)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EForm is immutable (cannot set {name!r})")
@@ -348,26 +348,17 @@ class EForm:
     def __reduce__(self):
         return _of, self._ints
 
-    def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
-        try:
-            return self._abc
-        except AttributeError:
-            big_a, big_b, big_c, den = self._ints
-            abc = (_Q(big_a, den), _Q(big_b, den), _Q(big_c, den))
-            _set(self, "_abc", abc)
-            return abc
-
     @property
     def a(self) -> Fraction:
-        return self._fractions()[0]
+        return _Q(self._ints[0], self._ints[3])
 
     @property
     def b(self) -> Fraction:
-        return self._fractions()[1]
+        return _Q(self._ints[1], self._ints[3])
 
     @property
     def c(self) -> Fraction:
-        return self._fractions()[2]
+        return _Q(self._ints[2], self._ints[3])
 
     @property
     def is_rational(self) -> bool:
@@ -383,7 +374,7 @@ class EForm:
     def from_integers(cls, big_a: int, big_b: int, big_c: int, den: int) -> "EForm":
         """The form (big_a + big_b*e + big_c/e) / den for integers with
         den > 0, kept over den as given: no gcd is taken here, and .a, .b
-        and .c are reduced on first use."""
+        and .c are reduced when read."""
         if den <= 0:
             raise DomainError(f"EForm denominator must be > 0 (got {den})")
         return _of(big_a, big_b, big_c, den)
@@ -398,11 +389,10 @@ class EForm:
         return a1 * d2 == a2 * d1 and b1 * d2 == b2 * d1 and c1 * d2 == c2 * d1
 
     def __hash__(self) -> int:
-        return hash(self._fractions())
+        return hash((self.a, self.b, self.c))
 
     def __repr__(self) -> str:
-        a, b, c = self._fractions()
-        return f"EForm(a={a!r}, b={b!r}, c={c!r})"
+        return f"EForm(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     def __add__(self, other) -> "EForm":
         return _sum(self._ints, _ints_of(other), 1)
@@ -425,14 +415,14 @@ class EForm:
         return _of(big_a * num, big_b * num, big_c * num, d * den)
 
     def to_triple(self) -> tuple[str, str, str]:
-        a, b, c = self._fractions()
-        return (str(a), str(b), str(c))
+        return (str(self.a), str(self.b), str(self.c))
 
 
 def _of(big_a: int, big_b: int, big_c: int, den: int) -> EForm:
     """The EForm (big_a + big_b*e + big_c/e) / den, for den > 0."""
     f = object.__new__(EForm)
     _set(f, "_ints", (big_a, big_b, big_c, den))
+    _set(f, "_step", None)
     return f
 
 
@@ -634,10 +624,6 @@ def _fixed(name: str, p: int) -> tuple[int, int]:
     return lo >> shift, -(-hi >> shift)
 
 
-# The last step of eform_bounds, (ints, p, x_b, x_c, s): see there.
-_LAST_STEP: tuple = (None, 0, 0, 0, 0)
-
-
 def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward.
 
@@ -649,19 +635,19 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     s = B*x_b + C*x_c a lower bound (the lower one for a positive
     coefficient, the upper one for a negative one), s takes one product
     per nonzero coefficient, and one in all when |B| = |C|: B times the
-    summed endpoints of e + 1/e or e - 1/e.  A call on the same form as
-    the call before, at p = p0 + d with d >= 0, extends that call's s
-    instead: s = (s0 << d) + B*(x_b - (y_b << d)) + C*(x_c - (y_c << d))
-    is exactly B*x_b + C*x_c, and as both endpoints enclose the same
-    number each correction is about d bits wide, so a step finer costs
-    O(bits) rather than a product as wide as B.  The refinement loop
-    makes exactly such calls; the result is the same integers either way.
+    summed endpoints of e + 1/e or e - 1/e.  The form keeps the last step
+    taken on it, (p0, y_b, y_c, s0).  A call at p = p0 + d with d >= 0
+    extends that step instead: s = (s0 << d) + B*(x_b - (y_b << d)) +
+    C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c, and as both endpoints
+    enclose the same number each correction is about d bits wide, so a
+    step finer costs O(bits) rather than a product as wide as B.  The
+    refinement loop makes exactly such calls; the result is the same
+    integers either way.  The step is one tuple, read once and replaced
+    whole, so threads that refine one form each extend a step of it.
     """
-    global _LAST_STEP
     if p < 0:
         raise DomainError(f"precision_bits must be >= 0 (got {p})")
-    ints = f._ints
-    big_a, big_b, big_c, den = ints
+    big_a, big_b, big_c, den = f._ints
     x_b = x_c = spread = 0
     if big_b:
         e_lo, e_hi = _fixed("e", p)
@@ -671,10 +657,9 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
         i_lo, i_hi = _fixed("e_inv", p)
         x_c = i_lo if big_c > 0 else i_hi
         spread += abs(big_c) * (i_hi - i_lo)
-    # One read of the tuple, so a call from another thread cannot mix in
-    # a state of a different form; the tuple holds ints, so `is` is safe.
-    last, p0, y_b, y_c, s = _LAST_STEP
-    if last is ints and p >= p0:
+    step = f._step
+    if step is not None and p >= step[0]:
+        p0, y_b, y_c, s = step
         d = p - p0
         s = (s << d) + big_b * (x_b - (y_b << d)) + big_c * (x_c - (y_c << d))
     elif big_b == big_c:
@@ -683,7 +668,7 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
         s = big_b * (x_b - x_c)
     else:
         s = big_b * x_b + big_c * x_c
-    _LAST_STEP = (ints, p, x_b, x_c, s)
+    _set(f, "_step", (p, x_b, x_c, s))
     q, r = divmod((big_a << p) + s, den)
     return q, q - (-(r + spread) // den)
 

@@ -120,18 +120,19 @@ def _eform_json(f: EForm, strings: dict[Fraction, str]) -> list[str]:
     return out
 
 
-class CountReport(namedtuple("CountReport", "op params value verified", defaults=(None,))):
-    """One computed quantity: `verified` is True when the library checked
-    it, else None.  A two-route op's routes agreed on `value`, or the
-    library raised and no report was made."""
+class CountReport(namedtuple("CountReport", "op params value")):
+    """One computed quantity.  Its op's `check` says whether the library
+    checked it; a two-route op's routes agreed on `value`, or the library
+    raised and no report was made."""
 
     __slots__ = ()
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"op": self.op, "params": self.params, "value": self.value}
-        if self.verified is not None:
-            out["verified"] = self.verified
-            if _OPS[self.op].check == _ROUTES:
+        check = _OPS[self.op].check
+        if check:
+            out["verified"] = True
+            if check == _ROUTES:
                 out["route_a"] = out["route_b"] = self.value
         return out
 
@@ -155,9 +156,10 @@ def _print_report(report: CountReport, fmt: str) -> None:
         print(_json(report.to_json(), indent=2))
         return
     print(_value_text(report.value))
-    if report.verified:
+    check = _OPS[report.op].check
+    if check:
         print("verified=true")
-        if _OPS[report.op].check == _ROUTES:
+        if check == _ROUTES:
             print(f"routes agree on {report.value}")
 
 
@@ -315,7 +317,7 @@ def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
     value = op.run(*args)
     # One decimal string per value: both routes show `shown`.
     shown = value if isinstance(value, (dict, list)) else str(value)
-    return CountReport(name, params, shown, True if op.check else None)
+    return CountReport(name, params, shown)
 
 
 def cmd_compute(args: argparse.Namespace) -> None:
@@ -363,11 +365,17 @@ class SuiteResult:
 _Range = tuple[int, int] | None
 
 
+def _ns(n_range: _Range, lo: int, hi: int, top: int | None = None) -> range:
+    """The values of a suite's --n-range (or --m-range) at or above lo,
+    and at most top when it is given; lo..hi when no range was asked."""
+    first, last = n_range or (lo, hi)
+    return range(max(first, lo), (last if top is None else min(last, top)) + 1)
+
+
 def _suite_eq1(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     from . import counts
 
-    lo, hi = n_range or (1, 500)
-    for n in range(max(lo, 1), hi + 1):
+    for n in _ns(n_range, 1, 500):
         r.attempt(counts._checked_sum, "eq1", n, n)
 
 
@@ -376,19 +384,17 @@ def _suite_derangement_family(
 ) -> None:
     from . import counts, exact
 
-    lo, hi = n_range or (1, 200)
+    ns = _ns(n_range, 1, 200)
     if lam is not None:
-        for n in range(max(lo, 1), hi + 1):
+        for n in ns:
             got = counts.derangement_lambda(n, lam)
             r.expect(
                 got == exact.derangements(n),
                 f"lambda={lam}: n={n} gives {got}, derangements(n)={exact.derangements(n)}",
             )
         return
-    m5_lo, m5_hi = m_range or (3, 6)
-    m7_lo, m7_hi = m_range or (1, 3)
     check = counts._checked_form
-    for n in range(max(lo, 1), hi + 1):
+    for n in ns:
         r.attempt(check, counts.derangement_eq2, n)
         for lam_fixed in (_Q(1, 3), _Q(5, 12), _Q(1, 2)):
             r.attempt(check, counts.derangement_lambda, n, lam_fixed)
@@ -397,17 +403,16 @@ def _suite_derangement_family(
         r.attempt(check, counts.derangement_eq3, n)
         r.attempt(check, counts.derangement_eq4, n)
         r.attempt(check, counts.derangement_eq6, n)
-        for m in range(max(m5_lo, 3), m5_hi + 1):
+        for m in _ns(m_range, 3, 6):
             r.attempt(check, counts.derangement_eq5, n, m)
-        for m in range(max(m7_lo, 1), m7_hi + 1):
+        for m in _ns(m_range, 1, 3):
             r.attempt(check, counts.derangement_thm7, n, m)
 
 
 def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     from . import counts
 
-    lo, hi = n_range or (3, 60)
-    for n in range(max(lo, 3), hi + 1):
+    for n in _ns(n_range, 3, 60):
         pc = r.attempt(counts.path_cycle_counts, n, prefix=f"n={n}: ")
         if pc is None:
             continue
@@ -427,12 +432,10 @@ def _suite_bounds_chain(r: SuiteResult, n_range: _Range, m_range: _Range, **_: A
     from . import certified, counts
     from .certified import EForm
 
-    chain_lo, chain_hi = n_range or (2, 50)
     m_max = (m_range or (1, 8))[1]
-    for n in range(max(chain_lo, 2), chain_hi + 1):
+    for n in _ns(n_range, 2, 50):
         r.attempt(counts.chain_check, n, m_max)
-    frac_lo, frac_hi = n_range or (1, 200)
-    for n in range(max(frac_lo, 1), frac_hi + 1):
+    for n in _ns(n_range, 1, 200):
         f = certified.frac_e_nfact(n)
         lo_ok = certified.eform_lt(EForm.from_rational(_Q(1, n + 1)), f)
         hi_ok = certified.eform_lt(f, EForm.from_rational(_Q(1, n)))
@@ -445,16 +448,13 @@ def _suite_special_fn(
     from . import exact, specials
 
     x_set = [_Q(1), _Q(-1), _Q(1, 2), _Q(-1, 2), _Q(2), _Q(-2), _Q(3, 7)]
-    lo, hi = n_range or (0, 30)
-    for n in range(max(lo, 0), hi + 1):
+    for n in _ns(n_range, 0, 30):
         for x in x_set:
             r.attempt(specials.hyp2f0_identity_check, n, x)
-    sp_lo, sp_hi = n_range or (1, 100)
-    for n in range(max(sp_lo, 1), sp_hi + 1):
+    for n in _ns(n_range, 1, 100):
         for sign in (-1, 1):
             r.attempt(specials.hyp2f0_special, n, sign)
-    ode_lo, ode_hi = n_range or (0, 50)
-    for n in range(max(ode_lo, 0), ode_hi + 1):
+    for n in _ns(n_range, 0, 50):
         poly = exact.dpoly(n)
         deriv = poly.derivative_coeffs() + (0,)
         diff = tuple(a - b for a, b in zip(poly.coeffs, deriv))
@@ -463,8 +463,7 @@ def _suite_special_fn(
             f"n={n}: poly minus derivative is not x^n",
         )
     h_bits = 40 if bits is None else bits
-    h_lo, h_hi = n_range or (0, 10)
-    for n in range(max(h_lo, 0), h_hi + 1):
+    for n in _ns(n_range, 0, 10):
         for x in (_Q(1, 2), _Q(1), _Q(2)):
             try:
                 iv = specials.hyp1f1(n, x, h_bits)
@@ -474,30 +473,26 @@ def _suite_special_fn(
                 )
             except InvariantViolation as exc:
                 r.fail(str(exc))
-    int_lo, int_hi = n_range or (1, 15)
-    for n in range(max(int_lo, 1), int_hi + 1):
+    for n in _ns(n_range, 1, 15):
         r.attempt(specials.integral_identities, n, tol)
 
 
 def _suite_oracle_equivalence(r: SuiteResult, n_range: _Range, **_: Any) -> None:
     from . import counts, exact, oracles
 
-    d_lo, d_hi = n_range or (0, 9)
-    for n in range(max(d_lo, 0), min(d_hi, oracles.MAX_BRUTE_DERANGEMENTS) + 1):
+    for n in _ns(n_range, 0, 9, oracles.MAX_BRUTE_DERANGEMENTS):
         r.expect(
             oracles.brute_derangements(n) == exact.derangements(n),
             f"derangements brute force disagrees at n={n}",
         )
-    p_lo, p_hi = n_range or (3, 9)
-    for n in range(max(p_lo, 3), min(p_hi, oracles.MAX_BRUTE_PATHS) + 1):
+    for n in _ns(n_range, 3, 9, oracles.MAX_BRUTE_PATHS):
         res = oracles.brute_paths(n)
         r.expect(
             res.count == counts.path_count(n)
             and res.total_length == counts.path_length_sum(n),
             f"path enumeration disagrees at n={n}: {res}",
         )
-    c_lo, c_hi = n_range or (3, 8)
-    for n in range(max(c_lo, 3), min(c_hi, oracles.MAX_BRUTE_CYCLES) + 1):
+    for n in _ns(n_range, 3, 8, oracles.MAX_BRUTE_CYCLES):
         res = oracles.brute_cycles(n)
         r.expect(
             res.count == counts.cycle_count(n)

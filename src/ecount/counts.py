@@ -23,9 +23,10 @@ denominators of the bounds M_m(n) and N_m(n) are running products of
 small factors, never one factorial quotient per term.
 
 This module is the one place where two routes meet: `_agree` compares
-them and raises InvariantViolation, naming the call and both values,
-when they differ.  `_checked_sum` serves the tallies and floor(e*n!)
-(eq1); `_checked_form` checks a derangement floor form against
+them and raises InvariantViolation, naming the call and both values (a
+value wider than 256 bits by its bit length), when they differ.
+`_checked_sum` serves the tallies and floor(e*n!) (eq1);
+`_checked_form` checks a derangement floor form against
 derangements(n).  The public derangement forms return their certified
 floor alone.  Each check runs the certified route first, so a refusal
 at the precision cap costs no exact work, and reads its routes as
@@ -40,7 +41,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import gcd
 
-from .certified import EForm, certified_floor, eform_lt
+from .certified import _NAME_BITS, EForm, certified_floor, eform_lt
 from .errors import DomainError, InvariantViolation
 from .exact import derangements, factorial, partial_sum_pos
 
@@ -80,13 +81,31 @@ def _require(cond: bool, msg: str) -> None:
 
 def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
     """exact, once it equals certified; else InvariantViolation naming the
-    call name(*args) and both values, the message built only then."""
+    call name(*args) and both values, the message built only then.
+
+    A value wider than _NAME_BITS is named by its bit length, as
+    `certified._name` names a wide form, with the difference of the two
+    routes when that is narrow: no str of a wide int is made, so the
+    message never meets Python's limit on int-to-str digits."""
     if certified != exact:
         call = ", ".join(map(str, args))
-        raise InvariantViolation(
-            f"{name}({call}): certified route gives {certified}, exact route gives {exact}"
+        message = (
+            f"{name}({call}): certified route gives {_value(certified)}, "
+            f"exact route gives {_value(exact)}"
         )
+        diff = certified - exact
+        wide = max(certified.bit_length(), exact.bit_length()) > _NAME_BITS
+        if wide and diff.bit_length() <= _NAME_BITS:
+            message += f" (certified - exact = {diff})"
+        raise InvariantViolation(message)
     return exact
+
+
+def _value(x: int) -> str:
+    """x in decimal, or, when wider than _NAME_BITS, its bit length."""
+    if x.bit_length() <= _NAME_BITS:
+        return str(x)
+    return f"a value of {x.bit_length()} bits"
 
 
 def _checked_sum(name: str, n: int, m: int) -> int:

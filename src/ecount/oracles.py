@@ -122,6 +122,31 @@ def brute_derangements(n: int) -> int:
     return sum(map(all, map(map, repeat(ne), permutations(r), repeat(r))))
 
 
+def _walks(n: int, start: int, stop: int, least: int) -> EnumerationResult:
+    """Walks of K_n from start to stop, stop == start allowed, with no
+    vertex repeated before stop and at least `least` edges, by
+    depth-first search: their count and total number of edges."""
+    count = 0
+    total = 0
+    visited = [False] * n
+    visited[start] = True
+
+    def walk(edges: int) -> None:
+        nonlocal count, total
+        for w in range(n):
+            if w == stop:
+                if edges + 1 >= least:
+                    count += 1
+                    total += edges + 1
+            elif not visited[w]:
+                visited[w] = True
+                walk(edges + 1)
+                visited[w] = False
+
+    walk(0)
+    return EnumerationResult(count, total)
+
+
 def brute_paths(n: int, pair: tuple[int, int] = (0, 1)) -> EnumerationResult:
     """Enumerate simple paths between two fixed vertices of K_n.
 
@@ -133,24 +158,7 @@ def brute_paths(n: int, pair: tuple[int, int] = (0, 1)) -> EnumerationResult:
     u, v = pair
     if not (0 <= u < n and 0 <= v < n and u != v):
         raise DomainError(f"pair must name two distinct vertices of K_{n} (got {pair})")
-    count = 0
-    total = 0
-    visited = [False] * n
-    visited[u] = True
-
-    def walk(cur: int, edges: int) -> None:
-        nonlocal count, total
-        for w in range(n):
-            if w == v:
-                count += 1
-                total += edges + 1
-            elif not visited[w]:
-                visited[w] = True
-                walk(w, edges + 1)
-                visited[w] = False
-
-    walk(u, 0)
-    return EnumerationResult(count, total)
+    return _walks(n, u, v, 1)
 
 
 def brute_cycles(n: int, root: int = 0) -> EnumerationResult:
@@ -164,31 +172,10 @@ def brute_cycles(n: int, root: int = 0) -> EnumerationResult:
         raise DomainError(f"brute_cycles requires 3 <= n <= {MAX_BRUTE_CYCLES} (got {n})")
     if not 0 <= root < n:
         raise DomainError(f"root must be a vertex of K_{n} (got {root})")
-    count = 0
-    total = 0
-    visited = [False] * n
-    visited[root] = True
-
-    def walk(cur: int, edges: int) -> None:
-        nonlocal count, total
-        for w in range(n):
-            if w == root:
-                if edges >= 2:
-                    count += 1
-                    total += edges + 1
-            elif not visited[w]:
-                visited[w] = True
-                walk(w, edges + 1)
-                visited[w] = False
-
-    walk(root, 0)
-    return EnumerationResult(count, total)
+    return _walks(n, root, root, 3)
 
 
 # --- rigorous quadrature ----------------------------------------------
-
-_E = EForm(0, 1, 0)
-_E_INV = EForm(0, 0, 1)
 
 # Bits kept past a width share when an enclosure is rounded outward: the
 # rounding then adds at most 2 * 2^-GUARD of the share to the width.
@@ -308,7 +295,7 @@ class _PassTables:
         key = (p, q > 0)
         entry = self._powers.get(key)
         if entry is None:
-            lo, hi = eform_bounds(_E if q > 0 else _E_INV, p)
+            lo, hi = eform_bounds(EForm(0, 1, 0) if q > 0 else EForm(0, 0, 1), p)
             entry = self._powers[key] = (lo, hi, [one], [one])
         lo, hi, lows, highs = entry
         if len(lows) <= abs(q):
@@ -475,7 +462,7 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     U does not fit, or down while U - 1 still fits, then bisects to the
     least fitting U.  A right guess costs two exact tests.
     """
-    _, einv_hi = eform_bounds(_E_INV, 64)
+    _, einv_hi = eform_bounds(EForm(0, 0, 1), 64)
     tail_bits = max(1, ceil_log2(2 / tol) + _GUARD_BITS)
     limit = tol.numerator << tail_bits
 

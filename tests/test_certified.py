@@ -525,20 +525,23 @@ def test_eform_is_immutable():
     assert f == EForm(1, 2, 3)
 
 
-def test_coefficients_are_reduced_fractions_built_once():
+def test_coefficients_are_reduced_fractions_made_when_read():
     f = EForm(Q(1, 2), 0, 0) + EForm(Q(1, 6), Q(2, 3), -1) - EForm(0, 0, Q(5, 3))
     assert f._ints[3] == 6
     for coefficient in (f.a, f.b, f.c):
         assert type(coefficient) is Fraction
     assert (f.a, f.b, f.c) == (Q(2, 3), Q(2, 3), Q(-8, 3))
-    assert f.a is f.a and f.c is f.c
     assert f.to_triple() == ("2/3", "2/3", "-8/3")
     assert repr(f) == "EForm(a=Fraction(2, 3), b=Fraction(2, 3), c=Fraction(-8, 3))"
     g = EForm(0, factorial(20), 0)
     assert type(g.b) is Fraction and g.b == factorial(20)
-    # A form built from Fractions keeps them: they are in lowest terms.
+    # Reading them keeps nothing: the form still holds its integers and
+    # no step, and one built from Fractions holds them over their least
+    # common denominator.
+    assert (f._ints, f._step) == ((4, 4, -16, 6), None)
     half = Q(1, 2)
-    assert EForm(half, 3, 0).a is half
+    assert EForm(half, 3, 0).a == half
+    assert EForm(half, 3, 0)._ints == (1, 6, 0, 2)
 
 
 def test_eform_survives_pickle_and_copy():
@@ -582,11 +585,8 @@ def test_int_coefficients_build_the_form_fraction_coefficients_build(a, b, c):
     for g in (f, general):
         clone = pickle.loads(pickle.dumps(g))
         assert clone._ints == g._ints and clone == f and hash(clone) == hash(f)
-    if f._ints[3] > 1:
-        # Over a denominator D > 1, a Fraction coefficient is kept as given.
-        for given_value, read in zip((a, b, c), (f.a, f.b, f.c)):
-            if type(given_value) is Fraction:
-                assert read is given_value
+    # A coefficient is made when it is read, never kept on the form.
+    assert f._step is None and general._step is None
 
 
 def test_integer_forms_are_floored_and_signed_without_a_fraction(monkeypatch):
@@ -871,14 +871,80 @@ def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
 
 
 def test_interleaved_forms_each_get_their_own_bounds():
-    # The kernel extends only the last call's products, and only for the
-    # same form at a p no smaller than before: any other call starts
-    # afresh, so interleaved and descending calls give the fresh bounds.
+    # The kernel extends a form's own last step, and only at a p no
+    # smaller than that step's: a descending call starts afresh, so
+    # interleaved and descending calls give the fresh bounds.
     forms = [_STEP_FORMS[0], _STEP_FORMS[2], _STEP_FORMS[0], _STEP_FORMS[6]]
     for p in (2200, 2300, 2264, 2264, 2100, 2600):
         for f in forms:
             assert eform_bounds(f, p) == _separate_bounds(f, p)
             assert eform_bounds(f, p + 70) == _separate_bounds(f, p + 70)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _EFORMS,
+    _EFORMS,
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=0, max_value=2000),
+)
+@example(_STEP_FORMS[0], _STEP_FORMS[2], 2200, 2300, 2264)  # p2 >= p1
+@example(_STEP_FORMS[6], _STEP_FORMS[0], 1500, 2100, 900)  # p2 < p1
+def test_a_step_on_another_form_leaves_a_forms_step_alone(f, g, p1, q, p2):
+    # f is refined at p1, g at q, then f at p2, above or below p1: the
+    # call at p2 gives what a fresh copy of f, with no step, gives there.
+    eform_bounds(f, p1)
+    eform_bounds(g, q)
+    fresh = pickle.loads(pickle.dumps(f))
+    assert fresh._step is None
+    assert eform_bounds(f, p2) == eform_bounds(fresh, p2) == _separate_bounds(f, p2)
+    assert f._step[0] == p2
+
+
+_THREAD_FORMS = [
+    _STEP_FORMS[0],
+    _STEP_FORMS[6],
+    counts.bound_N(76, 10) + EForm(0, 0, factorial(76)),
+    EForm.from_rational(counts.bound_M(300, 10)) - frac_e_nfact(300),
+    EForm(-1, factorial(400), -factorial(400)),
+    EForm(Q(1, 3), -7, Q(5, 2)),
+]
+
+
+def test_threads_refining_shared_forms_get_the_sequential_results():
+    # Four threads floor and sign the same form objects, each in its own
+    # order, with frequent switches, so that steps of different forms and
+    # of one form from two threads interleave: each gets the results of
+    # one thread refining fresh copies alone.
+    def results(forms):
+        return [(certified_floor_info(f), eform_sign(f)) for f in forms]
+
+    expected = results([pickle.loads(pickle.dumps(f)) for f in _THREAD_FORMS])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            barrier = threading.Barrier(4)
+            got = {}
+
+            def work(k):
+                order = _THREAD_FORMS[k:] + _THREAD_FORMS[:k]
+                if k % 2:
+                    order.reverse()
+                barrier.wait()
+                got[k] = dict(zip(map(id, order), results(order)))
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for k in range(4):
+                assert [got[k][id(f)] for f in _THREAD_FORMS] == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @settings(max_examples=60, deadline=None)

@@ -90,8 +90,8 @@ def test_compute_eq6_shows_route():
 def test_a_report_makes_one_string_of_its_value(op):
     # The routes agreed, and both show the value's one decimal string.
     report = cli._compute_report(op, {"n": 400})
-    assert report.verified is True
     data = report.to_json()
+    assert data["verified"] is True
     assert data["route_a"] is report.value and data["route_b"] is report.value
 
 

@@ -2,6 +2,7 @@
 certified bound chain."""
 
 import json
+import sys
 from fractions import Fraction
 from math import gcd, prod
 
@@ -624,6 +625,32 @@ def test_checked_form_names_the_call_and_both_values(monkeypatch, form, rest):
     with pytest.raises(InvariantViolation) as exc:
         counts._checked_form(form, 6, *rest)
     assert str(exc.value) == want
+
+
+@pytest.mark.parametrize(
+    "moved_by, difference",
+    [(1, " (certified - exact = 1)"), (1 << 300, "")],
+    ids=["narrow-difference", "wide-difference"],
+)
+def test_checked_form_names_wide_values_by_their_bit_length(monkeypatch, moved_by, difference):
+    # D_2000 has 5,736 digits, past Python's default limit of 4300 for
+    # int-to-str: the refusal names each value by its bit length, and the
+    # difference of the routes when that is narrow.
+    value = derangements(2000)
+    monkeypatch.setattr(counts, "derangements", lambda n: value - moved_by)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InvariantViolation) as exc:
+            counts._checked_form(counts.derangement_eq2, 2000)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == (
+        f"derangement_eq2(2000): certified route gives a value of {value.bit_length()} bits, "
+        f"exact route gives a value of {(value - moved_by).bit_length()} bits{difference}"
+    )
 
 
 def test_agreeing_routes_make_no_string_of_their_values():
