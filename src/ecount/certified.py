@@ -26,13 +26,15 @@ Floors and signs are decided by a fixed-point kernel,
 2^-p, read from A, B, C and D.  e and 1/e are each held as one cached
 entry (P, lo, hi) with lo <= x * 2^P <= hi, cut from the exact brackets
 below by one floor division; a request for p <= P shifts it right,
-flooring the lower and ceiling the upper endpoint, and a larger p
-extends it to exactly p by the bracket's new terms and one short
-division.  The sums are divided by D once, with floor division for lo
-and ceiling division for hi, so every step rounds outward and the
-refinement loop builds no `Fraction`.  A form with |B| = |C|, such as
-(e + 1/e)*n!, takes one product, of B with the summed endpoints of
-e + 1/e or e - 1/e, where the others take one per nonzero coefficient.
+flooring the lower and ceiling the upper endpoint, and costs O(p), not
+O(P): far below P the ceiling is the shift plus one unless the 64 bits
+below the cut are all zero.  A larger p extends the entry to exactly p
+by the bracket's new terms and one short division.  The sums are
+divided by D once, with floor division for lo and ceiling division for
+hi, so every step rounds outward and the refinement loop builds no
+`Fraction`.  A form with |B| = |C|, such as (e + 1/e)*n!, takes one
+product, of B with the summed endpoints of e + 1/e or e - 1/e, where
+the others take one per nonzero coefficient.
 One refinement loop serves floors and signs: a floor is decided when
 lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It starts 64 bits
 above the magnitude of the form and then adds 64, 128, 256, ... bits,
@@ -118,11 +120,14 @@ def _resolve_cap() -> int:
     if env is None:
         return DEFAULT_PRECISION_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
+        cap = -1
+    if cap < 0:
         raise DomainError(
-            f"ECOUNT_PRECISION_CAP must be an integer bit count (got {env!r})"
-        ) from None
+            f"ECOUNT_PRECISION_CAP must be a nonnegative integer bit count (got {env!r})"
+        )
+    return cap
 
 
 def _check_cap(what: str, bits: int) -> None:
@@ -612,15 +617,27 @@ def _grow(name: str, entry: tuple, bits: int) -> tuple:
 
 
 def _fixed(name: str, p: int) -> tuple[int, int]:
-    """Integers lo <= x * 2^p <= hi for x = e or 1/e; hi - lo <= 2."""
+    """Integers lo <= x * 2^p <= hi for x = e or 1/e; hi - lo <= 2.
+
+    From an entry at P >= p, in time linear in p.  lo is floored by a
+    shift.  While P <= 11p + 64, hi is ceiled by -(-hi >> s), which
+    copies all P bits: O(p) here, and the faster way on CPython 3.11.
+    Further below P it is (hi >> s) + 1, read from the top p + 64 bits
+    of hi, unless the 64 below the cut are all zero; then it is the
+    exact -(-hi >> s).
+    """
     entry = _FIXED[name]
     if entry[0] < p:
         entry = _grow(name, entry, p)
         with _FIXED_LOCK:
             if _FIXED[name][0] < p:
                 _FIXED[name] = entry
-    big_p, lo, hi = entry[:3]
+    big_p, lo, hi, _, _, _ = entry
     shift = big_p - p
+    if shift > 10 * p + 64:
+        top = hi >> (shift - 64)
+        if top & 0xFFFFFFFFFFFFFFFF:
+            return lo >> shift, (top >> 64) + 1
     return lo >> shift, -(-hi >> shift)
 
 
@@ -683,13 +700,6 @@ class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
     __slots__ = ()
 
 
-def _start_bits(f: EForm) -> int:
-    # Normalize for the coefficient scale: |a| + 3|b| + |c| bounds the
-    # magnitude, so 64 guard bits survive the cancellation in a + b*e + c/e.
-    big_a, big_b, big_c, den = f._ints
-    return 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
-
-
 def _decide_floor(lo: int, hi: int, p: int) -> int | None:
     lo >>= p
     return lo if lo == hi >> p else None
@@ -740,8 +750,14 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
     and C by full-width endpoints.
     """
     cap = _resolve_cap()
-    p = max(8, _start_bits(f) if start_bits is None else start_bits)
-    guard = _guard_bits(f)
+    big_a, big_b, big_c, den = f._ints
+    if start_bits is None:
+        # |a| + 3|b| + |c| bounds the magnitude, so 64 bits above it
+        # survive the cancellation in a + b*e + c/e.
+        start_bits = 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
+    p = max(8, start_bits)
+    # the guard bits of _guard_bits, from the same integers
+    guard = max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
     step = 64
     while p <= cap:
         lo, hi = eform_bounds(f, p + guard)
@@ -762,8 +778,8 @@ def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> Certifie
     agree on a floor yields the floor of the enclosed value.  A rational
     form is floored exactly, at precision 0.
     """
-    if f.is_rational:
-        big_a, _, _, den = f._ints
+    big_a, big_b, big_c, den = f._ints
+    if not (big_b or big_c):
         return CertifiedFloor(big_a // den, 0)
     return CertifiedFloor(*_refine(f, start_bits, _decide_floor, "floor"))
 
@@ -779,8 +795,8 @@ def eform_sign(f: EForm) -> int:
     Exact for rational forms (the only way to return 0); otherwise the
     enclosure is refined until it excludes zero.
     """
-    if f.is_rational:
-        big_a = f._ints[0]
+    big_a, big_b, big_c, _ = f._ints
+    if not (big_b or big_c):
         return (big_a > 0) - (big_a < 0)
     return _refine(f, None, _decide_sign, "sign")[0]
 

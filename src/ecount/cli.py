@@ -531,6 +531,8 @@ def cmd_verify(args: argparse.Namespace) -> None:
         # Checked once, before any suite runs, whichever suites read it.
         if args.bits is not None and args.bits < 1:
             raise DomainError(f"precision_bits must be >= 1 (got {args.bits})")
+        if args.tol <= 0:
+            raise DomainError(f"tol must be > 0 (got {args.tol})")
         for r in results:
             _SUITES[r.suite](r, **options)
 

@@ -110,7 +110,10 @@ def _value(x: int) -> str:
 
 def _checked_sum(name: str, n: int, m: int) -> int:
     """S_m = floor(e*m!) for the call name(n), read both ways: the
-    certified floor first, then partial_sum_pos(m)."""
+    certified floor first, then partial_sum_pos(m).  m < 1 is refused
+    first, in the caller's terms."""
+    if m < 1:
+        raise DomainError(f"{name} requires n >= {n - m + 1} (got {n})")
     return _agree(name, (n,), certified_floor(EForm(0, factorial(m), 0)), partial_sum_pos(m))
 
 

@@ -1,6 +1,7 @@
 """Certified engine: enclosures of e and 1/e, interval arithmetic,
 and the adaptive certified floor."""
 
+import hashlib
 import math
 import os
 import pickle
@@ -436,6 +437,12 @@ def test_precision_cap_env_override(monkeypatch):
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "junk")
     with pytest.raises(DomainError):
         certified_floor(EForm(0, 1, 0))
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "-5")
+    with pytest.raises(DomainError, match=r"nonnegative integer bit count \(got '-5'\)"):
+        certified_floor(EForm(0, 1, 0))
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "0")
+    with pytest.raises(PrecisionCapError):
+        certified_floor(EForm(0, 1, 0))
     monkeypatch.delenv("ECOUNT_PRECISION_CAP")
     assert certified_floor(EForm(0, 1, 0)) == 2
     assert DEFAULT_PRECISION_CAP == 1 << 20
@@ -776,6 +783,59 @@ def test_kernel_decisions_match_eform_eval_loop(f):
     assert sign == _reference(f, _reference_sign)[0]
 
 
+def _digest_forms() -> list[EForm]:
+    """A fixed list of forms: the six shapes of acceptance criterion 12
+    over a grid of n and m, with seeded rational ones, then n! forms up
+    to n = 4000, then the shapes again, now served from a finer cache."""
+
+    def shapes():
+        rng = random.Random(2029)
+        forms = []
+        for n in range(1, 61):
+            sign = rng.choice((-1, 1))
+            forms += [EForm(0, factorial(n), 0), EForm(rng.randint(-5, 5), 0, sign * factorial(n))]
+        forms += [frac_e_nfact(n) for n in range(1, 101)]
+        forms += [counts.bound_N(n, m) for n in range(2, 41) for m in range(1, 7)]
+        for n in range(2, 31):
+            nf = factorial(n)
+            for m in range(1, 4):
+                acc = sum(Q(n + 2 * i - 1, factorial(n + 2 * i)) for i in range(1, m + 1))
+                k = n + 2 * m
+                forms.append(EForm(nf * (acc - Q(exact.partial_sum_pos(k), factorial(k))), nf, nf))
+        for _ in range(200):
+            a = Q(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            forms.append(EForm(a, rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)))
+        return forms
+
+    factorials = []
+    for n in (100, 300, 1000, 2000, 3000, 4000):
+        nf = factorial(n)
+        factorials += [EForm(0, nf, 0), EForm(0, nf, nf), EForm(0, nf, -nf), EForm(1, 0, nf)]
+        factorials.append(frac_e_nfact(n))
+    return shapes() + factorials + shapes()
+
+
+# sha256 of the floor, precision_bits, sign and eform_bounds at p = 200
+# of each of _digest_forms, from an empty cache, as the kernel gave them
+# when a request below the cached precision still ceiled the upper
+# endpoint by negating all of it.
+_DECISIONS_SHA256 = "3a4a8d9b4ee8274de3e23eb37634114e377cb3beff25ed38cca352f4c32c2dd1"
+
+
+def _decision_rows() -> list[tuple[int, ...]]:
+    return [
+        (*certified_floor_info(f), eform_sign(f), *eform_bounds(f, 200)) for f in _digest_forms()
+    ]
+
+
+def test_decisions_keep_their_recorded_digest(monkeypatch):
+    monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
+    rows = _decision_rows()
+    assert len(rows) == 1512
+    text = "".join(",".join(f"{x:x}" for x in row) + ";" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == _DECISIONS_SHA256
+
+
 def _separate_bounds(f: EForm, p: int) -> tuple[int, int]:
     """The kernel's bounds at p from scratch: one full product per
     nonzero coefficient, with the cached endpoint that makes it a lower
@@ -984,6 +1044,75 @@ def test_a_fresh_cache_holds_the_seed_brackets():
     for name, x in (("e", 1), ("e_inv", -1)):
         big_p, lo, hi, m, f, r = _SEED[name]
         assert certified._series(m, x) == (lo, f) and r == 0
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+def test_fixed_below_the_cached_precision_is_the_exact_shift(monkeypatch, name):
+    # The floor and ceiling of the cached endpoints at 2^-p: for every p
+    # below an entry at P = 600, so every shift 0-600, on both sides of
+    # the 10p + 64 bits past which the ceiling is a cut plus one; for p
+    # far below P = 5000; and for upper endpoints whose 64 bits below the
+    # cut are zero, with and without a set bit further down.
+    for bits, precisions in ((600, range(601)), (5000, [*range(0, 101), 4000, 4999, 5000])):
+        big_p, lo, hi = certified._grow(name, _SEED[name], bits)[:3]
+        monkeypatch.setitem(certified._FIXED, name, (big_p, lo, hi, 1, 1, 0))
+        for p in precisions:
+            shift = big_p - p
+            assert certified._fixed(name, p) == (lo >> shift, -(-hi >> shift))
+    # from the P = 5000 entry, with its upper endpoint's bits below the cut replaced
+    for p, low in ((0, 0), (0, 1), (10, 0), (100, 0), (100, 1), (100, 1 << 35), (400, 7)):
+        shift = big_p - p
+        zeroed = (hi >> shift << shift) + low
+        monkeypatch.setitem(certified._FIXED, name, (big_p, zeroed - 2, zeroed, 1, 1, 0))
+        assert certified._fixed(name, p) == ((zeroed - 2) >> shift, -(-zeroed >> shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=3, max_value=1 << 3000),
+    st.integers(min_value=0, max_value=1 << 200),
+)
+def test_fixed_ceils_any_cached_endpoint_below_its_precision(p, shift, top, low):
+    # Any upper endpoint, here one with shift zero bits below top and low
+    # added into them, ceils to -(-hi >> shift).
+    hi = (top << shift) + low
+    saved = certified._FIXED["e"]
+    certified._FIXED["e"] = (p + shift, hi - 2, hi, 1, 1, 0)
+    try:
+        assert certified._fixed("e", p) == ((hi - 2) >> shift, -(-hi >> shift))
+    finally:
+        certified._FIXED["e"] = saved
+
+
+class _Negations(int):
+    """A cached endpoint that records the bit width of each negation."""
+
+    widths: list[int] = []
+
+    def __neg__(self):
+        _Negations.widths.append(self.bit_length())
+        return -int(self)
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+def test_a_request_below_the_cache_negates_no_endpoint_wider_than_o_of_p(monkeypatch, name):
+    # Far below the cached P the upper endpoint is a cut plus one, and
+    # no P-bit endpoint is negated; within 10p + 64 bits of P the exact
+    # ceiling negates one, which is then O(p) bits wide.
+    big_p, lo, hi = certified._grow(name, _SEED[name], 40000)[:3]
+    monkeypatch.setitem(certified._FIXED, name, (big_p, _Negations(lo), _Negations(hi), 1, 1, 0))
+    for p in (0, 100, 1000, 3000, 20000, 39990):
+        _Negations.widths = []
+        shift = big_p - p
+        assert certified._fixed(name, p) == (lo >> shift, -(-hi >> shift))
+        assert all(w <= 11 * p + 64 for w in _Negations.widths), (p, _Negations.widths)
+    _Negations.widths = []
+    assert certified_floor_info(EForm(0, factorial(30), factorial(30))).value == floor(
+        Q(factorial(30)) * (E_50 + E_INV_50)
+    )
+    assert _Negations.widths == []
 
 
 def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():

@@ -492,6 +492,42 @@ def test_verify_refuses_precision_bits_below_one_before_any_suite(monkeypatch, a
     assert f"domain error: precision_bits must be >= 1 (got {args[-1]})" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "eq1", "--tol", "0"),
+        ("verify", "all", "--tol", "0"),
+        ("verify", "all", "--tol", "-1/3"),
+    ],
+)
+def test_verify_refuses_a_tol_of_zero_or_less_before_any_suite(monkeypatch, args):
+    ran = []
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, lambda r, **_: ran.append(r.suite))
+    res = _run(*args)
+    assert res.exit_code == 3
+    assert ran == []
+    assert "suite" not in res.stdout
+    assert res.stderr == f"domain error: tol must be > 0 (got {args[-1]})\n"
+
+
+@pytest.mark.parametrize(
+    "args", [("compute", "floor-e-nfact", "--n", "0"), ("table", "floor-e-nfact", "--n-range", "0..2")]
+)
+def test_floor_e_nfact_below_one_is_refused_in_its_own_terms(monkeypatch, args):
+    # Refused before either route runs, naming the op, not the exact
+    # route's partial_sum_pos.
+    def never(*a, **kw):
+        raise AssertionError("a route ran on n = 0")
+
+    monkeypatch.setattr(counts, "partial_sum_pos", never)
+    monkeypatch.setattr(counts, "certified_floor", never)
+    res = _run(*args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "domain error: floor_e_nfact requires n >= 1 (got 0)\n"
+
+
 def test_verify_quadrature_budget_overrun_is_a_violation(monkeypatch):
     monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
     res = _run("verify", "special-fn", "--n-range", "1..1")
