@@ -10,7 +10,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# The public names, by the layer that defines them.
+# The public names, by the layer that defines them: the one list of them.
+# Each layer's __all__ reads its entry here, so a new public name is one
+# edit here (and one in tests/test_package.py::_ALL).
 _LAYERS = {
     "certified": (
         "CertifiedFloor",

@@ -87,26 +87,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
+from . import _LAYERS
 from .errors import DomainError, PrecisionCapError
 from .exact import factorial, partial_sum_pos
 
-__all__ = [
-    "DEFAULT_PRECISION_CAP",
-    "IntervalReal",
-    "EForm",
-    "CertifiedFloor",
-    "enclose_e",
-    "enclose_e_inv",
-    "eform_eval",
-    "eform_bounds",
-    "certified_floor",
-    "certified_floor_info",
-    "eform_sign",
-    "eform_lt",
-    "frac_e_nfact",
-    "fraction_to_decimal",
-    "ceil_log2",
-]
+__all__ = [*_LAYERS["certified"], "DEFAULT_PRECISION_CAP", "ceil_log2", "fraction_to_decimal"]
 
 DEFAULT_PRECISION_CAP = 1 << 20
 

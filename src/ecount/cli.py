@@ -3,12 +3,13 @@
 Three subcommands: `compute` evaluates a single quantity, `verify` runs
 identity suites over ranges, and `table` emits rows in csv/json/md.
 `compute` and `table` are driven by one table of ops (`_OPS`): each op
-names its flags and the library call behind it.  Where an op has two
-routes (paths, cycles and their length sums, `floor-e-nfact` and the
-derangement floor forms), its call is a checked entry of `counts`,
-which runs both and raises when they disagree; the CLI reports the
-agreement and computes no route of its own.  `verify` dispatches
-through one registry of suites (`_SUITES`).
+names its flags and the library call behind it, and `_compute_report`
+builds the one report dict that `compute` prints and `table` reads a
+row's value from.  Where an op has two routes (paths, cycles and their
+length sums, `floor-e-nfact` and the derangement floor forms), its call
+is a checked entry of `counts`, which runs both and raises when they
+disagree; the CLI reports the agreement and computes no route of its
+own.  `verify` dispatches through one registry of suites (`_SUITES`).
 
 Exit codes: 0 success, 1 identity violation (or a certification that
 could not complete), 2 usage error (argparse's usage line and message
@@ -19,10 +20,11 @@ as outward-rounded decimal endpoint pairs with an explicit
 precision_bits field.  The precision cap of the certified engine can be
 overridden with the ECOUNT_PRECISION_CAP env var.
 
-The parser is stdlib argparse and the records are namedtuples: a cold
-call loads no third-party package, and neither dataclasses nor inspect.
-`json` is imported only by `_json`, when JSON is written: `--format
-json`, a list or dict value, `verify --out` and `table --format json`.
+The parser is stdlib argparse, a report is a plain dict and the record
+that remains, `Op`, is a namedtuple: a cold call loads no third-party
+package, and neither dataclasses nor inspect.  `json` is imported only
+by `_json`, when JSON is written: `--format json`, a list or dict
+value, `verify --out` and `table --format json`.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _writable(out: str) -> str:
     if os.path.isdir(out):
         raise argparse.ArgumentTypeError(f"cannot write {out!r}: it is a directory")
     target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
-    if not os.access(target, os.W_OK):
+    if not out or not os.access(target, os.W_OK):
         raise argparse.ArgumentTypeError(f"cannot write {out!r}")
     return out
 
@@ -120,23 +122,6 @@ def _eform_json(f: EForm, strings: dict[Fraction, str]) -> list[str]:
     return out
 
 
-class CountReport(namedtuple("CountReport", "op params value")):
-    """One computed quantity.  Its op's `check` says whether the library
-    checked it; a two-route op's routes agreed on `value`, or the library
-    raised and no report was made."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"op": self.op, "params": self.params, "value": self.value}
-        check = _OPS[self.op].check
-        if check:
-            out["verified"] = True
-            if check == _ROUTES:
-                out["route_a"] = out["route_b"] = self.value
-        return out
-
-
 def _json(value: Any, indent: int | None = None) -> str:
     import json  # here, not at the top: a command that writes no JSON never loads it
 
@@ -151,16 +136,15 @@ def _value_text(value: Any) -> str:
     return str(value)
 
 
-def _print_report(report: CountReport, fmt: str) -> None:
+def _print_report(report: dict[str, Any], fmt: str) -> None:
     if fmt == "json":
-        print(_json(report.to_json(), indent=2))
+        print(_json(report, indent=2))
         return
-    print(_value_text(report.value))
-    check = _OPS[report.op].check
-    if check:
+    print(_value_text(report["value"]))
+    if "verified" in report:
         print("verified=true")
-        if check == _ROUTES:
-            print(f"routes agree on {report.value}")
+    if "route_a" in report:
+        print(f"routes agree on {report['route_a']}")
 
 
 def _elapsed(t0: float) -> None:
@@ -308,16 +292,25 @@ def _op_args(name: str, op: Op, flags: dict[str, Any]) -> list[Any]:
     return args
 
 
-def _compute_report(name: str, flags: dict[str, Any]) -> CountReport:
+def _compute_report(name: str, flags: dict[str, Any]) -> dict[str, Any]:
+    """The report of one op, as `compute --format json` prints it: op,
+    params and value, then `verified` where the library checked the value
+    and `route_a`, `route_b` where its two routes agreed on it."""
     op = _OPS.get(name)
     if op is None:
         raise _UsageError(f"unknown op {name!r}")
     args = _op_args(name, op, flags)
     params = {k: v if isinstance(v, int) else str(v) for k, v in zip(op.params, args)}
     value = op.run(*args)
-    # One decimal string per value: both routes show `shown`.
-    shown = value if isinstance(value, (dict, list)) else str(value)
-    return CountReport(name, params, shown)
+    # One decimal string per value: both routes show it.
+    if not isinstance(value, (dict, list)):
+        value = str(value)
+    report = {"op": name, "params": params, "value": value}
+    if op.check:
+        report["verified"] = True
+        if op.check == _ROUTES:
+            report["route_a"] = report["route_b"] = value
+    return report
 
 
 def cmd_compute(args: argparse.Namespace) -> None:
@@ -596,19 +589,17 @@ def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> None:
 
 
 def _bounds_rows(n: int, m_range: tuple[int, int], bits: int) -> list[dict[str, Any]]:
-    digits = _digits_for_bits(bits)
     rows = []
     for m, big_m, big_n in ecount.counts._bound_rows(n, *m_range):
-        n_lo, n_hi = ecount.eform_eval(big_n, bits).to_decimal(digits)
-        rows.append({"m": m, "M": str(big_m), "N_lo": n_lo, "N_hi": n_hi})
+        iv = _interval_json(ecount.eform_eval(big_n, bits), bits)
+        rows.append({"m": m, "M": str(big_m), "N_lo": iv["lo"], "N_hi": iv["hi"]})
     return rows
 
 
 def _op_row(quantity: str, n: int, bits: int) -> dict[str, Any]:
-    op = _OPS[quantity]
-    value = op.run(*_op_args(quantity, op, {"n": n, "bits": bits}))
+    value = _compute_report(quantity, {"n": n, "bits": bits})["value"]
     if quantity != "frac-e-nfact":
-        return {"n": n, "value": str(value)}
+        return {"n": n, "value": value}
     (a, b, c), iv = value["eform"], value["interval"]
     return {"n": n, "a": a, "b": b, "c": c, "lo": iv["lo"], "hi": iv["hi"]}
 

@@ -41,39 +41,21 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import gcd
 
+from . import _LAYERS
 from .certified import _NAME_BITS, EForm, certified_floor, eform_lt
 from .errors import DomainError, InvariantViolation
 from .exact import derangements, factorial, partial_sum_pos
 
-__all__ = [
-    "PathCycleCounts",
-    "BoundsChain",
-    "path_count_by_length",
-    "path_count",
-    "path_length_sum",
-    "average_path_length",
-    "path_argmax_lengths",
-    "cycle_count",
-    "cycle_length_sum",
-    "path_cycle_counts",
-    "derangement_lambda",
-    "derangement_eq2",
-    "derangement_eq3",
-    "derangement_eq4",
-    "derangement_eq5",
-    "derangement_eq6",
-    "derangement_thm7",
-    "bound_M",
-    "bound_N",
-    "chain_check",
-]
+__all__ = [*_LAYERS["counts"]]
 
 _Q = Fraction
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, template: str, *args: object) -> None:
+    """DomainError(template.format(*args)) unless cond; the message is
+    formatted only when the check fails."""
     if not cond:
-        raise DomainError(msg)
+        raise DomainError(template.format(*args))
 
 
 # --- where the two routes meet ----------------------------------------
@@ -129,8 +111,8 @@ def _checked_form(form: Callable[..., int], n: int, *rest: object) -> int:
 def path_count_by_length(n: int, i: int) -> int:
     """Number of simple paths with exactly i edges between a fixed
     vertex pair of K_n: (n-2)!/(n-1-i)!."""
-    _require(n >= 3, f"path_count_by_length requires n >= 3 (got n={n})")
-    _require(1 <= i <= n - 1, f"edge count i must satisfy 1 <= i <= n-1 (got i={i})")
+    _require(n >= 3, "path_count_by_length requires n >= 3 (got n={})", n)
+    _require(1 <= i <= n - 1, "edge count i must satisfy 1 <= i <= n-1 (got i={})", i)
     return factorial(n - 2) // factorial(n - 1 - i)
 
 
@@ -140,7 +122,7 @@ def path_count(n: int) -> int:
     w_n = sum_i w(i) = sum_k (n-2)!/k! = S_{n-2}: the partial sum read
     from the exact route, checked against the certified floor(e*(n-2)!).
     """
-    _require(n >= 3, f"path_count requires n >= 3 (got {n})")
+    _require(n >= 3, "path_count requires n >= 3 (got {})", n)
     return _checked_sum("path_count", n, n - 2)
 
 
@@ -150,13 +132,13 @@ def path_length_sum(n: int) -> int:
     The closed form 1 + (n-2)*w_n is checked against the direct sum
     sum_i i*w(i) = S_{n-1} - S_{n-2}.
     """
-    _require(n >= 3, f"path_length_sum requires n >= 3 (got {n})")
+    _require(n >= 3, "path_length_sum requires n >= 3 (got {})", n)
     return _path_totals(n)[1]
 
 
 def average_path_length(n: int) -> Fraction:
     """Mean number of edges of a path between the fixed pair, exact."""
-    _require(n >= 3, f"average_path_length requires n >= 3 (got {n})")
+    _require(n >= 3, "average_path_length requires n >= 3 (got {})", n)
     count, total = _path_totals(n)
     return _Q(total, count)
 
@@ -176,7 +158,7 @@ def path_argmax_lengths(n: int) -> set[int]:
     falls, so w(i) is a new maximum when its step exceeds 1 and ties the
     maximum when it is 1.  No w(i) is built.
     """
-    _require(n >= 3, f"path_argmax_lengths requires n >= 3 (got {n})")
+    _require(n >= 3, "path_argmax_lengths requires n >= 3 (got {})", n)
     best = {1}
     for i in range(2, n):
         if n - i > 1:
@@ -194,7 +176,7 @@ def cycle_count(n: int) -> int:
     read from the exact route, checked against the certified
     floor(e*(n-1)!).
     """
-    _require(n >= 3, f"cycle_count requires n >= 3 (got {n})")
+    _require(n >= 3, "cycle_count requires n >= 3 (got {})", n)
     return _checked_sum("cycle_count", n, n - 1) - n
 
 
@@ -205,7 +187,7 @@ def cycle_length_sum(n: int) -> int:
     checked against the floor difference floor(e*n!) - floor(e*(n-1)!)
     - 2n + 1.
     """
-    _require(n >= 3, f"cycle_length_sum requires n >= 3 (got {n})")
+    _require(n >= 3, "cycle_length_sum requires n >= 3 (got {})", n)
     return _cycle_totals(n)[1]
 
 
@@ -229,7 +211,7 @@ class PathCycleCounts(
 
 def path_cycle_counts(n: int) -> PathCycleCounts:
     """All four tallies for one n, with three certified floors in all."""
-    _require(n >= 3, f"path_cycle_counts requires n >= 3 (got {n})")
+    _require(n >= 3, "path_cycle_counts requires n >= 3 (got {})", n)
     paths, path_length = _path_totals(n)
     cycles, cycle_length = _cycle_totals(n)
     return PathCycleCounts(n, paths, path_length, cycles, cycle_length)
@@ -245,7 +227,7 @@ def derangement_lambda(n: int, lam: Fraction) -> int:
     n >= 1; callers may pass any rational lam, e.g. to probe where the
     window breaks.
     """
-    _require(n >= 1, f"derangement_lambda requires n >= 1 (got {n})")
+    _require(n >= 1, "derangement_lambda requires n >= 1 (got {})", n)
     lam = _Q(lam)
     den = lam.denominator
     return certified_floor(EForm.from_integers(lam.numerator, 0, factorial(n) * den, den))
@@ -253,19 +235,19 @@ def derangement_lambda(n: int, lam: Fraction) -> int:
 
 def derangement_eq2(n: int) -> int:
     """certified floor((n!+1)/e), equal to derangements(n) for n >= 1."""
-    _require(n >= 1, f"derangement_eq2 requires n >= 1 (got {n})")
+    _require(n >= 1, "derangement_eq2 requires n >= 1 (got {})", n)
     return certified_floor(EForm(0, 0, factorial(n) + 1))
 
 
 def derangement_eq3(n: int) -> int:
     """certified floor(n!/e + 1/n), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, f"derangement_eq3 requires n >= 2 (got {n})")
+    _require(n >= 2, "derangement_eq3 requires n >= 2 (got {})", n)
     return certified_floor(EForm.from_integers(1, 0, factorial(n) * n, n))
 
 
 def derangement_eq4(n: int) -> int:
     """certified floor(n!/e + (n+2)/(n+1)^2), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, f"derangement_eq4 requires n >= 2 (got {n})")
+    _require(n >= 2, "derangement_eq4 requires n >= 2 (got {})", n)
     # (n+2)/(n+1)^2 is in lowest terms, as n+2 and n+1 are coprime.
     den = (n + 1) ** 2
     return certified_floor(EForm.from_integers(n + 2, 0, factorial(n) * den, den))
@@ -279,8 +261,8 @@ def derangement_eq5(n: int, m: int) -> int:
     n!*A = S_n + M_m(n) = (S_n*q + p)/q with S_n = partial_sum_pos(n)
     and p/q = M_m(n) in lowest terms.  Both floors are certified.
     """
-    _require(n >= 2, f"derangement_eq5 requires n >= 2 (got n={n})")
-    _require(m >= 3, f"derangement_eq5 requires m >= 3 (got m={m})")
+    _require(n >= 2, "derangement_eq5 requires n >= 2 (got n={})", n)
+    _require(m >= 3, "derangement_eq5 requires m >= 3 (got m={})", m)
     nf = factorial(n)
     p, q = next(_m_pairs(n, m, m))
     g = gcd(p, q)
@@ -291,7 +273,7 @@ def derangement_eq5(n: int, m: int) -> int:
 
 def derangement_eq6(n: int) -> int:
     """floor((e + 1/e)*n!) - floor(e*n!), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, f"derangement_eq6 requires n >= 2 (got {n})")
+    _require(n >= 2, "derangement_eq6 requires n >= 2 (got {})", n)
     nf = factorial(n)
     return certified_floor(EForm(0, nf, nf)) - certified_floor(EForm(0, nf, 0))
 
@@ -304,8 +286,8 @@ def derangement_thm7(n: int, m: int) -> int:
     the fractional-part tail entering exactly once.  Expanding that
     fractional part over e turns the whole argument into a single EForm.
     """
-    _require(n >= 2, f"derangement_thm7 requires n >= 2 (got n={n})")
-    _require(m >= 1, f"derangement_thm7 requires m >= 1 (got m={m})")
+    _require(n >= 2, "derangement_thm7 requires n >= 2 (got n={})", n)
+    _require(m >= 1, "derangement_thm7 requires m >= 1 (got m={})", m)
     return certified_floor(bound_N(n, m) + EForm(0, 0, factorial(n)))
 
 
@@ -313,8 +295,8 @@ def derangement_thm7(n: int, m: int) -> int:
 
 
 def _require_bound(what: str, n: int, m: int) -> None:
-    _require(n >= 2, f"{what} requires n >= 2 (got n={n})")
-    _require(m >= 1, f"{what} requires m >= 1 (got m={m})")
+    _require(n >= 2, "{} requires n >= 2 (got n={})", what, n)
+    _require(m >= 1, "{} requires m >= 1 (got m={})", what, m)
 
 
 def _m_pairs(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int]]:
@@ -413,8 +395,8 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
     come from one ascending pass each, the builders that bound_M and
     bound_N read.
     """
-    _require(n >= 2, f"chain_check requires n >= 2 (got n={n})")
-    _require(m_max >= 1, f"chain_check requires m_max >= 1 (got m_max={m_max})")
+    _require(n >= 2, "chain_check requires n >= 2 (got n={})", n)
+    _require(m_max >= 1, "chain_check requires m_max >= 1 (got m_max={})", m_max)
     nf = factorial(n)
     dn = derangements(n)
     # |n!/e - D_n|: the sign of n!/e - D_n alternates with n.

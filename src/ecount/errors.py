@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["DomainError", "PrecisionCapError", "InvariantViolation"]
+from . import _LAYERS
+
+__all__ = [*_LAYERS["errors"]]
 
 
 class DomainError(ValueError):

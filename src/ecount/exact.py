@@ -38,16 +38,10 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 
+from . import _LAYERS
 from .errors import DomainError
 
-__all__ = [
-    "factorial",
-    "partial_sum_pos",
-    "derangements",
-    "DerangementPoly",
-    "dpoly",
-    "dpoly_eval",
-]
+__all__ = [*_LAYERS["exact"]]
 
 # Marks of the exact route, one list per sequence, shared by its callers:
 # slot s holds T at _index(s), that is at every n below _DENSE, then at

@@ -69,19 +69,13 @@ from itertools import permutations, repeat
 from math import ceil, comb, factorial, floor, gcd, lcm, log, prod
 from operator import mul, ne
 
+from . import _LAYERS
 from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
 from .errors import DomainError, PrecisionCapError
 
 __all__ = [
-    "EnumerationResult",
-    "QuadratureResult",
-    "MAX_BRUTE_DERANGEMENTS",
-    "MAX_BRUTE_PATHS",
-    "MAX_BRUTE_CYCLES",
-    "brute_derangements",
-    "brute_paths",
-    "brute_cycles",
-    "quad_gamma",
+    *_LAYERS["oracles"],
+    "EnumerationResult", "MAX_BRUTE_DERANGEMENTS", "MAX_BRUTE_PATHS", "MAX_BRUTE_CYCLES",
 ]
 
 _Q = Fraction

@@ -47,6 +47,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor
 
+from . import _LAYERS
 from .certified import (
     EForm,
     IntervalReal,
@@ -61,17 +62,7 @@ from .errors import DomainError, InvariantViolation
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 from .oracles import _quad_pieces
 
-__all__ = [
-    "GammaQuery",
-    "IntegralIdentity",
-    "hyp2f0",
-    "hyp2f0_identity_check",
-    "hyp2f0_special",
-    "exp_enclosure",
-    "inc_gamma_int",
-    "hyp1f1",
-    "integral_identities",
-]
+__all__ = [*_LAYERS["specials"]]
 
 _Q = Fraction
 

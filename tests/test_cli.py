@@ -90,9 +90,9 @@ def test_compute_eq6_shows_route():
 def test_a_report_makes_one_string_of_its_value(op):
     # The routes agreed, and both show the value's one decimal string.
     report = cli._compute_report(op, {"n": 400})
-    data = report.to_json()
-    assert data["verified"] is True
-    assert data["route_a"] is report.value and data["route_b"] is report.value
+    assert report["verified"] is True
+    assert report["route_a"] is report["value"] and report["route_b"] is report["value"]
+    assert list(report) == ["op", "params", "value", "verified", "route_a", "route_b"]
 
 
 def test_a_report_of_disagreeing_routes_shows_both(monkeypatch):
@@ -232,7 +232,7 @@ def test_bounds_makes_one_string_of_n_factorial(monkeypatch):
         return Form(f.a, Recorded(factorial(n)), f.c)
 
     real = counts.chain_check
-    plain = cli._compute_report("bounds", {"n": n, "m": m_max}).value
+    plain = cli._compute_report("bounds", {"n": n, "m": m_max})["value"]
 
     def chain_check(n, m):
         chain = real(n, m)
@@ -243,7 +243,7 @@ def test_bounds_makes_one_string_of_n_factorial(monkeypatch):
 
     monkeypatch.setattr(counts, "chain_check", chain_check)
     report = cli._compute_report("bounds", {"n": n, "m": m_max})
-    assert report.value == plain
+    assert report["value"] == plain
     assert strings == [factorial(n)]
 
 
@@ -422,6 +422,21 @@ def test_table_paths_json():
     assert rows[0] == {"n": 3, "value": "2"}
 
 
+@pytest.mark.parametrize("quantity", [q for q in cli._TABLE_QUANTITIES if q != "bounds"])
+def test_a_table_row_is_the_value_compute_reports(quantity):
+    res = _run("table", quantity, "--n-range", "3..8", "--format", "json")
+    assert res.exit_code == 0
+    rows = json.loads(res.stdout)
+    for n, row in zip(range(3, 9), rows, strict=True):
+        report = json.loads(_run("compute", quantity, "--n", str(n), "--format", "json").stdout)
+        if quantity == "frac-e-nfact":
+            value = report["value"]
+            (a, b, c), iv = value["eform"], value["interval"]
+            assert row == {"n": n, "a": a, "b": b, "c": c, "lo": iv["lo"], "hi": iv["hi"]}
+        else:
+            assert row == {"n": n, "value": report["value"]}
+
+
 def test_table_bounds_md_monotone():
     res = _run("table", "bounds", "--n", "5", "--m-range", "1..5", "--format", "md")
     assert res.exit_code == 0
@@ -556,6 +571,15 @@ def test_verify_out_to_a_directory_is_a_usage_error(tmp_path):
     res = _run("verify", "eq1", "--n-range", "1..2", "--out", str(tmp_path))
     assert res.exit_code == 2
     assert "is a directory" in res.stderr
+
+
+def test_verify_out_to_an_empty_path_is_a_usage_error(monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli._SUITES, "eq1", lambda r, **_: ran.append(r.suite))
+    res = _run("verify", "eq1", "--out", "")
+    assert res.exit_code == 2
+    assert "cannot write ''" in res.stderr
+    assert ran == [] and res.stdout == ""
 
 
 def test_a_reader_that_stops_early_ends_the_command_quietly():

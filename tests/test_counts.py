@@ -373,6 +373,27 @@ def test_family_domain_errors():
         counts.derangement_thm7(4, 0)
 
 
+class _Unformattable(int):
+    """An int that computes as one but refuses to be formatted."""
+
+    def __format__(self, spec):
+        raise AssertionError("a passing check formatted its message")
+
+
+def test_a_passing_check_formats_no_message():
+    n, m = _Unformattable(14), _Unformattable(2)
+    assert counts.derangement_thm7(n, m) == derangements(14)
+    assert counts.derangement_eq5(n, _Unformattable(3)) == derangements(14)
+    assert counts.path_count_by_length(n, m) == 12
+    assert counts.bound_N(n, m) == counts.bound_N(14, 2)
+    assert counts.chain_check(_Unformattable(5), m) == counts.chain_check(5, 2)
+    # A failing check still names the argument.
+    with pytest.raises(DomainError, match=r"^derangement_thm7 requires m >= 1 \(got m=0\)$"):
+        counts.derangement_thm7(4, 0)
+    with pytest.raises(DomainError, match=r"^bound_N requires n >= 2 \(got n=1\)$"):
+        counts.bound_N(1, 1)
+
+
 def test_thm7_tail_added_once():
     # The closing partial-sum correction enters the identity exactly
     # once, not once per summand; folding it into the inner sum breaks
