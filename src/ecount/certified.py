@@ -555,6 +555,8 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
     is evaluated at precision_bits, and scaling by a rational multiplies
     its width by the rational's magnitude.
     """
+    if precision_bits < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
     iv = IntervalReal.point(f.a)
     if f.b != 0:
         iv = iv + enclose_e(precision_bits) * f.b

@@ -83,11 +83,11 @@ def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
     return exact
 
 
-def _value(x: int) -> str:
-    """x in decimal, or, when wider than _NAME_BITS, its bit length."""
-    if x.bit_length() <= _NAME_BITS:
-        return str(x)
-    return f"a value of {x.bit_length()} bits"
+def _value(x: int | Fraction) -> str:
+    """x in decimal, or, when its numerator or denominator is wider than
+    _NAME_BITS, the wider one's bit length."""
+    bits = max(map(int.bit_length, x.as_integer_ratio()))
+    return str(x) if bits <= _NAME_BITS else f"a value of {bits} bits"
 
 
 def _checked_sum(name: str, n: int, m: int) -> int:

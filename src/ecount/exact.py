@@ -12,23 +12,24 @@ central sequences are
 together with the polynomial D_n(x) = sum_{i=0}^n (n!/i!) x^i whose
 value at -1 is D_n and at 1 is S_n.
 
-All three are T_n = sum_{i=0}^n x^i * n!/i! for x = 0, 1 and -1, so
-T_0 = 1 and T_k = k*T_{k-1} + x^k, and this one recurrence is the only
-route.  Its marks have fixed slots through n = 4096: every n below 512
-and every 8th n from 512 through 4096.  Every read, at any n, takes the
-slot at or below min(n, 4096) and applies the missing steps as one
-block (P, R) with T_n = P*T_mark + R; a long block splits itself in
-halves (binary splitting, Brent & Zimmermann, *Modern Computer
-Arithmetic* 4.9).  A slot is stored only when a read first uses it, by
-one block from the nearest stored slot below it, so a one-shot read at
-n = 4000 stores one mark, not the ~950 below it.  Reads in ascending
-order cost what filling every mark below them costs; the price is paid
-by a descending sweep, where every first read splits from far below:
-all three sequences from 4096 down to 1 take 1.7 s, against 44 ms
-ascending (CPython 3.11, one 2-vCPU x86-64 host).  Above 4096 nothing
-more is stored, and n! is `math.factorial`.  The certified layer
-brackets e and 1/e by its own binary split of the series and never
-calls this one.
+All of them are T_n = sum_{i=0}^n x^i * n!/i!, so T_0 = 1 and
+T_k = k*T_{k-1} + x^k; with x = p/q, U_k = q^k*T_k is the integer
+recurrence U_0 = 1, U_k = k*q*U_{k-1} + p^k, and it is the only route:
+n!, S_n and D_n are q = 1 with p = 0, 1 and -1, and D_n(p/q) is one
+block (P, R) from 0 to n, U_n = P*U_0 + R, over q^n.  The marks of n!,
+S_n and D_n have fixed slots: every n below 512 and every 8th n from
+512 through 4096.  A read at any n applies the steps from the slot at or
+below min(n, 4096) as one block, U_n = P*U_mark + R, and a long block
+splits itself in halves (binary splitting, Haible & Papanikolaou 1998).
+A slot is stored only when a read first uses it, by one block from the
+nearest stored slot below it, so a one-shot read at n = 4000 stores one
+mark, not the ~950 below it.  Reads in ascending order cost what filling
+every mark below them costs; a descending sweep pays the price, each
+first read splitting from far below: all three sequences from 4096 down
+to 1 take 1.7 s, against 44 ms ascending (CPython 3.11, one 2-vCPU
+x86-64 host).  Above 4096 nothing more is stored, and n! is
+`math.factorial`.  The certified layer brackets e and 1/e by its own
+binary split of the series and never calls this one.
 """
 
 from __future__ import annotations
@@ -64,20 +65,21 @@ def _index(slot: int) -> int:
     return slot if slot < _DENSE else _DENSE + (slot - _DENSE) * _STRIDE
 
 
-def _block(lo: int, hi: int, x: int) -> tuple[int, int]:
-    """(P, R) with T_hi = P*T_lo + R, for T_k = k*T_{k-1} + x^k."""
+def _block(lo: int, hi: int, p: int, q: int) -> tuple[int, int]:
+    """(P, R) with U_hi = P*U_lo + R and P = q^(hi-lo)*hi!/lo!, for
+    U_k = k*q*U_{k-1} + p^k; at q = 1 the leaf makes no multiply by q."""
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
-        p1, r1 = _block(lo, mid, x)
-        p2, r2 = _block(mid, hi, x)
+        p1, r1 = _block(lo, mid, p, q)
+        p2, r2 = _block(mid, hi, p, q)
         return p2 * p1, p2 * r1 + r2
-    p, r = 1, 0
-    s = x**lo
-    for k in range(lo + 1, hi + 1):
-        s *= x
-        p *= k
-        r = k * r + s
-    return p, r
+    big_p, r = 1, 0
+    s = p**lo
+    for kq in range((lo + 1) * q, (hi + 1) * q, q):
+        s *= p
+        big_p *= kq
+        r = kq * r + s
+    return big_p, r
 
 
 def _read(marks: list[int | None], x: int, n: int) -> int:
@@ -96,11 +98,11 @@ def _read(marks: list[int | None], x: int, n: int) -> int:
                 low = slot - 1
                 while marks[low] is None:
                     low -= 1
-                p, r = _block(_index(low), mark, x)
+                p, r = _block(_index(low), mark, x, 1)
                 t = marks[slot] = p * marks[low] + r
     if mark == n:
         return t
-    p, r = _block(mark, n, x)
+    p, r = _block(mark, n, x, 1)
     return p * t + r
 
 
@@ -170,19 +172,11 @@ def dpoly(n: int) -> DerangementPoly:
 
 
 def dpoly_eval(n: int, x: Fraction) -> Fraction:
-    """Exact rational value of D_n(x), in one integer pass.
-
-    With x = p/q in lowest terms, q^n * D_n(x) = sum_i r_i p^i where
-    r_i = (n!/i!) q^(n-i) is carried as the running product
-    r_{i-1} = r_i * i * q and the sum is taken by Horner's rule in p.
-    :meth:`DerangementPoly.eval` is the coefficient-form reference.
-    """
+    """Exact value of D_n(x) at x = p/q in lowest terms: U_n / q^n, with
+    U_n one block of U_k = k*q*U_{k-1} + p^k from U_0 = 1.
+    :meth:`DerangementPoly.eval` is the coefficient-form reference."""
     if n < 0:
         raise DomainError(f"dpoly_eval requires n >= 0 (got {n})")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    acc = r = 1
-    for i in range(n, 0, -1):
-        r *= i * q
-        acc = acc * p + r
-    return Fraction(acc, q**n)
+    p, q = Fraction(x).as_integer_ratio()
+    big_p, r = _block(0, n, p, q)
+    return Fraction(big_p + r, q**n)

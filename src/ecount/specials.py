@@ -57,7 +57,7 @@ from .certified import (
     eform_eval,
     eform_sign,
 )
-from .counts import derangement_eq2
+from .counts import _value, derangement_eq2
 from .errors import DomainError, InvariantViolation
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 from .oracles import _quad_pieces
@@ -105,7 +105,8 @@ def hyp2f0_identity_check(n: int, x: Fraction) -> Fraction:
     expected = dpoly_eval(n, x)
     if value != expected:
         raise InvariantViolation(
-            f"hyp2f0 transform at n={n}, x={x}: got {value}, polynomial gives {expected}"
+            f"hyp2f0 transform at n={n}, x={x}: got {_value(value)}, "
+            f"polynomial gives {_value(expected)}"
         )
     return value
 
@@ -127,7 +128,8 @@ def hyp2f0_special(n: int, sign: int) -> int:
         expected = _Q((-1) ** n * derangement_eq2(n))
     if value != expected:
         raise InvariantViolation(
-            f"hyp2f0 special value at n={n}, x={sign}: got {value}, expected {expected}"
+            f"hyp2f0 special value at n={n}, x={sign}: got {_value(value)}, "
+            f"expected {_value(expected)}"
         )
     return int(expected)
 

@@ -396,6 +396,13 @@ def test_eform_eval_rational_is_point():
     assert iv.lo == iv.hi == Q(22, 7)
 
 
+@pytest.mark.parametrize("f", (EForm(1, 0, 0), EForm(0, 1, 0), EForm(Q(1, 3), 0, -2)))
+def test_eform_eval_refuses_negative_precision_for_every_form(f):
+    # A rational form needs no enclosure, and once returned a point here.
+    with pytest.raises(DomainError, match=r"^precision_bits must be >= 0 \(got -5\)$"):
+        eform_eval(f, -5)
+
+
 # --- certified floor ----------------------------------------------------
 
 

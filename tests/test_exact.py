@@ -112,9 +112,17 @@ def test_dpoly_eval_rational():
     st.integers(min_value=0, max_value=120),
     st.fractions(max_denominator=10**6).filter(lambda x: abs(x) <= 10**6),
 )
+# 32 steps are one leaf and 33 the first split, 64 and 65 the same one
+# level up, 600 several levels; with q > 1 and with p = 0
+@example(32, Fraction(-7, 3))
+@example(33, Fraction(0))
+@example(64, Fraction(5, 4))
+@example(65, Fraction(-1, 6))
+@example(600, Fraction(2, 3))
+@example(600, Fraction(0))
 def test_dpoly_eval_matches_coefficient_form(n, x):
-    # The one-pass integer evaluation against Horner's rule on the
-    # coefficient form.
+    # The split block of U_k = k*q*U_{k-1} + p^k against Horner's rule on
+    # the coefficient form.
     assert dpoly_eval(n, x) == dpoly(n).eval(x)
 
 
@@ -161,11 +169,12 @@ def _loop(x, n):
     return t
 
 
-def _loops(x, n_max):
-    """[T_0, ..., T_{n_max}] by the same plain recurrence."""
+def _loops(p, n_max, q=1):
+    """[U_0, ..., U_{n_max}] by U_0 = 1, U_k = k*q*U_{k-1} + p^k; at q = 1
+    that is T_k = k*T_{k-1} + x^k with x = p."""
     values = [1]
     for k in range(1, n_max + 1):
-        values.append(k * values[-1] + x**k)
+        values.append(k * q * values[-1] + p**k)
     return values
 
 
@@ -221,19 +230,20 @@ def test_sequences_agree_with_plain_loops(empty_marks, x, fn, name):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    x=st.sampled_from([-1, 0, 1]),
+    p=st.integers(-7, 7),
+    q=st.integers(1, 7),
     lo=st.integers(0, 5000),
     steps=st.integers(0, 4 * exact._LEAF + 3),
 )
-@example(x=-1, lo=4095, steps=1000)
-@example(x=1, lo=0, steps=4097)
-@example(x=-1, lo=1, steps=4097)
-def test_a_split_block_is_the_recurrence(x, lo, steps):
+@example(p=-1, q=1, lo=4095, steps=1000)
+@example(p=1, q=1, lo=0, steps=4097)
+@example(p=-1, q=1, lo=1, steps=4097)
+def test_a_split_block_is_the_recurrence(p, q, lo, steps):
     hi = lo + steps
-    p, r = exact._block(lo, hi, x)
-    values = _loops(x, hi)
-    assert p == math.prod(range(lo + 1, hi + 1))
-    assert p * values[lo] + r == values[hi]
+    big_p, r = exact._block(lo, hi, p, q)
+    values = _loops(p, hi, q)
+    assert big_p == q**steps * math.prod(range(lo + 1, hi + 1))
+    assert big_p * values[lo] + r == values[hi]
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,9 +281,9 @@ def _prefix_read(marks, x, n):
     is stored, in order, each by one block from the slot before it."""
     slot = _slot(n)
     for s in range(len(marks), slot + 1):
-        p, r = exact._block(exact._index(s - 1), exact._index(s), x)
+        p, r = exact._block(exact._index(s - 1), exact._index(s), x, 1)
         marks.append(p * marks[s - 1] + r)
-    p, r = exact._block(exact._index(slot), n, x)
+    p, r = exact._block(exact._index(slot), n, x, 1)
     return p * marks[slot] + r
 
 
@@ -313,6 +323,11 @@ def test_sweeps_cost_what_a_prefix_fill_costs_ascending_and_stay_bounded_descend
     assert time.perf_counter() - started < 5
 
 
+def _digest(v):
+    """sha256 of the little-endian bytes of the int v >= 0."""
+    return hashlib.sha256(v.to_bytes((v.bit_length() + 7) // 8, "little")).hexdigest()
+
+
 # sha256 of the little-endian bytes of D_100000 and S_100000, computed by
 # the product tree of 2x2 matrices that served n > N0 before the split block
 _DIGESTS_AT_100000 = (
@@ -323,8 +338,35 @@ _DIGESTS_AT_100000 = (
 
 @pytest.mark.parametrize("fn,digest", _DIGESTS_AT_100000, ids=["D", "S"])
 def test_values_at_100000_keep_their_digests(fn, digest):
-    v = fn(100000)
-    assert hashlib.sha256(v.to_bytes((v.bit_length() + 7) // 8, "little")).hexdigest() == digest
+    assert _digest(fn(100000)) == digest
+
+
+# (x, numerator digest, denominator digest) of D_20000(x), computed by the
+# O(n) running product r_{i-1} = r_i*i*q that evaluated D_n(p/q) before the
+# split block
+_DPOLY_DIGESTS_AT_20000 = (
+    (
+        Fraction(-3, 2),
+        "49ff289bdcee9280342b407fe8111d1d2397bf13b0752ca1fb8c169ef99b254a",
+        "d9c329d8254823185e529ffb0f5d47c654ad123387bf16373464c13ea43daab3",
+    ),
+    (
+        Fraction(2, 3),
+        "15d41b563de02d7a059c8ef8a6c10d96fa917643cfee2be71a15fb8a85697829",
+        "e8f9e4d6f3844b013d42abe4515723058bb11e3397198dd57aab593bae56ae60",
+    ),
+    (
+        Fraction(1, 3),
+        "3271c3e4b3c7fde2502c96254a3b209e9cebb241f9664f1d16b44e47b6711cd5",
+        "e8f9e4d6f3844b013d42abe4515723058bb11e3397198dd57aab593bae56ae60",
+    ),
+)
+
+
+@pytest.mark.parametrize("x,num,den", _DPOLY_DIGESTS_AT_20000, ids=["-3_2", "2_3", "1_3"])
+def test_dpoly_eval_at_20000_keeps_its_digests(x, num, den):
+    v = dpoly_eval(20000, x)
+    assert (_digest(v.numerator), _digest(v.denominator)) == (num, den)
 
 
 def test_exact_reads_nothing_from_the_certified_brackets(empty_marks, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecount import specials
+from ecount import exact, specials
 from ecount.certified import EForm, IntervalReal, certified_floor, eform_sign
 from ecount.errors import DomainError, InvariantViolation, PrecisionCapError
 from ecount.exact import derangements, dpoly_eval, factorial, partial_sum_pos
@@ -64,20 +64,37 @@ def test_hyp2f0_checks_catch_an_off_by_one_route(delta, monkeypatch):
     def shifted(f):
         return lambda *args: f(*args) + delta
 
-    with monkeypatch.context() as m:
-        m.setattr(specials, "dpoly_eval", shifted(dpoly_eval))
-        with pytest.raises(InvariantViolation):
-            specials.hyp2f0_identity_check(7, Q(-3, 2))
-    with monkeypatch.context() as m:
-        m.setattr(specials, "partial_sum_pos", shifted(partial_sum_pos))
-        with pytest.raises(InvariantViolation):
-            specials.hyp2f0_special(9, -1)
-        specials.hyp2f0_special(9, 1)
-    with monkeypatch.context() as m:
-        m.setattr(specials, "derangement_eq2", shifted(specials.derangement_eq2))
-        with pytest.raises(InvariantViolation):
-            specials.hyp2f0_special(8, 1)
-        specials.hyp2f0_special(8, -1)
+    # n = 10^4 reads dpoly_eval and partial_sum_pos through many split levels
+    for n in (7, 10**4):
+        with monkeypatch.context() as m:
+            m.setattr(specials, "dpoly_eval", shifted(dpoly_eval))
+            with pytest.raises(InvariantViolation):
+                specials.hyp2f0_identity_check(n, Q(-3, 2))
+        with monkeypatch.context() as m:
+            m.setattr(specials, "partial_sum_pos", shifted(partial_sum_pos))
+            with pytest.raises(InvariantViolation):
+                specials.hyp2f0_special(n + 2, -1)
+            specials.hyp2f0_special(n + 2, 1)
+        with monkeypatch.context() as m:
+            m.setattr(specials, "derangement_eq2", shifted(specials.derangement_eq2))
+            with pytest.raises(InvariantViolation):
+                specials.hyp2f0_special(n + 1, 1)
+            specials.hyp2f0_special(n + 1, -1)
+
+
+def test_hyp2f0_answers_with_the_split_block_broken(monkeypatch):
+    # hyp2f0 is the route hyp2f0_identity_check holds against dpoly_eval,
+    # so it runs its own loop and never exact's split block.
+    def broken(*args):
+        raise AssertionError("the route called exact._block")
+
+    want = {n: dpoly_eval(n, Q(-3, 2)) for n in (7, 10**4)}
+    monkeypatch.setattr(exact, "_block", broken)
+    with pytest.raises(AssertionError, match="exact._block"):
+        dpoly_eval(7, Q(-3, 2))
+    for n, value in want.items():
+        assert Q(-3, 2) ** n * specials.hyp2f0(n, Q(2, 3)) == value
+    assert specials.hyp2f0(37, Q(-7, 3)) == _hyp2f0_fraction(37, Q(-7, 3))
 
 
 def test_hyp2f0_identity_rejects_zero():
