@@ -34,25 +34,33 @@ with `Fraction` kept at the API edge:
   swapping floor and ceiling when the term ratio is negative, with guard
   bits taken from the largest term; if the width still misses 2^-bits
   the guard doubles and the sum runs again.
+* the closed-form side of `hyp1f1` is one integer interval over one
+  denominator, built from the integers of the exp step, of D_n(x) and
+  of (n+1)/x^(n+1), and meets the series in two cross-multiplied
+  integer comparisons.
+* `inc_gamma_int` multiplies the exp step's integers by the numerator
+  and denominator of D_n(z) and makes its two endpoints from those.
 
-Each works out its precision w before any big work and passes it to
-`_check_cap`, the certified layer's one cap test, which raises
-PrecisionCapError when w passes the precision cap (ECOUNT_PRECISION_CAP,
-else 2^20 bits), instead of running for hours.
+Both read the integers of x for their set-up, so a Fraction is made only
+for a returned interval or a failure message.  Each works out its
+precision w before any big work and passes it to `_check_cap`, the
+certified layer's one cap test, which raises PrecisionCapError when w
+passes the precision cap (ECOUNT_PRECISION_CAP, else 2^20 bits),
+instead of running for hours.  For a positive argument `inc_gamma_int`
+and `hyp1f1` also bound the exp step's bits from below through
+D_n(x) >= n!, and test that bound before evaluating D_n(x).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import ceil, floor
-
 from . import _LAYERS
 from .certified import (
     EForm,
     IntervalReal,
+    _ceil_log2,
     _check_cap,
-    ceil_log2,
     certified_floor,
     eform_eval,
     eform_sign,
@@ -60,7 +68,6 @@ from .certified import (
 from .counts import _value, derangement_eq2
 from .errors import DomainError, InvariantViolation
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
-from .oracles import _quad_pieces
 
 __all__ = [*_LAYERS["specials"]]
 
@@ -145,6 +152,70 @@ def _square_out(lo: int, hi: int, w: int, s: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _mul_up(a: int, den: int, c: Fraction) -> int:
+    """ceil(a / den * c) for integers a and den > 0."""
+    return -(-a * c.numerator // (den * c.denominator))
+
+
+def _bits_above_one(num: int, den: int) -> int:
+    """ceil(log2(max(num / den, 1))) for num >= 0 and den > 0."""
+    return _ceil_log2(num, den) if num > den else 0
+
+
+def _log2_factorial_down(n: int) -> int:
+    """A lower bound on log2(n!), from n! >= (n/e)^n and
+    log2(n) >= bit_length(n) - 1; it needs no factorial and no float."""
+    return n * (n.bit_length() - 1) - _mul_up(n, 1, _LOG2_E_UP)
+
+
+def _show(num: int, den: int) -> str:
+    """num/den printed as str(Fraction(num, den)) prints it, in lowest terms."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _exp_ints(num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """e^x at x = num/den in lowest terms, as (lo, hi, k) with
+    lo / 2^k <= e^x <= hi / 2^k: the integers of `exp_enclosure`."""
+    if num == 0:
+        return 1, 1, 0
+    a = abs(num)
+    s = max(0, _ceil_log2(a, den) + 8)
+    if num > 0:
+        t = bits
+        mag = _mul_up(a, den, _LOG2_E_UP)  # E <= 2^mag
+    else:
+        # 2^-t <= 3^-(floor(-x)+1) * 2^-bits, and 1/E <= 2^(mag-1)
+        t = bits + _mul_up(a // den + 1, 1, _LOG2_3_UP)
+        mag = 1 - a * _LOG2_E_DOWN.numerator // (den * _LOG2_E_DOWN.denominator)
+    base = t + mag + s
+    g = base.bit_length() + 4
+    w = base + g
+    _check_cap(f"exp_enclosure at x={_show(num, den)}", max(w, t + 2))
+
+    one = 1 << w
+    den <<= s
+    small = 1 << (g - 3)
+    lo = hi = t_lo = t_hi = one
+    k = 1
+    while True:
+        t_lo = t_lo * a // (den * k)
+        t_hi = -(-t_hi * a // (den * k))
+        if t_hi <= small:
+            break
+        lo += t_lo
+        hi += t_hi
+        k += 1
+    # the terms from the k-th on sum to at most t_k / (1 - r/(k+1)),
+    # and r/(k+1) <= 2^-9
+    lo += t_lo
+    hi += t_hi + (t_hi >> 8) + 1
+    lo, hi = _square_out(lo, hi, w, s)
+    if num > 0:
+        return lo, hi, w
+    top = 1 << (w + t + 2)
+    return top // hi, -(-top // lo), t + 2
+
+
 def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     """Certified enclosure of e^x with dyadic endpoints.
 
@@ -162,66 +233,51 @@ def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     For x > 0 the width asked for is 2^-t, and w adds mag >= log2(E)
     bits.  For x < 0 the result is [1/hi, 1/lo] at scale 2^-(t+2); its
     width is about the relative width of E divided by E, so w needs
-    fewer bits by about log2(E).  Raises PrecisionCapError when w or
-    t + 2 passes the precision cap.
+    fewer bits by about log2(E).  s, t and mag come from the numerator
+    and denominator of x by integer floor and ceiling (`_exp_ints`).
+    Raises PrecisionCapError when w or t + 2 passes the precision cap.
     """
     if precision_bits < 1:
         raise DomainError(f"precision_bits must be >= 1 (got {precision_bits})")
     x = _Q(x)
-    if x == 0:
-        return IntervalReal.point(1)
-    ax = abs(x)
-    s = max(0, ceil_log2(ax) + 8)
-    if x > 0:
-        t = precision_bits
-        mag = ceil(ax * _LOG2_E_UP)  # E <= 2^mag
-    else:
-        # 2^-t <= 3^-(floor(-x)+1) * 2^-precision_bits, and 1/E <= 2^(mag-1)
-        t = precision_bits + ceil((floor(ax) + 1) * _LOG2_3_UP)
-        mag = 1 - floor(ax * _LOG2_E_DOWN)
-    base = t + mag + s
-    g = base.bit_length() + 4
-    w = base + g
-    _check_cap(f"exp_enclosure at x={x}", max(w, t + 2))
-
-    one = 1 << w
-    num, den = ax.numerator, ax.denominator << s
-    small = 1 << (g - 3)
-    lo = hi = t_lo = t_hi = one
-    k = 1
-    while True:
-        t_lo = t_lo * num // (den * k)
-        t_hi = -(-t_hi * num // (den * k))
-        if t_hi <= small:
-            break
-        lo += t_lo
-        hi += t_hi
-        k += 1
-    # the terms from the k-th on sum to at most t_k / (1 - r/(k+1)),
-    # and r/(k+1) <= 2^-9
-    lo += t_lo
-    hi += t_hi + (t_hi >> 8) + 1
-    lo, hi = _square_out(lo, hi, w, s)
-    if x > 0:
-        return IntervalReal(_Q(lo, one), _Q(hi, one))
-    top = 1 << (w + t + 2)
-    return IntervalReal(_Q(top // hi, 1 << (t + 2)), _Q(-(-top // lo), 1 << (t + 2)))
+    lo, hi, k = _exp_ints(x.numerator, x.denominator, precision_bits)
+    return IntervalReal(_Q(lo, 1 << k), _Q(hi, 1 << k))
 
 
 def inc_gamma_int(query: GammaQuery) -> IntervalReal:
-    """Certified enclosure of Gamma(n+1, z) = e^-z * D_n(z)."""
+    """Certified enclosure of Gamma(n+1, z) = e^-z * D_n(z).
+
+    With d = D_n(z) = dn/dd and e^-z in [lo, hi] / 2^k from `_exp_ints`
+    at 2 + ceil(log2 max(|d|, 1)) bits above precision_bits, the result
+    is [lo * dn, hi * dn] / (dd * 2^k), the endpoints swapped for dn < 0:
+    the rationals that `exp_enclosure(-z, ...) * d` gives, on integers.
+    For z > 0 every term of D_n(z) is positive, so d >= n! and the exp
+    step needs at least precision_bits + log2(n!) + 6 bits; that bound
+    meets the precision cap before `dpoly_eval` runs.  For z <= 0, D_n(z)
+    is evaluated first and the exp step checks the cap.
+    """
     n, z, bits = query.n, _Q(query.z), query.precision_bits
     if n < 0:
         raise DomainError(f"inc_gamma_int requires n >= 0 (got {n})")
     if bits < 1:
         raise DomainError(f"precision_bits must be >= 1 (got {bits})")
+    zn, zd = z.numerator, z.denominator
+    if zn > 0:
+        _check_cap(
+            f"inc_gamma_int at n={n}, z={_show(zn, zd)}",
+            bits + _log2_factorial_down(n) + 6,
+        )
     d = dpoly_eval(n, z)
-    extra = ceil_log2(max(abs(d), _Q(1))) + 2
-    return exp_enclosure(-z, bits + extra) * d
+    dn, dd = d.numerator, d.denominator
+    lo, hi, k = _exp_ints(-zn, zd, bits + _bits_above_one(abs(dn), dd) + 2)
+    if dn < 0:
+        lo, hi = hi, lo
+    return IntervalReal(_Q(lo * dn, dd << k), _Q(hi * dn, dd << k))
 
 
-def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
-    """The 1F1 series of `hyp1f1` at scale 2^-w, width <= 2^-bits.
+def _series_ints(n: int, num: int, den: int, bits: int) -> tuple[int, int, int]:
+    """The 1F1 series of `hyp1f1` at x = num/den in lowest terms, as
+    (lo, hi, w) with the sum in [lo, hi] / 2^w and hi - lo <= 2^(w-bits).
 
     Each term is an integer interval [lo, hi]; multiplying it by the
     ratio p/q floors the lower and ceils the upper endpoint, taking them
@@ -232,9 +288,9 @@ def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
     below 1/2 from the term after k_geo = ceil(2|x|) - 1 on: for rational
     x, 2|x| <= k + 1 exactly when k >= k_geo, so the loop tests ints only.
     """
-    num, den = x.numerator, x.denominator
-    mag = ceil(abs(x) * _LOG2_E_UP)
-    two_ax = -(-2 * abs(num) // den)
+    a = abs(num)
+    mag = _mul_up(a, den, _LOG2_E_UP)
+    two_ax = -(-2 * a // den)
     k_geo = two_ax - 1
     # about 2|x| terms until the ratio drops to 1/2, then mag + bits more
     terms = two_ax + mag + bits + 2
@@ -242,7 +298,7 @@ def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
     while True:
         # the tail target 2^-(bits+1) is 2^guard units
         w = bits + 1 + guard
-        _check_cap(f"hyp1f1 series at n={n}, x={x}", w)
+        _check_cap(f"hyp1f1 series at n={n}, x={_show(num, den)}", w)
         lo = hi = acc_lo = acc_hi = 1 << w
         k = 0
         while True:
@@ -257,42 +313,95 @@ def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
             acc_hi += hi
             # after the ratio drops below 1/2 the tail is geometric
             if k >= k_geo:
-                big = 2 * max(-lo, hi) * abs(num) * (n + 2 + k)
+                big = 2 * max(-lo, hi) * a * (n + 2 + k)
                 bound = -(-big // (den * (n + 3 + k) * (k + 1)))
                 if bound <= 1 << guard:
                     break
         acc_lo -= bound
         acc_hi += bound
         if acc_hi - acc_lo <= 1 << (guard + 1):
-            return IntervalReal(_Q(acc_lo, 1 << w), _Q(acc_hi, 1 << w))
+            return acc_lo, acc_hi, w
         guard *= 2
+
+
+def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
+    """The 1F1 series of `hyp1f1` as an interval of width <= 2^-bits."""
+    lo, hi, w = _series_ints(n, x.numerator, x.denominator, bits)
+    return IntervalReal(_Q(lo, 1 << w), _Q(hi, 1 << w))
+
+
+def _closed_1f1(
+    n: int, d: Fraction, sn: int, sd: int, e_lo: int, e_hi: int, k: int
+) -> tuple[int, int, int]:
+    """The closed form (n+1) * (n! - e^-x * d) / x^(n+1) as (lo, hi, den)
+    with the value in [lo, hi] / den and den > 0, for d = D_n(x),
+    (n+1) / x^(n+1) = sn / sd with sd > 0 and e^-x in [e_lo, e_hi] / 2^k.
+
+    These are the rationals that `(n! - exp_iv * d) * scale` gives in
+    `IntervalReal` arithmetic: each product takes its endpoints in the
+    order the sign of its factor sets.
+    """
+    dn, dd = d.numerator, d.denominator
+    u = factorial(n) * dd << k
+    if dn >= 0:
+        lo, hi = u - e_hi * dn, u - e_lo * dn
+    else:
+        lo, hi = u - e_lo * dn, u - e_hi * dn
+    if sn < 0:
+        lo, hi = hi, lo
+    return lo * sn, hi * sn, dd * sd << k
+
+
+def _meets(a_lo: int, a_hi: int, a_den: int, b_lo: int, b_hi: int, b_den: int) -> bool:
+    """Whether [a_lo, a_hi] / a_den and [b_lo, b_hi] / b_den overlap, for
+    positive denominators: two cross-multiplied integer comparisons."""
+    return a_lo * b_den <= b_hi * a_den and b_lo * a_den <= a_hi * b_den
 
 
 def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     """Lower 1F1 series with parameters (n+1, n+2) evaluated at -x.
 
-    Direct route (`_series_1f1`, over integers): partial sums with term
+    Direct route (`_series_ints`, over integers): partial sums with term
     ratio t_{k+1}/t_k = -x * (n+1+k) / ((n+2+k) * (k+1)), truncated
     once the ratio magnitude stays below 1/2, with a geometric tail
-    bound.  For x != 0 the enclosure is checked for overlap against
-    the closed form (n+1) * (n! - e^-x * D_n(x)) / x^(n+1) computed via
-    exp_enclosure, an independent route.
+    bound.  For x != 0 the enclosure must overlap the closed form
+    (n+1) * (n! - e^-x * D_n(x)) / x^(n+1), an independent route through
+    `_exp_ints`, held as an integer interval over one denominator
+    (`_closed_1f1`); the overlap is two cross-multiplied integer
+    comparisons (`_meets`).  For x > 0 every term of D_n(x) is positive,
+    so D_n(x) >= n! and the exp step needs at least
+    precision_bits + log2((n+1)!) - (n+1) * log2(x) + 8 bits; that bound
+    meets the precision cap before the series and `dpoly_eval` run.  For
+    x < 0 the series and D_n(x) are evaluated first and the exp step
+    checks the cap.
     """
     if n < 0:
         raise DomainError(f"hyp1f1 requires n >= 0 (got {n})")
     if precision_bits < 1:
         raise DomainError(f"precision_bits must be >= 1 (got {precision_bits})")
     x = _Q(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return IntervalReal.point(1)
+    if num > 0:
+        spare = _log2_factorial_down(n + 1) - (n + 1) * _ceil_log2(num, den)
+        _check_cap(
+            f"hyp1f1 at n={n}, x={_show(num, den)}", precision_bits + max(spare, 0) + 8
+        )
 
-    series_iv = _series_1f1(n, x, precision_bits)
+    s_lo, s_hi, w = _series_ints(n, num, den, precision_bits)
 
     d = dpoly_eval(n, x)
-    scale = _Q(n + 1) / x ** (n + 1)
-    extra = ceil_log2(max(abs(d * scale), _Q(1))) + 4
-    closed_iv = (factorial(n) - exp_enclosure(-x, precision_bits + extra) * d) * scale
-    if not series_iv.overlaps(closed_iv):
+    # scale = (n+1) / x^(n+1) = sn / sd with sd > 0
+    sn, sd = (n + 1) * den ** (n + 1), num ** (n + 1)
+    if sd < 0:
+        sn, sd = -sn, -sd
+    extra = _bits_above_one(abs(d.numerator * sn), d.denominator * sd) + 4
+    e_lo, e_hi, k = _exp_ints(-num, den, precision_bits + extra)
+    c_lo, c_hi, c_den = _closed_1f1(n, d, sn, sd, e_lo, e_hi, k)
+    series_iv = IntervalReal(_Q(s_lo, 1 << w), _Q(s_hi, 1 << w))
+    if not _meets(s_lo, s_hi, 1 << w, c_lo, c_hi, c_den):
+        closed_iv = IntervalReal(_Q(c_lo, c_den), _Q(c_hi, c_den))
         raise InvariantViolation(
             f"hyp1f1 routes disagree at n={n}, x={x}: "
             f"series {series_iv.to_decimal(20)}, closed form {closed_iv.to_decimal(20)}"
@@ -346,7 +455,10 @@ def integral_identities(
     # needs n >= 2, below that the derangement number enters directly
     b_sym = certified_floor(EForm(0, nf, nf)) - floor_e if n >= 2 else dn
 
-    # one quadrature pass: pieces over [-1, 0], [0, 1] and [1, U]
+    # one quadrature pass: pieces over [-1, 0], [0, 1] and [1, U]; the
+    # oracle loads here, so the other specials leave it unloaded
+    from .oracles import _quad_pieces
+
     (p_left, p_mid, p_right), tail, _ = _quad_pieces(n, [-1, 0, 1], tol)
     q_1 = p_right + IntervalReal(0, tail)
     q_0 = p_mid + q_1

@@ -248,6 +248,7 @@ def _loaded(*args: str) -> tuple[set[str], set[str]]:
         (("compute", "paths", "--n", "5"), {"oracles", "specials"}),
         (("verify", "paths-cycles", "--n-range", "3..4"), {"oracles", "specials"}),
         (("table", "bounds", "--n", "3"), {"oracles", "specials"}),
+        (("compute", "inc-gamma", "--n", "3", "--z", "1/2"), {"oracles"}),
     ],
 )
 def test_a_command_loads_only_the_layers_it_calls(args, absent):

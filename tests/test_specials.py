@@ -283,10 +283,47 @@ def test_series_1f1_endpoints_match_the_pinned_digest():
     assert h.hexdigest() == _SERIES_DIGEST
 
 
-def test_series_1f1_makes_no_fraction_operation_per_term(monkeypatch):
-    # The series stops on an integer test, so its Fraction work is the same
-    # few operations at x = 1/2 (a handful of terms) as at x = -2597/8
-    # (about 2,000 terms).
+_SPECIAL_MAGS = (
+    Q(1, 2), Q(7, 8), Q(1), Q(3, 2), Q(2), Q(5), Q(10), Q(50), Q(563, 4), Q(2597, 8), Q(400)
+)
+_SPECIAL_XS = (
+    Q(0), *_SPECIAL_MAGS, *(-m for m in _SPECIAL_MAGS), Q(1, 3), Q(-2, 7), Q(22, 7), Q(-355, 113)
+)
+
+# sha256 of the endpoints below over the special_fn ladder (n 0..25, |x|
+# from 1/2 to 400 of both signs, 0 and a few p/q), recorded while the
+# set-up, the closed-form check and the product still ran on Fractions
+_LADDER_DIGESTS = {
+    "exp_enclosure": "46ee0171818ecdc03a8084b1b873a097a7564e1efcbf1ae3e40b8d270305c6d4",
+    "hyp1f1": "a669d8d9fe9efe8ce2bb895d54f2b38dd8b4481455762946853e8150152e711f",
+    "inc_gamma_int": "be2b119febab5422e0543436eef591dedeb0cdaa2ac73b763cc16d49039ed968",
+}
+
+
+def test_special_fn_ladder_endpoints_match_the_pinned_digests():
+    got = {}
+    h = hashlib.sha256()
+    for x in _SPECIAL_XS:
+        for bits in (1, 60, 96):
+            iv = specials.exp_enclosure(x, bits)
+            h.update(f"{x} {bits} {iv.lo} {iv.hi}\n".encode())
+    got["exp_enclosure"] = h.hexdigest()
+    for name, fn in (
+        ("hyp1f1", specials.hyp1f1),
+        ("inc_gamma_int", lambda n, x, b: specials.inc_gamma_int(specials.GammaQuery(n, x, b))),
+    ):
+        h = hashlib.sha256()
+        for n in range(26):
+            for bits in (1, 96):
+                for x in _SPECIAL_XS:
+                    iv = fn(n, x, bits)
+                    h.update(f"{n} {x} {bits} {iv.lo} {iv.hi}\n".encode())
+        got[name] = h.hexdigest()
+    assert got == _LADDER_DIGESTS
+
+
+def _counting_fraction_ops(monkeypatch) -> dict:
+    """Count every Fraction comparison and arithmetic operation from now on."""
     counts = {}
 
     def counting(name):
@@ -298,8 +335,20 @@ def test_series_1f1_makes_no_fraction_operation_per_term(monkeypatch):
 
         return wrapper
 
-    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__mul__", "__rmul__"):
+    for name in (
+        "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__mul__", "__rmul__",
+        "__add__", "__radd__", "__sub__", "__rsub__", "__truediv__", "__rtruediv__",
+        "__neg__", "__abs__", "__pow__",
+    ):
         monkeypatch.setattr(Fraction, name, counting(name))
+    return counts
+
+
+def test_series_1f1_makes_no_fraction_operation_per_term(monkeypatch):
+    # The series stops on an integer test, so its Fraction work is the same
+    # few operations at x = 1/2 (a handful of terms) as at x = -2597/8
+    # (about 2,000 terms).
+    counts = _counting_fraction_ops(monkeypatch)
     made = []
     for x in (Q(1, 2), Q(-2597, 8)):
         counts.clear()
@@ -307,6 +356,142 @@ def test_series_1f1_makes_no_fraction_operation_per_term(monkeypatch):
         made.append(dict(counts))
     assert made[0] == made[1]
     assert sum(made[0].values()) < 10
+
+
+@pytest.mark.parametrize("kind", ("hyp1f1", "inc_gamma_int"))
+def test_specials_check_and_multiply_on_integers(kind, monkeypatch):
+    # Set-up, the closed-form check and the product run on the integers
+    # of x, D_n(x) and the exp step, whose branches differ in sign, so
+    # both arguments make the same few Fraction operations: those of the
+    # returned interval.
+    counts = _counting_fraction_ops(monkeypatch)
+    made = []
+    for x in (Q(1, 2), Q(-2597, 8)):
+        counts.clear()
+        if kind == "hyp1f1":
+            specials.hyp1f1(5, x, 96)
+        else:
+            specials.inc_gamma_int(specials.GammaQuery(5, x, 96))
+        made.append(dict(counts))
+    assert made[0] == made[1]
+    assert sum(made[0].values()) <= 2
+
+
+def _closed_form_check_reference(series_iv, n, x, d, exp_iv, shift):
+    """The former hyp1f1 check: the closed form in Fraction interval
+    arithmetic, moved by `shift`, against the series interval."""
+    closed_iv = (factorial(n) - exp_iv * d) * (Q(n + 1) / x ** (n + 1)) + shift
+    return series_iv.overlaps(closed_iv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=-400, max_value=400).filter(bool),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=160),
+    st.integers(min_value=1, max_value=260),
+    st.integers(min_value=-192, max_value=192),
+)
+@example(5, 7, 8, 96, 100, 64)
+@example(0, -2597, 8, 96, 100, -65)
+@example(30, 563, 4, 1, 1, 0)
+def test_the_integer_check_decides_as_the_fraction_intervals(n, p, q, bits, exp_bits, step):
+    x = Q(p, q)
+    s_lo, s_hi, w = specials._series_ints(n, x.numerator, x.denominator, bits)
+    series_iv = IntervalReal(Q(s_lo, 1 << w), Q(s_hi, 1 << w))
+    d = dpoly_eval(n, x)
+    e_lo, e_hi, k = specials._exp_ints(-x.numerator, x.denominator, exp_bits)
+    exp_iv = IntervalReal(Q(e_lo, 1 << k), Q(e_hi, 1 << k))
+    scale = Q(n + 1) / x ** (n + 1)
+    c_lo, c_hi, c_den = specials._closed_1f1(
+        n, d, scale.numerator, scale.denominator, e_lo, e_hi, k
+    )
+    # moved by more than both widths, the closed form leaves the series
+    span = -(-(s_hi - s_lo) * c_den >> w) + c_hi - c_lo + 1
+    for units in (0, span + 1, -span - 1, span * step // 64):
+        got = specials._meets(s_lo, s_hi, 1 << w, c_lo + units, c_hi + units, c_den)
+        want = _closed_form_check_reference(series_iv, n, x, d, exp_iv, Q(units, c_den))
+        assert got == want, units
+        if units == 0 or abs(units) == span + 1:
+            assert want == (units == 0)
+
+
+@pytest.mark.parametrize("x", (Q(1, 2), Q(7, 8), Q(-2597, 8)))
+def test_hyp1f1_refuses_d_n_off_by_one_part_in_2_to_the_70(x, monkeypatch):
+    # At large positive x the closed form barely depends on e^-x * D_n(x):
+    # at x = 50 and 563/4 even a shift of 2^-40 goes unseen.
+    monkeypatch.setattr(
+        specials, "dpoly_eval", lambda n, z: dpoly_eval(n, z) * (1 + Q(1, 1 << 70))
+    )
+    for n in (0, 1, 5, 19, 25):
+        with pytest.raises(InvariantViolation, match=re.escape(f"disagree at n={n}, x={x}: ")):
+            specials.hyp1f1(n, x, 96)
+
+
+def test_positive_arguments_are_refused_at_the_cap_before_d_n(monkeypatch):
+    # D_n(x) >= n! for x > 0 bounds the exp step's bits from below, so
+    # n = 10^5 is refused before the series and D_n(x) are evaluated.
+    def refuse(*args):
+        raise AssertionError("evaluated before the cap check")
+
+    monkeypatch.setattr(specials, "dpoly_eval", refuse)
+    monkeypatch.setattr(specials, "_series_ints", refuse)
+    with pytest.raises(PrecisionCapError, match="precision cap"):
+        specials.inc_gamma_int(specials.GammaQuery(100000, Q(1), 64))
+    with pytest.raises(PrecisionCapError, match="precision cap"):
+        specials.hyp1f1(100000, Q(1), 96)
+
+
+_EARLY = {"hyp1f1": "hyp1f1 at ", "inc_gamma_int": "inc_gamma_int at "}
+
+
+def _call(kind, n, x, bits):
+    if kind == "hyp1f1":
+        return specials.hyp1f1(n, x, bits)
+    return specials.inc_gamma_int(specials.GammaQuery(n, x, bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_EARLY)),
+    st.integers(min_value=0, max_value=30),
+    st.fractions(min_value=-64, max_value=64, max_denominator=64).filter(bool),
+    st.integers(min_value=1, max_value=200),
+)
+@example("hyp1f1", 30, Q(1, 64), 1)
+@example("inc_gamma_int", 0, Q(1, 2), 1)
+def test_an_early_refusal_is_also_a_refusal_of_the_full_path(kind, n, x, bits):
+    # Each check's bits, under the default cap; only a positive argument
+    # has the early check.
+    asked = []
+    check_cap = specials._check_cap
+    with pytest.MonkeyPatch.context() as m:
+        m.delenv("ECOUNT_PRECISION_CAP", raising=False)
+        m.setattr(
+            specials,
+            "_check_cap",
+            lambda what, w: asked.append((what, w)) or check_cap(what, w),
+        )
+        _call(kind, n, x, bits)
+    early = [w for what, w in asked if what.startswith(_EARLY[kind])]
+    later = [w for what, w in asked if not what.startswith(_EARLY[kind])]
+    assert len(early) == (x > 0)
+    if not early:
+        return
+
+    # Under the largest cap that the early check refuses, it refuses
+    # before D_n(x) is evaluated, and the full path would refuse too.
+    def refuse(*args):
+        raise AssertionError("dpoly_eval ran")
+
+    cap = early[0] - 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("ECOUNT_PRECISION_CAP", str(cap))
+        m.setattr(specials, "dpoly_eval", refuse)
+        with pytest.raises(PrecisionCapError, match="^" + _EARLY[kind]):
+            _call(kind, n, x, bits)
+    assert max(later) > cap
 
 
 def test_exp_and_series_stop_at_the_precision_cap(monkeypatch):
@@ -510,7 +695,9 @@ def test_integral_check_needs_no_interval_evaluation(monkeypatch):
 def test_integral_check_names_a_shifted_piece(index, label, monkeypatch):
     # Piece `index` of the pass moves up by twice its width; the width of
     # the last piece, which runs to infinity, includes the tail bound.
-    real = specials._quad_pieces
+    from ecount import oracles
+
+    real = oracles._quad_pieces
 
     def shifted(n, cuts, tol):
         pieces, tail, evals = real(n, cuts, tol)
@@ -519,7 +706,7 @@ def test_integral_check_names_a_shifted_piece(index, label, monkeypatch):
         pieces[index] = IntervalReal(piece.lo + step, piece.hi + step)
         return pieces, tail, evals
 
-    monkeypatch.setattr(specials, "_quad_pieces", shifted)
+    monkeypatch.setattr(oracles, "_quad_pieces", shifted)
     for n in (1, 4, 11):
         with pytest.raises(InvariantViolation, match=re.escape(f"[{label}] at n={n}: ")):
             specials.integral_identities(n)
