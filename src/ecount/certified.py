@@ -18,38 +18,37 @@ test of a requested precision against it, here and in `specials`.
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
 API edge, in the reduced coefficients `.a`, `.b`, `.c`, made when they
-are read, so floors and signs make no `Fraction`.  Besides its integers
-a form holds only its last refinement step.
+are read, so floors and signs make no `Fraction`.  A form holds its
+integers and nothing else, and nothing writes to it once it is built.
 
-Floors and signs are decided by a fixed-point kernel,
-:func:`eform_bounds`: integers lo <= f * 2^p <= hi at the shared scale
-2^-p, read from A, B, C and D.  e and 1/e are each held as one cached
-entry (P, lo, hi) with lo <= x * 2^P <= hi, cut from the exact brackets
-below by one floor division; a request for p <= P shifts it right,
-flooring the lower and ceiling the upper endpoint, and costs O(p), not
-O(P): far below P the ceiling is the shift plus one unless the 64 bits
-below the cut are all zero.  A larger p extends the entry to exactly p
+Floors and signs are decided by a fixed-point kernel, `_bounds`, which
+:func:`eform_bounds` calls on its own: integers lo <= f * 2^p <= hi at
+the shared scale 2^-p, read from A, B, C and D.  e and 1/e are each
+held as one cached entry (P, lo, hi) with lo <= x * 2^P <= hi, cut from
+the exact brackets below by one floor division; a request for p <= P
+shifts it right, flooring the lower and ceiling the upper endpoint, and
+costs O(p), not O(P): far below P the ceiling is the shift plus one
+unless the 64 bits below the cut are all zero.  A larger p extends the entry to exactly p
 by the bracket's new terms and one short division.  The sums are
 divided by D once, with floor division for lo and ceiling division for
 hi, so every step rounds outward and the refinement loop builds no
 `Fraction`.  A form with |B| = |C|, such as (e + 1/e)*n!, takes one
 product, of B with the summed endpoints of e + 1/e or e - 1/e, where
 the others take one per nonzero coefficient.
-One refinement loop serves floors and signs: a floor is decided when
-lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It starts 64 bits
-above the magnitude of the form and then adds 64, 128, 256, ... bits,
-so a form thousands of bits wide retries a few words finer rather than
-at twice its size.  Each step is a call of :func:`eform_bounds`, which
-keeps its products on the form: the next call on that form at a finer
-p shifts them by the d new bits and adds B and C times the change of
-the endpoints, about d bits wide, which gives the same integers as a
-fresh start at a cost linear in their size.  This is the reuse of the
-last approximation in Ziv's adaptive strategy, and a first step and a
-retry take the one code path.  As each form holds its own step, forms
-refined in turn, or in different threads, do not restart one another,
-and a step lives no longer than its form.  When |b| + |c| is small the
-loop asks the kernel for a few guard bits more than p, so that the
-kernel's own rounding does not outweigh the enclosure error.
+One refinement loop, `_refine`, serves floors and signs: a floor is
+decided when lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It
+starts 64 bits above the magnitude of the form and then adds 64, 128,
+256, ... bits, so a form thousands of bits wide retries a few words
+finer rather than at twice its size.  The loop, not the form, keeps the
+kernel's last step: its products at the last p, which the kernel
+extends to the next p by shifting them by the d new bits and adding B
+and C times the change of the endpoints, about d bits wide.  That gives
+the same integers as a fresh start at a cost linear in their size: the
+reuse of the last approximation in Ziv's adaptive strategy, with one
+code path for a first step and a retry.  Forms are plain values that
+no decision writes to.  When |b| + |c| is small the loop asks the
+kernel for a few guard bits more than p, so that the kernel's own
+rounding does not outweigh the enclosure error.
 
 :func:`eform_eval` and :class:`IntervalReal` stay exact: their endpoints
 are `Fraction` values, so callers that print intervals get the same
@@ -310,15 +309,13 @@ class EForm:
     they differ; `==` and `hash` compare values.
 
     `.a`, `.b` and `.c` are reduced `Fraction`s, each made from A/D,
-    B/D or C/D when it is read; none is kept.  Besides its integers a
-    form holds only its last refinement step (see `eform_bounds`), which
-    is never compared, hashed or pickled.
+    B/D or C/D when it is read; none is kept.  A form holds nothing but
+    its integers: floors, signs and bounds read it and never write it.
     """
 
-    __slots__ = ("_ints", "_step")
+    __slots__ = ("_ints",)
 
     def __init__(self, a, b, c) -> None:
-        _set(self, "_step", None)
         if type(a) is int and type(b) is int and type(c) is int:
             _set(self, "_ints", (a, b, c, 1))
             return
@@ -412,7 +409,6 @@ def _of(big_a: int, big_b: int, big_c: int, den: int) -> EForm:
     """The EForm (big_a + big_b*e + big_c/e) / den, for den > 0."""
     f = object.__new__(EForm)
     _set(f, "_ints", (big_a, big_b, big_c, den))
-    _set(f, "_step", None)
     return f
 
 
@@ -628,30 +624,27 @@ def _fixed(name: str, p: int) -> tuple[int, int]:
     return lo >> shift, -(-hi >> shift)
 
 
-def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
-    """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward.
+def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
+    """(lo, hi, step): integers lo <= (A + B*e + C/e) / D * 2^p <= hi for
+    ints = (A, B, C, D), rounded outward, and the step (p, x_b, x_c, s).
 
     e and 1/e enter as fixed-point enclosures of width at most 2 * 2^-p,
-    and the one division by the form's denominator D floors lo and ceils
-    hi, so (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
+    and the one division by D floors lo and ceils hi, so
+    (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
 
-    With x_b and x_c the endpoints of e and 1/e at p that make
+    x_b and x_c are the endpoints of e and 1/e at p that make
     s = B*x_b + C*x_c a lower bound (the lower one for a positive
-    coefficient, the upper one for a negative one), s takes one product
+    coefficient, the upper one for a negative one).  s takes one product
     per nonzero coefficient, and one in all when |B| = |C|: B times the
-    summed endpoints of e + 1/e or e - 1/e.  The form keeps the last step
-    taken on it, (p0, y_b, y_c, s0).  A call at p = p0 + d with d >= 0
-    extends that step instead: s = (s0 << d) + B*(x_b - (y_b << d)) +
-    C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c, and as both endpoints
-    enclose the same number each correction is about d bits wide, so a
-    step finer costs O(bits) rather than a product as wide as B.  The
-    refinement loop makes exactly such calls; the result is the same
-    integers either way.  The step is one tuple, read once and replaced
-    whole, so threads that refine one form each extend a step of it.
+    summed endpoints of e + 1/e or e - 1/e.  Given the step
+    (p0, y_b, y_c, s0) of the same ints at p0 = p - d <= p, the kernel
+    extends it instead, to the same integers: s = (s0 << d) +
+    B*(x_b - (y_b << d)) + C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c,
+    and as both endpoints enclose the same number each correction is
+    about d bits wide, so a step finer costs O(bits), not a product as
+    wide as B.
     """
-    if p < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {p})")
-    big_a, big_b, big_c, den = f._ints
+    big_a, big_b, big_c, den = ints
     x_b = x_c = spread = 0
     if big_b:
         e_lo, e_hi = _fixed("e", p)
@@ -661,8 +654,7 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
         i_lo, i_hi = _fixed("e_inv", p)
         x_c = i_lo if big_c > 0 else i_hi
         spread += abs(big_c) * (i_hi - i_lo)
-    step = f._step
-    if step is not None and p >= step[0]:
+    if step is not None:
         p0, y_b, y_c, s = step
         d = p - p0
         s = (s << d) + big_b * (x_b - (y_b << d)) + big_c * (x_c - (y_c << d))
@@ -672,9 +664,20 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
         s = big_b * (x_b - x_c)
     else:
         s = big_b * x_b + big_c * x_c
-    _set(f, "_step", (p, x_b, x_c, s))
     q, r = divmod((big_a << p) + s, den)
-    return q, q - (-(r + spread) // den)
+    return q, q - (-(r + spread) // den), (p, x_b, x_c, s)
+
+
+def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
+    """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward, with
+    (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).  f is only read,
+    so calls are linked only through the cached enclosures of e and 1/e.
+    Raises PrecisionCapError, before any work, when p is above the cap.
+    """
+    if p < 0:
+        raise DomainError(f"precision_bits must be >= 0 (got {p})")
+    _check_cap("eform_bounds", p)
+    return _bounds(f._ints, p, None)[:2]
 
 
 class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
@@ -700,15 +703,6 @@ def _decide_sign(lo: int, hi: int, p: int) -> int | None:
     return None
 
 
-def _guard_bits(f: EForm) -> int:
-    # Extra bits that keep the kernel's own rounding, 2^(1-p), below the
-    # error (|b| + |c|) * 2^-p that the enclosures of e and 1/e carry at
-    # p, so forms with tiny b and c decide at the same p as eform_eval.
-    # A common factor of B, C and D moves it by at most one bit.
-    _, big_b, big_c, den = f._ints
-    return max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
-
-
 # A, B, C and D of at most this many bits (77 decimal digits) are named
 # by their reduced triple in a refusal, wider ones by their bit lengths.
 _NAME_BITS = 256
@@ -726,15 +720,14 @@ def _name(f: EForm) -> str:
 
 def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, int]:
     """(answer, p) at the first p where decide(lo, hi, bits) answers on
-    the eform_bounds of f at p plus the guard bits; PrecisionCapError
-    once p passes the cap.
+    the bounds of f at p plus the guard bits; PrecisionCapError once p
+    passes the cap.
 
     p starts at the start bits and then grows by 64, 128, 256, ... bits:
     a small form roughly doubles p, while a form whose start already
-    spans thousands of bits retries a few words finer.  Each retry asks
-    eform_bounds for the same form at a finer p, so it extends the
-    products of the step before, and only the first step multiplies B
-    and C by full-width endpoints.
+    spans thousands of bits retries a few words finer.  p only grows, so
+    each retry hands the kernel the step before, and only the first step
+    multiplies B and C by full-width endpoints.
     """
     cap = _resolve_cap()
     big_a, big_b, big_c, den = f._ints
@@ -743,16 +736,20 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
         # survive the cancellation in a + b*e + c/e.
         start_bits = 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
     p = max(8, start_bits)
-    # the guard bits of _guard_bits, from the same integers
+    # Extra bits that keep the kernel's own rounding, 2^(1-p), below the
+    # error (|b| + |c|) * 2^-p that the enclosures of e and 1/e carry at
+    # p, so forms with tiny b and c decide at the same p as eform_eval.
+    # A common factor of B, C and D moves it by at most one bit.
     guard = max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
-    step = 64
+    step = None
+    grow = 64
     while p <= cap:
-        lo, hi = eform_bounds(f, p + guard)
+        lo, hi, step = _bounds(f._ints, p + guard, step)
         result = decide(lo, hi, p + guard)
         if result is not None:
             return result, p
-        p += step
-        step *= 2
+        p += grow
+        grow *= 2
     raise PrecisionCapError(f"{what} of {_name(f)} undecided at precision cap {cap} bits")
 
 

@@ -26,12 +26,12 @@ for m >= 0, as 2 < e < 3), meets a quarter of the panel's share; a
 panel that no order serves is halved.  The truncation error is bounded
 by the same geometric-tail estimate used everywhere in this package,
 and what remains is a polynomial whose moment integral is an exact
-rational (`_panel_core`).  Its moment sums depend on the panel's width
-and K but not on m, so they form one table per pass and a panel's
+rational (`_PassTables.core`).  Its moment sums depend on the panel's
+width and K but not on m, so they form one table per pass and a panel's
 surrogate integral is an integer Horner sum in its midpoint; the coarse
-ladder keeps the tables of a pass few.  e^-m is enclosed
-at a scale 2^-p with integer endpoints rounded outward (`_exp_iv`),
-from the certified kernel's fixed-point enclosures of e and 1/e.  Its
+ladder keeps the tables of a pass few.  e^-m is enclosed at a scale
+2^-p with integer endpoints rounded outward (`_PassTables.exp`), from
+the certified kernel's fixed-point enclosures of e and 1/e.  Its
 factors are worked out at P, p rounded up to a multiple of 64, so one
 chain of powers of e (or 1/e) serves every panel in that band, and
 the product is shifted down to 2^-p.  All operands are nonnegative,
@@ -217,13 +217,21 @@ class _PassTables:
 
     def core(self, den: int, big_h: int, order: int) -> tuple[list[int], int]:
         """Coefficients c_0..c_n and denominator D of the order-K surrogate
-        integral: a panel with half-width H/den and midpoint M/den has
-        surrogate integral sum_i c_i M^(n-i) / D.
+        integral, of (sum_{j<=K} (-1)^j (t-m)^j / j!) * t^n over a panel
+        with midpoint m = M/den and half-width half = H/den.
 
-        c_i = C(n, i) * S_i, with S_i the sum over j <= K, i + j even, of
-        the Taylor weight (-1)^j (K!/j!) den^(K-j) times the moment
-        2 H^(i+j+1) ell / (i+j+1), ell = lcm(1..n+K+1); then
-        D = ell * K! * den^(n+K+1).
+        Expanding t^n around m leaves moments of u = t - m over
+        [-half, half], which vanish for odd powers:
+
+            sum over i <= n, j <= K, i + j even of
+                C(n, i) m^(n-i) * (-1)^j / j! * 2 half^(i+j+1) / (i+j+1).
+
+        That is sum_i c_i M^(n-i) / D: c_i = C(n, i) * S_i, with S_i the
+        sum over j <= K, i + j even, of the Taylor weight
+        (-1)^j (K!/j!) den^(K-j) times the moment 2 H^(i+j+1) ell / (i+j+1),
+        ell = lcm(1..n+K+1), and D = ell * K! * den^(n+K+1).  Only M^(n-i)
+        depends on the midpoint, so the panels of a pass with that width
+        and K share the table, and each is one integer Horner sum in M.
         """
         key = (den, big_h, order)
         entry = self._cores.get(key)
@@ -337,57 +345,13 @@ class _PassTables:
         return base_lo * tay_lo >> 2 * big - p, -(-base_hi * tay_hi >> 2 * big - p), p
 
 
-def _exp_iv(x: Fraction, bits: int) -> IntervalReal:
-    """Enclosure of e^x with dyadic endpoints, for rational x.
-
-    The width is at most 2^-bits * max(1, e^x).  Splits x = q + r with
-    integer q and r in [0, 1): e^q is the |q|-th power of the
-    fixed-point enclosure of e (or 1/e) from the certified kernel, e^r
-    a Taylor sum whose terms are floored for the lower and ceiled for
-    the upper endpoint, both at the 64-bit band of the scale 2^-p.
-    """
-    lo, hi, p = _PassTables(0).exp(x.numerator, x.denominator, bits)
-    return IntervalReal(_Q(lo, 1 << p), _Q(hi, 1 << p))
-
-
-def _panel_core(n: int, a: Fraction, b: Fraction, order: int) -> Fraction:
-    """Exact value of the order-K Taylor surrogate integral on [a, b].
-
-    integral of (sum_{j<=K} (-1)^j (t-m)^j / j!) * t^n dt, with
-    m the panel midpoint.  Expanding t^n around m reduces everything to
-    moments of u = t - m over [-half, half], which vanish for odd powers:
-
-        sum over i <= n, j <= K, i + j even of
-            C(n, i) m^(n-i) * (-1)^j / j! * 2 half^(i+j+1) / (i+j+1).
-
-    With m = M/den and half = H/den every term is an integer over
-    lcm(1..n+K+1) * K! * den^(n+K+1).  Only the power of M depends on
-    the midpoint, so the inner sums over j are one table per
-    (den, H, K) (`_PassTables.core`), shared by every panel of a pass
-    with that width, and a panel is one integer Horner sum in M.  A pass
-    builds such a table for each order up to `_MAX_ORDER` that its
-    panels use, so a high order costs once per pass.
-    """
-    d = lcm(a.denominator, b.denominator)
-    big_m, big_h, den = _midpoint_form(int(a * d), int(b * d), d)
-    coeffs, denom = _PassTables(n).core(den, big_h, order)
-    return _Q(_horner(coeffs, big_m), denom)
-
-
 def _panel(
-    n: int,
-    a: int,
-    b: int,
-    d: int,
-    share: tuple[int, int],
-    tables: _PassTables | None = None,
+    n: int, a: int, b: int, d: int, share: tuple[int, int], tables: _PassTables
 ) -> tuple[int, int, int] | None:
     """Certified enclosure (lo, hi, bits), meaning [lo, hi] / 2^bits, of
     the integral over [a/d, b/d], or None if the panel must be subdivided
     to meet its width share s_num / s_den.  tables is the pass's
-    `_PassTables` (a fresh one if omitted); the work is all integer."""
-    if tables is None:
-        tables = _PassTables(n)
+    `_PassTables`; the work is all integer."""
     big_m, big_h, den = _midpoint_form(a, b, d)
     s_num, s_den = share
     # integral of |t|^n over [a, b] = amom / amom_den

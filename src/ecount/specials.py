@@ -324,12 +324,6 @@ def _series_ints(n: int, num: int, den: int, bits: int) -> tuple[int, int, int]:
         guard *= 2
 
 
-def _series_1f1(n: int, x: Fraction, bits: int) -> IntervalReal:
-    """The 1F1 series of `hyp1f1` as an interval of width <= 2^-bits."""
-    lo, hi, w = _series_ints(n, x.numerator, x.denominator, bits)
-    return IntervalReal(_Q(lo, 1 << w), _Q(hi, 1 << w))
-
-
 def _closed_1f1(
     n: int, d: Fraction, sn: int, sd: int, e_lo: int, e_hi: int, k: int
 ) -> tuple[int, int, int]:

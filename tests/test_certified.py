@@ -310,7 +310,12 @@ def test_enclosures_refuse_precision_above_the_cap_before_any_work(monkeypatch):
     monkeypatch.setattr(certified, "_k_for_e", no_work)
     monkeypatch.setattr(certified, "_k_for_e_inv", no_work)
     monkeypatch.setattr(certified, "_split", no_work)
-    for call in (enclose_e, enclose_e_inv, lambda p: eform_eval(EForm(0, 1, 1), p)):
+    for call in (
+        enclose_e,
+        enclose_e_inv,
+        lambda p: eform_eval(EForm(0, 1, 1), p),
+        lambda p: eform_bounds(EForm(0, 1, 1), p),
+    ):
         with pytest.raises(PrecisionCapError, match="precision cap"):
             call(101)
     monkeypatch.delenv("ECOUNT_PRECISION_CAP")
@@ -549,10 +554,10 @@ def test_coefficients_are_reduced_fractions_made_when_read():
     assert repr(f) == "EForm(a=Fraction(2, 3), b=Fraction(2, 3), c=Fraction(-8, 3))"
     g = EForm(0, factorial(20), 0)
     assert type(g.b) is Fraction and g.b == factorial(20)
-    # Reading them keeps nothing: the form still holds its integers and
-    # no step, and one built from Fractions holds them over their least
-    # common denominator.
-    assert (f._ints, f._step) == ((4, 4, -16, 6), None)
+    # Reading them keeps nothing: the form still holds its integers, and
+    # one built from Fractions holds them over their least common
+    # denominator.
+    assert f._ints == (4, 4, -16, 6)
     half = Q(1, 2)
     assert EForm(half, 3, 0).a == half
     assert EForm(half, 3, 0)._ints == (1, 6, 0, 2)
@@ -599,8 +604,6 @@ def test_int_coefficients_build_the_form_fraction_coefficients_build(a, b, c):
     for g in (f, general):
         clone = pickle.loads(pickle.dumps(g))
         assert clone._ints == g._ints and clone == f and hash(clone) == hash(f)
-    # A coefficient is made when it is read, never kept on the form.
-    assert f._step is None and general._step is None
 
 
 def test_integer_forms_are_floored_and_signed_without_a_fraction(monkeypatch):
@@ -898,7 +901,8 @@ def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f,
     answer, p = certified._refine(f, None, decide, "test")
     assert answer == "yes"
     assert [b - a for a, b in zip(seen, seen[1:])] == [64, 128, 256, 512]
-    assert seen[-1] - p == certified._guard_bits(f)
+    _, big_b, big_c, den = f._ints
+    assert seen[-1] - p == max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
     if grow_between:
         assert min(t[0] for t in certified._FIXED.values()) == seen[0] + 5000
 
@@ -938,9 +942,8 @@ def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
 
 
 def test_interleaved_forms_each_get_their_own_bounds():
-    # The kernel extends a form's own last step, and only at a p no
-    # smaller than that step's: a descending call starts afresh, so
-    # interleaved and descending calls give the fresh bounds.
+    # Interleaved and descending calls on several forms each give the
+    # fresh bounds.
     forms = [_STEP_FORMS[0], _STEP_FORMS[2], _STEP_FORMS[0], _STEP_FORMS[6]]
     for p in (2200, 2300, 2264, 2264, 2100, 2600):
         for f in forms:
@@ -958,15 +961,25 @@ def test_interleaved_forms_each_get_their_own_bounds():
 )
 @example(_STEP_FORMS[0], _STEP_FORMS[2], 2200, 2300, 2264)  # p2 >= p1
 @example(_STEP_FORMS[6], _STEP_FORMS[0], 1500, 2100, 900)  # p2 < p1
-def test_a_step_on_another_form_leaves_a_forms_step_alone(f, g, p1, q, p2):
-    # f is refined at p1, g at q, then f at p2, above or below p1: the
-    # call at p2 gives what a fresh copy of f, with no step, gives there.
+def test_bounds_of_a_form_do_not_depend_on_what_was_refined_before(f, g, p1, q, p2):
+    # f is bounded at p1, g at q, then f at p2, above or below p1: the
+    # call at p2 gives what a fresh copy of f gives there.
     eform_bounds(f, p1)
     eform_bounds(g, q)
     fresh = pickle.loads(pickle.dumps(f))
-    assert fresh._step is None
     assert eform_bounds(f, p2) == eform_bounds(fresh, p2) == _separate_bounds(f, p2)
-    assert f._step[0] == p2
+
+
+@pytest.mark.parametrize("f", _STEP_FORMS)
+def test_floors_signs_and_bounds_leave_a_form_as_it_was_built(f):
+    # A form holds its integers and nothing else; the refinement step
+    # lives in the loop, so deciding on a form writes nothing to it.
+    assert EForm.__slots__ == ("_ints",)
+    before = pickle.dumps(f)
+    certified_floor_info(f)
+    eform_sign(f)
+    eform_bounds(f, 300)
+    assert pickle.dumps(f) == before
 
 
 _THREAD_FORMS = [

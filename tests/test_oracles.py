@@ -313,6 +313,12 @@ def test_quad_gamma_budget_guard(monkeypatch):
         oracles.quad_gamma(6, Q(-1), Q(1, 10**9))
 
 
+def _exp_iv(x, bits):
+    """The quadrature's enclosure of e^x, from a fresh pass's tables."""
+    lo, hi, p = oracles._PassTables(0).exp(x.numerator, x.denominator, bits)
+    return IntervalReal(Q(lo, 1 << p), Q(hi, 1 << p))
+
+
 def test_exp_interval_helper_consistency():
     # The internal exponential enclosure agrees with the public one on
     # a shared grid; both must contain exp(x) computed from e brackets.
@@ -321,17 +327,26 @@ def test_exp_interval_helper_consistency():
 
     for x in (Q(-2), Q(-1, 2), Q(0), Q(1, 2), Q(2)):
         pub = exp_enclosure(x, 80)
-        priv = oracles._exp_iv(x, 80)
+        priv = _exp_iv(x, 80)
         assert pub.overlaps(priv)
-    assert oracles._exp_iv(Q(1), 100).overlaps(enclose_e(100))
-    assert oracles._exp_iv(Q(-1), 100).overlaps(enclose_e_inv(100))
+    assert _exp_iv(Q(1), 100).overlaps(enclose_e(100))
+    assert _exp_iv(Q(-1), 100).overlaps(enclose_e_inv(100))
 
 
 # --- fixed-point quadrature kernels -------------------------------------
 
 
+def _panel_core(n, a, b, order):
+    """The quadrature's surrogate integral on [a, b], from a fresh pass's
+    core table and a Horner sum in the midpoint."""
+    d = lcm(a.denominator, b.denominator)
+    big_m, big_h, den = oracles._midpoint_form(int(a * d), int(b * d), d)
+    coeffs, denom = oracles._PassTables(n).core(den, big_h, order)
+    return Q(oracles._horner(coeffs, big_m), denom)
+
+
 def _panel_core_reference(n, a, b, order):
-    """The surrogate integral of _panel_core summed term by term in Fractions:
+    """The surrogate integral of _PassTables.core summed term by term in Fractions:
     sum over i + j even of C(n, i) m^(n-i) (-1)^j / j! * 2 half^(i+j+1) / (i+j+1)."""
     m = (a + b) / 2
     half = (b - a) / 2
@@ -357,7 +372,7 @@ def _panel_core_reference(n, a, b, order):
 def test_panel_core_matches_fraction_reference(n, a, width, half_order):
     b = a + width
     order = 2 * half_order
-    assert oracles._panel_core(n, a, b, order) == _panel_core_reference(n, a, b, order)
+    assert _panel_core(n, a, b, order) == _panel_core_reference(n, a, b, order)
 
 
 def _exp_reference(x, bits):
@@ -394,7 +409,7 @@ def _is_dyadic(x: Fraction) -> bool:
 @example(Q(-1, 3), 1)
 @example(Q(159, 2), 300)
 def test_exp_iv_encloses_a_finer_enclosure(x, bits):
-    iv = oracles._exp_iv(x, bits)
+    iv = _exp_iv(x, bits)
     finer = _exp_reference(x, bits + 200)
     assert iv.encloses(finer)
     assert iv.width <= Q(1, 1 << bits) * max(1, finer.hi)
@@ -485,6 +500,7 @@ def _panel_interval(n, a, b, share, tables=None):
     """oracles._panel on the panel [a, b] and the share, all Fractions,
     with its (lo, hi, bits) result read as an IntervalReal."""
     d = lcm(a.denominator, b.denominator)
+    tables = tables or oracles._PassTables(n)
     res = oracles._panel(
         n, int(a * d), int(b * d), d, (share.numerator, share.denominator), tables
     )

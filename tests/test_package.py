@@ -1,5 +1,6 @@
 """The package API, and which layers a command loads."""
 
+import ast
 import copy
 import os
 import pickle
@@ -288,3 +289,27 @@ def test_import_ecount_loads_no_layer():
     code = "import sys, ecount; print(sorted(m for m in sys.modules if m.startswith('ecount')))"
     proc = _run_fresh(code)
     assert proc.stdout == "['ecount']\n", proc.stderr
+
+
+def _unreferenced_private_definitions(src: Path) -> list[str]:
+    """Private (not dunder) functions and classes defined in src/*.py that
+    no Name, Attribute or import alias in those files refers to."""
+    defined, used = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(defined - used)
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # A private helper that only the tests call is dead API: the tests
+    # build what they need from the code the package runs.
+    assert _unreferenced_private_definitions(Path(_SRC) / "ecount") == []
