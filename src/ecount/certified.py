@@ -23,18 +23,19 @@ integers and nothing else, and nothing writes to it once it is built.
 
 Floors and signs are decided by a fixed-point kernel, `_bounds`, which
 :func:`eform_bounds` calls on its own: integers lo <= f * 2^p <= hi at
-the shared scale 2^-p, read from A, B, C and D.  e and 1/e are each
-held as one cached entry (P, lo, hi) with lo <= x * 2^P <= hi, cut from
-the exact brackets below by one floor division; a request for p <= P
-shifts it right, flooring the lower and ceiling the upper endpoint, and
-costs O(p), not O(P): far below P the ceiling is the shift plus one
-unless the 64 bits below the cut are all zero.  A larger p extends the entry to exactly p
-by the bracket's new terms and one short division.  The sums are
-divided by D once, with floor division for lo and ceiling division for
-hi, so every step rounds outward and the refinement loop builds no
-`Fraction`.  A form with |B| = |C|, such as (e + 1/e)*n!, takes one
-product, of B with the summed endpoints of e + 1/e or e - 1/e, where
-the others take one per nonzero coefficient.
+the shared scale 2^-p, read from A, B, C and D.  e and 1/e enter it as
+F = floor(x * 2^p), so F and F + 1 bound x * 2^p.  Each is cut from one
+cached entry (P, lo) with lo <= x * 2^P < lo + 2, itself cut from the
+exact brackets below by one floor division: once P >= p + 64, F is the
+top of lo >> (P - p - 64), read in O(p) time, not O(P), unless the 64
+bits below the cut are all ones, when more bits are read.  An entry
+below p + 64 is first extended to p + 128 by the bracket's new terms
+and one short division.  F depends on x and p alone, so no bound depends on what earlier calls
+left in the cache.  The sums are divided by D once, with floor division
+for lo and ceiling division for hi, so every step rounds outward and
+the refinement loop builds no `Fraction`.  A form with |B| = |C|, such
+as (e + 1/e)*n!, takes one product, of B with the summed endpoints of
+e + 1/e or e - 1/e, where the others take one per nonzero coefficient.
 One refinement loop, `_refine`, serves floors and signs: a floor is
 decided when lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It
 starts 64 bits above the magnitude of the form and then adds 64, 128,
@@ -71,9 +72,9 @@ The index k is the least one whose bracket width is at most 2^-p: a
 log-gamma estimate picks it and an exact integer test corrects it.
 Each enclosure is built by its own binary split of sum x^i * k!/i!
 (x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
-grows by the split of the new terms alone, never past the precision
-asked for.  Neither shares code with the recurrence marks and split
-blocks of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
+grows by the split of the new terms alone, to 128 bits past the
+precision asked for.  Neither shares code with the recurrence marks and
+split blocks of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
 reads: the two routes behind every count stay independent.
 """
 
@@ -563,80 +564,81 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
 
 # --- fixed-point kernel -----------------------------------------------
 
-# _FIXED[name] = (P, lo, hi, m, f, r) with lo <= x * 2^P <= hi, for x = e
-# or 1/e.  It only ever grows, to exactly the largest precision asked for.
-# The bracket's lower endpoint is s/f with f = m!, S_m/m! for e and
-# D_m/m! (m = 2k-1) for 1/e, and r is the remainder of lo = (s << P) // f,
-# from which the next, finer entry is extended; the seeds are the m = 1
-# brackets at P = 0.  A builder reads one entry and writes a new one, so
-# it runs outside _FIXED_LOCK and only the swap is under it.
+# _FIXED[name] = (P, lo, m, f, r) with lo <= x * 2^P < lo + 2, for x = e
+# or 1/e.  It only ever grows.  The bracket's lower endpoint is s/f with
+# f = m!, S_m/m! for e and D_m/m! (m = 2k-1) for 1/e, and r is the
+# remainder of lo = (s << P) // f, from which the next, finer entry is
+# extended; the seeds are the m = 1 brackets at P = 0.  A builder reads
+# one entry and writes a new one, so it runs outside _FIXED_LOCK and only
+# the swap is under it.
 _FIXED_LOCK = threading.Lock()
-_FIXED = {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
+_FIXED = {"e": (0, 2, 1, 1, 0), "e_inv": (0, 0, 1, 1, 0)}
 _SIGN = {"e": 1, "e_inv": -1}
+# Bits that _fixed reads below its cut before it reads more.
+_GUARD = 64
 
 
 def _grow(name: str, entry: tuple, bits: int) -> tuple:
     """The _FIXED entry of x = e (name "e") or 1/e ("e_inv") at bits > P.
 
     Its bracket index m' is the least one at bits: e - S_m'/m'! < 1/(m'!*m')
-    and 1/e - D_m'/m'! < 1/(m'+1)!, each at most 2^-bits, so lo + 2 bounds
-    x * 2^bits.  The entry's bracket m is extended by the terms m+1..m'
-    alone: with (P_e, Q_e) from _split, s' = s*Q_e + (-1)^m*P_e over
-    f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
+    and 1/e - D_m'/m'! < 1/(m'+1)!, each at most 2^-bits, so
+    x * 2^bits < lo + 2.  The entry's bracket m is extended by the terms
+    m+1..m' alone: with (P_e, Q_e) from _split, s' = s*Q_e + (-1)^m*P_e
+    over f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
     N = (r*Q_e << d) + ((-1)^m*P_e << bits), d = bits - P, so one
     division of N by f', whose quotient has about d + log2(m') bits,
     finishes lo and r; s itself is never needed again.
     """
     x = _SIGN[name]
     m_new = _k_for_e(bits) if x > 0 else 2 * _k_for_e_inv(bits) - 1
-    big_p, lo, _, m, f, r = entry
+    big_p, lo, m, f, r = entry
     p_e, q_e = _split(m, m_new, x)
     if x < 0 and m % 2:
         p_e = -p_e
     f *= q_e
     q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)
-    lo = (lo << (bits - big_p)) + q
-    return bits, lo, lo + 2, m_new, f, r
+    return bits, (lo << (bits - big_p)) + q, m_new, f, r
 
 
-def _fixed(name: str, p: int) -> tuple[int, int]:
-    """Integers lo <= x * 2^p <= hi for x = e or 1/e; hi - lo <= 2.
+def _fixed(name: str, p: int) -> int:
+    """floor(x * 2^p) for x = e or 1/e, whatever the cache holds.
 
-    From an entry at P >= p, in time linear in p.  lo is floored by a
-    shift.  While P <= 11p + 64, hi is ceiled by -(-hi >> s), which
-    copies all P bits: O(p) here, and the faster way on CPython 3.11.
-    Further below P it is (hi >> s) + 1, read from the top p + 64 bits
-    of hi, unless the 64 below the cut are all zero; then it is the
-    exact -(-hi >> s).
+    With g guard bits and an entry at P >= p + g, t = lo >> (P - p - g)
+    has t <= x * 2^(p+g) < t + 2, so the floor is t >> g unless the g
+    bits of t below the cut are all ones: a read in time linear in p.
+    g starts at _GUARD and doubles while those bits are all ones, which
+    x, being irrational, ends; an entry below p + g first grows to
+    p + 2g.
     """
+    g = _GUARD
     entry = _FIXED[name]
-    if entry[0] < p:
-        entry = _grow(name, entry, p)
-        with _FIXED_LOCK:
-            if _FIXED[name][0] < p:
-                _FIXED[name] = entry
-    big_p, lo, hi, _, _, _ = entry
-    shift = big_p - p
-    if shift > 10 * p + 64:
-        top = hi >> (shift - 64)
-        if top & 0xFFFFFFFFFFFFFFFF:
-            return lo >> shift, (top >> 64) + 1
-    return lo >> shift, -(-hi >> shift)
+    while True:
+        if entry[0] < p + g:
+            entry = _grow(name, entry, p + 2 * g)
+            with _FIXED_LOCK:
+                if _FIXED[name][0] < entry[0]:
+                    _FIXED[name] = entry
+        top = entry[1] >> (entry[0] - p - g)
+        mask = (1 << g) - 1
+        if top & mask != mask:
+            return top >> g
+        g *= 2
 
 
 def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
     """(lo, hi, step): integers lo <= (A + B*e + C/e) / D * 2^p <= hi for
     ints = (A, B, C, D), rounded outward, and the step (p, x_b, x_c, s).
 
-    e and 1/e enter as fixed-point enclosures of width at most 2 * 2^-p,
-    and the one division by D floors lo and ceils hi, so
-    (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).
+    e and 1/e enter as F = floor(x * 2^p), so F <= x * 2^p < F + 1, and
+    the one division by D floors lo and ceils hi, so
+    (hi - lo) * 2^-p < (|b| + |c|) * 2^-p + 2^(1-p).
 
-    x_b and x_c are the endpoints of e and 1/e at p that make
-    s = B*x_b + C*x_c a lower bound (the lower one for a positive
-    coefficient, the upper one for a negative one).  s takes one product
-    per nonzero coefficient, and one in all when |B| = |C|: B times the
-    summed endpoints of e + 1/e or e - 1/e.  Given the step
+    x_b and x_c are F or F + 1 of e and 1/e at p, whichever makes
+    s = B*x_b + C*x_c a lower bound (F for a positive coefficient, F + 1
+    for a negative one), so s + |B| + |C| is an upper bound.  s takes one
+    product per nonzero coefficient, and one in all when |B| = |C|: B
+    times the summed endpoints of e + 1/e or e - 1/e.  Given the step
     (p0, y_b, y_c, s0) of the same ints at p0 = p - d <= p, the kernel
     extends it instead, to the same integers: s = (s0 << d) +
     B*(x_b - (y_b << d)) + C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c,
@@ -645,15 +647,8 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
     wide as B.
     """
     big_a, big_b, big_c, den = ints
-    x_b = x_c = spread = 0
-    if big_b:
-        e_lo, e_hi = _fixed("e", p)
-        x_b = e_lo if big_b > 0 else e_hi
-        spread = abs(big_b) * (e_hi - e_lo)
-    if big_c:
-        i_lo, i_hi = _fixed("e_inv", p)
-        x_c = i_lo if big_c > 0 else i_hi
-        spread += abs(big_c) * (i_hi - i_lo)
+    x_b = _fixed("e", p) + (big_b < 0) if big_b else 0
+    x_c = _fixed("e_inv", p) + (big_c < 0) if big_c else 0
     if step is not None:
         p0, y_b, y_c, s = step
         d = p - p0
@@ -665,13 +660,13 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
     else:
         s = big_b * x_b + big_c * x_c
     q, r = divmod((big_a << p) + s, den)
-    return q, q - (-(r + spread) // den), (p, x_b, x_c, s)
+    return q, q - (-(r + abs(big_b) + abs(big_c)) // den), (p, x_b, x_c, s)
 
 
 def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward, with
-    (hi - lo) * 2^-p < 2 * (|b| + |c|) * 2^-p + 2^(1-p).  f is only read,
-    so calls are linked only through the cached enclosures of e and 1/e.
+    (hi - lo) * 2^-p < (|b| + |c|) * 2^-p + 2^(1-p).  They depend on f
+    and p alone, not on earlier calls or what the cache holds.
     Raises PrecisionCapError, before any work, when p is above the cap.
     """
     if p < 0:

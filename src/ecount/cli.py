@@ -461,8 +461,8 @@ def _suite_special_fn(
             try:
                 iv = specials.hyp1f1(n, x, h_bits)
                 r.expect(
-                    iv.width <= _Q(1, 10**12),
-                    f"hyp1f1 n={n} x={x}: width {float(iv.width)} > 1e-12",
+                    iv.width <= _Q(1, 1 << h_bits),
+                    f"hyp1f1 n={n} x={x}: width {float(iv.width)} > 2^-{h_bits}",
                 )
             except InvariantViolation as exc:
                 r.fail(str(exc))

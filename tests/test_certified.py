@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from math import factorial, floor
 from pathlib import Path
@@ -45,9 +46,9 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 E_50 = Q("2.71828182845904523536028747135266249775724709369995")
 E_INV_50 = Q("0.36787944117144232159552377016146086744581113103176")
 
-# The empty cache of e and 1/e: the m = 1 brackets 2 <= e <= 3 and
-# 0 <= 1/e <= 1 at P = 0, as (P, lo, hi, m, m!, remainder).
-_SEED = {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
+# The empty cache of e and 1/e: the m = 1 brackets, lower endpoints 2
+# and 0 at P = 0, as (P, lo, m, m!, remainder) with lo <= x < lo + 2.
+_SEED = {"e": (0, 2, 1, 1, 0), "e_inv": (0, 0, 1, 1, 0)}
 
 
 # --- interval arithmetic ------------------------------------------------
@@ -245,8 +246,7 @@ def test_brackets_read_nothing_from_exact(monkeypatch):
     precisions = (0, 1, 64, 1000, 5000)
 
     def answers():
-        # from an empty cache each time: a finer cached entry gives other,
-        # equally valid, bounds
+        # from an empty cache each time, so both runs build the brackets
         monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
         return (
             [(enclose_e(p), enclose_e_inv(p), eform_bounds(f, p)) for p in precisions],
@@ -385,8 +385,8 @@ def test_brackets_contain_continued_fraction_convergents(monkeypatch, name):
         iv = enclose(p)
         lo, hi = (iv.lo.numerator, iv.lo.denominator), (iv.hi.numerator, iv.hi.denominator)
         _audit(quotients(), p, lo, hi)
-        f_lo, f_hi = certified._fixed(name, p)
-        _audit(quotients(), p, (f_lo, 1 << p), (f_hi, 1 << p))
+        cut = certified._fixed(name, p)
+        _audit(quotients(), p, (cut, 1 << p), (cut + 1, 1 << p))
 
 
 def test_eform_eval_width_bound():
@@ -758,9 +758,9 @@ def _reference_sign(iv: IntervalReal):
 def test_eform_bounds_encloses_and_stays_narrow(f, p):
     lo, hi = eform_bounds(f, p)
     assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
-    # e and 1/e each enter with at most 2 ulps, plus one ulp of outward
+    # e and 1/e each enter with one ulp, plus one ulp of outward
     # rounding on each side.
-    assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
+    assert hi - lo < abs(f.b) + abs(f.c) + 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -770,7 +770,7 @@ def test_eform_bounds_smaller_precision_after_larger(f, p, extra):
     lo, hi = eform_bounds(f, p)  # served by shifting the finer enclosures
     assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
     assert _scaled(lo, hi, p).overlaps(_scaled(fine_lo, fine_hi, p + extra))
-    assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
+    assert hi - lo < abs(f.b) + abs(f.c) + 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -826,10 +826,13 @@ def _digest_forms() -> list[EForm]:
 
 
 # sha256 of the floor, precision_bits, sign and eform_bounds at p = 200
-# of each of _digest_forms, from an empty cache, as the kernel gave them
-# when a request below the cached precision still ceiled the upper
-# endpoint by negating all of it.
-_DECISIONS_SHA256 = "3a4a8d9b4ee8274de3e23eb37634114e377cb3beff25ed38cca352f4c32c2dd1"
+# of each of _digest_forms, from an empty cache, as the kernel gives them
+# since it reads e and 1/e as floor(x * 2^p).
+_DECISIONS_SHA256 = "14130e611beeeb6070308881a9b6ba2830a8f343addf4039aa8b3ec6cbf2f370"
+# sha256 of the floor, precision_bits and sign columns alone, recorded
+# while the kernel still read e and 1/e as two cached endpoints: that
+# change narrowed 70 of the bounds and moved no decision.
+_DECISION_COLUMNS_SHA256 = "fa2add320207caf7d672c4435e8d6f76102d80b225b98621aee184fe6701dc6a"
 
 
 def _decision_rows() -> list[tuple[int, ...]]:
@@ -838,27 +841,30 @@ def _decision_rows() -> list[tuple[int, ...]]:
     ]
 
 
+def _digest(rows) -> str:
+    text = "".join(",".join(f"{x:x}" for x in row) + ";" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_decisions_keep_their_recorded_digest(monkeypatch):
     monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
     rows = _decision_rows()
     assert len(rows) == 1512
-    text = "".join(",".join(f"{x:x}" for x in row) + ";" for row in rows)
-    assert hashlib.sha256(text.encode()).hexdigest() == _DECISIONS_SHA256
+    assert _digest(row[:3] for row in rows) == _DECISION_COLUMNS_SHA256
+    assert _digest(rows) == _DECISIONS_SHA256
 
 
 def _separate_bounds(f: EForm, p: int) -> tuple[int, int]:
     """The kernel's bounds at p from scratch: one full product per
-    nonzero coefficient, with the cached endpoint that makes it a lower
-    bound, and one outward division by D."""
+    nonzero coefficient, with floor(x * 2^p) or one more, whichever makes
+    it a lower bound, and one outward division by D."""
     big_a, big_b, big_c, den = f._ints
-    lo, spread = big_a << p, 0
+    lo = big_a << p
     for num, name in ((big_b, "e"), (big_c, "e_inv")):
         if num:
-            x_lo, x_hi = certified._fixed(name, p)
-            lo += num * (x_lo if num > 0 else x_hi)
-            spread += abs(num) * (x_hi - x_lo)
+            lo += num * (certified._fixed(name, p) + (num < 0))
     q, r = divmod(lo, den)
-    return q, q - (-(r + spread) // den)
+    return q, q - (-(r + abs(big_b) + abs(big_c)) // den)
 
 
 # Forms with B = C, B = -C (both signs), B = 0, C = 0 and D > 1, and the
@@ -904,7 +910,8 @@ def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f,
     _, big_b, big_c, den = f._ints
     assert seen[-1] - p == max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
     if grow_between:
-        assert min(t[0] for t in certified._FIXED.values()) == seen[0] + 5000
+        grown = seen[0] + 5000 + 2 * certified._GUARD
+        assert [entry[0] for entry in certified._FIXED.values()] == [grown, grown]
 
 
 class _Recording(int):
@@ -1042,14 +1049,14 @@ def test_grown_entries_equal_fresh_builds(name, steps):
         bits += step
         entry = certified._grow(name, entry, bits)
         assert entry == certified._grow(name, _SEED[name], bits)
-    big_p, lo, hi, m, f, r = entry
+    big_p, lo, m, f, r = entry
     s, m_factorial = certified._series(m, 1 if name == "e" else -1)
-    assert f == m_factorial and (s << big_p) == lo * f + r and 0 <= r < f and hi == lo + 2
+    assert f == m_factorial and (s << big_p) == lo * f + r and 0 <= r < f
 
 
 def test_a_fresh_cache_holds_the_seed_brackets():
     # A new process starts from the m = 1 brackets, each in the one entry
-    # shape _grow extends; at p = 0 they read 2 <= e <= 3, 0 <= 1/e <= 1.
+    # shape _grow extends; at p = 0 they read floor(e) = 2, floor(1/e) = 0.
     code = (
         "from ecount import certified as c\n"
         "print(sorted(c._FIXED.items()), c._fixed('e', 0), c._fixed('e_inv', 0))\n"
@@ -1060,86 +1067,240 @@ def test_a_fresh_cache_holds_the_seed_brackets():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{sorted(_SEED.items())} (2, 3) (0, 1)"
+    assert proc.stdout.strip() == f"{sorted(_SEED.items())} 2 0"
     for name, x in (("e", 1), ("e_inv", -1)):
-        big_p, lo, hi, m, f, r = _SEED[name]
+        big_p, lo, m, f, r = _SEED[name]
         assert certified._series(m, x) == (lo, f) and r == 0
+
+
+# --- floor(x * 2^p) against the decimal module --------------------------
+
+# References for floor(x * 2^p) that share no code with certified: the
+# standard library's decimal arithmetic (libmpdec), which works in base
+# 10 at p * 0.302 + 40 digits.
+
+
+def _floor_between(lo: Decimal, hi: Decimal, p: int) -> int:
+    """floor(y * 2^p), the same for every y in [lo, hi]."""
+    (n_lo, d_lo), (n_hi, d_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    cut = (n_lo << p) // d_lo
+    assert cut == (n_hi << p) // d_hi, f"the decimal bracket does not decide p={p}"
+    return cut
+
+
+def _exp_bracket(name: str, p: int) -> tuple[Decimal, Decimal]:
+    """e or 1/e within one ulp either side of Decimal(+-1).exp(), which
+    is correctly rounded whatever the context's rounding."""
+    with localcontext() as ctx:
+        ctx.prec = int(p * 0.302) + 40
+        x = Decimal(1 if name == "e" else -1).exp()
+        ulp = Decimal((0, (1,), x.as_tuple().exponent))
+        return x - ulp, x + ulp
+
+
+def _taylor_bracket(name: str, p: int) -> tuple[Decimal, Decimal]:
+    """e or 1/e between decimal Taylor sums S_K of exp(+-1), the terms
+    and sums rounded down for the lower bound and up for the upper one,
+    widened by 1/K!, which bounds either tail.  Decimal's exp takes 2.4 s
+    at 12,000 digits; these sums take 0.06 s."""
+    digits = int(p * 0.302) + 40
+    down, up = (Context(prec=digits, rounding=r) for r in (ROUND_FLOOR, ROUND_CEILING))
+    ulp = Decimal((0, (1,), 1 - digits))
+    bounds = []
+    for ctx, opposite in ((down, up), (up, down)):
+        # near and far: 1/k! rounded with the sum and against it
+        total = near = far = Decimal(1)
+        k = 0
+        while far >= ulp:
+            k += 1
+            near, far = ctx.divide(near, k), opposite.divide(far, k)
+            total = ctx.add(total, near) if name == "e" or k % 2 == 0 else ctx.subtract(total, far)
+        tail = max(near, far)
+        bounds.append(ctx.subtract(total, tail) if ctx is down else ctx.add(total, tail))
+    return bounds[0], bounds[1]
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+def test_fixed_is_the_floor_that_decimal_gives(monkeypatch, name):
+    # floor(x * 2^p) for every p in 0..2000 from Decimal's exp, read from
+    # a cache grown one request at a time and from one far above; and
+    # near p = 40,000 from the decimal Taylor sums, which agree with exp
+    # at p = 2000.
+    monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
+    small = _exp_bracket(name, 2000)
+    assert _floor_between(*_taylor_bracket(name, 2000), 2000) == _floor_between(*small, 2000)
+    expected = [_floor_between(*small, p) for p in range(2001)]
+    assert [certified._fixed(name, p) for p in range(2001)] == expected
+    monkeypatch.setitem(certified._FIXED, name, certified._grow(name, _SEED[name], 50000))
+    assert [certified._fixed(name, p) for p in range(2001)] == expected
+    large = _taylor_bracket(name, 40100)
+    monkeypatch.setitem(certified._FIXED, name, _SEED[name])
+    for p in (39900, 39999, 40000, 40001, 40036, 40100):
+        assert certified._fixed(name, p) == _floor_between(*large, p)
 
 
 @pytest.mark.parametrize("name", ["e", "e_inv"])
 def test_fixed_below_the_cached_precision_is_the_exact_shift(monkeypatch, name):
-    # The floor and ceiling of the cached endpoints at 2^-p: for every p
-    # below an entry at P = 600, so every shift 0-600, on both sides of
-    # the 10p + 64 bits past which the ceiling is a cut plus one; for p
-    # far below P = 5000; and for upper endpoints whose 64 bits below the
-    # cut are zero, with and without a set bit further down.
-    for bits, precisions in ((600, range(601)), (5000, [*range(0, 101), 4000, 4999, 5000])):
-        big_p, lo, hi = certified._grow(name, _SEED[name], bits)[:3]
-        monkeypatch.setitem(certified._FIXED, name, (big_p, lo, hi, 1, 1, 0))
+    # From entries at P = 600 and P = 5000, every p at least 64 bits below
+    # P is read as the cached lower endpoint shifted right by P - p, with
+    # the entry left as it was; a p closer to P grows the entry first.
+    # Each is the floor that Decimal's exp gives.
+    bracket = _exp_bracket(name, 5000)
+    for bits, precisions in ((600, range(601)), (5000, [*range(0, 101), 4000, 4936, 4937, 5000])):
+        entry = certified._grow(name, _SEED[name], bits)
         for p in precisions:
-            shift = big_p - p
-            assert certified._fixed(name, p) == (lo >> shift, -(-hi >> shift))
-    # from the P = 5000 entry, with its upper endpoint's bits below the cut replaced
-    for p, low in ((0, 0), (0, 1), (10, 0), (100, 0), (100, 1), (100, 1 << 35), (400, 7)):
-        shift = big_p - p
-        zeroed = (hi >> shift << shift) + low
-        monkeypatch.setitem(certified._FIXED, name, (big_p, zeroed - 2, zeroed, 1, 1, 0))
-        assert certified._fixed(name, p) == ((zeroed - 2) >> shift, -(-zeroed >> shift))
+            monkeypatch.setitem(certified._FIXED, name, entry)
+            cut = certified._fixed(name, p)
+            assert cut == _floor_between(*bracket, p)
+            if p <= bits - 64:
+                assert cut == entry[1] >> (bits - p) and certified._FIXED[name] is entry
+            else:
+                assert certified._FIXED[name][0] == p + 2 * certified._GUARD
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+@pytest.mark.parametrize("guard", [1, 2])
+def test_fixed_reads_more_bits_when_those_below_the_cut_are_all_ones(monkeypatch, name, guard):
+    # With a guard of one or two bits, the bits below the cut are all ones
+    # for about half or a quarter of p: from an entry at exactly p + guard,
+    # _fixed then doubles the guard and grows the entry to p + 4 * guard,
+    # and only then, and still gives the floor.
+    bracket = _exp_bracket(name, 400)
+    grown = []
+    grow = certified._grow
+    monkeypatch.setattr(certified, "_GUARD", guard)
+    monkeypatch.setattr(
+        certified, "_grow", lambda *args: grown.append(args[2]) or grow(*args)
+    )
+    retried = 0
+    for p in range(400):
+        entry = grow(name, _SEED[name], p + guard)
+        monkeypatch.setitem(certified._FIXED, name, entry)
+        grown.clear()
+        assert certified._fixed(name, p) == _floor_between(*bracket, p)
+        ones = entry[1] & ((1 << guard) - 1) == (1 << guard) - 1
+        assert grown[:1] == ([p + 4 * guard] if ones else [])
+        retried += ones
+    assert 400 >> (guard + 2) < retried < 400 >> (guard - 1)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=0, max_value=400),
-    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=64, max_value=5000),
     st.integers(min_value=3, max_value=1 << 3000),
     st.integers(min_value=0, max_value=1 << 200),
 )
-def test_fixed_ceils_any_cached_endpoint_below_its_precision(p, shift, top, low):
-    # Any upper endpoint, here one with shift zero bits below top and low
-    # added into them, ceils to -(-hi >> shift).
-    hi = (top << shift) + low
+def test_fixed_floors_any_cached_endpoint_below_its_precision(p, shift, top, low):
+    # Any lower endpoint lo cached at P = p + shift >= p + 64, here one
+    # with shift zero bits below top and low added into them: unless the
+    # 64 bits below the cut are all ones, _fixed is the floor of every y
+    # in [lo, lo + 2) at 2^-p, without growing the entry.
+    lo = (top << shift) + low
     saved = certified._FIXED["e"]
-    certified._FIXED["e"] = (p + shift, hi - 2, hi, 1, 1, 0)
+    certified._FIXED["e"] = entry = (p + shift, lo, 1, 1, 0)
     try:
-        assert certified._fixed("e", p) == ((hi - 2) >> shift, -(-hi >> shift))
+        if (lo >> (shift - 64)) & 0xFFFFFFFFFFFFFFFF != 0xFFFFFFFFFFFFFFFF:
+            assert certified._fixed("e", p) == lo >> shift == (lo + 1) >> shift
+            assert certified._FIXED["e"] is entry
     finally:
         certified._FIXED["e"] = saved
 
 
-class _Negations(int):
-    """A cached endpoint that records the bit width of each negation."""
+class _Reads(int):
+    """A cached endpoint that records each arithmetic operation on it."""
 
-    widths: list[int] = []
+    ops: list[str] = []
 
-    def __neg__(self):
-        _Negations.widths.append(self.bit_length())
-        return -int(self)
+
+def _recorded(op: str):
+    def method(self, *args):
+        _Reads.ops.append(op)
+        return getattr(int, op)(int(self), *args)
+
+    return method
+
+
+for _op in ("__neg__", "__invert__", "__abs__", "__rshift__", "__lshift__", "__and__",
+            "__add__", "__sub__", "__mul__", "__floordiv__", "__divmod__"):
+    setattr(_Reads, _op, _recorded(_op))
 
 
 @pytest.mark.parametrize("name", ["e", "e_inv"])
 def test_a_request_below_the_cache_negates_no_endpoint_wider_than_o_of_p(monkeypatch, name):
-    # Far below the cached P the upper endpoint is a cut plus one, and
-    # no P-bit endpoint is negated; within 10p + 64 bits of P the exact
-    # ceiling negates one, which is then O(p) bits wide.
-    big_p, lo, hi = certified._grow(name, _SEED[name], 40000)[:3]
-    monkeypatch.setitem(certified._FIXED, name, (big_p, _Negations(lo), _Negations(hi), 1, 1, 0))
-    for p in (0, 100, 1000, 3000, 20000, 39990):
-        _Negations.widths = []
-        shift = big_p - p
-        assert certified._fixed(name, p) == (lo >> shift, -(-hi >> shift))
-        assert all(w <= 11 * p + 64 for w in _Negations.widths), (p, _Negations.widths)
-    _Negations.widths = []
+    # Far below the cached P = 40,000 a request touches the P-bit lower
+    # endpoint once, by the one right shift that cuts p + 64 bits from
+    # it, and negates nothing; every later step works on integers of
+    # p + O(64) bits.
+    big_p, lo = certified._grow(name, _SEED[name], 40000)[:2]
+    entry = (big_p, _Reads(lo), 1, 1, 0)
+    monkeypatch.setitem(certified._FIXED, name, entry)
+    for p in (0, 100, 1000, 3000, 20000, 39900):
+        _Reads.ops = []
+        assert certified._fixed(name, p) == lo >> (big_p - p)
+        assert _Reads.ops == ["__rshift__"], (p, _Reads.ops)
+        assert certified._FIXED[name] is entry
+    _Reads.ops = []
     assert certified_floor_info(EForm(0, factorial(30), factorial(30))).value == floor(
         Q(factorial(30)) * (E_50 + E_INV_50)
     )
-    assert _Negations.widths == []
+    assert "__neg__" not in _Reads.ops
+
+
+# --- bounds do not depend on the cache ------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _EFORMS,
+    st.integers(min_value=0, max_value=2000),
+    st.lists(st.integers(min_value=-2000, max_value=3000), max_size=4),
+)
+@example(EForm(Q(1, 3), 2, -5), 200, [0, 64, 63, 65, 5000 - 200])
+def test_eform_bounds_are_the_same_for_every_cache_state(f, p, moves):
+    # From the seed, and from entries grown to p + each move (to exactly
+    # p at 0, below p for a negative one, not at all for none), f gets the
+    # same bounds at p.
+    saved = dict(certified._FIXED)
+    try:
+        certified._FIXED.update(_SEED)
+        expected = eform_bounds(f, p)
+        for move in moves:
+            bits = max(0, p + move)
+            for name, seed in _SEED.items():
+                certified._FIXED[name] = certified._grow(name, seed, bits) if bits else seed
+            assert eform_bounds(f, p) == expected
+    finally:
+        certified._FIXED.update(saved)
+
+
+def test_a_200000_bit_request_leaves_the_bounds_of_50_factorial_e_as_they_were(monkeypatch):
+    monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
+    f = EForm(0, factorial(50), 0)
+    before = eform_bounds(f, 300)
+    certified._fixed("e", 200000)
+    assert certified._FIXED["e"][0] >= 200000
+    assert eform_bounds(f, 300) == before
+
+
+@pytest.mark.parametrize("p", [0, 1, 64, 200, 1000])
+def test_eform_bounds_width_over_the_digest_forms(monkeypatch, p):
+    # (hi - lo) * 2^-p < (|b| + |c|) * 2^-p + 2^(1-p), also read from
+    # entries grown to exactly p, which gave width 2 for e and 1/e before
+    # they were read as floor(x * 2^p).
+    exact_p = {name: certified._grow(name, _SEED[name], p) if p else _SEED[name] for name in _SEED}
+    for f in _digest_forms():
+        monkeypatch.setattr(certified, "_FIXED", dict(exact_p))
+        lo, hi = eform_bounds(f, p)
+        _, big_b, big_c, den = f._ints
+        assert (hi - lo - 2) * den < abs(big_b) + abs(big_c)
 
 
 def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():
     # Outward rounding: the kernel's bounds contain the exact enclosures
-    # 64 bits finer, on the shift path and, one bit above the cached
-    # precision at a time, on the path that rebuilds the cache.
-    top = max(triple[0] for triple in certified._FIXED.values())
+    # 64 bits finer, read from the cache and, one bit above the cached
+    # precision at a time, from an entry grown for them.
+    top = max(entry[0] for entry in certified._FIXED.values())
     for p in [*range(0, 700, 7), *range(top + 1, top + 61)]:
         for f, enclose in ((EForm(0, 1, 0), enclose_e), (EForm(0, 0, 1), enclose_e_inv)):
             lo, hi = eform_bounds(f, p)
@@ -1149,14 +1310,14 @@ def test_eform_bounds_of_e_and_e_inv_contain_finer_enclosures():
 def test_eform_bounds_threads_grow_cache_to_the_largest_precision():
     # Threads ask for different precisions at once, more of them than
     # cores, with frequent switches: a lost update would leave a smaller
-    # triple in the cache, or an answer from a too-coarse one.
+    # entry in the cache, or an answer from a too-coarse one.
     f = EForm(Q(1, 3), -7, Q(5, 2))
     rng = random.Random(2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            base = max(triple[0] for triple in certified._FIXED.values())
+            base = max(entry[0] for entry in certified._FIXED.values())
             precisions = [base + 64 * (i + 1) for i in range(6)]
             rng.shuffle(precisions)
             barrier = threading.Barrier(len(precisions))
@@ -1175,8 +1336,11 @@ def test_eform_bounds_threads_grow_cache_to_the_largest_precision():
             for p in precisions:
                 lo, hi = results[p]
                 assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
-                assert hi - lo < 2 * (abs(f.b) + abs(f.c)) + 2
-            # Grown to exactly the largest precision asked for, never beyond.
-            assert [t[0] for t in certified._FIXED.values()] == [max(precisions)] * 2
+                assert hi - lo < abs(f.b) + abs(f.c) + 2
+            # Grown for the largest precision asked for: far enough past it
+            # for the read, and no further than one grow for it goes.
+            top = max(precisions)
+            for entry in certified._FIXED.values():
+                assert top + certified._GUARD <= entry[0] <= top + 2 * certified._GUARD
     finally:
         sys.setswitchinterval(interval)

@@ -489,6 +489,27 @@ def test_verify_special_fn_refuses_zero_precision_bits():
     assert "precision_bits must be >= 1 (got 0)" in res.stderr
 
 
+@pytest.mark.parametrize("bits", [30, 60])
+def test_verify_special_fn_holds_hyp1f1_to_the_width_it_asked_for(monkeypatch, bits):
+    # hyp1f1 promises width <= 2^-bits: at 30 bits its honest intervals
+    # pass, and at 60 bits one twice that wide is a failure.
+    from ecount import specials
+
+    res = _run("verify", "special-fn", "--n-range", "0..1", "--precision-bits", str(bits))
+    assert res.exit_code == 0, res.stdout
+    assert "FAIL" not in res.stdout
+    honest = specials.hyp1f1
+
+    def wide(n, x, precision_bits):
+        iv = honest(n, x, precision_bits)
+        return certified.IntervalReal(iv.lo, iv.lo + Fraction(2, 1 << precision_bits))
+
+    monkeypatch.setattr(specials, "hyp1f1", wide)
+    res = _run("verify", "special-fn", "--n-range", "0..1", "--precision-bits", str(bits))
+    assert res.exit_code == 1
+    assert f"FAIL hyp1f1 n=0 x=1/2: width {2.0**(1 - bits)} > 2^-{bits}" in res.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -269,9 +269,7 @@ def test_path_count_stores_one_factorial_and_one_sum_mark(monkeypatch):
     }
     for name, table in marks.items():
         monkeypatch.setattr(exact, name, table)
-    monkeypatch.setattr(
-        certified, "_FIXED", {"e": (0, 2, 3, 1, 1, 0), "e_inv": (0, 0, 1, 1, 1, 0)}
-    )
+    monkeypatch.setattr(certified, "_FIXED", {"e": (0, 2, 1, 1, 0), "e_inv": (0, 0, 1, 1, 0)})
     value = counts.path_count(2551)
     # 2549! and S_2549 are read from the marks at 2544, the slot
     # 512 + (2544 - 512) / 8: that slot is stored in each, beside slot 0,
