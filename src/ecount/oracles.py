@@ -19,22 +19,27 @@ peak at t = n is about sqrt(n) wide: the grid holds every integer in
 (z, 1], the multiples in [z, U) of a power of two w near sqrt(n + 1)
 (1 at n = 0, 2 at n = 1..6, 4 at n = 7..30, ..., 16 at n = 127..510)
 and U.  On a panel with midpoint m the factor e^-(t-m) is replaced by
-its Taylor polynomial of the smallest order K on the ladder 16, 32, ...,
-_MAX_ORDER (240) whose truncation error, times the integral of |t|^n
-over the panel and a bound on e^-m (3^ceil(-m) for m < 0, 2^-floor(m)
-for m >= 0, as 2 < e < 3), meets a quarter of the panel's share; a
-panel that no order serves is halved.  The truncation error is bounded
-by the same geometric-tail estimate used everywhere in this package,
-and what remains is a polynomial whose moment integral is an exact
-rational (`_PassTables.core`).  Its moment sums depend on the panel's
-width and K but not on m, so they form one table per pass and a panel's
-surrogate integral is an integer Horner sum in its midpoint; the coarse
-ladder keeps the tables of a pass few.  e^-m is enclosed at a scale
-2^-p with integer endpoints rounded outward (`_PassTables.exp`), from
-the certified kernel's fixed-point enclosures of e and 1/e.  Its
-factors are worked out at P, p rounded up to a multiple of 64, so one
-chain of powers of e (or 1/e) serves every panel in that band, and
-the product is shifted down to 2^-p.  All operands are nonnegative,
+its Taylor polynomial of the smallest order K on the ladder 16, 32, ...
+whose truncation error, times the integral of |t|^n over the panel and
+a bound on e^-m (3^ceil(-m) for m < 0, 2^-floor(m) for m >= 0, as
+2 < e < 3), meets a quarter of the panel's share; a panel that no order
+serves is halved.  The ladder stops at _MAX_ORDER (240) left of 0,
+where the bits a panel needs grow with |m| without bound, and from 0 on
+at max(240, 2(n + 1)) rounded up to a multiple of 16, since there
+e^-m <= 1 and the peak of t^n e^-t bounds what a panel needs; at
+n <= 119 both tops are 240.  The truncation error is bounded by the
+same geometric-tail estimate used everywhere in this package, and what
+remains is a polynomial whose moment integral is an exact rational
+(`_PassTables.core`).  Its moment sums depend on the panel's width and
+K but not on m, so they form one table per pass, built in O(n + K)
+integer steps by integration by parts, and a panel's surrogate integral
+is an integer Horner sum in its midpoint; the coarse ladder keeps the
+tables of a pass few.  e^-m is enclosed at a scale 2^-p with integer
+endpoints rounded outward (`_PassTables.exp`), from the certified
+kernel's fixed-point enclosures of e and 1/e.  Its factors are worked
+out at P, p rounded up to a multiple of 64, so one chain of powers of
+e (or 1/e) serves every panel in that band, and the product is
+shifted down to 2^-p.  All operands are nonnegative,
 so a floored lower bound shifted right with floor stays a lower bound
 and a ceiled upper bound shifted with ceiling stays an upper bound.
 Each panel, an integer numerator pair over lcm(cut denominators) *
@@ -67,7 +72,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations, repeat
 from math import ceil, comb, factorial, floor, gcd, lcm, log, prod
-from operator import mul, ne
+from operator import ne
 
 from . import _LAYERS
 from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
@@ -86,6 +91,9 @@ MAX_BRUTE_CYCLES = 8
 
 # quad_gamma gives up after this many panel-enclosure computations
 _EVAL_BUDGET = 50_000
+
+# messages name a rational wider than this by its bit lengths, not its digits
+_NAME_BITS = 256
 
 
 class EnumerationResult(namedtuple("EnumerationResult", "count total_length")):
@@ -175,10 +183,11 @@ def brute_cycles(n: int, root: int = 0) -> EnumerationResult:
 # rounding then adds at most 2 * 2^-GUARD of the share to the width.
 _GUARD_BITS = 4
 
-# Taylor orders _ORDER_STEP, 2 * _ORDER_STEP, ..., _MAX_ORDER are tried on
-# each panel.  The moment table of an order is built once per pass, so a
-# coarse ladder keeps the tables of a pass few and a high cap is paid once
-# per call, not once per panel.
+# Taylor orders _ORDER_STEP, 2 * _ORDER_STEP, ... are tried on each panel,
+# up to _MAX_ORDER left of 0 and up to `_PassTables.right_top` from 0 on.
+# The moment table of an order is built once per pass, so a coarse ladder
+# keeps the tables of a pass few and a high cap is paid once per call, not
+# once per panel.
 _ORDER_STEP = 16
 _MAX_ORDER = 240
 
@@ -210,6 +219,11 @@ class _PassTables:
 
     def __init__(self, n: int) -> None:
         self.n = n
+        # Right of 0, e^-m <= 1, so the bits a panel needs are bounded by the
+        # peak of t^n e^-t and the ladder may grow with n: to 2(n + 1), on
+        # the ladder's step, and never below _MAX_ORDER.  Left of 0 they grow
+        # with |z| without bound, and halving and the budget end those calls.
+        self.right_top = max(_MAX_ORDER, -(-2 * (n + 1) // _ORDER_STEP) * _ORDER_STEP)
         self._cores: dict[tuple[int, int, int], tuple[list[int], int]] = {}
         self._remainders: dict[tuple[int, int], tuple[list[tuple[int, int, int]], list[int]]] = {}
         self._powers: dict[tuple[int, bool], tuple[int, int, list[int], list[int]]] = {}
@@ -218,20 +232,35 @@ class _PassTables:
     def core(self, den: int, big_h: int, order: int) -> tuple[list[int], int]:
         """Coefficients c_0..c_n and denominator D of the order-K surrogate
         integral, of (sum_{j<=K} (-1)^j (t-m)^j / j!) * t^n over a panel
-        with midpoint m = M/den and half-width half = H/den.
+        with midpoint m = M/den and half-width h = H/den.
 
-        Expanding t^n around m leaves moments of u = t - m over
-        [-half, half], which vanish for odd powers:
-
-            sum over i <= n, j <= K, i + j even of
-                C(n, i) m^(n-i) * (-1)^j / j! * 2 half^(i+j+1) / (i+j+1).
-
-        That is sum_i c_i M^(n-i) / D: c_i = C(n, i) * S_i, with S_i the
-        sum over j <= K, i + j even, of the Taylor weight
-        (-1)^j (K!/j!) den^(K-j) times the moment 2 H^(i+j+1) ell / (i+j+1),
-        ell = lcm(1..n+K+1), and D = ell * K! * den^(n+K+1).  Only M^(n-i)
+        Expanding t^n around m leaves the integrals
+        I_i = integral over [-h, h] of u^i T(u) du, T(u) = sum_{j<=K} (-u)^j / j!,
+        so the surrogate is sum_i C(n, i) m^(n-i) I_i = sum_i c_i M^(n-i) / D
+        with c_i = C(n, i) * S_i, S_i = I_i * ell * K! * den^(i+K+1),
+        ell = lcm(1..n+K+1) and D = ell * K! * den^(n+K+1).  Only M^(n-i)
         depends on the midpoint, so the panels of a pass with that width
         and K share the table, and each is one integer Horner sum in M.
+
+        S_n is the direct sum over j <= K, n + j even (odd moments vanish),
+        of the Taylor weight (-1)^j (K!/j!) den^(K-j) times the moment
+        2 H^(n+j+1) ell / (n+j+1).  The other S_i follow downward by
+        integration by parts: T' = -T + (-u)^K / K!, so
+
+            (i+1) I_i = h^(i+1) T(h) - (-h)^(i+1) T(-h) + I_(i+1)
+                        - ((-1)^K / K!) * integral over [-h, h] of u^(i+K+1) du,
+
+        and in the table's integers, with P+- = sum_{j<=K} (K!/j!) (-+H)^j
+        den^(K-j) (K! den^K T(+-h)),
+
+            S_i = (ell den H^(i+1) (P+ + (-1)^i P-) + S_(i+1)
+                   - (-1)^K [i+K+1 even] 2 (ell / (i+K+2)) H^(i+K+2))
+                  / ((i+1) den),
+
+        an exact division.  P+ + P- is twice the even-j part of P-, and
+        P+ - P- is minus twice its odd-j part, so a table costs K/2
+        products for S_n and O(n + K) more, where the double sum over i
+        and j took about (n+1) K / 2.
         """
         key = (den, big_h, order)
         entry = self._cores.get(key)
@@ -239,29 +268,46 @@ class _PassTables:
             n = self.n
             top = n + order + 1
             ell = lcm(*range(1, top + 1))
-            # moment[s] = 2 H^(s+1) * ell / (s+1): the u^s moment for even s
-            moment = [0] * top
-            hp = big_h
-            for s in range(top):
-                if s % 2 == 0:
-                    moment[s] = 2 * hp * (ell // (s + 1))
-                hp *= big_h
-            # weight[j] = (-1)^j * (K!/j!) * den^(K-j)
-            weight = [0] * (order + 1)
+            # size[j] = (K!/j!) * den^(K-j), the Taylor weight of u^j up to sign
+            size = [0] * (order + 1)
             w = 1
             for j in range(order, -1, -1):
-                weight[j] = -w if j % 2 else w
+                size[j] = w
                 w *= j * den
-            # j runs over i % 2, i % 2 + 2, ..., so that i + j is even
-            coeffs = [
-                comb(n, i) * sum(map(mul, weight[i % 2 :: 2], moment[i + i % 2 :: 2]))
-                for i in range(n + 1)
-            ]
+            h2 = big_h * big_h
+            # S_n: j runs over n % 2, n % 2 + 2, ..., and (-1)^j = (-1)^n
+            hp = big_h ** (n + 1 + n % 2)
+            acc = 0
+            for j in range(n % 2, order + 1, 2):
+                acc += size[j] * hp * (ell // (n + j + 1))
+                hp *= h2
+            s = -2 * acc if n % 2 else 2 * acc
+            # the even-j and odd-j parts of P-
+            even = odd = 0
+            for j in range(order, -1, -1):
+                if j % 2:
+                    odd = odd * h2 + size[j]
+                else:
+                    even = even * h2 + size[j]
+            by_parity = (2 * ell * den * even, -2 * ell * den * odd * big_h)
+            end = -2 if order % 2 == 0 else 2
+            coeffs = [0] * (n + 1)
+            coeffs[n] = s
+            hp = big_h**n  # H^(i+1)
+            ht = big_h ** (n + order + 1)  # H^(i+K+2)
+            for i in range(n - 1, -1, -1):
+                num = hp * by_parity[i % 2] + s
+                if (i + order) % 2:
+                    num += end * (ell // (i + order + 2)) * ht
+                s = num // ((i + 1) * den)
+                coeffs[i] = comb(n, i) * s
+                hp //= big_h
+                ht //= big_h
             entry = self._cores[key] = (coeffs, ell * factorial(order) * den**top)
         return entry
 
-    def remainders(self, den: int, big_h: int) -> Iterator[tuple[int, int, int]]:
-        """Yields (K, rem_num, rem_den) for K = 16, 32, ..., _MAX_ORDER, where
+    def remainders(self, den: int, big_h: int, top: int) -> Iterator[tuple[int, int, int]]:
+        """Yields (K, rem_num, rem_den) for K = 16, 32, ..., top, where
         rem_num / rem_den = half^(K+1) / ((K+1)! * (1 - half/(K+2))) bounds
         the Taylor remainder of e^-u on |u| <= half = H/den:
         rem = H^(K+1) (K+2) / (den^K (K+1)! ((K+2) den - H)).
@@ -274,8 +320,8 @@ class _PassTables:
         if entry is None:
             entry = self._remainders[key] = ([], [big_h, 1, 1])
         rows, running = entry
-        yield from rows
-        while len(rows) < _MAX_ORDER // _ORDER_STEP:
+        yield from rows[: top // _ORDER_STEP]
+        while len(rows) < top // _ORDER_STEP:
             order = (len(rows) + 1) * _ORDER_STEP
             h_pow, d_pow, fact = running
             h_pow *= big_h**_ORDER_STEP
@@ -374,7 +420,8 @@ def _panel(
     # smallest order K on the ladder whose remainder bound rem has
     # rem * amom * e^-m <= share/4, compared over integers
     c_num, c_den = 4 * amom * ebound * s_den, amom_den * s_num << e_shift
-    for order, rem_num, rem_den in tables.remainders(den, big_h):
+    top = tables.right_top if big_m >= 0 else _MAX_ORDER
+    for order, rem_num, rem_den in tables.remainders(den, big_h, top):
         if c_num * rem_num <= c_den * rem_den:
             break
     else:
@@ -392,13 +439,13 @@ def _panel(
     bits = max(16, _ceil_log2(4 * max(-lo, hi) * ebound * s_den, in_den * s_num))
     out_bits = max(1, _ceil_log2(s_den, s_num) + _GUARD_BITS)
     for _ in range(3):
-        # [e_lo, e_hi] / 2^p encloses e^-m, with e_lo >= 0; the product
-        # with [lo, hi] / in_den is rounded outward to out_bits
+        # [e_lo, e_hi] / 2^p encloses e^-m, with e_lo >= 0, so the product
+        # with [lo, hi] / in_den runs from lo times e_hi (lo < 0) or e_lo to
+        # hi times e_hi (hi > 0) or e_lo; it is rounded outward to out_bits
         e_lo, e_hi, p = tables.exp(-big_m, den, bits)
-        prods = (e_lo * lo, e_lo * hi, e_hi * lo, e_hi * hi)
         out_den = in_den << p
-        out_lo = (min(prods) << out_bits) // out_den
-        out_hi = -((-max(prods) << out_bits) // out_den)
+        out_lo = (lo * (e_hi if lo < 0 else e_lo) << out_bits) // out_den
+        out_hi = -((-hi * (e_hi if hi > 0 else e_lo) << out_bits) // out_den)
         if (out_hi - out_lo) * s_den <= s_num << out_bits:
             return out_lo, out_hi, out_bits
         bits *= 2
@@ -458,8 +505,17 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     return good, _Q(nums[good], 1 << tail_bits)
 
 
+def _name(x: Fraction) -> str:
+    """x as written, or, when its numerator or denominator is wider than
+    _NAME_BITS, by their bit lengths, decided before any str runs."""
+    num, den = x.numerator.bit_length(), x.denominator.bit_length()
+    if max(num, den) <= _NAME_BITS:
+        return str(x)
+    return f"a rational with a {num}-bit numerator and a {den}-bit denominator"
+
+
 def _quad_pieces(
-    n: int, cuts: list[Fraction], tol: Fraction
+    n: int, cuts: list[Fraction], tol: Fraction, call: str
 ) -> tuple[list[IntervalReal], Fraction, int]:
     """One panel pass over [cuts[0], U] for integral of e^-t * t^n dt.
 
@@ -470,14 +526,15 @@ def _quad_pieces(
     [cuts[0], U], also split at each cut, and a panel's width share is
     tol/2 * width / (U - cuts[0]), so the pieces together are at most
     tol/2 wide.  Raises PrecisionCapError if the evaluation budget runs
-    out before every panel meets its share.
+    out before every panel meets its share.  Messages name the call by
+    `call`, as in "quad_gamma(n=3, z=-1)".
     """
     if n < 0:
-        raise DomainError(f"quad_gamma requires n >= 0 (got n={n})")
+        raise DomainError(f"{call} requires n >= 0")
     cuts = [_Q(c) for c in cuts]
     tol = _Q(tol)
     if tol <= 0:
-        raise DomainError(f"quad_gamma requires tol > 0 (got {tol})")
+        raise DomainError(f"{call} requires tol > 0 (got {_name(tol)})")
     z = cuts[0]
     u, tail = _tail_cutoff(n, max(2 * n + 1, ceil(cuts[-1]) + 1, 6), tol)
 
@@ -503,7 +560,7 @@ def _quad_pieces(
         evals += 1
         if evals > _EVAL_BUDGET:
             raise PrecisionCapError(
-                f"quad_gamma(n={n}, z={z}): evaluation budget exhausted before tol={tol}"
+                f"{call}: evaluation budget exhausted before tol={_name(tol)}"
             )
         share = (tol.numerator * (b - a), share_den << depth)
         enclosure = _panel(n, a, b, den << depth, share, tables)
@@ -526,7 +583,8 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     The returned interval has width <= tol.  Raises PrecisionCapError
     if the evaluation budget runs out before the tolerance is met.
     """
-    (piece,), tail, evals = _quad_pieces(n, [z], tol)
+    call = f"quad_gamma(n={n}, z={_name(_Q(z))})"
+    (piece,), tail, evals = _quad_pieces(n, [z], tol, call)
     return QuadratureResult(
         value=piece + IntervalReal(0, tail), evaluations=evals, tail_bound=tail
     )

@@ -453,7 +453,8 @@ def integral_identities(
     # oracle loads here, so the other specials leave it unloaded
     from .oracles import _quad_pieces
 
-    (p_left, p_mid, p_right), tail, _ = _quad_pieces(n, [-1, 0, 1], tol)
+    call = f"integral_identities(n={n})"
+    (p_left, p_mid, p_right), tail, _ = _quad_pieces(n, [-1, 0, 1], tol, call)
     q_1 = p_right + IntervalReal(0, tail)
     q_0 = p_mid + q_1
     q_m1 = p_left + q_0

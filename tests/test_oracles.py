@@ -313,6 +313,40 @@ def test_quad_gamma_budget_guard(monkeypatch):
         oracles.quad_gamma(6, Q(-1), Q(1, 10**9))
 
 
+def test_refusals_name_a_wide_rational_by_its_bit_lengths(monkeypatch):
+    # A tol or z past Python's 4,300-digit str limit must not turn the
+    # typed refusal into a ValueError, nor print thousands of digits.
+    monkeypatch.setattr(oracles, "_EVAL_BUDGET", 50)
+    wide = Q(1, 10**5000)
+    named = "a rational with a 1-bit numerator and a 16610-bit denominator"
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(5, Q(-1), wide)
+    assert str(cap.value) == (
+        f"quad_gamma(n=5, z=-1): evaluation budget exhausted before tol={named}"
+    )
+    with pytest.raises(DomainError) as bad_tol:
+        oracles.quad_gamma(5, Q(-1), -wide)
+    assert str(bad_tol.value) == f"quad_gamma(n=5, z=-1) requires tol > 0 (got {named})"
+    monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(5, 1 + wide, Q(1, 10**9))
+    assert str(cap.value).startswith(
+        "quad_gamma(n=5, z=a rational with a 16610-bit numerator and a 16610-bit denominator):"
+    )
+
+
+def test_integral_identities_refusals_name_integral_identities(monkeypatch):
+    monkeypatch.setattr(oracles, "_EVAL_BUDGET", 3)
+    with pytest.raises(PrecisionCapError) as cap:
+        specials.integral_identities(5, Q(1, 10**9))
+    assert str(cap.value) == (
+        "integral_identities(n=5): evaluation budget exhausted before tol=1/1000000000"
+    )
+    with pytest.raises(DomainError) as bad_tol:
+        specials.integral_identities(5, Q(0))
+    assert str(bad_tol.value) == "integral_identities(n=5) requires tol > 0 (got 0)"
+
+
 def _exp_iv(x, bits):
     """The quadrature's enclosure of e^x, from a fresh pass's tables."""
     lo, hi, p = oracles._PassTables(0).exp(x.numerator, x.denominator, bits)
@@ -373,6 +407,39 @@ def test_panel_core_matches_fraction_reference(n, a, width, half_order):
     b = a + width
     order = 2 * half_order
     assert _panel_core(n, a, b, order) == _panel_core_reference(n, a, b, order)
+
+
+def _core_direct(n, den, big_h, order):
+    """The core table by its double sum: c_i = C(n, i) * S_i, S_i the sum
+    over j <= K, i + j even, of (-1)^j (K!/j!) den^(K-j) times the moment
+    2 H^(i+j+1) ell / (i+j+1), ell = lcm(1..n+K+1)."""
+    top = n + order + 1
+    ell = lcm(*range(1, top + 1))
+    moment = [2 * big_h ** (s + 1) * (ell // (s + 1)) if s % 2 == 0 else 0 for s in range(top)]
+    weight = [
+        (-1) ** j * (factorial(order) // factorial(j)) * den ** (order - j)
+        for j in range(order + 1)
+    ]
+    coeffs = [
+        comb(n, i) * sum(weight[j] * moment[i + j] for j in range(i % 2, order + 1, 2))
+        for i in range(n + 1)
+    ]
+    return coeffs, ell * factorial(order) * den**top
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from((1, 2, 3, 6, 8, 16)),
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from(range(16, 241, 16)),
+)
+@example(200, 1, 8, 240)
+@example(300, 2, 5, 240)
+@example(130, 1, 8, 272)
+@example(0, 1, 1, 16)
+def test_core_recurrence_matches_the_double_sum(n, den, big_h, order):
+    assert oracles._PassTables(n).core(den, big_h, order) == _core_direct(n, den, big_h, order)
 
 
 def _exp_reference(x, bits):
@@ -564,9 +631,9 @@ def test_remainder_rows_are_built_only_as_far_as_read(den, big_h):
     # half/(K+2))); reading three rows builds three, and reading on
     # extends them to the full ladder with the same first rows.
     tables = oracles._PassTables(3)
-    first = list(zip(range(3), tables.remainders(den, big_h)))
+    first = list(zip(range(3), tables.remainders(den, big_h, oracles._MAX_ORDER)))
     assert len(tables._remainders[den, big_h][0]) == 3
-    rows = list(tables.remainders(den, big_h))
+    rows = list(tables.remainders(den, big_h, oracles._MAX_ORDER))
     assert [row for _, row in first] == rows[:3]
     half = Q(big_h, den)
     orders = range(oracles._ORDER_STEP, oracles._MAX_ORDER + 1, oracles._ORDER_STEP)
@@ -611,16 +678,50 @@ def test_quad_gamma_endpoints_stay_short_dyadics(n):
             assert res.value.encloses(eform_eval(_gamma_closed_form(n, int(z)), 200))
 
 
-@pytest.mark.parametrize("n", (60, 80))
+@pytest.mark.parametrize("n", (60, 80, 300, 400))
 def test_quad_gamma_at_large_n_contains_n_factorial_in_time(n):
     # integral over [0, inf) of e^-t t^n is n!; from n = 53 on, panels near
-    # the peak need Taylor orders above 80
+    # the peak need Taylor orders above 80, and from n = 120 on, above 240
     tol = Q(1, 10**9)
     start = time.perf_counter()
     res = oracles.quad_gamma(n, Q(0), tol)
     assert time.perf_counter() - start < 10
     assert res.value.contains(prod(range(1, n + 1)))
     assert res.value.width <= tol
+
+
+def test_integral_identities_answer_at_n_400_in_time():
+    start = time.perf_counter()
+    records = specials.integral_identities(400)
+    assert time.perf_counter() - start < 10
+    assert len(records) == 6
+
+
+def test_the_order_ladder_grows_with_n_right_of_0_only(monkeypatch):
+    # Each panel's highest order read, with the sign of its midpoint:
+    # left of 0 and at n <= 119 the ladder stops at 240; right of 0 it
+    # reaches 2(n + 1) rounded up to a multiple of 16.
+    reads = []
+    panel = oracles._panel
+
+    class Tables(oracles._PassTables):
+        def remainders(self, den, big_h, top):
+            for row in super().remainders(den, big_h, top):
+                reads[-1][2] = row[0]
+                yield row
+
+    def recording_panel(n, a, b, d, *rest):
+        reads.append([n, a + b >= 0, 0])
+        return panel(n, a, b, d, *rest)
+
+    monkeypatch.setattr(oracles, "_PassTables", Tables)
+    monkeypatch.setattr(oracles, "_panel", recording_panel)
+    for n in (0, 60, 119, 120, 200, 300):
+        oracles.quad_gamma(n, Q(-3), Q(1, 10**9))
+    specials.integral_identities(400)
+    assert all(order <= 240 for n, right, order in reads if not right or n <= 119)
+    assert all(order <= max(240, -(-2 * (n + 1) // 16) * 16) for n, _, order in reads)
+    assert {n for n, right, order in reads if order > 240} == {200, 300, 400}
 
 
 def test_quad_gamma_loose_tolerance():

@@ -705,8 +705,8 @@ def test_integral_check_names_a_shifted_piece(index, label, monkeypatch):
 
     real = oracles._quad_pieces
 
-    def shifted(n, cuts, tol):
-        pieces, tail, evals = real(n, cuts, tol)
+    def shifted(n, cuts, tol, call):
+        pieces, tail, evals = real(n, cuts, tol, call)
         piece = pieces[index]
         step = 2 * (piece.width + (tail if index == 2 else 0))
         pieces[index] = IntervalReal(piece.lo + step, piece.hi + step)
