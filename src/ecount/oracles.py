@@ -71,7 +71,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import permutations, repeat
-from math import ceil, comb, factorial, floor, gcd, lcm, log, prod
+from math import ceil, factorial, floor, gcd, lcm, log, prod
 from operator import ne
 
 from . import _LAYERS
@@ -268,39 +268,36 @@ class _PassTables:
             n = self.n
             top = n + order + 1
             ell = lcm(*range(1, top + 1))
-            # size[j] = (K!/j!) * den^(K-j), the Taylor weight of u^j up to sign
-            size = [0] * (order + 1)
-            w = 1
-            for j in range(order, -1, -1):
-                size[j] = w
-                w *= j * den
+            # one pass down j = K..0, with w = (K!/j!) * den^(K-j), the Taylor
+            # weight of u^j up to sign: Horner sums in H^2 of the even-j and
+            # odd-j parts of P-, and of S_n / (2 H^(n+1+n%2)) over the j with
+            # n + j even, where (-1)^j = (-1)^n
             h2 = big_h * big_h
-            # S_n: j runs over n % 2, n % 2 + 2, ..., and (-1)^j = (-1)^n
-            hp = big_h ** (n + 1 + n % 2)
-            acc = 0
-            for j in range(n % 2, order + 1, 2):
-                acc += size[j] * hp * (ell // (n + j + 1))
-                hp *= h2
-            s = -2 * acc if n % 2 else 2 * acc
-            # the even-j and odd-j parts of P-
-            even = odd = 0
+            w = 1
+            even = odd = acc = 0
             for j in range(order, -1, -1):
                 if j % 2:
-                    odd = odd * h2 + size[j]
+                    odd = odd * h2 + w
                 else:
-                    even = even * h2 + size[j]
+                    even = even * h2 + w
+                if (n + j) % 2 == 0:
+                    acc = acc * h2 + w * (ell // (n + j + 1))
+                w *= j * den
+            s = (-2 if n % 2 else 2) * acc * big_h ** (n + 1 + n % 2)
             by_parity = (2 * ell * den * even, -2 * ell * den * odd * big_h)
             end = -2 if order % 2 == 0 else 2
             coeffs = [0] * (n + 1)
             coeffs[n] = s
             hp = big_h**n  # H^(i+1)
             ht = big_h ** (n + order + 1)  # H^(i+K+2)
+            binom = 1  # C(n, i)
             for i in range(n - 1, -1, -1):
                 num = hp * by_parity[i % 2] + s
                 if (i + order) % 2:
                     num += end * (ell // (i + order + 2)) * ht
                 s = num // ((i + 1) * den)
-                coeffs[i] = comb(n, i) * s
+                binom = binom * (i + 1) // (n - i)
+                coeffs[i] = binom * s
                 hp //= big_h
                 ht //= big_h
             entry = self._cores[key] = (coeffs, ell * factorial(order) * den**top)
