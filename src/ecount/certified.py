@@ -40,7 +40,8 @@ One refinement loop, `_refine`, serves floors and signs: a floor is
 decided when lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It
 starts 64 bits above the magnitude of the form and then adds 64, 128,
 256, ... bits, so a form thousands of bits wide retries a few words
-finer rather than at twice its size.  The loop, not the form, keeps the
+finer rather than at twice its size; a step that would pass the cap is
+tried at the cap first.  The loop, not the form, keeps the
 kernel's last step: its products at the last p, which the kernel
 extends to the next p by shifting them by the d new bits and adding B
 and C times the change of the endpoints, about d bits wide.  That gives
@@ -609,20 +610,24 @@ def _fixed(name: str, p: int) -> int:
     bits of t below the cut are all ones: a read in time linear in p.
     g starts at _GUARD and doubles while those bits are all ones, which
     x, being irrational, ends; an entry below p + g first grows to
-    p + 2g.
+    p + 2g.  From an entry that already reaches p + _GUARD the floor is
+    one shift and one test of the carry out of the guard bits.
     """
     g = _GUARD
-    entry = _FIXED[name]
+    big_p, lo, _, _, _ = entry = _FIXED[name]
     while True:
-        if entry[0] < p + g:
+        cut = big_p - p - g
+        if cut < 0:
             entry = _grow(name, entry, p + 2 * g)
             with _FIXED_LOCK:
                 if _FIXED[name][0] < entry[0]:
                     _FIXED[name] = entry
-        top = entry[1] >> (entry[0] - p - g)
-        mask = (1 << g) - 1
-        if top & mask != mask:
-            return top >> g
+            big_p, lo, _, _, _ = entry
+            cut = g
+        top = lo >> cut
+        floor_x = top >> g
+        if (top + 1) >> g == floor_x:
+            return floor_x
         g *= 2
 
 
@@ -644,7 +649,8 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
     B*(x_b - (y_b << d)) + C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c,
     and as both endpoints enclose the same number each correction is
     about d bits wide, so a step finer costs O(bits), not a product as
-    wide as B.
+    wide as B.  When D == 1 there is nothing to divide: lo is the sum
+    itself and hi = lo + |B| + |C|, the integers the division gives.
     """
     big_a, big_b, big_c, den = ints
     x_b = _fixed("e", p) + (big_b < 0) if big_b else 0
@@ -653,13 +659,20 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
         p0, y_b, y_c, s = step
         d = p - p0
         s = (s << d) + big_b * (x_b - (y_b << d)) + big_c * (x_c - (y_c << d))
+    elif not big_c:
+        s = big_b * x_b
+    elif not big_b:
+        s = big_c * x_c
     elif big_b == big_c:
         s = big_b * (x_b + x_c)
     elif big_b == -big_c:
         s = big_b * (x_b - x_c)
     else:
         s = big_b * x_b + big_c * x_c
-    q, r = divmod((big_a << p) + s, den)
+    lo = (big_a << p) + s
+    if den == 1:
+        return lo, lo + abs(big_b) + abs(big_c), (p, x_b, x_c, s)
+    q, r = divmod(lo, den)
     return q, q - (-(r + abs(big_b) + abs(big_c)) // den), (p, x_b, x_c, s)
 
 
@@ -685,6 +698,11 @@ class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
     __slots__ = ()
 
 
+# Builds a CertifiedFloor from a 2-tuple without the namedtuple's
+# Python-level __new__.
+_new_floor = tuple.__new__
+
+
 def _decide_floor(lo: int, hi: int, p: int) -> int | None:
     lo >>= p
     return lo if lo == hi >> p else None
@@ -699,7 +717,8 @@ def _decide_sign(lo: int, hi: int, p: int) -> int | None:
 
 
 # A, B, C and D of at most this many bits (77 decimal digits) are named
-# by their reduced triple in a refusal, wider ones by their bit lengths.
+# by their reduced triple in a refusal, wider ones by their bit lengths;
+# counts and oracles name wide values in their messages by the same rule.
 _NAME_BITS = 256
 
 
@@ -720,30 +739,41 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
 
     p starts at the start bits and then grows by 64, 128, 256, ... bits:
     a small form roughly doubles p, while a form whose start already
-    spans thousands of bits retries a few words finer.  p only grows, so
-    each retry hands the kernel the step before, and only the first step
-    multiplies B and C by full-width endpoints.
+    spans thousands of bits retries a few words finer.  A step that would
+    jump from below the cap to past it lands on the cap instead, so a
+    form that decides at or below the cap is answered there, and refused
+    only after that try; every p below the cap is the one the unclamped
+    schedule tries.  p only grows, so each retry hands the kernel the
+    step before, and only the first step multiplies B and C by
+    full-width endpoints.  When D == 1 the start bits take no division,
+    as the kernel's bounds then take none.
     """
     cap = _resolve_cap()
-    big_a, big_b, big_c, den = f._ints
+    ints = f._ints
+    big_a, big_b, big_c, den = ints
+    width = abs(big_b) + abs(big_c)
     if start_bits is None:
         # |a| + 3|b| + |c| bounds the magnitude, so 64 bits above it
         # survive the cancellation in a + b*e + c/e.
-        start_bits = 64 + ((abs(big_a) + 3 * abs(big_b) + abs(big_c)) // den).bit_length()
-    p = max(8, start_bits)
+        size = abs(big_a) + 2 * abs(big_b) + width
+        start_bits = 64 + (size if den == 1 else size // den).bit_length()
+    p = start_bits if start_bits > 8 else 8
     # Extra bits that keep the kernel's own rounding, 2^(1-p), below the
     # error (|b| + |c|) * 2^-p that the enclosures of e and 1/e carry at
     # p, so forms with tiny b and c decide at the same p as eform_eval.
     # A common factor of B, C and D moves it by at most one bit.
-    guard = max(0, 2 + den.bit_length() - (abs(big_b) + abs(big_c)).bit_length())
+    guard = 2 + den.bit_length() - width.bit_length()
+    if guard < 0:
+        guard = 0
     step = None
     grow = 64
     while p <= cap:
-        lo, hi, step = _bounds(f._ints, p + guard, step)
-        result = decide(lo, hi, p + guard)
+        bits = p + guard
+        lo, hi, step = _bounds(ints, bits, step)
+        result = decide(lo, hi, bits)
         if result is not None:
             return result, p
-        p += grow
+        p = cap if p < cap < p + grow else p + grow
         grow *= 2
     raise PrecisionCapError(f"{what} of {_name(f)} undecided at precision cap {cap} bits")
 
@@ -755,12 +785,14 @@ def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> Certifie
     until both interval endpoints share a floor.  The result does not
     depend on the starting precision: any enclosure whose endpoints
     agree on a floor yields the floor of the enclosed value.  A rational
-    form is floored exactly, at precision 0.
+    form is floored exactly, at precision 0.  A step that would pass the
+    precision cap is first tried at the cap itself, so a form decided
+    there reports the cap as its precision_bits.
     """
     big_a, big_b, big_c, den = f._ints
     if not (big_b or big_c):
-        return CertifiedFloor(big_a // den, 0)
-    return CertifiedFloor(*_refine(f, start_bits, _decide_floor, "floor"))
+        return _new_floor(CertifiedFloor, (big_a // den, 0))
+    return _new_floor(CertifiedFloor, _refine(f, start_bits, _decide_floor, "floor"))
 
 
 def certified_floor(f: EForm, *, start_bits: int | None = None) -> int:

@@ -228,7 +228,7 @@ def derangement_lambda(n: int, lam: Fraction) -> int:
     window breaks.
     """
     _require(n >= 1, "derangement_lambda requires n >= 1 (got {})", n)
-    lam = _Q(lam)
+    lam = lam if type(lam) is Fraction else _Q(lam)
     den = lam.denominator
     return certified_floor(EForm.from_integers(lam.numerator, 0, factorial(n) * den, den))
 
@@ -288,7 +288,9 @@ def derangement_thm7(n: int, m: int) -> int:
     """
     _require(n >= 2, "derangement_thm7 requires n >= 2 (got n={})", n)
     _require(m >= 1, "derangement_thm7 requires m >= 1 (got m={})", m)
-    return certified_floor(bound_N(n, m) + EForm(0, 0, factorial(n)))
+    # N_m(n) = (a + b*e) / p with b = n!*p, so N_m(n) + n!/e has C = b.
+    a, b, p = next(_n_ints(n, m, m))
+    return certified_floor(EForm.from_integers(a, b, b, p))
 
 
 # --- fractional-part bounds -------------------------------------------
@@ -322,10 +324,10 @@ def _m_pairs(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int]]:
             yield t + 1 + t * tail, t * (n + 1) * p
 
 
-def _n_forms(n: int, m_lo: int, m_hi: int) -> Iterator[EForm]:
-    """N_m(n) for m = m_lo..m_hi, one pass, each over its p unreduced.
+def _n_ints(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int, int]]:
+    """(a, b, p) with N_m(n) = (a + b*e) / p for m = m_lo..m_hi, one pass.
 
-    With top = n+2m, N_m(n) = ((acc - S_top) + n!*p*e) / p, where
+    With top = n+2m, a = acc - S_top and b = n!*p, where
     acc_m = acc_{m-1}*k + (top-1) and p_m = p_{m-1}*k = prod(n+1..top),
     with the small product k = top*(top-1).  Each p divides the next, so
     the gcd that a difference of two bounds takes ends after one division.
@@ -336,7 +338,12 @@ def _n_forms(n: int, m_lo: int, m_hi: int) -> Iterator[EForm]:
         k = top * (top - 1)
         acc, p = acc * k + (top - 1), p * k
         if top >= n + 2 * m_lo:
-            yield EForm.from_integers(acc - partial_sum_pos(top), nf * p, 0, p)
+            yield acc - partial_sum_pos(top), nf * p, p
+
+
+def _n_forms(n: int, m_lo: int, m_hi: int) -> Iterator[EForm]:
+    """N_m(n) for m = m_lo..m_hi as EForms, each over its p unreduced."""
+    return (EForm.from_integers(a, b, 0, p) for a, b, p in _n_ints(n, m_lo, m_hi))
 
 
 def bound_M(n: int, m: int) -> Fraction:

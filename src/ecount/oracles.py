@@ -75,7 +75,7 @@ from math import ceil, factorial, floor, gcd, lcm, log, prod
 from operator import ne
 
 from . import _LAYERS
-from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
+from .certified import _NAME_BITS, EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
 from .errors import DomainError, PrecisionCapError
 
 __all__ = [
@@ -91,9 +91,6 @@ MAX_BRUTE_CYCLES = 8
 
 # quad_gamma gives up after this many panel-enclosure computations
 _EVAL_BUDGET = 50_000
-
-# messages name a rational wider than this by its bit lengths, not its digits
-_NAME_BITS = 256
 
 
 class EnumerationResult(namedtuple("EnumerationResult", "count total_length")):

@@ -460,6 +460,32 @@ def test_precision_cap_env_override(monkeypatch):
     assert DEFAULT_PRECISION_CAP == 1 << 20
 
 
+def test_a_form_that_decides_below_the_cap_is_tried_at_the_cap(monkeypatch):
+    # thm7's form at n = 10, m = 15 starts at 89 bits and decides from
+    # 170 bits on.  Its schedule 89, 153, 281 steps over a cap of 250, so
+    # the refinement tries once at exactly the cap before it refuses, and
+    # reports the cap as the deciding precision.  Below 170 it is refused.
+    f = counts.bound_N(10, 15) + EForm(0, 0, factorial(10))
+    tried = []
+    kernel = certified._bounds
+    monkeypatch.setattr(certified, "_bounds", lambda *args: tried.append(args[1]) or kernel(*args))
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "250")
+    assert counts.derangement_thm7(10, 15) == exact.derangements(10) == 1334961
+    tried.clear()
+    assert certified_floor_info(f) == CertifiedFloor(1334961, 250)
+    assert tried == [89, 153, 250]
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "150")
+    tried.clear()
+    with pytest.raises(PrecisionCapError, match="undecided at precision cap 150 bits"):
+        certified_floor(f)
+    assert tried == [89, 150]
+    # Under a cap the schedule reaches, nothing is clamped.
+    monkeypatch.delenv("ECOUNT_PRECISION_CAP")
+    tried.clear()
+    assert certified_floor_info(f) == CertifiedFloor(1334961, 281)
+    assert tried == [89, 153, 281]
+
+
 def test_eform_sign():
     assert eform_sign(EForm(0, 0, 0)) == 0
     assert eform_sign(EForm(Q(5), 0, 0)) == 1
@@ -771,6 +797,47 @@ def test_eform_bounds_smaller_precision_after_larger(f, p, extra):
     assert _scaled(lo, hi, p).overlaps(eform_eval(f, p))
     assert _scaled(lo, hi, p).overlaps(_scaled(fine_lo, fine_hi, p + extra))
     assert hi - lo < abs(f.b) + abs(f.c) + 2
+
+
+# Integer forms of every shape the kernel takes apart: B only, C only,
+# B = C, B = -C, and mixed signs, each with A zero or not and D one or not.
+_WIDE = st.integers(min_value=-(1 << 400), max_value=1 << 400)
+_NONZERO = _WIDE.filter(bool)
+
+
+@st.composite
+def _integer_forms(draw):
+    big_b, big_c = draw(_NONZERO), draw(_NONZERO)
+    shape = draw(st.sampled_from(("b", "c", "b=c", "b=-c", "mixed")))
+    if shape == "b":
+        big_c = 0
+    elif shape == "c":
+        big_b = 0
+    elif shape == "b=c":
+        big_c = big_b
+    elif shape == "b=-c":
+        big_c = -big_b
+    big_a = draw(st.one_of(st.just(0), _WIDE))
+    den = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=1 << 200)))
+    return EForm.from_integers(big_a, big_b, big_c, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _integer_forms(),
+    st.integers(min_value=0, max_value=800),
+    st.integers(min_value=2, max_value=1 << 70),
+)
+def test_kernel_shortcuts_give_the_bounds_of_the_general_path(f, p, k):
+    # Multiplying A, B, C and D by k >= 2 leaves the value and so the
+    # bounds as they were, but takes the kernel through its division by
+    # D, so the D == 1 shortcut must give the integers of that division;
+    # the one-coefficient and |B| = |C| products must give those of one
+    # full product per coefficient.
+    big_a, big_b, big_c, den = f._ints
+    scaled = EForm.from_integers(k * big_a, k * big_b, k * big_c, k * den)
+    assert eform_bounds(f, p) == eform_bounds(scaled, p) == _separate_bounds(f, p)
+    assert certified_floor(f) == certified_floor_info(f).value == certified_floor(scaled)
 
 
 @settings(max_examples=150, deadline=None)

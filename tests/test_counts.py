@@ -495,8 +495,9 @@ def _check_forms_of_the_family_and_chain(n, m, lam, seen):
 
 
 def test_integer_derangement_floors_make_no_fraction(monkeypatch):
-    # eq2-eq6 and thm7 build their forms from integers and floor them
-    # without a Fraction; derangement_lambda makes the one Fraction of lam.
+    # eq2-eq6, thm7 and lambda build their forms from integers and floor
+    # them without a Fraction; a lam that is already a Fraction is read
+    # as it is.
     made = []
     new = Fraction.__new__
 
@@ -523,10 +524,35 @@ def test_integer_derangement_floors_make_no_fraction(monkeypatch):
         monkeypatch.undo()
         assert result == dn, name
         made_by[name] = list(made)
-    assert made_by == {**{name: [] for name in calls}, "lambda": [(lam,)]}
+    assert made_by == {name: [] for name in calls}
 
 
 # --- bounds ------------------------------------------------------------
+
+
+def test_each_floor_is_one_decision_of_the_public_entry_points(monkeypatch):
+    # A span tracer that wraps the module attributes certified_floor_info
+    # and eform_sign counts one decision per call of either.  Each floor a
+    # formula takes must reach one of them, not the refinement directly,
+    # or it would be missing from that count.
+    calls = []
+    for name in ("certified_floor_info", "eform_sign"):
+        real = getattr(certified, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(certified, name, counted)
+    floors = {
+        "eq2": (lambda: counts.derangement_eq2(7), 7, 1),
+        "eq6": (lambda: counts.derangement_eq6(12), 12, 2),
+        "thm7": (lambda: counts.derangement_thm7(28, 1), 28, 1),
+    }
+    for name, (call, n, taken) in floors.items():
+        calls.clear()
+        assert call() == derangements(n), name
+        assert calls == ["certified_floor_info"] * taken, name
 
 
 def test_bound_m_values():
