@@ -13,7 +13,8 @@ rationals, a classical fact assumed here, not re-proved), so the
 refinement always terminates; a precision cap turns a would-be
 infinite loop on a rational-valued form into an error instead.  The cap
 is ECOUNT_PRECISION_CAP, else 2^20 bits, and `_check_cap` is the one
-test of a requested precision against it, here and in `specials`.
+test of a requested precision against it, here and in `specials`; it
+formats its message, naming values by `errors._name`, only to refuse.
 
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
@@ -89,7 +90,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from . import _LAYERS
-from .errors import DomainError, PrecisionCapError
+from .errors import _NAME_BITS, DomainError, PrecisionCapError, _name, _require
 from .exact import factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["certified"], "DEFAULT_PRECISION_CAP", "ceil_log2", "fraction_to_decimal"]
@@ -116,12 +117,15 @@ def _resolve_cap() -> int:
     return cap
 
 
-def _check_cap(what: str, bits: int) -> None:
-    """PrecisionCapError when the `bits` that `what` needs pass the cap."""
+def _check_cap(bits: int, template: str, *args: object) -> None:
+    """PrecisionCapError when `bits` pass the cap, naming what needs them
+    by `template` with each of args put in by `_name`, and the bits the
+    same way; the message is made only then."""
     cap = _resolve_cap()
     if bits > cap:
+        what = template.format(*map(_name, args))
         raise PrecisionCapError(
-            f"{what} needs {bits} working bits, above the precision cap of {cap}"
+            f"{what} needs {_name(bits)} working bits, above the precision cap of {cap}"
         )
 
 
@@ -135,8 +139,7 @@ def _ceil_log2(num: int, den: int) -> int:
 
 def ceil_log2(q: Fraction) -> int:
     """Smallest integer b with q <= 2^b, for q > 0."""
-    if q <= 0:
-        raise DomainError(f"ceil_log2 requires q > 0 (got {q})")
+    _require(q > 0, "ceil_log2 requires q > 0 (got {})", q)
     return _ceil_log2(q.numerator, q.denominator)
 
 
@@ -147,8 +150,7 @@ def fraction_to_decimal(x: Fraction, digits: int, round_up: bool) -> str:
     down, upper endpoints round up, so the printed interval still
     contains the exact one.
     """
-    if digits < 0:
-        raise DomainError(f"digits must be >= 0 (got {digits})")
+    _require(digits >= 0, "digits must be >= 0 (got {})", digits)
     scaled = x * 10**digits
     n = ceil(scaled) if round_up else floor(scaled)
     if digits == 0:
@@ -173,7 +175,7 @@ class IntervalReal:
         lo = lo if type(lo) is Fraction else _Q(lo)
         hi = hi if type(hi) is Fraction else _Q(hi)
         if lo > hi:
-            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+            raise DomainError(f"interval endpoints out of order: {_name(lo)} > {_name(hi)}")
         _set(self, "lo", lo)
         _set(self, "hi", hi)
 
@@ -247,8 +249,7 @@ class IntervalReal:
 
     def power(self, k: int) -> "IntervalReal":
         """Interval of x^k over x in [lo, hi], for integer k >= 0."""
-        if k < 0:
-            raise DomainError(f"power requires k >= 0 (got {k})")
+        _require(k >= 0, "power requires k >= 0 (got {})", k)
         if k == 0:
             return IntervalReal.point(1)
         a, b = self.lo**k, self.hi**k
@@ -260,8 +261,7 @@ class IntervalReal:
         return IntervalReal(_ZERO, max(a, b))
 
     def reciprocal(self) -> "IntervalReal":
-        if self.lo <= 0 <= self.hi:
-            raise DomainError("reciprocal of an interval containing zero")
+        _require(not self.lo <= 0 <= self.hi, "reciprocal of an interval containing zero")
         return IntervalReal(1 / self.hi, 1 / self.lo)
 
     def contains(self, x) -> bool:
@@ -276,8 +276,7 @@ class IntervalReal:
 
     def round_out(self, bits: int) -> "IntervalReal":
         """Outward rounding to dyadic endpoints with denominator 2^bits."""
-        if bits < 1:
-            raise DomainError(f"bits must be >= 1 (got {bits})")
+        _require(bits >= 1, "bits must be >= 1 (got {})", bits)
         scale = 1 << bits
         return IntervalReal(
             _Q(floor(self.lo * scale), scale), _Q(ceil(self.hi * scale), scale)
@@ -365,7 +364,7 @@ class EForm:
         den > 0, kept over den as given: no gcd is taken here, and .a, .b
         and .c are reduced when read."""
         if den <= 0:
-            raise DomainError(f"EForm denominator must be > 0 (got {den})")
+            raise DomainError(f"EForm denominator must be > 0 (got {_name(den)})")
         return _of(big_a, big_b, big_c, den)
 
     def __eq__(self, other):
@@ -519,9 +518,8 @@ def enclose_e(precision_bits: int) -> IntervalReal:
     tail bound 1/(k!*k).  Raises PrecisionCapError, before any work,
     when precision_bits is above the precision cap.
     """
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
-    _check_cap("enclose_e", precision_bits)
+    _require(precision_bits >= 0, "precision_bits must be >= 0 (got {})", precision_bits)
+    _check_cap(precision_bits, "enclose_e")
     k = _k_for_e(precision_bits)
     s, f = _series(k, 1)
     lo = _Q(s, f)
@@ -538,9 +536,8 @@ def enclose_e_inv(precision_bits: int) -> IntervalReal:
     D_{2k} = 2k*D_{2k-1} + 1.  Raises PrecisionCapError, before any
     work, when precision_bits is above the precision cap.
     """
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
-    _check_cap("enclose_e_inv", precision_bits)
+    _require(precision_bits >= 0, "precision_bits must be >= 0 (got {})", precision_bits)
+    _check_cap(precision_bits, "enclose_e_inv")
     k = _k_for_e_inv(precision_bits)
     d, f = _series(2 * k - 1, -1)
     return IntervalReal(_Q(d, f), _Q(2 * k * d + 1, 2 * k * f))
@@ -553,8 +550,7 @@ def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
     is evaluated at precision_bits, and scaling by a rational multiplies
     its width by the rational's magnitude.
     """
-    if precision_bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {precision_bits})")
+    _require(precision_bits >= 0, "precision_bits must be >= 0 (got {})", precision_bits)
     iv = IntervalReal.point(f.a)
     if f.b != 0:
         iv = iv + enclose_e(precision_bits) * f.b
@@ -682,9 +678,8 @@ def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
     and p alone, not on earlier calls or what the cache holds.
     Raises PrecisionCapError, before any work, when p is above the cap.
     """
-    if p < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {p})")
-    _check_cap("eform_bounds", p)
+    _require(p >= 0, "precision_bits must be >= 0 (got {})", p)
+    _check_cap(p, "eform_bounds")
     return _bounds(f._ints, p, None)[:2]
 
 
@@ -716,15 +711,10 @@ def _decide_sign(lo: int, hi: int, p: int) -> int | None:
     return None
 
 
-# A, B, C and D of at most this many bits (77 decimal digits) are named
-# by their reduced triple in a refusal, wider ones by their bit lengths;
-# counts and oracles name wide values in their messages by the same rule.
-_NAME_BITS = 256
-
-
-def _name(f: EForm) -> str:
+def _form_name(f: EForm) -> str:
     """f as its (a, b, c) triple, or, when one of A, B, C and D is wider
-    than _NAME_BITS, by their bit lengths, decided before any str runs."""
+    than _NAME_BITS, by their bit lengths, decided before any str runs:
+    the rule of `errors._name`, for a form."""
     if max(x.bit_length() for x in f._ints) <= _NAME_BITS:
         return str(f.to_triple())
     return "a form with A, B, C, D of {}, {}, {}, {} bits".format(
@@ -775,7 +765,7 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
             return result, p
         p = cap if p < cap < p + grow else p + grow
         grow *= 2
-    raise PrecisionCapError(f"{what} of {_name(f)} undecided at precision cap {cap} bits")
+    raise PrecisionCapError(f"{what} of {_form_name(f)} undecided at precision cap {cap} bits")
 
 
 def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> CertifiedFloor:
@@ -824,6 +814,5 @@ def frac_e_nfact(n: int) -> EForm:
     floor(e*n!) = sum_{i=0}^n n!/i! is itself checked elsewhere by the
     certified route.
     """
-    if n < 1:
-        raise DomainError(f"frac_e_nfact requires n >= 1 (got {n})")
+    _require(n >= 1, "frac_e_nfact requires n >= 1 (got {})", n)
     return EForm(-partial_sum_pos(n), factorial(n), 0)

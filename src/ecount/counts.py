@@ -23,8 +23,10 @@ denominators of the bounds M_m(n) and N_m(n) are running products of
 small factors, never one factorial quotient per term.
 
 This module is the one place where two routes meet: `_agree` compares
-them and raises InvariantViolation, naming the call and both values (a
-value wider than 256 bits by its bit length), when they differ.
+them and raises InvariantViolation, naming the call and both values by
+`errors._name` (a value wider than 256 bits by its bit length), when
+they differ.  Preconditions are `errors._require` checks, which name
+their arguments the same way.
 `_checked_sum` serves the tallies and floor(e*n!) (eq1);
 `_checked_form` checks a derangement floor form against
 derangements(n).  The public derangement forms return their certified
@@ -42,20 +44,13 @@ from fractions import Fraction
 from math import gcd
 
 from . import _LAYERS
-from .certified import _NAME_BITS, EForm, certified_floor, eform_lt
-from .errors import DomainError, InvariantViolation
+from .certified import EForm, certified_floor, eform_lt
+from .errors import _NAME_BITS, InvariantViolation, _name, _require
 from .exact import derangements, factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["counts"]]
 
 _Q = Fraction
-
-
-def _require(cond: bool, template: str, *args: object) -> None:
-    """DomainError(template.format(*args)) unless cond; the message is
-    formatted only when the check fails."""
-    if not cond:
-        raise DomainError(template.format(*args))
 
 
 # --- where the two routes meet ----------------------------------------
@@ -65,15 +60,15 @@ def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
     """exact, once it equals certified; else InvariantViolation naming the
     call name(*args) and both values, the message built only then.
 
-    A value wider than _NAME_BITS is named by its bit length, as
-    `certified._name` names a wide form, with the difference of the two
-    routes when that is narrow: no str of a wide int is made, so the
-    message never meets Python's limit on int-to-str digits."""
+    Values are named by `errors._name`, a wide one by its bit length,
+    with the difference of the two routes when that is narrow: no str of
+    a wide int is made, so the message never meets Python's limit on
+    int-to-str digits."""
     if certified != exact:
-        call = ", ".join(map(str, args))
+        call = ", ".join(map(_name, args))
         message = (
-            f"{name}({call}): certified route gives {_value(certified)}, "
-            f"exact route gives {_value(exact)}"
+            f"{name}({call}): certified route gives {_name(certified)}, "
+            f"exact route gives {_name(exact)}"
         )
         diff = certified - exact
         wide = max(certified.bit_length(), exact.bit_length()) > _NAME_BITS
@@ -83,19 +78,11 @@ def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
     return exact
 
 
-def _value(x: int | Fraction) -> str:
-    """x in decimal, or, when its numerator or denominator is wider than
-    _NAME_BITS, the wider one's bit length."""
-    bits = max(map(int.bit_length, x.as_integer_ratio()))
-    return str(x) if bits <= _NAME_BITS else f"a value of {bits} bits"
-
-
 def _checked_sum(name: str, n: int, m: int) -> int:
     """S_m = floor(e*m!) for the call name(n), read both ways: the
     certified floor first, then partial_sum_pos(m).  m < 1 is refused
     first, in the caller's terms."""
-    if m < 1:
-        raise DomainError(f"{name} requires n >= {n - m + 1} (got {n})")
+    _require(m >= 1, "{} requires n >= {} (got {})", name, n - m + 1, n)
     return _agree(name, (n,), certified_floor(EForm(0, factorial(m), 0)), partial_sum_pos(m))
 
 

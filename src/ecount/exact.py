@@ -40,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import _LAYERS
-from .errors import DomainError
+from .errors import DomainError, _name, _require
 
 __all__ = [*_LAYERS["exact"]]
 
@@ -109,7 +109,7 @@ def _read(marks: list[int | None], x: int, n: int) -> int:
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:
-        raise DomainError(f"factorial requires n >= 0 (got {n})")
+        raise DomainError(f"factorial requires n >= 0 (got {_name(n)})")
     if n > _N0:
         return math.factorial(n)
     return _read(_FACT_MARKS, 0, n)
@@ -124,14 +124,14 @@ def partial_sum_pos(n: int) -> int:
     :mod:`ecount.certified` re-derives the same value independently.
     """
     if n < 1:
-        raise DomainError(f"partial_sum_pos requires n >= 1 (got {n})")
+        raise DomainError(f"partial_sum_pos requires n >= 1 (got {_name(n)})")
     return _read(_PSUM_MARKS, 1, n)
 
 
 def derangements(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
     if n < 0:
-        raise DomainError(f"derangements requires n >= 0 (got {n})")
+        raise DomainError(f"derangements requires n >= 0 (got {_name(n)})")
     return _read(_DER_MARKS, -1, n)
 
 
@@ -162,8 +162,7 @@ def dpoly(n: int) -> DerangementPoly:
     coeffs[n] = 1 and coeffs[i] = (i+1)*coeffs[i+1], which unwinds to
     n!/i! without ever forming a quotient.
     """
-    if n < 0:
-        raise DomainError(f"dpoly requires n >= 0 (got {n})")
+    _require(n >= 0, "dpoly requires n >= 0 (got {})", n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     for i in range(n - 1, -1, -1):
@@ -175,8 +174,7 @@ def dpoly_eval(n: int, x: Fraction) -> Fraction:
     """Exact value of D_n(x) at x = p/q in lowest terms: U_n / q^n, with
     U_n one block of U_k = k*q*U_{k-1} + p^k from U_0 = 1.
     :meth:`DerangementPoly.eval` is the coefficient-form reference."""
-    if n < 0:
-        raise DomainError(f"dpoly_eval requires n >= 0 (got {n})")
+    _require(n >= 0, "dpoly_eval requires n >= 0 (got {})", n)
     p, q = Fraction(x).as_integer_ratio()
     big_p, r = _block(0, n, p, q)
     return Fraction(big_p + r, q**n)

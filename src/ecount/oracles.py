@@ -75,8 +75,8 @@ from math import ceil, factorial, floor, gcd, lcm, log, prod
 from operator import ne
 
 from . import _LAYERS
-from .certified import _NAME_BITS, EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
-from .errors import DomainError, PrecisionCapError
+from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
+from .errors import PrecisionCapError, _name, _require
 
 __all__ = [
     *_LAYERS["oracles"],
@@ -112,10 +112,10 @@ class QuadratureResult(namedtuple("QuadratureResult", "value evaluations tail_bo
 
 def brute_derangements(n: int) -> int:
     """Count fixed-point-free permutations of range(n) by enumeration."""
-    if not 0 <= n <= MAX_BRUTE_DERANGEMENTS:
-        raise DomainError(
-            f"brute_derangements requires 0 <= n <= {MAX_BRUTE_DERANGEMENTS} (got {n})"
-        )
+    _require(
+        0 <= n <= MAX_BRUTE_DERANGEMENTS,
+        "brute_derangements requires 0 <= n <= {} (got {})", MAX_BRUTE_DERANGEMENTS, n,
+    )
     # all(map(ne, p, r)) for each permutation p, with both loops run in C.
     r = range(n)
     return sum(map(all, map(map, repeat(ne), permutations(r), repeat(r))))
@@ -152,11 +152,15 @@ def brute_paths(n: int, pair: tuple[int, int] = (0, 1)) -> EnumerationResult:
     Each path is counted once (its endpoints are ordered by the pair),
     and total_length accumulates edge counts.
     """
-    if not 3 <= n <= MAX_BRUTE_PATHS:
-        raise DomainError(f"brute_paths requires 3 <= n <= {MAX_BRUTE_PATHS} (got {n})")
+    _require(
+        3 <= n <= MAX_BRUTE_PATHS,
+        "brute_paths requires 3 <= n <= {} (got {})", MAX_BRUTE_PATHS, n,
+    )
     u, v = pair
-    if not (0 <= u < n and 0 <= v < n and u != v):
-        raise DomainError(f"pair must name two distinct vertices of K_{n} (got {pair})")
+    _require(
+        0 <= u < n and 0 <= v < n and u != v,
+        "pair must name two distinct vertices of K_{} (got ({}, {}))", n, u, v,
+    )
     return _walks(n, u, v, 1)
 
 
@@ -167,10 +171,11 @@ def brute_cycles(n: int, root: int = 0) -> EnumerationResult:
     with distinct intermediate vertices and k >= 3 edges; the two
     orientations of an undirected cycle are counted separately.
     """
-    if not 3 <= n <= MAX_BRUTE_CYCLES:
-        raise DomainError(f"brute_cycles requires 3 <= n <= {MAX_BRUTE_CYCLES} (got {n})")
-    if not 0 <= root < n:
-        raise DomainError(f"root must be a vertex of K_{n} (got {root})")
+    _require(
+        3 <= n <= MAX_BRUTE_CYCLES,
+        "brute_cycles requires 3 <= n <= {} (got {})", MAX_BRUTE_CYCLES, n,
+    )
+    _require(0 <= root < n, "root must be a vertex of K_{} (got {})", n, root)
     return _walks(n, root, root, 3)
 
 
@@ -499,15 +504,6 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     return good, _Q(nums[good], 1 << tail_bits)
 
 
-def _name(x: Fraction) -> str:
-    """x as written, or, when its numerator or denominator is wider than
-    _NAME_BITS, by their bit lengths, decided before any str runs."""
-    num, den = x.numerator.bit_length(), x.denominator.bit_length()
-    if max(num, den) <= _NAME_BITS:
-        return str(x)
-    return f"a rational with a {num}-bit numerator and a {den}-bit denominator"
-
-
 def _quad_pieces(
     n: int, cuts: list[Fraction], tol: Fraction, call: str
 ) -> tuple[list[IntervalReal], Fraction, int]:
@@ -523,12 +519,10 @@ def _quad_pieces(
     out before every panel meets its share.  Messages name the call by
     `call`, as in "quad_gamma(n=3, z=-1)".
     """
-    if n < 0:
-        raise DomainError(f"{call} requires n >= 0")
+    _require(n >= 0, "{} requires n >= 0", call)
     cuts = [_Q(c) for c in cuts]
     tol = _Q(tol)
-    if tol <= 0:
-        raise DomainError(f"{call} requires tol > 0 (got {_name(tol)})")
+    _require(tol > 0, "{} requires tol > 0 (got {})", call, tol)
     z = cuts[0]
     u, tail = _tail_cutoff(n, max(2 * n + 1, ceil(cuts[-1]) + 1, 6), tol)
 
@@ -577,7 +571,7 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     The returned interval has width <= tol.  Raises PrecisionCapError
     if the evaluation budget runs out before the tolerance is met.
     """
-    call = f"quad_gamma(n={n}, z={_name(_Q(z))})"
+    call = f"quad_gamma(n={_name(n)}, z={_name(_Q(z))})"
     (piece,), tail, evals = _quad_pieces(n, [z], tol, call)
     return QuadratureResult(
         value=piece + IntervalReal(0, tail), evaluations=evals, tail_bound=tail

@@ -46,9 +46,11 @@ for a returned interval or a failure message.  Each works out its
 precision w before any big work and passes it to `_check_cap`, the
 certified layer's one cap test, which raises PrecisionCapError when w
 passes the precision cap (ECOUNT_PRECISION_CAP, else 2^20 bits),
-instead of running for hours.  For a positive argument `inc_gamma_int`
-and `hyp1f1` also bound the exp step's bits from below through
-D_n(x) >= n!, and test that bound before evaluating D_n(x).
+instead of running for hours; it names n and x = num/den only when it
+refuses, a w or x wider than 256 bits by its bit lengths.  For a
+positive argument `inc_gamma_int` and `hyp1f1` also bound the exp
+step's bits from below through D_n(x) >= n!, and test that bound
+before evaluating D_n(x).
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from .certified import (
     eform_eval,
     eform_sign,
 )
-from .counts import _value, derangement_eq2
-from .errors import DomainError, InvariantViolation
+from .counts import derangement_eq2
+from .errors import InvariantViolation, _name, _require
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["specials"]]
@@ -93,8 +95,7 @@ def hyp2f0(n: int, x: Fraction) -> Fraction:
     stops by itself after n+1 terms.  With x = p/q it runs on integers:
     term is t_k * q^k and acc the k-th partial sum times q^k.
     """
-    if n < 0:
-        raise DomainError(f"hyp2f0 requires n >= 0 (got {n})")
+    _require(n >= 0, "hyp2f0 requires n >= 0 (got {})", n)
     p, q = _Q(x).as_integer_ratio()
     term = acc = 1
     for k in range(n):
@@ -106,14 +107,13 @@ def hyp2f0(n: int, x: Fraction) -> Fraction:
 def hyp2f0_identity_check(n: int, x: Fraction) -> Fraction:
     """Evaluate x^n * F(n; -1/x) and certify it equals D_n(x) exactly."""
     x = _Q(x)
-    if x == 0:
-        raise DomainError("hyp2f0_identity_check requires x != 0")
-    value = x**n * hyp2f0(n, -1 / x)
+    _require(x != 0, "hyp2f0_identity_check requires x != 0")
+    value = hyp2f0(n, -1 / x) * x**n
     expected = dpoly_eval(n, x)
     if value != expected:
         raise InvariantViolation(
-            f"hyp2f0 transform at n={n}, x={x}: got {_value(value)}, "
-            f"polynomial gives {_value(expected)}"
+            f"hyp2f0 transform at n={_name(n)}, x={_name(x)}: got {_name(value)}, "
+            f"polynomial gives {_name(expected)}"
         )
     return value
 
@@ -124,10 +124,8 @@ def hyp2f0_special(n: int, sign: int) -> int:
     `sign` selects the evaluation point x = sign; n >= 1.  The series
     value is checked against the independent floor route and returned.
     """
-    if n < 1:
-        raise DomainError(f"hyp2f0_special requires n >= 1 (got {n})")
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be -1 or 1 (got {sign})")
+    _require(n >= 1, "hyp2f0_special requires n >= 1 (got {})", n)
+    _require(sign in (-1, 1), "sign must be -1 or 1 (got {})", sign)
     value = hyp2f0(n, _Q(sign))
     if sign == -1:
         expected = _Q(partial_sum_pos(n))
@@ -135,8 +133,8 @@ def hyp2f0_special(n: int, sign: int) -> int:
         expected = _Q((-1) ** n * derangement_eq2(n))
     if value != expected:
         raise InvariantViolation(
-            f"hyp2f0 special value at n={n}, x={sign}: got {_value(value)}, "
-            f"expected {_value(expected)}"
+            f"hyp2f0 special value at n={_name(n)}, x={sign}: got {_name(value)}, "
+            f"expected {_name(expected)}"
         )
     return int(expected)
 
@@ -168,11 +166,6 @@ def _log2_factorial_down(n: int) -> int:
     return n * (n.bit_length() - 1) - _mul_up(n, 1, _LOG2_E_UP)
 
 
-def _show(num: int, den: int) -> str:
-    """num/den printed as str(Fraction(num, den)) prints it, in lowest terms."""
-    return f"{num}/{den}" if den != 1 else str(num)
-
-
 def _exp_ints(num: int, den: int, bits: int) -> tuple[int, int, int]:
     """e^x at x = num/den in lowest terms, as (lo, hi, k) with
     lo / 2^k <= e^x <= hi / 2^k: the integers of `exp_enclosure`."""
@@ -190,7 +183,7 @@ def _exp_ints(num: int, den: int, bits: int) -> tuple[int, int, int]:
     base = t + mag + s
     g = base.bit_length() + 4
     w = base + g
-    _check_cap(f"exp_enclosure at x={_show(num, den)}", max(w, t + 2))
+    _check_cap(max(w, t + 2), "exp_enclosure at x={}", (num, den))
 
     one = 1 << w
     den <<= s
@@ -237,8 +230,7 @@ def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     and denominator of x by integer floor and ceiling (`_exp_ints`).
     Raises PrecisionCapError when w or t + 2 passes the precision cap.
     """
-    if precision_bits < 1:
-        raise DomainError(f"precision_bits must be >= 1 (got {precision_bits})")
+    _require(precision_bits >= 1, "precision_bits must be >= 1 (got {})", precision_bits)
     x = _Q(x)
     lo, hi, k = _exp_ints(x.numerator, x.denominator, precision_bits)
     return IntervalReal(_Q(lo, 1 << k), _Q(hi, 1 << k))
@@ -257,16 +249,11 @@ def inc_gamma_int(query: GammaQuery) -> IntervalReal:
     is evaluated first and the exp step checks the cap.
     """
     n, z, bits = query.n, _Q(query.z), query.precision_bits
-    if n < 0:
-        raise DomainError(f"inc_gamma_int requires n >= 0 (got {n})")
-    if bits < 1:
-        raise DomainError(f"precision_bits must be >= 1 (got {bits})")
+    _require(n >= 0, "inc_gamma_int requires n >= 0 (got {})", n)
+    _require(bits >= 1, "precision_bits must be >= 1 (got {})", bits)
     zn, zd = z.numerator, z.denominator
     if zn > 0:
-        _check_cap(
-            f"inc_gamma_int at n={n}, z={_show(zn, zd)}",
-            bits + _log2_factorial_down(n) + 6,
-        )
+        _check_cap(bits + _log2_factorial_down(n) + 6, "inc_gamma_int at n={}, z={}", n, (zn, zd))
     d = dpoly_eval(n, z)
     dn, dd = d.numerator, d.denominator
     lo, hi, k = _exp_ints(-zn, zd, bits + _bits_above_one(abs(dn), dd) + 2)
@@ -298,7 +285,7 @@ def _series_ints(n: int, num: int, den: int, bits: int) -> tuple[int, int, int]:
     while True:
         # the tail target 2^-(bits+1) is 2^guard units
         w = bits + 1 + guard
-        _check_cap(f"hyp1f1 series at n={n}, x={_show(num, den)}", w)
+        _check_cap(w, "hyp1f1 series at n={}, x={}", n, (num, den))
         lo = hi = acc_lo = acc_hi = 1 << w
         k = 0
         while True:
@@ -369,19 +356,15 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     x < 0 the series and D_n(x) are evaluated first and the exp step
     checks the cap.
     """
-    if n < 0:
-        raise DomainError(f"hyp1f1 requires n >= 0 (got {n})")
-    if precision_bits < 1:
-        raise DomainError(f"precision_bits must be >= 1 (got {precision_bits})")
+    _require(n >= 0, "hyp1f1 requires n >= 0 (got {})", n)
+    _require(precision_bits >= 1, "precision_bits must be >= 1 (got {})", precision_bits)
     x = _Q(x)
     num, den = x.numerator, x.denominator
     if num == 0:
         return IntervalReal.point(1)
     if num > 0:
         spare = _log2_factorial_down(n + 1) - (n + 1) * _ceil_log2(num, den)
-        _check_cap(
-            f"hyp1f1 at n={n}, x={_show(num, den)}", precision_bits + max(spare, 0) + 8
-        )
+        _check_cap(precision_bits + max(spare, 0) + 8, "hyp1f1 at n={}, x={}", n, (num, den))
 
     s_lo, s_hi, w = _series_ints(n, num, den, precision_bits)
 
@@ -397,7 +380,7 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     if not _meets(s_lo, s_hi, 1 << w, c_lo, c_hi, c_den):
         closed_iv = IntervalReal(_Q(c_lo, c_den), _Q(c_hi, c_den))
         raise InvariantViolation(
-            f"hyp1f1 routes disagree at n={n}, x={x}: "
+            f"hyp1f1 routes disagree at n={_name(n)}, x={_name(x)}: "
             f"series {series_iv.to_decimal(20)}, closed form {closed_iv.to_decimal(20)}"
         )
     return series_iv
@@ -438,8 +421,7 @@ def integral_identities(
     Raises PrecisionCapError if the pass runs out of its evaluation
     budget.
     """
-    if n < 1:
-        raise DomainError(f"integral_identities requires n >= 1 (got {n})")
+    _require(n >= 1, "integral_identities requires n >= 1 (got {})", n)
     tol = _Q(tol)
     nf = factorial(n)
     dn = derangements(n)

@@ -15,7 +15,7 @@ import pytest
 import ecount
 from ecount import certified, cli, counts, exact, oracles, specials
 from ecount.certified import EForm, IntervalReal
-from ecount.errors import DomainError
+from ecount.errors import DomainError, InvariantViolation, PrecisionCapError, _name
 
 # The package's public names, as they stood when every layer was
 # imported eagerly.
@@ -313,3 +313,62 @@ def test_every_private_definition_is_used_in_the_package():
     # A private helper that only the tests call is dead API: the tests
     # build what they need from the code the package runs.
     assert _unreferenced_private_definitions(Path(_SRC) / "ecount") == []
+
+
+# A 5,000-digit value: past Python's default limit of 4,300 digits for
+# int-to-str, so a message that wrote it out would raise ValueError.
+_HUGE = 10**5000
+
+# One call per wide argument: a negative n, m, p, bits or den, a wide or
+# tiny x or z, a wide sign, pair vertex and root.
+_WIDE_PROBES = {
+    "factorial n": lambda: exact.factorial(-_HUGE),
+    "partial_sum_pos n": lambda: exact.partial_sum_pos(-_HUGE),
+    "derangements n": lambda: exact.derangements(-_HUGE),
+    "dpoly_eval n": lambda: exact.dpoly_eval(-_HUGE, Fraction(1, 2)),
+    "from_integers den": lambda: EForm.from_integers(1, 0, 0, -_HUGE),
+    "enclose_e p": lambda: certified.enclose_e(-_HUGE),
+    "eform_bounds p": lambda: certified.eform_bounds(EForm(0, 1, 0), -_HUGE),
+    "eform_bounds p past the cap": lambda: certified.eform_bounds(EForm(0, 1, 0), _HUGE),
+    "frac_e_nfact n": lambda: certified.frac_e_nfact(-_HUGE),
+    "path_count n": lambda: counts.path_count(-_HUGE),
+    "derangement_eq5 m": lambda: counts.derangement_eq5(5, -_HUGE),
+    "chain_check m": lambda: counts.chain_check(5, -_HUGE),
+    "quad_gamma n": lambda: oracles.quad_gamma(-_HUGE, 0, Fraction(1, 10**9)),
+    "hyp2f0_identity_check n": lambda: specials.hyp2f0_identity_check(-_HUGE, 2),
+    "hyp2f0_special sign": lambda: specials.hyp2f0_special(3, _HUGE),
+    "exp_enclosure x": lambda: specials.exp_enclosure(Fraction(_HUGE), 10),
+    "exp_enclosure bits": lambda: specials.exp_enclosure(1, -_HUGE),
+    "inc_gamma_int n": lambda: specials.inc_gamma_int(specials.GammaQuery(-_HUGE, 1, 10)),
+    "inc_gamma_int z": lambda: specials.inc_gamma_int(specials.GammaQuery(3, -_HUGE, 10)),
+    "hyp1f1 x": lambda: specials.hyp1f1(2, _HUGE, 10),
+    "hyp1f1 tiny x": lambda: specials.hyp1f1(2, Fraction(1, _HUGE), 10),
+    "integral_identities n": lambda: specials.integral_identities(-_HUGE),
+    "brute_paths pair": lambda: oracles.brute_paths(5, (0, _HUGE)),
+    "brute_cycles root": lambda: oracles.brute_cycles(5, -_HUGE),
+}
+
+
+def test_a_value_is_written_out_up_to_256_bits_and_named_by_bit_lengths_past_them():
+    top = (1 << 256) - 1
+    assert _name(top) == str(top)
+    assert _name(Fraction(-top, top - 2)) == f"{-top}/{top - 2}" == str(Fraction(-top, top - 2))
+    assert (_name((7, 1)), _name((-1, 2)), _name("n=3")) == ("7", "-1/2", "n=3")
+    assert _name(-top - 1) == _name(Fraction(top + 1)) == "a value of 257 bits"
+    assert _name((1, top + 1)) == "a rational with a 1-bit numerator and a 257-bit denominator"
+
+
+@pytest.mark.parametrize("probe", sorted(_WIDE_PROBES))
+def test_arguments_of_any_size_get_an_answer_or_a_typed_error(probe):
+    # Each value in a message is written out only up to 256 bits, so a
+    # refusal stays its typed error, in one short line, under the limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        _WIDE_PROBES[probe]()
+    except (DomainError, PrecisionCapError, InvariantViolation) as exc:
+        assert len(str(exc)) < 1000, str(exc)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -266,7 +266,7 @@ def test_series_1f1_doubles_a_short_guard(monkeypatch):
     check_cap = specials._check_cap
     monkeypatch.setattr(specials, "_LOG2_E_UP", Q(0))
     monkeypatch.setattr(
-        specials, "_check_cap", lambda what, w: widths.append(w) or check_cap(what, w)
+        specials, "_check_cap", lambda w, *what: widths.append(w) or check_cap(w, *what)
     )
     iv = _series_1f1(3, Q(40), 60)
     assert len(widths) > 1
@@ -477,7 +477,7 @@ def test_an_early_refusal_is_also_a_refusal_of_the_full_path(kind, n, x, bits):
         m.setattr(
             specials,
             "_check_cap",
-            lambda what, w: asked.append((what, w)) or check_cap(what, w),
+            lambda w, what, *args: asked.append((what, w)) or check_cap(w, what, *args),
         )
         _call(kind, n, x, bits)
     early = [w for what, w in asked if what.startswith(_EARLY[kind])]
