@@ -23,8 +23,8 @@ are read, so floors and signs make no `Fraction`.  A form holds its
 integers and nothing else, and nothing writes to it once it is built.
 
 Floors and signs are decided by a fixed-point kernel, `_bounds`, which
-:func:`eform_bounds` calls on its own: integers lo <= f * 2^p <= hi at
-the shared scale 2^-p, read from A, B, C and D.  e and 1/e enter it as
+divides nowhere: it gives the integer lo = A*2^p + B*x_b + C*x_c, with
+lo <= D * f * 2^p <= lo + W for W = |B| + |C|.  e and 1/e enter it as
 F = floor(x * 2^p), so F and F + 1 bound x * 2^p.  Each is cut from one
 cached entry (P, lo) with lo <= x * 2^P < lo + 2, itself cut from the
 exact brackets below by one floor division: once P >= p + 64, F is the
@@ -32,13 +32,15 @@ top of lo >> (P - p - 64), read in O(p) time, not O(P), unless the 64
 bits below the cut are all ones, when more bits are read.  An entry
 below p + 64 is first extended to p + 128 by the bracket's new terms
 and one short division.  F depends on x and p alone, so no bound depends on what earlier calls
-left in the cache.  The sums are divided by D once, with floor division
-for lo and ceiling division for hi, so every step rounds outward and
-the refinement loop builds no `Fraction`.  A form with |B| = |C|, such
+left in the cache.  :func:`eform_bounds` divides by D once, flooring lo
+and ceiling lo + W, so its bounds round outward.  A form with |B| = |C|, such
 as (e + 1/e)*n!, takes one product, of B with the summed endpoints of
 e + 1/e or e - 1/e, where the others take one per nonzero coefficient.
-One refinement loop, `_refine`, serves floors and signs: a floor is
-decided when lo >> p == hi >> p, a sign when lo > 0 or hi < 0.  It
+One refinement loop, `_refine`, serves floors and signs and builds no
+`Fraction`: a floor is decided when (lo >> p) // D equals
+((lo + W + D - 1) >> p) // D, a sign when lo >= D or lo + W + D - 1 < 0,
+the rules of the divided bounds lo // D and ceil((lo + W) / D), with
+quotients as wide as the value, not as p.  It
 starts 64 bits above the magnitude of the form and then adds 64, 128,
 256, ... bits, so a form thousands of bits wide retries a few words
 finer rather than at twice its size; a step that would pass the cap is
@@ -627,14 +629,12 @@ def _fixed(name: str, p: int) -> int:
         g *= 2
 
 
-def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
-    """(lo, hi, step): integers lo <= (A + B*e + C/e) / D * 2^p <= hi for
-    ints = (A, B, C, D), rounded outward, and the step (p, x_b, x_c, s).
+def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, tuple]:
+    """(lo, step): the integer lo = (A << p) + s for ints = (A, B, C, D),
+    with lo <= (A + B*e + C/e) * 2^p <= lo + |B| + |C|, and the step
+    (p, x_b, x_c, s).  Nothing is divided by D.
 
-    e and 1/e enter as F = floor(x * 2^p), so F <= x * 2^p < F + 1, and
-    the one division by D floors lo and ceils hi, so
-    (hi - lo) * 2^-p < (|b| + |c|) * 2^-p + 2^(1-p).
-
+    e and 1/e enter as F = floor(x * 2^p), so F <= x * 2^p < F + 1.
     x_b and x_c are F or F + 1 of e and 1/e at p, whichever makes
     s = B*x_b + C*x_c a lower bound (F for a positive coefficient, F + 1
     for a negative one), so s + |B| + |C| is an upper bound.  s takes one
@@ -645,10 +645,9 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
     B*(x_b - (y_b << d)) + C*(x_c - (y_c << d)) is exactly B*x_b + C*x_c,
     and as both endpoints enclose the same number each correction is
     about d bits wide, so a step finer costs O(bits), not a product as
-    wide as B.  When D == 1 there is nothing to divide: lo is the sum
-    itself and hi = lo + |B| + |C|, the integers the division gives.
+    wide as B.
     """
-    big_a, big_b, big_c, den = ints
+    big_a, big_b, big_c, _ = ints
     x_b = _fixed("e", p) + (big_b < 0) if big_b else 0
     x_c = _fixed("e_inv", p) + (big_c < 0) if big_c else 0
     if step is not None:
@@ -665,22 +664,21 @@ def _bounds(ints: tuple, p: int, step: tuple | None) -> tuple[int, int, tuple]:
         s = big_b * (x_b - x_c)
     else:
         s = big_b * x_b + big_c * x_c
-    lo = (big_a << p) + s
-    if den == 1:
-        return lo, lo + abs(big_b) + abs(big_c), (p, x_b, x_c, s)
-    q, r = divmod(lo, den)
-    return q, q - (-(r + abs(big_b) + abs(big_c)) // den), (p, x_b, x_c, s)
+    return (big_a << p) + s, (p, x_b, x_c, s)
 
 
 def eform_bounds(f: EForm, p: int) -> tuple[int, int]:
-    """Integers lo <= (a + b*e + c/e) * 2^p <= hi, rounded outward, with
-    (hi - lo) * 2^-p < (|b| + |c|) * 2^-p + 2^(1-p).  They depend on f
-    and p alone, not on earlier calls or what the cache holds.
+    """Integers lo <= (a + b*e + c/e) * 2^p <= hi, the kernel's bounds
+    divided by D and rounded outward, with (hi - lo) * 2^-p <
+    (|b| + |c|) * 2^-p + 2^(1-p).  They depend on f and p alone, not on
+    earlier calls or what the cache holds.
     Raises PrecisionCapError, before any work, when p is above the cap.
     """
     _require(p >= 0, "precision_bits must be >= 0 (got {})", p)
     _check_cap(p, "eform_bounds")
-    return _bounds(f._ints, p, None)[:2]
+    _, big_b, big_c, den = ints = f._ints
+    q, r = divmod(_bounds(ints, p, None)[0], den)
+    return q, q - (-(r + abs(big_b) + abs(big_c)) // den)
 
 
 class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
@@ -698,15 +696,15 @@ class CertifiedFloor(namedtuple("CertifiedFloor", "value precision_bits")):
 _new_floor = tuple.__new__
 
 
-def _decide_floor(lo: int, hi: int, p: int) -> int | None:
-    lo >>= p
-    return lo if lo == hi >> p else None
+def _decide_floor(lo: int, width: int, den: int, p: int) -> int | None:
+    floor_lo = (lo >> p) // den
+    return floor_lo if floor_lo == ((lo + (width + den - 1)) >> p) // den else None
 
 
-def _decide_sign(lo: int, hi: int, p: int) -> int | None:
-    if lo > 0:
+def _decide_sign(lo: int, width: int, den: int, p: int) -> int | None:
+    if lo >= den:
         return 1
-    if hi < 0:
+    if lo + (width + den - 1) < 0:
         return -1
     return None
 
@@ -723,9 +721,10 @@ def _form_name(f: EForm) -> str:
 
 
 def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, int]:
-    """(answer, p) at the first p where decide(lo, hi, bits) answers on
-    the bounds of f at p plus the guard bits; PrecisionCapError once p
-    passes the cap.
+    """(answer, p) at the first p where decide(lo, width, den, bits)
+    answers on the kernel's numerator lo of f at p plus the guard bits,
+    with width = |B| + |C| and den = D; PrecisionCapError once p passes
+    the cap.
 
     p starts at the start bits and then grows by 64, 128, 256, ... bits:
     a small form roughly doubles p, while a form whose start already
@@ -735,8 +734,9 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
     only after that try; every p below the cap is the one the unclamped
     schedule tries.  p only grows, so each retry hands the kernel the
     step before, and only the first step multiplies B and C by
-    full-width endpoints.  When D == 1 the start bits take no division,
-    as the kernel's bounds then take none.
+    full-width endpoints.  No step divides: decide reads the
+    numerators, each quotient as wide as the value.  When D == 1 the
+    start bits take no division either.
     """
     cap = _resolve_cap()
     ints = f._ints
@@ -759,8 +759,8 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
     grow = 64
     while p <= cap:
         bits = p + guard
-        lo, hi, step = _bounds(ints, bits, step)
-        result = decide(lo, hi, bits)
+        lo, step = _bounds(ints, bits, step)
+        result = decide(lo, width, den, bits)
         if result is not None:
             return result, p
         p = cap if p < cap < p + grow else p + grow

@@ -18,9 +18,9 @@ The "exact" route works with integers; the "certified" route builds an
 path and cycle tallies are differences of the partial sums
 S_m = sum_{k<=m} m!/k!, which :func:`~ecount.exact.partial_sum_pos`
 reads by binary splitting: w_n = S_{n-2} and c_n = S_{n-1} - n.  Their
-certified route reads :mod:`ecount.exact` only for m!.  The common
-denominators of the bounds M_m(n) and N_m(n) are running products of
-small factors, never one factorial quotient per term.
+certified route reads :mod:`ecount.exact` only for m!.  A pass over the
+bounds M_m(n) or N_m(n) takes its first m from one `certified._split`,
+not from `exact`'s blocks, and steps up m by small factors.
 
 This module is the one place where two routes meet: `_agree` compares
 them and raises InvariantViolation, naming the call and both values by
@@ -41,10 +41,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from math import gcd
 
 from . import _LAYERS
-from .certified import EForm, certified_floor, eform_lt
+from .certified import EForm, _split, certified_floor, eform_lt
 from .errors import _NAME_BITS, InvariantViolation, _name, _require
 from .exact import derangements, factorial, partial_sum_pos
 
@@ -246,14 +245,13 @@ def derangement_eq5(n: int, m: int) -> int:
     floor(n! * (A + 1/e)) - floor(e*n!) where the rational head is
     A = (sum_{i=0}^{n+m-2} 1/i!) + (n+m)/((n+m-1)*(n+m-1)!), so that
     n!*A = S_n + M_m(n) = (S_n*q + p)/q with S_n = partial_sum_pos(n)
-    and p/q = M_m(n) in lowest terms.  Both floors are certified.
+    and p/q = M_m(n) as `_m_pairs` gives it, unreduced: the floor needs
+    no lowest terms, so no gcd is taken.  Both floors are certified.
     """
     _require(n >= 2, "derangement_eq5 requires n >= 2 (got n={})", n)
     _require(m >= 3, "derangement_eq5 requires m >= 3 (got m={})", m)
     nf = factorial(n)
     p, q = next(_m_pairs(n, m, m))
-    g = gcd(p, q)
-    p, q = p // g, q // g
     head = EForm.from_integers(partial_sum_pos(n) * q + p, 0, nf * q, q)
     return certified_floor(head) - certified_floor(EForm(0, nf, 0))
 
@@ -292,40 +290,41 @@ def _m_pairs(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int]]:
     """M_m(n) as unreduced pairs (num, den) for m = m_lo..m_hi, one pass.
 
     With t = n+m-1, M_m(n) = (t + 1 + t*A_t) / (t*(n+1)*P_t), where
-    A_t = sum_{i=n+1}^{t-1} prod(i+1..t) and P_t = prod(n+2..t) start at
-    0 and 1 for m = 2 and grow as A_t = t*(A_{t-1} + 1), P_t = P_{t-1}*t.
-    Short of m_lo they take two steps at a time, by the small product
-    k = (t-1)*t: A_t = k*A_{t-2} + t^2 and P_t = k*P_{t-2}.
+    A_t = sum_{i=n+1}^{t-1} prod(i+1..t) and P_t = prod(n+2..t), for
+    m >= 2.  The first t comes from one split: with (P, Q) =
+    `_split(n+1, t, 1)`, P_t = Q and A_t = Q + P - 1.  Each later t
+    steps by A_t = t*(A_{t-1} + 1) and P_t = P_{t-1}*t.
     """
     if m_lo == 1:
         yield 1, n
-    tail, p, start = 0, 1, n + 1
-    while start + 2 < n + m_lo:
-        start += 2
-        k = (start - 1) * start
-        tail, p = k * tail + start * start, k * p
-    for t in range(start, n + m_hi):
-        if t > start:
+    first = max(n + m_lo - 1, n + 1)
+    big_p, p = _split(n + 1, first, 1)
+    tail = p + big_p - 1
+    for t in range(first, n + m_hi):
+        if t > first:
             tail, p = t * (tail + 1), p * t
-        if t + 1 >= n + m_lo:
-            yield t + 1 + t * tail, t * (n + 1) * p
+        yield t + 1 + t * tail, t * (n + 1) * p
 
 
 def _n_ints(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int, int]]:
     """(a, b, p) with N_m(n) = (a + b*e) / p for m = m_lo..m_hi, one pass.
 
-    With top = n+2m, a = acc - S_top and b = n!*p, where
-    acc_m = acc_{m-1}*k + (top-1) and p_m = p_{m-1}*k = prod(n+1..top),
-    with the small product k = top*(top-1).  Each p divides the next, so
-    the gcd that a difference of two bounds takes ends after one division.
+    With top = n+2m, a = acc - S_top and b = n!*p, where p = prod(n+1..top)
+    and acc/p = sum_{i=1}^m (n+2i-1)*n!/(n+2i)!.  As (n+2i-1)/(n+2i)! =
+    1/(n+2i-1)! - 1/(n+2i)!, the first m's (P, Q) = `_split(n, top, -1)`
+    give acc = -P and p = Q; each later m steps by acc_m = acc_{m-1}*k +
+    (top-1) and p_m = p_{m-1}*k, k = top*(top-1).  Each p divides the
+    next, so the gcd of two of them ends after one division.
     """
     nf = factorial(n)
-    acc, p = 0, 1
-    for top in range(n + 2, n + 2 * m_hi + 1, 2):
-        k = top * (top - 1)
-        acc, p = acc * k + (top - 1), p * k
-        if top >= n + 2 * m_lo:
-            yield acc - partial_sum_pos(top), nf * p, p
+    first = n + 2 * m_lo
+    big_p, p = _split(n, first, -1)
+    acc = -big_p
+    for top in range(first, n + 2 * m_hi + 1, 2):
+        if top > first:
+            k = top * (top - 1)
+            acc, p = acc * k + (top - 1), p * k
+        yield acc - partial_sum_pos(top), nf * p, p
 
 
 def _n_forms(n: int, m_lo: int, m_hi: int) -> Iterator[EForm]:

@@ -830,10 +830,9 @@ def _integer_forms(draw):
 )
 def test_kernel_shortcuts_give_the_bounds_of_the_general_path(f, p, k):
     # Multiplying A, B, C and D by k >= 2 leaves the value and so the
-    # bounds as they were, but takes the kernel through its division by
-    # D, so the D == 1 shortcut must give the integers of that division;
-    # the one-coefficient and |B| = |C| products must give those of one
-    # full product per coefficient.
+    # bounds as they were, so the bounds' one division by D must give the
+    # same integers for every D; the one-coefficient and |B| = |C|
+    # products must give those of one full product per coefficient.
     big_a, big_b, big_c, den = f._ints
     scaled = EForm.from_integers(k * big_a, k * big_b, k * big_c, k * den)
     assert eform_bounds(f, p) == eform_bounds(scaled, p) == _separate_bounds(f, p)
@@ -934,6 +933,12 @@ def _separate_bounds(f: EForm, p: int) -> tuple[int, int]:
     return q, q - (-(r + abs(big_b) + abs(big_c)) // den)
 
 
+def _divided(lo: int, width: int, den: int) -> tuple[int, int]:
+    """floor(lo / den) and ceil((lo + width) / den): the bounds the
+    kernel's numerator and width give once divided."""
+    return lo // den, -(-(lo + width) // den)
+
+
 # Forms with B = C, B = -C (both signs), B = 0, C = 0 and D > 1, and the
 # multi-step forms of test_kernel_decisions_match_eform_eval_loop.
 _STEP_FORMS = [
@@ -955,16 +960,18 @@ _STEP_FORMS = [
 @pytest.mark.parametrize("f", _STEP_FORMS)
 def test_refine_extends_each_step_to_the_bounds_at_its_precision(monkeypatch, f, grow_between):
     # A decide that says no four times: every step, extended from the one
-    # before, gives the bounds eform_bounds gives at its precision, and
-    # those are the bounds of one full product per coefficient.  With
+    # before, gives the numerator whose floor and ceiling divisions by D
+    # are the bounds eform_bounds gives at its precision, and those are
+    # the bounds of one full product per coefficient.  With
     # grow_between, the cache of e and 1/e is grown between the first two
     # steps to a finer bracket than the second step needs, so that step
     # extends endpoints cut from another bracket.
     monkeypatch.setattr(certified, "_FIXED", dict(_SEED))
     seen = []
 
-    def decide(lo, hi, bits):
-        assert (lo, hi) == eform_bounds(f, bits) == _separate_bounds(f, bits)
+    def decide(lo, width, den, bits):
+        assert (width, den) == (abs(f._ints[1]) + abs(f._ints[2]), f._ints[3])
+        assert _divided(lo, width, den) == eform_bounds(f, bits) == _separate_bounds(f, bits)
         seen.append(bits)
         if grow_between and len(seen) == 1:
             for name in ("e", "e_inv"):
@@ -1000,9 +1007,9 @@ def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
     f = EForm.from_integers(1, big_b, big_c, 7)
     steps = []
 
-    def decide(lo, hi, bits):
+    def decide(lo, width, den, bits):
         steps.append(list(_Recording.widths))
-        assert (lo, hi) == _separate_bounds(f, bits)
+        assert _divided(lo, width, den) == eform_bounds(f, bits) == _separate_bounds(f, bits)
         _Recording.widths.clear()
         return "yes" if len(steps) == 5 else None
 
@@ -1013,6 +1020,57 @@ def test_a_retry_multiplies_the_coefficients_only_by_short_corrections():
     assert [len(w) for w in retries] == [2, 2, 2, 2]
     for w, d in zip(retries, (64, 128, 256, 512)):
         assert max(w) <= d + 3
+
+
+def _floor_of_bounds(lo: int, hi: int, p: int) -> int | None:
+    """The floor rule on divided bounds lo <= x * 2^p <= hi."""
+    lo >>= p
+    return lo if lo == hi >> p else None
+
+
+def _sign_of_bounds(lo: int, hi: int, p: int) -> int | None:
+    """The sign rule on divided bounds lo <= x * 2^p <= hi."""
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return None
+
+
+_BITS_4096 = 1 << 4096
+
+
+@st.composite
+def _numerators(draw):
+    """(lo, width, den, p): lo of up to 4,096 bits, or lo a few bits from
+    a multiple of den * 2^p, where the floor is decided or just is not."""
+    den = draw(st.just(1) | st.integers(1, 1 << 70) | st.integers(1, 1 << 2000))
+    width = draw(st.integers(0, 1 << 80) | st.integers(0, _BITS_4096))
+    p = draw(st.integers(0, 2000))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-_BITS_4096, _BITS_4096))
+    else:
+        lo = draw(st.integers(-(1 << 64), 1 << 64)) * (den << p) + draw(st.integers(-1000, 1000))
+    return lo, width, den, p
+
+
+@settings(max_examples=400, deadline=None)
+@example((7, 0, 7, 0))  # lo == D: the least positive divided lo
+@example((6, 0, 7, 0))
+@example((-7, 0, 7, 0))  # lo + W + D - 1 == -1: the greatest negative hi
+@example((-6, 0, 7, 0))
+@example(((6 << 70) - 5, 2, 3, 70))  # ceil((lo + W) / D) one short of the next floor
+@example(((6 << 70) - 5, 3, 3, 70))  # and on it
+@example((-(1 << 4096), 1 << 4096, 1, 4096))
+@given(_numerators())
+def test_decisions_on_numerators_are_the_rules_on_divided_bounds(case):
+    # The kernel's undivided numerator lo, with lo <= x * D * 2^p <=
+    # lo + width, decides the floor and the sign exactly as the old rules
+    # did on the divided bounds floor(lo / D) and ceil((lo + width) / D).
+    lo, width, den, p = case
+    lo_div, hi_div = _divided(lo, width, den)
+    assert certified._decide_floor(lo, width, den, p) == _floor_of_bounds(lo_div, hi_div, p)
+    assert certified._decide_sign(lo, width, den, p) == _sign_of_bounds(lo_div, hi_div, p)
 
 
 def test_interleaved_forms_each_get_their_own_bounds():

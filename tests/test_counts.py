@@ -221,21 +221,39 @@ def test_suffix_products_match_prod_bounds(n, m):
 @example(3, 2, 2)
 @example(5, 3, 3)
 @example(5, 4, 9)
+@example(2, 300, 3)
+@example(40, 120, 5)
 @given(
     st.integers(min_value=2, max_value=60),
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=40),
 )
 def test_bound_families_match_single_bounds(n, m_lo, width):
-    # One ascending pass builds every M_m and N_m from m_lo on (M two
-    # steps at a time below m_lo); each is the bound built on its own, by
-    # one math.prod per term.
+    # One ascending pass builds every M_m and N_m from m_lo on (its first
+    # m from one binary split, which recurses once m_lo passes about 18
+    # for M and 8 for N); each is the bound built on its own, by one
+    # math.prod per term.
     m_hi = m_lo + width
     want = range(m_lo, m_hi + 1)
     assert [Q(*pair) for pair in counts._m_pairs(n, m_lo, m_hi)] == [
         _prod_bound_m(n, m) for m in want
     ]
     assert list(counts._n_forms(n, m_lo, m_hi)) == [_prod_bound_n(n, m) for m in want]
+
+
+def test_m_bounds_read_nothing_from_the_exact_blocks(monkeypatch):
+    # M_m(n) comes from the certified side's split alone: with the exact
+    # route's split block and mark reader broken, the pass still gives
+    # the bounds built by one math.prod per term.
+    def broken(*args):
+        raise AssertionError("M_m(n) called the exact route's blocks")
+
+    monkeypatch.setattr(exact, "_block", broken)
+    monkeypatch.setattr(exact, "_read", broken)
+    for n, m_lo, m_hi in ((2, 1, 6), (7, 3, 40), (2, 300, 303), (40, 120, 125)):
+        assert [Q(*pair) for pair in counts._m_pairs(n, m_lo, m_hi)] == [
+            _prod_bound_m(n, m) for m in range(m_lo, m_hi + 1)
+        ]
 
 
 def test_unreduced_bound_n_family_keeps_values_hashes_and_reduced_coefficients():
@@ -443,7 +461,8 @@ def _recording(real, seen):
 @example(300, 40, Q(1))
 def test_integer_built_forms_are_the_fraction_built_ones(n, m, lam):
     # The floor family and the chain build their forms from integers; each
-    # has the integers of the form built from the Fraction coefficients.
+    # has the integers of the form built from the Fraction coefficients,
+    # but eq5's head, which keeps M_m(n) over its unreduced denominator.
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counts, "certified_floor", _recording(certified.certified_floor, seen))
@@ -461,11 +480,19 @@ def _check_forms_of_the_family_and_chain(n, m, lam, seen):
     if n >= 2:
         m5, t = max(m, 3), n + max(m, 3) - 1
         head5 = nf * (sum(Q(1, factorial(i)) for i in range(t)) + Q(n + m5, t * factorial(t)))
+        # M_m(n) = p/q over q = t*(t!/n!), unreduced, so S_n + M_m(n) =
+        # (S_n*q + p)/q is head5.
+        q = t * prod(range(n + 1, t + 1))
+        p = n + m5 + t * sum(prod(range(i + 1, t + 1)) for i in range(n + 1, t))
+        eq5 = EForm.from_integers(partial_sum_pos(n) * q + p, 0, nf * q, q)
+        assert eq5 == EForm(head5, zero, Q(nf))
+        if (n, m5) == (2, 3):
+            assert eq5._ints == (261, 0, 96, 48)
         e_nf = EForm(zero, Q(nf), zero)
         cases += [
             (lambda: counts.derangement_eq3(n), [EForm(Q(1, n), zero, Q(nf))]),
             (lambda: counts.derangement_eq4(n), [EForm(Q(n + 2, (n + 1) ** 2), zero, Q(nf))]),
-            (lambda: counts.derangement_eq5(n, m5), [EForm(head5, zero, Q(nf)), e_nf]),
+            (lambda: counts.derangement_eq5(n, m5), [eq5, e_nf]),
             (lambda: counts.derangement_eq6(n), [EForm(zero, Q(nf), Q(nf)), e_nf]),
         ]
     for call, want in cases:
