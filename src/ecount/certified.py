@@ -40,7 +40,8 @@ One refinement loop, `_refine`, serves floors and signs and builds no
 `Fraction`: a floor is decided when (lo >> p) // D equals
 ((lo + W + D - 1) >> p) // D, a sign when lo >= D or lo + W + D - 1 < 0,
 the rules of the divided bounds lo // D and ceil((lo + W) / D), with
-quotients as wide as the value, not as p.  It
+quotients as wide as the value, not as p; at D = 1 the floor takes the
+shifts alone, lo >> p against (lo + W) >> p.  It
 starts 64 bits above the magnitude of the form and then adds 64, 128,
 256, ... bits, so a form thousands of bits wide retries a few words
 finer rather than at twice its size; a step that would pass the cap is
@@ -73,7 +74,8 @@ Enclosures:
   exactly 1/(2k)!.  Alternating-series brackets are nested as well.
 
 The index k is the least one whose bracket width is at most 2^-p: a
-log-gamma estimate picks it and an exact integer test corrects it.
+log-gamma estimate picks it and an exact integer test on k! corrects
+it; the kernel's entries test the k! their split builds anyway.
 Each enclosure is built by its own binary split of sum x^i * k!/i!
 (x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
 grows by the split of the new terms alone, to 128 bits past the
@@ -101,13 +103,24 @@ DEFAULT_PRECISION_CAP = 1 << 20
 
 _Q = Fraction
 _ZERO = Fraction(0)
+_CAP_KEY = os.environ.encodekey("ECOUNT_PRECISION_CAP")
 
 
 def _resolve_cap() -> int:
-    """Precision cap: ECOUNT_PRECISION_CAP, else DEFAULT_PRECISION_CAP."""
-    env = os.environ.get("ECOUNT_PRECISION_CAP")
+    """Precision cap: ECOUNT_PRECISION_CAP, else DEFAULT_PRECISION_CAP.
+
+    The variable is read at every call, through `os.environ`: a change
+    made through `os.environ` holds from the next call on, and one made
+    by a bare `os.putenv` is never seen.  It is looked up in the mapping
+    `os.environ` itself reads, `os.environ._data`, under the encoded
+    key, and decoded as `os.environ` decodes it: the value of
+    `os.environ.get`, without the KeyError that `get` raises and catches
+    when the variable is unset.
+    """
+    env = os.environ._data.get(_CAP_KEY)
     if env is None:
         return DEFAULT_PRECISION_CAP
+    env = os.environ.decodevalue(env)
     try:
         cap = int(env)
     except ValueError:
@@ -481,6 +494,16 @@ def _estimate(p: int, ln_size) -> int:
     return lo
 
 
+def _ln_e(k: int) -> float:
+    """ln(k!*k), for the e bracket at k of width 1/(k!*k)."""
+    return math.lgamma(k + 1) + math.log(k)
+
+
+def _ln_e_inv(k: int) -> float:
+    """ln((2k)!), for the 1/e bracket at k of width 1/(2k)!."""
+    return math.lgamma(2 * k + 1)
+
+
 def _k_for_e(precision_bits: int) -> int:
     """Least k >= 1 with k!*k >= 2^p: the e bracket at k has width 1/(k!*k).
 
@@ -488,7 +511,7 @@ def _k_for_e(precision_bits: int) -> int:
     such k, so the index, and every bracket, does not depend on floats.
     """
     p = precision_bits
-    k = _estimate(p, lambda k: math.lgamma(k + 1) + math.log(k))
+    k = _estimate(p, _ln_e)
     f = math.factorial(k)
     while (f * k).bit_length() <= p:  # x >= 2^p  iff  bit_length(x) >= p+1
         k += 1
@@ -502,7 +525,7 @@ def _k_for_e(precision_bits: int) -> int:
 def _k_for_e_inv(precision_bits: int) -> int:
     """Least k >= 1 with (2k)! >= 2^p: the 1/e bracket at k has width 1/(2k)!."""
     p = precision_bits
-    k = _estimate(p, lambda k: math.lgamma(2 * k + 1))
+    k = _estimate(p, _ln_e_inv)
     f = math.factorial(2 * k)
     while f.bit_length() <= p:
         k += 1
@@ -587,17 +610,35 @@ def _grow(name: str, entry: tuple, bits: int) -> tuple:
     over f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
     N = (r*Q_e << d) + ((-1)^m*P_e << bits), d = bits - P, so one
     division of N by f', whose quotient has about d + log2(m') bits,
-    finishes lo and r; s itself is never needed again.
+    finishes lo and r; s itself is never needed again.  The split runs
+    to a log-gamma estimate of m', at least m; the exact test on
+    f' = m'! then moves m' to the least index, a term at a time (two for
+    1/e, whose brackets sit at odd m'), by the split's own recurrence, so
+    m' does not depend on floats and no factorial is taken afresh.
     """
     x = _SIGN[name]
-    m_new = _k_for_e(bits) if x > 0 else 2 * _k_for_e_inv(bits) - 1
     big_p, lo, m, f, r = entry
-    p_e, q_e = _split(m, m_new, x)
+    k = max(m, _estimate(bits, _ln_e) if x > 0 else 2 * _estimate(bits, _ln_e_inv) - 1)
+    p_e, q_e = _split(m, k, x)
+    f *= q_e
+    # The bracket at k reaches 2^-bits when k!*k (e) or (k+1)! (1/e) does.
+    n, tail = (1, 0) if x > 0 else (2, 1)
+    while (f * (k + tail)).bit_length() <= bits:
+        for _ in range(n):
+            k += 1
+            p_e, q_e, f = p_e * k + x ** (k - m), q_e * k, f * k
+    while k > m:
+        below = f // math.prod(range(k - n + 1, k + 1))
+        if (below * (k - n + tail)).bit_length() <= bits:
+            break
+        for _ in range(n):
+            p_e, q_e = (p_e - x ** (k - m)) // k, q_e // k
+            k -= 1
+        f = below
     if x < 0 and m % 2:
         p_e = -p_e
-    f *= q_e
     q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)
-    return bits, (lo << (bits - big_p)) + q, m_new, f, r
+    return bits, (lo << (bits - big_p)) + q, k, f, r
 
 
 def _fixed(name: str, p: int) -> int:
@@ -697,6 +738,9 @@ _new_floor = tuple.__new__
 
 
 def _decide_floor(lo: int, width: int, den: int, p: int) -> int | None:
+    if den == 1:
+        floor_lo = lo >> p
+        return floor_lo if floor_lo == (lo + width) >> p else None
     floor_lo = (lo >> p) // den
     return floor_lo if floor_lo == ((lo + (width + den - 1)) >> p) // den else None
 
@@ -735,8 +779,8 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
     schedule tries.  p only grows, so each retry hands the kernel the
     step before, and only the first step multiplies B and C by
     full-width endpoints.  No step divides: decide reads the
-    numerators, each quotient as wide as the value.  When D == 1 the
-    start bits take no division either.
+    numerators, each quotient as wide as the value, and at D == 1 the
+    floor and the start bits take no division at all.
     """
     cap = _resolve_cap()
     ints = f._ints

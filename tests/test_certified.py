@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecount import certified, counts, exact
+from ecount import certified, counts, exact, specials
 from ecount.certified import (
     DEFAULT_PRECISION_CAP,
     CertifiedFloor,
@@ -220,13 +220,60 @@ def test_bracket_index_is_the_least_k_for_every_precision():
     # Brute least-k loops: the e bracket at k has width 1/(k!*k), the 1/e
     # bracket 1/(2k)!; each index is the least k reaching 2^-p.
     k_e = k_i = 1
-    for p in range(0, 4097):
+    for p in range(0, 5001):
         while factorial(k_e) * k_e < 2**p:
             k_e += 1
         while factorial(2 * k_i) < 2**p:
             k_i += 1
         assert certified._k_for_e(p) == k_e, p
         assert certified._k_for_e_inv(p) == k_i, p
+    # Near the default cap, the index reaches 2^-p and the one below does not.
+    for p in (DEFAULT_PRECISION_CAP - 1, DEFAULT_PRECISION_CAP, DEFAULT_PRECISION_CAP + 129):
+        k = certified._k_for_e(p)
+        assert factorial(k - 1) * (k - 1) < 1 << p <= factorial(k) * k, p
+        k = certified._k_for_e_inv(p)
+        assert factorial(2 * k - 2) < 1 << p <= factorial(2 * k), p
+
+
+def _least_entry(name: str, bits: int) -> tuple:
+    """The cache entry of e or 1/e at bits built from scratch: the least
+    bracket index m by whole factorials (m!*m >= 2^bits for e, m = 2k - 1
+    with (2k)! >= 2^bits for 1/e), and lo, r from its bracket s/m!."""
+    if name == "e":
+        m = 1
+        while factorial(m) * m < 1 << bits:
+            m += 1
+    else:
+        m = 1
+        while factorial(m + 1) < 1 << bits:
+            m += 2
+    s, f = certified._series(m, 1 if name == "e" else -1)
+    lo, r = divmod(s << bits, f)
+    return bits, lo, m, f, r
+
+
+@pytest.mark.parametrize("name", ["e", "e_inv"])
+def test_grown_entries_are_the_least_brackets_and_take_no_factorial(name, monkeypatch):
+    # _grow finds its index from the m'! it builds by the split, with no
+    # factorial of its own, also when the log-gamma estimate is off by
+    # several terms either way: every entry, grown from the seed or from
+    # the entry before, is the one built from the least bracket.
+    def no_factorial(k):
+        raise AssertionError("_grow took a factorial")
+
+    estimate = certified._estimate
+    sweep = [*range(1, 400), 1000, 1001, 4096, 9000, 20000]
+    expected = {bits: _least_entry(name, bits) for bits in sweep}
+    monkeypatch.setattr(math, "factorial", no_factorial)
+    for off in (0, -3, -1, 1, 4):
+        monkeypatch.setattr(
+            certified, "_estimate", lambda p, ln_size: max(1, estimate(p, ln_size) + off)
+        )
+        entry = _SEED[name]
+        for bits in sweep:
+            assert certified._grow(name, _SEED[name], bits) == expected[bits], (off, bits)
+            entry = certified._grow(name, entry, bits)
+            assert entry == expected[bits], (off, bits)
 
 
 def test_brackets_are_binary_split_partial_sums():
@@ -458,6 +505,42 @@ def test_precision_cap_env_override(monkeypatch):
     monkeypatch.delenv("ECOUNT_PRECISION_CAP")
     assert certified_floor(EForm(0, 1, 0)) == 2
     assert DEFAULT_PRECISION_CAP == 1 << 20
+
+
+def test_the_cap_is_read_at_each_call_without_a_raising_lookup(monkeypatch):
+    # With the variable unset, floors and signs read the cap without
+    # os.environ's __getitem__, so no KeyError is raised and caught; a
+    # value set, changed or removed through os.environ between two calls
+    # still holds from the next call on, in certified and in specials.
+    monkeypatch.delenv("ECOUNT_PRECISION_CAP", raising=False)
+    getitem = os._Environ.__getitem__
+    looked_up = []
+    monkeypatch.setattr(
+        os._Environ, "__getitem__", lambda env, key: looked_up.append(key) or getitem(env, key)
+    )
+    for n in range(1, 101):
+        assert certified_floor(EForm(0, factorial(n), 0)) == exact.partial_sum_pos(n)
+        assert eform_sign(EForm(-n, n % 3, 1)) == (1 if n % 3 * E_50 + E_INV_50 > n else -1)
+    assert looked_up == []
+
+    f = EForm(0, 1, 0)
+    exp_one = specials.exp_enclosure(Q(1), 80)
+    os.environ["ECOUNT_PRECISION_CAP"] = "4"
+    with pytest.raises(PrecisionCapError):
+        certified_floor(f)
+    with pytest.raises(PrecisionCapError):
+        specials.exp_enclosure(Q(1), 80)
+    os.environ["ECOUNT_PRECISION_CAP"] = "junk"
+    with pytest.raises(DomainError):
+        certified_floor(f)
+    with pytest.raises(DomainError):
+        specials.exp_enclosure(Q(1), 80)
+    os.environ["ECOUNT_PRECISION_CAP"] = "4096"
+    assert certified_floor(f) == 2
+    assert specials.exp_enclosure(Q(1), 80) == exp_one
+    os.environ.pop("ECOUNT_PRECISION_CAP")
+    assert certified_floor(f) == 2
+    assert specials.exp_enclosure(Q(1), 80) == exp_one
 
 
 def test_a_form_that_decides_below_the_cap_is_tried_at_the_cap(monkeypatch):
@@ -1071,6 +1154,35 @@ def test_decisions_on_numerators_are_the_rules_on_divided_bounds(case):
     lo_div, hi_div = _divided(lo, width, den)
     assert certified._decide_floor(lo, width, den, p) == _floor_of_bounds(lo_div, hi_div, p)
     assert certified._decide_sign(lo, width, den, p) == _sign_of_bounds(lo_div, hi_div, p)
+
+
+@st.composite
+def _unit_floor_cases(draw):
+    """(lo, width, p): lo of either sign, anywhere or a few units from a
+    multiple of 2^p, and width >= 1."""
+    p = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        lo = draw(st.integers(-(1 << 700), 1 << 700))
+    else:
+        lo = (draw(st.integers(-(1 << 64), 1 << 64)) << p) + draw(st.integers(-1000, 1000))
+    return lo, draw(st.integers(1, 1 << 8) | st.integers(1, 1 << 400)), p
+
+
+@settings(max_examples=400, deadline=None)
+@example(((5 << 40) - 3, 3, 40))  # lo + width just reaches the next multiple of 2^40
+@example(((5 << 40) - 3, 2, 40))  # and stops one short
+@example((-(5 << 40) - 1, 1, 40))  # the same from below zero
+@example((-(5 << 40) - 1, 2, 40))
+@example((-1, 1, 0))
+@given(_unit_floor_cases())
+def test_unit_denominator_floors_are_the_general_rule_at_d_1(case):
+    # At D = 1 the floor is decided by shifts alone, with the answer of
+    # the general rule (lo >> p) // d == ((lo + (w + d - 1)) >> p) // d.
+    lo, width, p = case
+    d = 1
+    floor_lo = (lo >> p) // d
+    expected = floor_lo if floor_lo == ((lo + (width + d - 1)) >> p) // d else None
+    assert certified._decide_floor(lo, width, 1, p) == expected
 
 
 def test_interleaved_forms_each_get_their_own_bounds():
