@@ -73,15 +73,16 @@ Enclosures:
   sum (-1)^i/i!, i.e. [D_{2k-1}/(2k-1)!, D_{2k}/(2k)!] with width
   exactly 1/(2k)!.  Alternating-series brackets are nested as well.
 
-The index k is the least one whose bracket width is at most 2^-p: a
-log-gamma estimate picks it and an exact integer test on k! corrects
-it; the kernel's entries test the k! their split builds anyway.
-Each enclosure is built by its own binary split of sum x^i * k!/i!
-(x = 1 for S_k, x = -1 for D_{2k-1}); the kernel's cached entry of each
-grows by the split of the new terms alone, to 128 bits past the
-precision asked for.  Neither shares code with the recurrence marks and
-split blocks of :mod:`ecount.exact`, which :func:`frac_e_nfact` alone
-reads: the two routes behind every count stay independent.
+The index k is the least one whose bracket width is at most 2^-p, by
+one rule, `_bracket`, for the enclosures and the kernel alike: a binary
+split of sum x^i * k!/i! (x = 1 for S_k, x = -1 for D_{2k-1}) runs to a
+log-gamma estimate of k, and an exact test on the k! the split builds
+moves k to the least index.  The enclosures split from the start of
+the series; the kernel's cached entry of each grows by the split of the
+new terms alone, to 128 bits past the precision asked for.  Neither
+shares code with the recurrence marks and split blocks of
+:mod:`ecount.exact`, which :func:`frac_e_nfact` alone reads: the two
+routes behind every count stay independent.
 """
 
 from __future__ import annotations
@@ -474,12 +475,6 @@ def _split(a: int, b: int, x: int) -> tuple[int, int]:
     return pl * qr + pr, ql * qr
 
 
-def _series(k: int, x: int) -> tuple[int, int]:
-    """(sum_{i=0}^k x^i * k!/i!, k!): S_k for x = 1, D_k for x = -1."""
-    p, q = _split(0, k, x)
-    return q + p, q
-
-
 def _estimate(p: int, ln_size) -> int:
     """Least k in 1..p+1 with the float ln_size(k) >= p*ln 2, by binary
     search; both brackets reach 2^-p by k = p+1, as (p+1)! >= 2^p."""
@@ -504,36 +499,33 @@ def _ln_e_inv(k: int) -> float:
     return math.lgamma(2 * k + 1)
 
 
-def _k_for_e(precision_bits: int) -> int:
-    """Least k >= 1 with k!*k >= 2^p: the e bracket at k has width 1/(k!*k).
+def _bracket(x: int, m: int, f: int, bits: int) -> tuple[int, int, int, int]:
+    """(k, P, Q, f*Q): the least bracket index k >= m at bits, for x = 1
+    (e) or -1 (1/e), with (P, Q) = _split(m, k, x) and f = m!, so f*Q = k!.
 
-    A log-gamma estimate picks k; the exact test moves it to the least
-    such k, so the index, and every bracket, does not depend on floats.
+    The split runs to a log-gamma estimate of k, at least m; an exact
+    test on k! then moves k to the least index, a term at a time (two for
+    1/e, whose brackets sit at odd k), by the split's own recurrence, so
+    k does not depend on floats and no factorial is taken afresh.
     """
-    p = precision_bits
-    k = _estimate(p, _ln_e)
-    f = math.factorial(k)
-    while (f * k).bit_length() <= p:  # x >= 2^p  iff  bit_length(x) >= p+1
-        k += 1
-        f *= k
-    while k > 1 and (f // k * (k - 1)).bit_length() > p:
-        f //= k
-        k -= 1
-    return k
-
-
-def _k_for_e_inv(precision_bits: int) -> int:
-    """Least k >= 1 with (2k)! >= 2^p: the 1/e bracket at k has width 1/(2k)!."""
-    p = precision_bits
-    k = _estimate(p, _ln_e_inv)
-    f = math.factorial(2 * k)
-    while f.bit_length() <= p:
-        k += 1
-        f *= 2 * k * (2 * k - 1)
-    while k > 1 and (f // (2 * k * (2 * k - 1))).bit_length() > p:
-        f //= 2 * k * (2 * k - 1)
-        k -= 1
-    return k
+    k = max(m, _estimate(bits, _ln_e) if x > 0 else 2 * _estimate(bits, _ln_e_inv) - 1)
+    p_e, q_e = _split(m, k, x)
+    f *= q_e
+    # The bracket at k reaches 2^-bits when k!*k (e) or (k+1)! (1/e) does.
+    n, tail = (1, 0) if x > 0 else (2, 1)
+    while (f * (k + tail)).bit_length() <= bits:
+        for _ in range(n):
+            k += 1
+            p_e, q_e, f = p_e * k + x ** (k - m), q_e * k, f * k
+    while k > m:
+        below = f // math.prod(range(k - n + 1, k + 1))
+        if (below * (k - n + tail)).bit_length() <= bits:
+            break
+        for _ in range(n):
+            p_e, q_e = (p_e - x ** (k - m)) // k, q_e // k
+            k -= 1
+        f = below
+    return k, p_e, q_e, f
 
 
 def enclose_e(precision_bits: int) -> IntervalReal:
@@ -545,9 +537,9 @@ def enclose_e(precision_bits: int) -> IntervalReal:
     """
     _require(precision_bits >= 0, "precision_bits must be >= 0 (got {})", precision_bits)
     _check_cap(precision_bits, "enclose_e")
-    k = _k_for_e(precision_bits)
-    s, f = _series(k, 1)
-    lo = _Q(s, f)
+    # from m = 0: P = sum_{i=1}^k k!/i!, so S_k = k! + P
+    k, p, _, f = _bracket(1, 0, 1, precision_bits)
+    lo = _Q(f + p, f)
     return IntervalReal(lo, lo + _Q(1, f * k))
 
 
@@ -556,16 +548,16 @@ def enclose_e_inv(precision_bits: int) -> IntervalReal:
 
     Consecutive partial sums of the alternating series sum (-1)^i/i!
     bracket the limit; with D_m the m-th derangement number the partial
-    sum through i = m is exactly D_m/m!, so the bracket is
-    [D_{2k-1}/(2k-1)!, D_{2k}/(2k)!] of width 1/(2k)!, and
-    D_{2k} = 2k*D_{2k-1} + 1.  Raises PrecisionCapError, before any
+    sum through i = m is exactly D_m/m!, so the bracket at odd k is
+    [D_k/k!, D_(k+1)/(k+1)!] of width 1/(k+1)!, and
+    D_(k+1) = (k+1)*D_k + 1.  Raises PrecisionCapError, before any
     work, when precision_bits is above the precision cap.
     """
     _require(precision_bits >= 0, "precision_bits must be >= 0 (got {})", precision_bits)
     _check_cap(precision_bits, "enclose_e_inv")
-    k = _k_for_e_inv(precision_bits)
-    d, f = _series(2 * k - 1, -1)
-    return IntervalReal(_Q(d, f), _Q(2 * k * d + 1, 2 * k * f))
+    # from the seed D_1 = 0 at m = 1: D_k = -P
+    k, p, _, f = _bracket(-1, 1, 1, precision_bits)
+    return IntervalReal(_Q(-p, f), _Q(1 - (k + 1) * p, (k + 1) * f))
 
 
 def eform_eval(f: EForm, precision_bits: int) -> IntervalReal:
@@ -606,35 +598,16 @@ def _grow(name: str, entry: tuple, bits: int) -> tuple:
     Its bracket index m' is the least one at bits: e - S_m'/m'! < 1/(m'!*m')
     and 1/e - D_m'/m'! < 1/(m'+1)!, each at most 2^-bits, so
     x * 2^bits < lo + 2.  The entry's bracket m is extended by the terms
-    m+1..m' alone: with (P_e, Q_e) from _split, s' = s*Q_e + (-1)^m*P_e
-    over f' = f*Q_e, and s' * 2^bits = (lo << d) * f' + N with
-    N = (r*Q_e << d) + ((-1)^m*P_e << bits), d = bits - P, so one
-    division of N by f', whose quotient has about d + log2(m') bits,
-    finishes lo and r; s itself is never needed again.  The split runs
-    to a log-gamma estimate of m', at least m; the exact test on
-    f' = m'! then moves m' to the least index, a term at a time (two for
-    1/e, whose brackets sit at odd m'), by the split's own recurrence, so
-    m' does not depend on floats and no factorial is taken afresh.
+    m+1..m' alone, with m' and (P_e, Q_e) = _split(m, m', x) from
+    _bracket: s' = s*Q_e + (-1)^m*P_e over f' = f*Q_e = m'!, and
+    s' * 2^bits = (lo << d) * f' + N with N = (r*Q_e << d) +
+    ((-1)^m*P_e << bits), d = bits - P, so one division of N by f',
+    whose quotient has about d + log2(m') bits, finishes lo and r; s
+    itself is never needed again.
     """
     x = _SIGN[name]
     big_p, lo, m, f, r = entry
-    k = max(m, _estimate(bits, _ln_e) if x > 0 else 2 * _estimate(bits, _ln_e_inv) - 1)
-    p_e, q_e = _split(m, k, x)
-    f *= q_e
-    # The bracket at k reaches 2^-bits when k!*k (e) or (k+1)! (1/e) does.
-    n, tail = (1, 0) if x > 0 else (2, 1)
-    while (f * (k + tail)).bit_length() <= bits:
-        for _ in range(n):
-            k += 1
-            p_e, q_e, f = p_e * k + x ** (k - m), q_e * k, f * k
-    while k > m:
-        below = f // math.prod(range(k - n + 1, k + 1))
-        if (below * (k - n + tail)).bit_length() <= bits:
-            break
-        for _ in range(n):
-            p_e, q_e = (p_e - x ** (k - m)) // k, q_e // k
-            k -= 1
-        f = below
+    k, p_e, q_e, f = _bracket(x, m, f, bits)
     if x < 0 and m % 2:
         p_e = -p_e
     q, r = divmod((r * q_e << (bits - big_p)) + (p_e << bits), f)

@@ -60,6 +60,13 @@ pass keeps its tables (`_PassTables`: surrogate moments, remainder
 bounds, powers of e and 1/e and Taylor sums of e^r at each scale) for
 its own panels only and drops them when it returns.
 
+Two refusals come before any work.  Each exact test of the cut-off
+works on e^-U at about 64U bits, so when 64 times the least U the
+search may return, max(2n + 1, last cut + 1, 6), passes the precision
+cap, `certified._check_cap` refuses the call.  Each integer in (z, 1]
+starts a panel of at least one evaluation, so a z with more of them
+than the evaluation budget is refused before the grid is built.
+
 The quadrature reads e and 1/e from `certified.eform_bounds` but no
 closed form it audits: not derangement numbers, not D_n(z), not
 `eform_eval`.
@@ -75,7 +82,7 @@ from math import ceil, factorial, floor, gcd, lcm, log, prod
 from operator import ne
 
 from . import _LAYERS
-from .certified import EForm, IntervalReal, _ceil_log2, ceil_log2, eform_bounds
+from .certified import EForm, IntervalReal, _ceil_log2, _check_cap, ceil_log2, eform_bounds
 from .errors import PrecisionCapError, _name, _require
 
 __all__ = [
@@ -504,6 +511,10 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     return good, _Q(nums[good], 1 << tail_bits)
 
 
+def _exhausted(call: str, tol: Fraction) -> PrecisionCapError:
+    return PrecisionCapError(f"{call}: evaluation budget exhausted before tol={_name(tol)}")
+
+
 def _quad_pieces(
     n: int, cuts: list[Fraction], tol: Fraction, call: str
 ) -> tuple[list[IntervalReal], Fraction, int]:
@@ -516,15 +527,20 @@ def _quad_pieces(
     [cuts[0], U], also split at each cut, and a panel's width share is
     tol/2 * width / (U - cuts[0]), so the pieces together are at most
     tol/2 wide.  Raises PrecisionCapError if the evaluation budget runs
-    out before every panel meets its share.  Messages name the call by
-    `call`, as in "quad_gamma(n=3, z=-1)".
+    out before every panel meets its share, or surely would, and if the
+    tail cut-off's tests need more bits than the precision cap.
+    Messages name the call by `call`, as in "quad_gamma(n=3, z=-1)".
     """
     _require(n >= 0, "{} requires n >= 0", call)
     cuts = [_Q(c) for c in cuts]
     tol = _Q(tol)
     _require(tol > 0, "{} requires tol > 0 (got {})", call, tol)
     z = cuts[0]
-    u, tail = _tail_cutoff(n, max(2 * n + 1, ceil(cuts[-1]) + 1, 6), tol)
+    if 1 - floor(z) > _EVAL_BUDGET:
+        raise _exhausted(call, tol)
+    u_min = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
+    _check_cap(64 * u_min, "{}: tail cut-off", call)
+    u, tail = _tail_cutoff(n, u_min, tol)
 
     # the grid: the cuts, every integer in (z, 1], the multiples of a power
     # of two near sqrt(n + 1) in [z, U) and U itself; [a, b] at depth k is
@@ -547,9 +563,7 @@ def _quad_pieces(
         a, b, depth, piece = stack.pop()
         evals += 1
         if evals > _EVAL_BUDGET:
-            raise PrecisionCapError(
-                f"{call}: evaluation budget exhausted before tol={_name(tol)}"
-            )
+            raise _exhausted(call, tol)
         share = (tol.numerator * (b - a), share_den << depth)
         enclosure = _panel(n, a, b, den << depth, share, tables)
         if enclosure is None:
@@ -569,7 +583,10 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     """Certified enclosure of integral over [z, inf) of e^-t * t^n dt.
 
     The returned interval has width <= tol.  Raises PrecisionCapError
-    if the evaluation budget runs out before the tolerance is met.
+    if the evaluation budget runs out before the tolerance is met, and
+    at once when it surely would, at z below about -_EVAL_BUDGET, or
+    when the tail cut-off needs more bits than the precision cap, at z
+    above about cap/64.
     """
     call = f"quad_gamma(n={_name(n)}, z={_name(_Q(z))})"
     (piece,), tail, evals = _quad_pieces(n, [z], tol, call)

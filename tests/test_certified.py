@@ -51,6 +51,15 @@ E_INV_50 = Q("0.36787944117144232159552377016146086744581113103176")
 _SEED = {"e": (0, 2, 1, 1, 0), "e_inv": (0, 0, 1, 1, 0)}
 
 
+def _partial_sum(k: int, x: int) -> tuple[int, int]:
+    """(sum_{i=0}^k x^i * k!/i!, k!) by the recurrence s_j = j*s_(j-1) + x^j:
+    S_k for x = 1, D_k for x = -1, with no code of certified's."""
+    s = f = 1
+    for j in range(1, k + 1):
+        s, f = j * s + x**j, j * f
+    return s, f
+
+
 # --- interval arithmetic ------------------------------------------------
 
 
@@ -218,21 +227,24 @@ def test_product_of_enclosures_contains_one():
 
 def test_bracket_index_is_the_least_k_for_every_precision():
     # Brute least-k loops: the e bracket at k has width 1/(k!*k), the 1/e
-    # bracket 1/(2k)!; each index is the least k reaching 2^-p.
-    k_e = k_i = 1
+    # bracket at odd k = 2j - 1 width 1/(2j)!; each index is the least k
+    # reaching 2^-p, from each start the enclosures and the kernel use,
+    # with the split of the terms after the start and k! alongside.
+    k_e = j_i = 1
     for p in range(0, 5001):
         while factorial(k_e) * k_e < 2**p:
             k_e += 1
-        while factorial(2 * k_i) < 2**p:
-            k_i += 1
-        assert certified._k_for_e(p) == k_e, p
-        assert certified._k_for_e_inv(p) == k_i, p
+        while factorial(2 * j_i) < 2**p:
+            j_i += 1
+        for x, m, k in ((1, 0, k_e), (1, 1, k_e), (-1, 1, 2 * j_i - 1)):
+            want = (k, *certified._split(m, k, x), factorial(k))
+            assert certified._bracket(x, m, 1, p) == want, (p, x, m)
     # Near the default cap, the index reaches 2^-p and the one below does not.
     for p in (DEFAULT_PRECISION_CAP - 1, DEFAULT_PRECISION_CAP, DEFAULT_PRECISION_CAP + 129):
-        k = certified._k_for_e(p)
-        assert factorial(k - 1) * (k - 1) < 1 << p <= factorial(k) * k, p
-        k = certified._k_for_e_inv(p)
-        assert factorial(2 * k - 2) < 1 << p <= factorial(2 * k), p
+        k, _, _, f = certified._bracket(1, 0, 1, p)
+        assert f == factorial(k) and factorial(k - 1) * (k - 1) < 1 << p <= f * k, p
+        k, _, _, f = certified._bracket(-1, 1, 1, p)
+        assert f == factorial(k) and factorial(k - 1) < 1 << p <= f * (k + 1), p
 
 
 def _least_entry(name: str, bits: int) -> tuple:
@@ -247,7 +259,7 @@ def _least_entry(name: str, bits: int) -> tuple:
         m = 1
         while factorial(m + 1) < 1 << bits:
             m += 2
-    s, f = certified._series(m, 1 if name == "e" else -1)
+    s, f = _partial_sum(m, 1 if name == "e" else -1)
     lo, r = divmod(s << bits, f)
     return bits, lo, m, f, r
 
@@ -277,11 +289,20 @@ def test_grown_entries_are_the_least_brackets_and_take_no_factorial(name, monkey
 
 
 def test_brackets_are_binary_split_partial_sums():
+    # The split gives S_k and D_k as the enclosures and the kernel read
+    # it: from m = 0, S_k = k! + P; from the m = 1 seeds S_1 = 2 and
+    # D_1 = 0, S_k = 2Q + P and D_k = -P.
     s = d = 1
     for k in range(1, 120):
         s, d = k * s + 1, k * d + (-1 if k % 2 else 1)
-        assert certified._series(k, 1) == (s, factorial(k))
-        assert certified._series(k, -1) == (d, factorial(k))
+        assert _partial_sum(k, 1) == (s, factorial(k))
+        assert _partial_sum(k, -1) == (d, factorial(k))
+        p, q = certified._split(0, k, 1)
+        assert (q + p, q) == (s, factorial(k))
+        p, q = certified._split(1, k, 1)
+        assert (2 * q + p, q) == (s, factorial(k))
+        p, q = certified._split(1, k, -1)
+        assert (-p, q) == (d, factorial(k))
 
 
 def test_brackets_read_nothing_from_exact(monkeypatch):
@@ -354,8 +375,7 @@ def test_enclosures_refuse_precision_above_the_cap_before_any_work(monkeypatch):
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "100")
     assert enclose_e(100).width <= Q(1, 2**100)
     assert enclose_e_inv(100).width <= Q(1, 2**100)
-    monkeypatch.setattr(certified, "_k_for_e", no_work)
-    monkeypatch.setattr(certified, "_k_for_e_inv", no_work)
+    monkeypatch.setattr(certified, "_bracket", no_work)
     monkeypatch.setattr(certified, "_split", no_work)
     for call in (
         enclose_e,
@@ -1279,7 +1299,7 @@ def test_threads_refining_shared_forms_get_the_sequential_results():
 def test_grown_entries_equal_fresh_builds(name, steps):
     # Each entry extended from the one before it, term by term, equals
     # the entry grown from the seed at its precision in one step, bracket
-    # and all, and the bracket is the one _series builds from scratch.
+    # and all, and the bracket is the partial sum built term by term.
     entry = certified._grow(name, _SEED[name], steps[0])
     bits = steps[0]
     for step in steps[1:]:
@@ -1287,7 +1307,7 @@ def test_grown_entries_equal_fresh_builds(name, steps):
         entry = certified._grow(name, entry, bits)
         assert entry == certified._grow(name, _SEED[name], bits)
     big_p, lo, m, f, r = entry
-    s, m_factorial = certified._series(m, 1 if name == "e" else -1)
+    s, m_factorial = _partial_sum(m, 1 if name == "e" else -1)
     assert f == m_factorial and (s << big_p) == lo * f + r and 0 <= r < f
 
 
@@ -1307,7 +1327,7 @@ def test_a_fresh_cache_holds_the_seed_brackets():
     assert proc.stdout.strip() == f"{sorted(_SEED.items())} 2 0"
     for name, x in (("e", 1), ("e_inv", -1)):
         big_p, lo, m, f, r = _SEED[name]
-        assert certified._series(m, x) == (lo, f) and r == 0
+        assert _partial_sum(m, x) == (lo, f) and r == 0
 
 
 # --- floor(x * 2^p) against the decimal module --------------------------

@@ -377,7 +377,7 @@ def test_exact_reads_nothing_from_the_certified_brackets(empty_marks, monkeypatc
         raise AssertionError("the exact route called the certified split")
 
     monkeypatch.setattr(certified, "_split", broken)
-    monkeypatch.setattr(certified, "_series", broken)
+    monkeypatch.setattr(certified, "_bracket", broken)
     for x, fn, _ in _SEQUENCES:
         for n in (1, 700, N0, N0 + 1, 6000):
             assert fn(n) == _loop(x, n), (fn, n)

@@ -347,6 +347,48 @@ def test_integral_identities_refusals_name_integral_identities(monkeypatch):
     assert str(bad_tol.value) == "integral_identities(n=5) requires tol > 0 (got 0)"
 
 
+def test_quad_gamma_at_extreme_z_is_refused_before_any_work(monkeypatch):
+    # Past z = 16383 the tail cut-off's exact tests would work on e^-U at
+    # more than 64 * 16384 bits, the default cap; below z = -_EVAL_BUDGET
+    # the integers in (z, 1] alone start more panels than the budget.
+    # Both refusals come before the cut-off is searched or a table built.
+    def no_work(*args):
+        raise AssertionError("quad_gamma started work it must refuse")
+
+    tol = Q(1, 10**9)
+    assert oracles.quad_gamma(3, Q(16383), tol).value.width <= tol
+    monkeypatch.setattr(oracles, "_tail_cutoff", no_work)
+    monkeypatch.setattr(oracles, "_PassTables", no_work)
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(3, Q(16384), tol)
+    assert str(cap.value) == (
+        "quad_gamma(n=3, z=16384): tail cut-off needs 1048640 working bits,"
+        " above the precision cap of 1048576"
+    )
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(3, Q(10**6), tol)
+    assert str(cap.value) == (
+        "quad_gamma(n=3, z=1000000): tail cut-off needs 64000064 working bits,"
+        " above the precision cap of 1048576"
+    )
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(3, Q(-(10**6)), tol)
+    assert str(cap.value) == (
+        "quad_gamma(n=3, z=-1000000): evaluation budget exhausted before tol=1/1000000000"
+    )
+    # The budget refusal is certain only past the budget: at z = 1 - budget
+    # the pass runs, and here meets the stub that stands for its work.
+    with pytest.raises(AssertionError, match="started work"):
+        oracles.quad_gamma(3, Q(1 - oracles._EVAL_BUDGET), tol)
+    with pytest.raises(PrecisionCapError, match="evaluation budget exhausted"):
+        oracles.quad_gamma(3, Q(-oracles._EVAL_BUDGET), tol)
+    # The cap test reads ECOUNT_PRECISION_CAP: raised, the same call
+    # reaches the cut-off search.
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", str(1 << 26))
+    with pytest.raises(AssertionError, match="started work"):
+        oracles.quad_gamma(3, Q(10**6), tol)
+
+
 def _exp_iv(x, bits):
     """The quadrature's enclosure of e^x, from a fresh pass's tables."""
     lo, hi, p = oracles._PassTables(0).exp(x.numerator, x.denominator, bits)

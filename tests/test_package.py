@@ -335,6 +335,8 @@ _WIDE_PROBES = {
     "derangement_eq5 m": lambda: counts.derangement_eq5(5, -_HUGE),
     "chain_check m": lambda: counts.chain_check(5, -_HUGE),
     "quad_gamma n": lambda: oracles.quad_gamma(-_HUGE, 0, Fraction(1, 10**9)),
+    "quad_gamma z": lambda: oracles.quad_gamma(3, _HUGE, Fraction(1, 10**9)),
+    "quad_gamma negative z": lambda: oracles.quad_gamma(3, -_HUGE, Fraction(1, 10**9)),
     "hyp2f0_identity_check n": lambda: specials.hyp2f0_identity_check(-_HUGE, 2),
     "hyp2f0_special sign": lambda: specials.hyp2f0_special(3, _HUGE),
     "exp_enclosure x": lambda: specials.exp_enclosure(Fraction(_HUGE), 10),
