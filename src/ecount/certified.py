@@ -13,8 +13,9 @@ rationals, a classical fact assumed here, not re-proved), so the
 refinement always terminates; a precision cap turns a would-be
 infinite loop on a rational-valued form into an error instead.  The cap
 is ECOUNT_PRECISION_CAP, else 2^20 bits, and `_check_cap` is the one
-test of a requested precision against it, here and in `specials`; it
-formats its message, naming values by `errors._name`, only to refuse.
+test of a requested precision against it, here, in `specials` and in
+`oracles`; it formats its message, naming values by `errors._name` and
+bit counts by `_count`, only to refuse.
 
 An EForm holds integers (A, B, C, D) for (A + B*e + C/e) / D, so its
 arithmetic takes no gcd of numerators; `Fraction` appears only at the
@@ -116,7 +117,8 @@ def _resolve_cap() -> int:
     `os.environ` itself reads, `os.environ._data`, under the encoded
     key, and decoded as `os.environ` decodes it: the value of
     `os.environ.get`, without the KeyError that `get` raises and catches
-    when the variable is unset.
+    when the variable is unset.  An invalid value is named in the
+    DomainError, one longer than 80 characters by its length.
     """
     env = os.environ._data.get(_CAP_KEY)
     if env is None:
@@ -127,21 +129,29 @@ def _resolve_cap() -> int:
     except ValueError:
         cap = -1
     if cap < 0:
+        got = repr(env) if len(env) <= 80 else f"a string of {len(env)} characters"
         raise DomainError(
-            f"ECOUNT_PRECISION_CAP must be a nonnegative integer bit count (got {env!r})"
+            f"ECOUNT_PRECISION_CAP must be a nonnegative integer bit count (got {got})"
         )
     return cap
 
 
+def _count(bits: int) -> str:
+    """A count of bits, written out up to _NAME_BITS bits and past them
+    as "at least 2^k", so a message says its unit once after it."""
+    size = bits.bit_length()
+    return str(bits) if size <= _NAME_BITS else f"at least 2^{size - 1}"
+
+
 def _check_cap(bits: int, template: str, *args: object) -> None:
     """PrecisionCapError when `bits` pass the cap, naming what needs them
-    by `template` with each of args put in by `_name`, and the bits the
-    same way; the message is made only then."""
+    by `template` with each of args put in by `_name`, and the bits and
+    the cap by `_count`; the message is made only then."""
     cap = _resolve_cap()
     if bits > cap:
         what = template.format(*map(_name, args))
         raise PrecisionCapError(
-            f"{what} needs {_name(bits)} working bits, above the precision cap of {cap}"
+            f"{what} needs {_count(bits)} working bits, above the precision cap of {_count(cap)}"
         )
 
 
@@ -782,7 +792,9 @@ def _refine(f: EForm, start_bits: int | None, decide, what: str) -> tuple[int, i
             return result, p
         p = cap if p < cap < p + grow else p + grow
         grow *= 2
-    raise PrecisionCapError(f"{what} of {_form_name(f)} undecided at precision cap {cap} bits")
+    raise PrecisionCapError(
+        f"{what} of {_form_name(f)} undecided at precision cap {_count(cap)} bits"
+    )
 
 
 def certified_floor_info(f: EForm, *, start_bits: int | None = None) -> CertifiedFloor:

@@ -61,11 +61,13 @@ bounds, powers of e and 1/e and Taylor sums of e^r at each scale) for
 its own panels only and drops them when it returns.
 
 Two refusals come before any work.  Each exact test of the cut-off
-works on e^-U at about 64U bits, so when 64 times the least U the
-search may return, max(2n + 1, last cut + 1, 6), passes the precision
-cap, `certified._check_cap` refuses the call.  Each integer in (z, 1]
-starts a panel of at least one evaluation, so a z with more of them
-than the evaluation budget is refused before the grid is built.
+works on e^-U at about 64U bits, so when 64 times a lower bound on U
+passes the precision cap, `certified._check_cap` refuses the call.  The
+bound is the larger of max(2n + 1, last cut + 1, 6), the least U the
+search may return, and ln(2/tol), as the tail bound is at least e^-U,
+taken from tol's bit lengths.  Each integer in (z, 1] starts a panel of
+at least one evaluation, so a z with more of them than the evaluation
+budget is refused before the grid is built.
 
 The quadrature reads e and 1/e from `certified.eform_bounds` but no
 closed form it audits: not derangement numbers, not D_n(z), not
@@ -539,7 +541,10 @@ def _quad_pieces(
     if 1 - floor(z) > _EVAL_BUDGET:
         raise _exhausted(call, tol)
     u_min = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
-    _check_cap(64 * u_min, "{}: tail cut-off", call)
+    # the tail bound is at least e^-U, so a U that fits has U >= ln(2/tol),
+    # which is above 0.69 times tol's denominator's bits less its numerator's
+    u_tol = 69 * (tol.denominator.bit_length() - tol.numerator.bit_length()) // 100
+    _check_cap(64 * max(u_min, u_tol), "{}: tail cut-off", call)
     u, tail = _tail_cutoff(n, u_min, tol)
 
     # the grid: the cuts, every integer in (z, 1], the multiples of a power
@@ -586,7 +591,7 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     if the evaluation budget runs out before the tolerance is met, and
     at once when it surely would, at z below about -_EVAL_BUDGET, or
     when the tail cut-off needs more bits than the precision cap, at z
-    above about cap/64.
+    above about cap/64 or tol below about 2^-(cap/44).
     """
     call = f"quad_gamma(n={_name(n)}, z={_name(_Q(z))})"
     (piece,), tail, evals = _quad_pieces(n, [z], tol, call)

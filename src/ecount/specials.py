@@ -34,12 +34,12 @@ with `Fraction` kept at the API edge:
   swapping floor and ceiling when the term ratio is negative, with guard
   bits taken from the largest term; if the width still misses 2^-bits
   the guard doubles and the sum runs again.
-* the closed-form side of `hyp1f1` is one integer interval over one
-  denominator, built from the integers of the exp step, of D_n(x) and
-  of (n+1)/x^(n+1), and meets the series in two cross-multiplied
-  integer comparisons.
-* `inc_gamma_int` multiplies the exp step's integers by the numerator
-  and denominator of D_n(z) and makes its two endpoints from those.
+* Gamma(n+1, z) = e^-z * D_n(z) has one integer route, `_gamma_ints`:
+  the exp step's integers times the numerator and denominator of
+  D_n(z), swapped once for D_n(z) < 0, over one denominator.
+  `inc_gamma_int` returns that interval, and the closed-form side of
+  `hyp1f1`, (n+1)/x^(n+1) * (n! - Gamma(n+1, x)), is built from it and
+  meets the series in two cross-multiplied integer comparisons.
 
 Both read the integers of x for their set-up, so a Fraction is made only
 for a returned interval or a failure message.  Each works out its
@@ -47,7 +47,8 @@ precision w before any big work and passes it to `_check_cap`, the
 certified layer's one cap test, which raises PrecisionCapError when w
 passes the precision cap (ECOUNT_PRECISION_CAP, else 2^20 bits),
 instead of running for hours; it names n and x = num/den only when it
-refuses, a w or x wider than 256 bits by its bit lengths.  For a
+refuses, an x wider than 256 bits by its bit lengths and such a w as
+"at least 2^k".  For a
 positive argument `inc_gamma_int` and `hyp1f1` also bound the exp
 step's bits from below through D_n(x) >= n!, and test that bound
 before evaluating D_n(x).
@@ -155,11 +156,6 @@ def _mul_up(a: int, den: int, c: Fraction) -> int:
     return -(-a * c.numerator // (den * c.denominator))
 
 
-def _bits_above_one(num: int, den: int) -> int:
-    """ceil(log2(max(num / den, 1))) for num >= 0 and den > 0."""
-    return _ceil_log2(num, den) if num > den else 0
-
-
 def _log2_factorial_down(n: int) -> int:
     """A lower bound on log2(n!), from n! >= (n/e)^n and
     log2(n) >= bit_length(n) - 1; it needs no factorial and no float."""
@@ -236,15 +232,27 @@ def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     return IntervalReal(_Q(lo, 1 << k), _Q(hi, 1 << k))
 
 
-def inc_gamma_int(query: GammaQuery) -> IntervalReal:
-    """Certified enclosure of Gamma(n+1, z) = e^-z * D_n(z).
+def _gamma_ints(n: int, z: Fraction, bits: int) -> tuple[int, int, int]:
+    """Gamma(n+1, z) = e^-z * D_n(z) as (lo, hi, den), den > 0, at most
+    2^-(bits+2) wide for any integer bits: with D_n(z) = dn/dd, |dn/dd| <=
+    2^a for a >= 0 and e^-z in [e_lo, e_hi] / 2^k from `_exp_ints` at
+    max(bits + a, 0) + 2 bits, it is [e_lo * dn, e_hi * dn] / (dd * 2^k),
+    the endpoints swapped for dn < 0."""
+    d = dpoly_eval(n, z)
+    dn, dd = d.numerator, d.denominator
+    a = _ceil_log2(abs(dn), dd) if abs(dn) > dd else 0
+    lo, hi, k = _exp_ints(-z.numerator, z.denominator, max(bits + a, 0) + 2)
+    if dn < 0:
+        lo, hi = hi, lo
+    return lo * dn, hi * dn, dd << k
 
-    With d = D_n(z) = dn/dd and e^-z in [lo, hi] / 2^k from `_exp_ints`
-    at 2 + ceil(log2 max(|d|, 1)) bits above precision_bits, the result
-    is [lo * dn, hi * dn] / (dd * 2^k), the endpoints swapped for dn < 0:
-    the rationals that `exp_enclosure(-z, ...) * d` gives, on integers.
-    For z > 0 every term of D_n(z) is positive, so d >= n! and the exp
-    step needs at least precision_bits + log2(n!) + 6 bits; that bound
+
+def inc_gamma_int(query: GammaQuery) -> IntervalReal:
+    """Certified enclosure of Gamma(n+1, z) = e^-z * D_n(z), the interval
+    of `_gamma_ints`, at most 2^-(precision_bits+2) wide.
+
+    For z > 0 every term of D_n(z) is positive, so D_n(z) >= n! and the
+    exp step needs at least precision_bits + log2(n!) + 6 bits; that bound
     meets the precision cap before `dpoly_eval` runs.  For z <= 0, D_n(z)
     is evaluated first and the exp step checks the cap.
     """
@@ -254,12 +262,8 @@ def inc_gamma_int(query: GammaQuery) -> IntervalReal:
     zn, zd = z.numerator, z.denominator
     if zn > 0:
         _check_cap(bits + _log2_factorial_down(n) + 6, "inc_gamma_int at n={}, z={}", n, (zn, zd))
-    d = dpoly_eval(n, z)
-    dn, dd = d.numerator, d.denominator
-    lo, hi, k = _exp_ints(-zn, zd, bits + _bits_above_one(abs(dn), dd) + 2)
-    if dn < 0:
-        lo, hi = hi, lo
-    return IntervalReal(_Q(lo * dn, dd << k), _Q(hi * dn, dd << k))
+    lo, hi, den = _gamma_ints(n, z, bits)
+    return IntervalReal(_Q(lo, den), _Q(hi, den))
 
 
 def _series_ints(n: int, num: int, den: int, bits: int) -> tuple[int, int, int]:
@@ -311,28 +315,6 @@ def _series_ints(n: int, num: int, den: int, bits: int) -> tuple[int, int, int]:
         guard *= 2
 
 
-def _closed_1f1(
-    n: int, d: Fraction, sn: int, sd: int, e_lo: int, e_hi: int, k: int
-) -> tuple[int, int, int]:
-    """The closed form (n+1) * (n! - e^-x * d) / x^(n+1) as (lo, hi, den)
-    with the value in [lo, hi] / den and den > 0, for d = D_n(x),
-    (n+1) / x^(n+1) = sn / sd with sd > 0 and e^-x in [e_lo, e_hi] / 2^k.
-
-    These are the rationals that `(n! - exp_iv * d) * scale` gives in
-    `IntervalReal` arithmetic: each product takes its endpoints in the
-    order the sign of its factor sets.
-    """
-    dn, dd = d.numerator, d.denominator
-    u = factorial(n) * dd << k
-    if dn >= 0:
-        lo, hi = u - e_hi * dn, u - e_lo * dn
-    else:
-        lo, hi = u - e_lo * dn, u - e_hi * dn
-    if sn < 0:
-        lo, hi = hi, lo
-    return lo * sn, hi * sn, dd * sd << k
-
-
 def _meets(a_lo: int, a_hi: int, a_den: int, b_lo: int, b_hi: int, b_den: int) -> bool:
     """Whether [a_lo, a_hi] / a_den and [b_lo, b_hi] / b_den overlap, for
     positive denominators: two cross-multiplied integer comparisons."""
@@ -346,11 +328,12 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     ratio t_{k+1}/t_k = -x * (n+1+k) / ((n+2+k) * (k+1)), truncated
     once the ratio magnitude stays below 1/2, with a geometric tail
     bound.  For x != 0 the enclosure must overlap the closed form
-    (n+1) * (n! - e^-x * D_n(x)) / x^(n+1), an independent route through
-    `_exp_ints`, held as an integer interval over one denominator
-    (`_closed_1f1`); the overlap is two cross-multiplied integer
-    comparisons (`_meets`).  For x > 0 every term of D_n(x) is positive,
-    so D_n(x) >= n! and the exp step needs at least
+    (n+1) * (n! - Gamma(n+1, x)) / x^(n+1), an independent route through
+    the integers of `_gamma_ints` at precision_bits +
+    ceil(log2 |(n+1) / x^(n+1)|) + 2 bits, so at most
+    2^-(precision_bits+4) wide; the overlap is two cross-multiplied
+    integer comparisons (`_meets`).  For x > 0 every term of D_n(x) is
+    positive, so D_n(x) >= n! and the exp step needs at least
     precision_bits + log2((n+1)!) - (n+1) * log2(x) + 8 bits; that bound
     meets the precision cap before the series and `dpoly_eval` run.  For
     x < 0 the series and D_n(x) are evaluated first and the exp step
@@ -368,14 +351,13 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
 
     s_lo, s_hi, w = _series_ints(n, num, den, precision_bits)
 
-    d = dpoly_eval(n, x)
-    # scale = (n+1) / x^(n+1) = sn / sd with sd > 0
+    # (n+1) / x^(n+1) = sn / sd with sn > 0
     sn, sd = (n + 1) * den ** (n + 1), num ** (n + 1)
+    g_lo, g_hi, g_den = _gamma_ints(n, x, precision_bits + _ceil_log2(sn, abs(sd)) + 2)
+    u = factorial(n) * g_den
+    c_lo, c_hi, c_den = (u - g_hi) * sn, (u - g_lo) * sn, g_den * sd
     if sd < 0:
-        sn, sd = -sn, -sd
-    extra = _bits_above_one(abs(d.numerator * sn), d.denominator * sd) + 4
-    e_lo, e_hi, k = _exp_ints(-num, den, precision_bits + extra)
-    c_lo, c_hi, c_den = _closed_1f1(n, d, sn, sd, e_lo, e_hi, k)
+        c_lo, c_hi, c_den = -c_hi, -c_lo, -c_den
     series_iv = IntervalReal(_Q(s_lo, 1 << w), _Q(s_hi, 1 << w))
     if not _meets(s_lo, s_hi, 1 << w, c_lo, c_hi, c_den):
         closed_iv = IntervalReal(_Q(c_lo, c_den), _Q(c_hi, c_den))

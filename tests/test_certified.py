@@ -527,6 +527,43 @@ def test_precision_cap_env_override(monkeypatch):
     assert DEFAULT_PRECISION_CAP == 1 << 20
 
 
+def test_wide_bit_counts_and_cap_values_are_refused_in_one_short_line(monkeypatch):
+    # A count of bits wider than 256 bits is written as the power of two
+    # below it, its unit said once; an invalid cap value over 80
+    # characters is named by its length.
+    from ecount.oracles import quad_gamma
+
+    with pytest.raises(PrecisionCapError) as cap:
+        quad_gamma(3, 10**400, Q(1, 10**9))
+    assert str(cap.value) == (
+        "quad_gamma(n=3, z=a value of 1329 bits): tail cut-off needs at least 2^1334"
+        " working bits, above the precision cap of 1048576"
+    )
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "junk" * 1250)
+    with pytest.raises(DomainError) as bad:
+        certified_floor(EForm(0, 1, 0))
+    assert str(bad.value).endswith("(got a string of 5000 characters)")
+    # A 5,000-digit cap, read with Python's int digit limit lifted as the
+    # CLI lifts it
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 5000)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(PrecisionCapError) as wide:
+            quad_gamma(3, 10**5100, Q(1, 10**9))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert str(wide.value).endswith(
+        "needs at least 2^16947 working bits, above the precision cap of at least 2^16606"
+    )
+    for exc in (cap.value, bad.value, wide.value):
+        assert len(str(exc)) < 1000
+    for exc in (cap.value, wide.value):
+        assert str(exc).count("working bits") == 1 and "bits working" not in str(exc)
+
+
 def test_the_cap_is_read_at_each_call_without_a_raising_lookup(monkeypatch):
     # With the variable unset, floors and signs read the cap without
     # os.environ's __getitem__, so no KeyError is raised and caught; a

@@ -389,6 +389,32 @@ def test_quad_gamma_at_extreme_z_is_refused_before_any_work(monkeypatch):
         oracles.quad_gamma(3, Q(10**6), tol)
 
 
+def test_quad_gamma_at_a_tiny_tol_is_refused_before_any_work(monkeypatch):
+    # The tail bound is at least e^-U, so a cut-off U that fits has
+    # U >= ln(2/tol) > 0.69 * (bits of tol's denominator - bits of its
+    # numerator): at tol = 10^-10000 that bound alone needs 64 * 22921
+    # bits, past the default cap, before the cut-off is searched.
+    for n in (0, 3, 20):
+        for tol in (Q(1, 10), Q(3, 1 << 40), Q(1, 10**9), Q(7, 10**300)):
+            low = 69 * (tol.denominator.bit_length() - tol.numerator.bit_length()) // 100
+            assert low <= oracles._tail_cutoff(n, 2 * n + 1, tol)[0]
+
+    def no_work(*args):
+        raise AssertionError("quad_gamma started work it must refuse")
+
+    monkeypatch.setattr(oracles, "_tail_cutoff", no_work)
+    monkeypatch.setattr(oracles, "_PassTables", no_work)
+    tiny = Q(1, 10**10000)
+    with pytest.raises(PrecisionCapError) as cap:
+        oracles.quad_gamma(3, 0, tiny)
+    assert str(cap.value) == (
+        "quad_gamma(n=3, z=0): tail cut-off needs 1466944 working bits,"
+        " above the precision cap of 1048576"
+    )
+    with pytest.raises(PrecisionCapError, match=r"^integral_identities\(n=3\): tail cut-off"):
+        specials.integral_identities(3, tiny)
+
+
 def _exp_iv(x, bits):
     """The quadrature's enclosure of e^x, from a fresh pass's tables."""
     lo, hi, p = oracles._PassTables(0).exp(x.numerator, x.denominator, bits)

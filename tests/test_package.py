@@ -337,6 +337,7 @@ _WIDE_PROBES = {
     "quad_gamma n": lambda: oracles.quad_gamma(-_HUGE, 0, Fraction(1, 10**9)),
     "quad_gamma z": lambda: oracles.quad_gamma(3, _HUGE, Fraction(1, 10**9)),
     "quad_gamma negative z": lambda: oracles.quad_gamma(3, -_HUGE, Fraction(1, 10**9)),
+    "quad_gamma tol": lambda: oracles.quad_gamma(3, 0, Fraction(1, _HUGE**2)),
     "hyp2f0_identity_check n": lambda: specials.hyp2f0_identity_check(-_HUGE, 2),
     "hyp2f0_special sign": lambda: specials.hyp2f0_special(3, _HUGE),
     "exp_enclosure x": lambda: specials.exp_enclosure(Fraction(_HUGE), 10),

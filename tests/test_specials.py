@@ -403,24 +403,57 @@ def _closed_form_check_reference(series_iv, n, x, d, exp_iv, shift):
 @example(0, -2597, 8, 96, 100, -65)
 @example(30, 563, 4, 1, 1, 0)
 def test_the_integer_check_decides_as_the_fraction_intervals(n, p, q, bits, exp_bits, step):
+    # hyp1f1's check with Gamma(n+1, x) from `_gamma_ints` at exp_bits: the
+    # integers it hands `_meets`, and the exp step's interval behind them
     x = Q(p, q)
-    s_lo, s_hi, w = specials._series_ints(n, x.numerator, x.denominator, bits)
-    series_iv = IntervalReal(Q(s_lo, 1 << w), Q(s_hi, 1 << w))
-    d = dpoly_eval(n, x)
-    e_lo, e_hi, k = specials._exp_ints(-x.numerator, x.denominator, exp_bits)
+    exp_step, check = [], []
+    exp_ints, gamma_ints, meets = specials._exp_ints, specials._gamma_ints, specials._meets
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specials, "_exp_ints", lambda *a: exp_step.append(exp_ints(*a)) or exp_step[-1])
+        m.setattr(specials, "_gamma_ints", lambda n, x, _: gamma_ints(n, x, exp_bits))
+        m.setattr(specials, "_meets", lambda *a: check.append(a) or meets(*a))
+        series_iv = specials.hyp1f1(n, x, bits)
+    ((e_lo, e_hi, k),) = exp_step
+    ((s_lo, s_hi, s_den, c_lo, c_hi, c_den),) = check
     exp_iv = IntervalReal(Q(e_lo, 1 << k), Q(e_hi, 1 << k))
-    scale = Q(n + 1) / x ** (n + 1)
-    c_lo, c_hi, c_den = specials._closed_1f1(
-        n, d, scale.numerator, scale.denominator, e_lo, e_hi, k
-    )
+    d = dpoly_eval(n, x)
     # moved by more than both widths, the closed form leaves the series
-    span = -(-(s_hi - s_lo) * c_den >> w) + c_hi - c_lo + 1
+    span = -(-(s_hi - s_lo) * c_den // s_den) + c_hi - c_lo + 1
     for units in (0, span + 1, -span - 1, span * step // 64):
-        got = specials._meets(s_lo, s_hi, 1 << w, c_lo + units, c_hi + units, c_den)
+        got = specials._meets(s_lo, s_hi, s_den, c_lo + units, c_hi + units, c_den)
         want = _closed_form_check_reference(series_iv, n, x, d, exp_iv, Q(units, c_den))
         assert got == want, units
         if units == 0 or abs(units) == span + 1:
             assert want == (units == 0)
+
+
+# |D_25(x)| is about 2^-63 at this x, next to the real root of D_25
+_NEAR_A_ROOT = Q(-78723050835458907544032200753971667812869, 10**40)
+
+
+def test_hyp1f1_answers_where_the_closed_form_needs_no_bits():
+    # With (n+1)/x^(n+1) about 2^-72 at the x above, precision_bits plus
+    # its log2 is below zero, and at x = -1, D_1(x) = 0: the exp step still
+    # gets at least 2 bits.
+    assert abs(dpoly_eval(25, _NEAR_A_ROOT)) < Q(1, 1 << 60)
+    assert dpoly_eval(1, Q(-1)) == 0
+    for bits in (1, 8, 96):
+        for n, x in ((25, _NEAR_A_ROOT), (1, Q(-1))):
+            assert specials.hyp1f1(n, x, bits).width <= Q(1, 1 << bits)
+
+
+def test_the_closed_form_is_at_most_2_to_the_minus_bits_plus_4_wide():
+    widths = []
+    meets = specials._meets
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specials, "_meets", lambda *a: widths.append(Q(a[4] - a[3], a[5])) or meets(*a))
+        for n in range(26):
+            for bits in (1, 96):
+                for x in _SPECIAL_XS:
+                    widths.clear()
+                    specials.hyp1f1(n, x, bits)
+                    assert len(widths) == (x != 0)
+                    assert all(w <= Q(1, 1 << (bits + 4)) for w in widths), (n, x, bits)
 
 
 @pytest.mark.parametrize("x", (Q(1, 2), Q(7, 8), Q(-2597, 8)))
