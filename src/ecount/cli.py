@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import ecount
 
-from .errors import DomainError, InvariantViolation, PrecisionCapError
+from .errors import DomainError, InvariantViolation, PrecisionCapError, _require
 
 # Annotations only; typing is not imported at run time.
 TYPE_CHECKING = False
@@ -206,8 +206,7 @@ def _frac_e_nfact(n: int, bits: int) -> dict[str, Any]:
 
 def _integrals(n: int, tol: Fraction, bits: int) -> list[dict[str, Any]]:
     # bits only set the printed digits, so the library does not check them
-    if bits < 0:
-        raise DomainError(f"precision_bits must be >= 0 (got {bits})")
+    _require(bits >= 0, "precision_bits must be >= 0 (got {})", bits)
     strings: dict[Fraction, str] = {}
     return [
         {
@@ -522,10 +521,9 @@ def cmd_verify(args: argparse.Namespace) -> None:
     results = [SuiteResult(name) for name in suites]
     with _exit_codes():
         # Checked once, before any suite runs, whichever suites read it.
-        if args.bits is not None and args.bits < 1:
-            raise DomainError(f"precision_bits must be >= 1 (got {args.bits})")
-        if args.tol <= 0:
-            raise DomainError(f"tol must be > 0 (got {args.tol})")
+        bits = args.bits
+        _require(bits is None or bits >= 1, "precision_bits must be >= 1 (got {})", bits)
+        _require(args.tol > 0, "tol must be > 0 (got {})", args.tol)
         for r in results:
             _SUITES[r.suite](r, **options)
 

@@ -24,7 +24,7 @@ not from `exact`'s blocks, and steps up m by small factors.
 
 This module is the one place where two routes meet: `_agree` compares
 them and raises InvariantViolation, naming the call and both values by
-`errors._name` (a value wider than 256 bits by its bit length), when
+`errors._name` (a wide one by the power of two it passes), when
 they differ.  Preconditions are `errors._require` checks, which name
 their arguments the same way.
 `_checked_sum` serves the tallies and floor(e*n!) (eq1);
@@ -59,20 +59,18 @@ def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
     """exact, once it equals certified; else InvariantViolation naming the
     call name(*args) and both values, the message built only then.
 
-    Values are named by `errors._name`, a wide one by its bit length,
-    with the difference of the two routes when that is narrow: no str of
-    a wide int is made, so the message never meets Python's limit on
-    int-to-str digits."""
+    Values are named by `errors._name`, a wide one by its power of two,
+    and then so is the difference of the two routes: no str of a wide
+    int is made, so the message never meets Python's limit on int-to-str
+    digits."""
     if certified != exact:
         call = ", ".join(map(_name, args))
         message = (
             f"{name}({call}): certified route gives {_name(certified)}, "
             f"exact route gives {_name(exact)}"
         )
-        diff = certified - exact
-        wide = max(certified.bit_length(), exact.bit_length()) > _NAME_BITS
-        if wide and diff.bit_length() <= _NAME_BITS:
-            message += f" (certified - exact = {diff})"
+        if max(certified.bit_length(), exact.bit_length()) > _NAME_BITS:
+            message += f" (certified - exact = {_name(certified - exact)})"
         raise InvariantViolation(message)
     return exact
 
@@ -413,7 +411,7 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
     for (name_lo, f_lo), (name_hi, f_hi) in zip(chain, chain[1:]):
         if not eform_lt(f_lo, f_hi):
             raise InvariantViolation(
-                f"bounds chain broken at n={n}: expected {name_lo} < {name_hi}"
+                f"bounds chain broken at n={_name(n)}: expected {name_lo} < {name_hi}"
             )
 
     m_list = tuple(zip(range(1, m_max + 1), big_m, big_n))

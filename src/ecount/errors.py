@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its one refusal rule:
-every layer names values in its messages by `_name`, so a refusal is
-its typed error in one short line whatever the argument's size, and
-checks its preconditions by `_require`, which formats only to refuse.
+a message names the public call and every number in it by `_name`, the
+one signed namer, so it is one short line whatever the argument's size,
+and is made only when a check refuses, as `_require` does.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ class InvariantViolation(RuntimeError):
 
 
 # A numerator and denominator of at most this many bits (77 decimal
-# digits) are written out in a message, wider ones by their bit lengths.
+# digits) are written out in a message, wider ones by their size.
 _NAME_BITS = 256
 
 
 def _name(x) -> str:
     """x, an int, a Fraction or a (numerator, denominator) pair in lowest
-    terms, as str(Fraction) writes it, or by its bit lengths when either
-    part is wider than _NAME_BITS.  Any other value is str(x)."""
+    terms, as str(Fraction) writes it up to _NAME_BITS bits; past them an
+    int of k + 1 bits reads "at least 2^k" or "at most -2^k", a rational
+    "a [negative] rational with" its bit lengths.  Else str(x)."""
     if type(x) is tuple:
         num, den = x
     elif isinstance(x, (int, Fraction)):
@@ -44,8 +45,9 @@ def _name(x) -> str:
     if num_bits <= _NAME_BITS and den_bits <= _NAME_BITS:
         return str(num) if den == 1 else f"{num}/{den}"
     if den == 1:
-        return f"a value of {num_bits} bits"
-    return f"a rational with a {num_bits}-bit numerator and a {den_bits}-bit denominator"
+        return f"at least 2^{num_bits - 1}" if num > 0 else f"at most -2^{num_bits - 1}"
+    sign = "a negative" if num < 0 else "a"
+    return f"{sign} rational with a {num_bits}-bit numerator and a {den_bits}-bit denominator"
 
 
 def _require(cond: bool, template: str, *args: object) -> None:

@@ -28,13 +28,15 @@ every mark below them costs; a descending sweep pays the price, each
 first read splitting from far below: all three sequences from 4096 down
 to 1 take 1.7 s, against 44 ms ascending (CPython 3.11, one 2-vCPU
 x86-64 host).  Above 4096 nothing more is stored, and n! is
-`math.factorial`.  The certified layer brackets e and 1/e by its own
+`math.factorial`; past sys.maxsize, where it overflows and a block never
+ends, the three reads raise DomainError.  The certified layer brackets e and 1/e by its own
 binary split of the series and never calls this one.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import namedtuple
 from fractions import Fraction
@@ -111,6 +113,7 @@ def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial requires n >= 0 (got {_name(n)})")
     if n > _N0:
+        _require(n <= sys.maxsize, "factorial requires n <= {} (got {})", sys.maxsize, n)
         return math.factorial(n)
     return _read(_FACT_MARKS, 0, n)
 
@@ -125,6 +128,8 @@ def partial_sum_pos(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"partial_sum_pos requires n >= 1 (got {_name(n)})")
+    if n > _N0:
+        _require(n <= sys.maxsize, "partial_sum_pos requires n <= {} (got {})", sys.maxsize, n)
     return _read(_PSUM_MARKS, 1, n)
 
 
@@ -132,6 +137,8 @@ def derangements(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
     if n < 0:
         raise DomainError(f"derangements requires n >= 0 (got {_name(n)})")
+    if n > _N0:
+        _require(n <= sys.maxsize, "derangements requires n <= {} (got {})", sys.maxsize, n)
     return _read(_DER_MARKS, -1, n)
 
 

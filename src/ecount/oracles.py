@@ -67,7 +67,9 @@ bound is the larger of max(2n + 1, last cut + 1, 6), the least U the
 search may return, and ln(2/tol), as the tail bound is at least e^-U,
 taken from tol's bit lengths.  Each integer in (z, 1] starts a panel of
 at least one evaluation, so a z with more of them than the evaluation
-budget is refused before the grid is built.
+budget is refused before the grid is built.  A refusal names the public
+call by the template and arguments its caller hands the pass, formatted
+only when it refuses, so a call that answers builds no name.
 
 The quadrature reads e and 1/e from `certified.eform_bounds` but no
 closed form it audits: not derangement numbers, not D_n(z), not
@@ -513,12 +515,13 @@ def _tail_cutoff(n: int, u_min: int, tol: Fraction) -> tuple[int, Fraction]:
     return good, _Q(nums[good], 1 << tail_bits)
 
 
-def _exhausted(call: str, tol: Fraction) -> PrecisionCapError:
+def _exhausted(tol: Fraction, what: str, *args: object) -> PrecisionCapError:
+    call = what.format(*map(_name, args))
     return PrecisionCapError(f"{call}: evaluation budget exhausted before tol={_name(tol)}")
 
 
 def _quad_pieces(
-    n: int, cuts: list[Fraction], tol: Fraction, call: str
+    n: int, cuts: list[Fraction], tol: Fraction, what: str, *args: object
 ) -> tuple[list[IntervalReal], Fraction, int]:
     """One panel pass over [cuts[0], U] for integral of e^-t * t^n dt.
 
@@ -531,20 +534,20 @@ def _quad_pieces(
     tol/2 wide.  Raises PrecisionCapError if the evaluation budget runs
     out before every panel meets its share, or surely would, and if the
     tail cut-off's tests need more bits than the precision cap.
-    Messages name the call by `call`, as in "quad_gamma(n=3, z=-1)".
+    Messages name the call by `what` with args put in by `_name`.
     """
-    _require(n >= 0, "{} requires n >= 0", call)
+    _require(n >= 0, what + " requires n >= 0", *args)
     cuts = [_Q(c) for c in cuts]
     tol = _Q(tol)
-    _require(tol > 0, "{} requires tol > 0 (got {})", call, tol)
+    _require(tol > 0, what + " requires tol > 0 (got {})", *args, tol)
     z = cuts[0]
     if 1 - floor(z) > _EVAL_BUDGET:
-        raise _exhausted(call, tol)
+        raise _exhausted(tol, what, *args)
     u_min = max(2 * n + 1, ceil(cuts[-1]) + 1, 6)
     # the tail bound is at least e^-U, so a U that fits has U >= ln(2/tol),
     # which is above 0.69 times tol's denominator's bits less its numerator's
     u_tol = 69 * (tol.denominator.bit_length() - tol.numerator.bit_length()) // 100
-    _check_cap(64 * max(u_min, u_tol), "{}: tail cut-off", call)
+    _check_cap(64 * max(u_min, u_tol), what + ": tail cut-off", *args)
     u, tail = _tail_cutoff(n, u_min, tol)
 
     # the grid: the cuts, every integer in (z, 1], the multiples of a power
@@ -568,7 +571,7 @@ def _quad_pieces(
         a, b, depth, piece = stack.pop()
         evals += 1
         if evals > _EVAL_BUDGET:
-            raise _exhausted(call, tol)
+            raise _exhausted(tol, what, *args)
         share = (tol.numerator * (b - a), share_den << depth)
         enclosure = _panel(n, a, b, den << depth, share, tables)
         if enclosure is None:
@@ -593,8 +596,7 @@ def quad_gamma(n: int, z: Fraction, tol: Fraction) -> QuadratureResult:
     when the tail cut-off needs more bits than the precision cap, at z
     above about cap/64 or tol below about 2^-(cap/44).
     """
-    call = f"quad_gamma(n={_name(n)}, z={_name(_Q(z))})"
-    (piece,), tail, evals = _quad_pieces(n, [z], tol, call)
+    (piece,), tail, evals = _quad_pieces(n, [z], tol, "quad_gamma(n={}, z={})", n, z)
     return QuadratureResult(
         value=piece + IntervalReal(0, tail), evaluations=evals, tail_bound=tail
     )

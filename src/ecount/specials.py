@@ -46,9 +46,9 @@ for a returned interval or a failure message.  Each works out its
 precision w before any big work and passes it to `_check_cap`, the
 certified layer's one cap test, which raises PrecisionCapError when w
 passes the precision cap (ECOUNT_PRECISION_CAP, else 2^20 bits),
-instead of running for hours; it names n and x = num/den only when it
-refuses, an x wider than 256 bits by its bit lengths and such a w as
-"at least 2^k".  For a
+instead of running for hours.  A refusal names the public call and its
+arguments as passed: `exp_enclosure`, `inc_gamma_int` and `hyp1f1` each
+hand the exp step their own message template and arguments.  For a
 positive argument `inc_gamma_int` and `hyp1f1` also bound the exp
 step's bits from below through D_n(x) >= n!, and test that bound
 before evaluating D_n(x).
@@ -162,9 +162,10 @@ def _log2_factorial_down(n: int) -> int:
     return n * (n.bit_length() - 1) - _mul_up(n, 1, _LOG2_E_UP)
 
 
-def _exp_ints(num: int, den: int, bits: int) -> tuple[int, int, int]:
+def _exp_ints(num: int, den: int, bits: int, what: str, *args: object) -> tuple[int, int, int]:
     """e^x at x = num/den in lowest terms, as (lo, hi, k) with
-    lo / 2^k <= e^x <= hi / 2^k: the integers of `exp_enclosure`."""
+    lo / 2^k <= e^x <= hi / 2^k: the integers of `exp_enclosure`, refused
+    at the cap in the caller's words, `what` with args put in."""
     if num == 0:
         return 1, 1, 0
     a = abs(num)
@@ -179,7 +180,7 @@ def _exp_ints(num: int, den: int, bits: int) -> tuple[int, int, int]:
     base = t + mag + s
     g = base.bit_length() + 4
     w = base + g
-    _check_cap(max(w, t + 2), "exp_enclosure at x={}", (num, den))
+    _check_cap(max(w, t + 2), what, *args)
 
     one = 1 << w
     den <<= s
@@ -228,20 +229,20 @@ def exp_enclosure(x: Fraction, precision_bits: int) -> IntervalReal:
     """
     _require(precision_bits >= 1, "precision_bits must be >= 1 (got {})", precision_bits)
     x = _Q(x)
-    lo, hi, k = _exp_ints(x.numerator, x.denominator, precision_bits)
+    lo, hi, k = _exp_ints(x.numerator, x.denominator, precision_bits, "exp_enclosure at x={}", x)
     return IntervalReal(_Q(lo, 1 << k), _Q(hi, 1 << k))
 
 
-def _gamma_ints(n: int, z: Fraction, bits: int) -> tuple[int, int, int]:
+def _gamma_ints(n: int, z: Fraction, bits: int, what: str, *args: object) -> tuple[int, int, int]:
     """Gamma(n+1, z) = e^-z * D_n(z) as (lo, hi, den), den > 0, at most
     2^-(bits+2) wide for any integer bits: with D_n(z) = dn/dd, |dn/dd| <=
     2^a for a >= 0 and e^-z in [e_lo, e_hi] / 2^k from `_exp_ints` at
     max(bits + a, 0) + 2 bits, it is [e_lo * dn, e_hi * dn] / (dd * 2^k),
-    the endpoints swapped for dn < 0."""
+    the endpoints swapped for dn < 0; the exp step refuses as `what`."""
     d = dpoly_eval(n, z)
     dn, dd = d.numerator, d.denominator
     a = _ceil_log2(abs(dn), dd) if abs(dn) > dd else 0
-    lo, hi, k = _exp_ints(-z.numerator, z.denominator, max(bits + a, 0) + 2)
+    lo, hi, k = _exp_ints(-z.numerator, z.denominator, max(bits + a, 0) + 2, what, *args)
     if dn < 0:
         lo, hi = hi, lo
     return lo * dn, hi * dn, dd << k
@@ -259,10 +260,10 @@ def inc_gamma_int(query: GammaQuery) -> IntervalReal:
     n, z, bits = query.n, _Q(query.z), query.precision_bits
     _require(n >= 0, "inc_gamma_int requires n >= 0 (got {})", n)
     _require(bits >= 1, "precision_bits must be >= 1 (got {})", bits)
-    zn, zd = z.numerator, z.denominator
-    if zn > 0:
-        _check_cap(bits + _log2_factorial_down(n) + 6, "inc_gamma_int at n={}, z={}", n, (zn, zd))
-    lo, hi, den = _gamma_ints(n, z, bits)
+    what = "inc_gamma_int at n={}, z={}"
+    if z.numerator > 0:
+        _check_cap(bits + _log2_factorial_down(n) + 6, what, n, z)
+    lo, hi, den = _gamma_ints(n, z, bits, what, n, z)
     return IntervalReal(_Q(lo, den), _Q(hi, den))
 
 
@@ -345,15 +346,16 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     num, den = x.numerator, x.denominator
     if num == 0:
         return IntervalReal.point(1)
+    what = "hyp1f1 at n={}, x={}"
     if num > 0:
         spare = _log2_factorial_down(n + 1) - (n + 1) * _ceil_log2(num, den)
-        _check_cap(precision_bits + max(spare, 0) + 8, "hyp1f1 at n={}, x={}", n, (num, den))
+        _check_cap(precision_bits + max(spare, 0) + 8, what, n, x)
 
     s_lo, s_hi, w = _series_ints(n, num, den, precision_bits)
 
     # (n+1) / x^(n+1) = sn / sd with sn > 0
     sn, sd = (n + 1) * den ** (n + 1), num ** (n + 1)
-    g_lo, g_hi, g_den = _gamma_ints(n, x, precision_bits + _ceil_log2(sn, abs(sd)) + 2)
+    g_lo, g_hi, g_den = _gamma_ints(n, x, precision_bits + _ceil_log2(sn, abs(sd)) + 2, what, n, x)
     u = factorial(n) * g_den
     c_lo, c_hi, c_den = (u - g_hi) * sn, (u - g_lo) * sn, g_den * sd
     if sd < 0:
@@ -417,8 +419,8 @@ def integral_identities(
     # oracle loads here, so the other specials leave it unloaded
     from .oracles import _quad_pieces
 
-    call = f"integral_identities(n={n})"
-    (p_left, p_mid, p_right), tail, _ = _quad_pieces(n, [-1, 0, 1], tol, call)
+    pieces = _quad_pieces(n, [-1, 0, 1], tol, "integral_identities(n={})", n)
+    (p_left, p_mid, p_right), tail, _ = pieces
     q_1 = p_right + IntervalReal(0, tail)
     q_0 = p_mid + q_1
     q_m1 = p_left + q_0
@@ -427,9 +429,7 @@ def integral_identities(
     left_form = EForm(-nf, dn, 0)
     expected_sign = -1 if n % 2 else 1
     if eform_sign(left_form) != expected_sign:
-        raise InvariantViolation(
-            f"integral over [-1,0] at n={n}: sign does not match parity"
-        )
+        raise InvariantViolation(f"integral over [-1,0] at n={_name(n)}: sign does not match parity")
 
     records = (
         IntegralIdentity("-1..inf", EForm(0, floor_shift, 0), q_m1),
@@ -448,7 +448,7 @@ def integral_identities(
     if outside:
         raise InvariantViolation(
             "; ".join(
-                f"integral over [{rec.label}] at n={n}: closed form "
+                f"integral over [{rec.label}] at n={_name(n)}: closed form "
                 f"{eform_eval(rec.closed_form, 64).to_decimal(15)} "
                 f"does not lie in quadrature {rec.enclosure.to_decimal(15)}"
                 for rec in outside

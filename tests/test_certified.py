@@ -528,15 +528,15 @@ def test_precision_cap_env_override(monkeypatch):
 
 
 def test_wide_bit_counts_and_cap_values_are_refused_in_one_short_line(monkeypatch):
-    # A count of bits wider than 256 bits is written as the power of two
-    # below it, its unit said once; an invalid cap value over 80
-    # characters is named by its length.
+    # A wide argument, count of bits or cap is named by `errors._name`, as
+    # the power of two below it, its unit said once; an invalid cap value
+    # over 80 characters is named by its length.
     from ecount.oracles import quad_gamma
 
     with pytest.raises(PrecisionCapError) as cap:
         quad_gamma(3, 10**400, Q(1, 10**9))
     assert str(cap.value) == (
-        "quad_gamma(n=3, z=a value of 1329 bits): tail cut-off needs at least 2^1334"
+        "quad_gamma(n=3, z=at least 2^1328): tail cut-off needs at least 2^1334"
         " working bits, above the precision cap of 1048576"
     )
     monkeypatch.setenv("ECOUNT_PRECISION_CAP", "junk" * 1250)
@@ -544,24 +544,52 @@ def test_wide_bit_counts_and_cap_values_are_refused_in_one_short_line(monkeypatc
         certified_floor(EForm(0, 1, 0))
     assert str(bad.value).endswith("(got a string of 5000 characters)")
     # A 5,000-digit cap, read with Python's int digit limit lifted as the
-    # CLI lifts it
-    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 5000)
+    # CLI lifts it, is refused by its length as under the default limit;
+    # a 4,300-digit cap is read under either, and named as a power of two
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 5000)
+        with pytest.raises(DomainError) as long_cap:
+            quad_gamma(3, 10**5100, Q(1, 10**9))
+        monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 4300)
         with pytest.raises(PrecisionCapError) as wide:
             quad_gamma(3, 10**5100, Q(1, 10**9))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    assert str(long_cap.value).endswith("(got a string of 5000 characters)")
     assert str(wide.value).endswith(
-        "needs at least 2^16947 working bits, above the precision cap of at least 2^16606"
+        "needs at least 2^16947 working bits, above the precision cap of at least 2^14281"
     )
-    for exc in (cap.value, bad.value, wide.value):
+    for exc in (cap.value, bad.value, long_cap.value, wide.value):
         assert len(str(exc)) < 1000
     for exc in (cap.value, wide.value):
         assert str(exc).count("working bits") == 1 and "bits working" not in str(exc)
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 0])
+def test_a_cap_value_past_4300_characters_gets_one_verdict_under_any_digit_limit(
+    monkeypatch, digit_limit
+):
+    # The CLI lifts Python's int-from-str digit limit (0) while a library
+    # caller keeps the default (4300): a 5,000-digit cap is refused by its
+    # length, before int() runs, under both.
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 5000)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(digit_limit)
+    try:
+        with pytest.raises(DomainError) as exc:
+            certified_floor(EForm(0, 1, 0))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert str(exc.value) == (
+        "ECOUNT_PRECISION_CAP must be a nonnegative integer bit count"
+        " (got a string of 5000 characters)"
+    )
 
 
 def test_the_cap_is_read_at_each_call_without_a_raising_lookup(monkeypatch):

@@ -882,6 +882,34 @@ def test_large_count_probes_answer_in_time(op):
     assert seconds < _PROBE_SECONDS
 
 
+@pytest.mark.parametrize("op", ["eq2", "paths", "derangements", "frac-e-nfact", "integrals"])
+def test_counts_past_sys_maxsize_are_domain_errors(op):
+    # eq2, paths and integrals ended in an OverflowError traceback from
+    # math.factorial, derangements and frac-e-nfact ran past any timeout.
+    proc, seconds = _compute_in_child(op, "--n", "100000000000000000000")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("domain error: ")
+    assert f"requires n <= {sys.maxsize}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert seconds < _PROBE_SECONDS
+
+
+def test_a_5000_digit_cap_gets_the_library_verdict(monkeypatch):
+    # main lifts Python's int digit limit; the cap's length rule does not
+    # depend on it, so the CLI refuses what a library call refuses.
+    monkeypatch.setenv("ECOUNT_PRECISION_CAP", "1" * 5000)
+    proc, _ = _compute_in_child("eq2", "--n", "5")
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stderr.startswith("domain error: ECOUNT_PRECISION_CAP must be")
+    assert "(got a string of 5000 characters)" in proc.stderr
+
+
+def test_an_inc_gamma_refusal_names_inc_gamma_int():
+    proc, _ = _compute_in_child("inc-gamma", "--n", "3", "--z", "-1000000")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("violation: inc_gamma_int at n=3, z=-1000000 needs ")
+
+
 @pytest.mark.parametrize("op", ["paths", "cycle-length-sum"])
 def test_count_probes_past_the_cap_are_refused_before_the_sum(op):
     # The certified floor at n = 10^5 is refused at the precision cap.

@@ -701,13 +701,13 @@ def test_checked_form_names_the_call_and_both_values(monkeypatch, form, rest):
 
 @pytest.mark.parametrize(
     "moved_by, difference",
-    [(1, " (certified - exact = 1)"), (1 << 300, "")],
+    [(1, " (certified - exact = 1)"), (1 << 300, " (certified - exact = at least 2^300)")],
     ids=["narrow-difference", "wide-difference"],
 )
 def test_checked_form_names_wide_values_by_their_bit_length(monkeypatch, moved_by, difference):
     # D_2000 has 5,736 digits, past Python's default limit of 4300 for
-    # int-to-str: the refusal names each value by its bit length, and the
-    # difference of the routes when that is narrow.
+    # int-to-str: the refusal names each value, and the difference of the
+    # routes, by `errors._name`, a wide one as the power of two below it.
     value = derangements(2000)
     monkeypatch.setattr(counts, "derangements", lambda n: value - moved_by)
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -720,8 +720,8 @@ def test_checked_form_names_wide_values_by_their_bit_length(monkeypatch, moved_b
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     assert str(exc.value) == (
-        f"derangement_eq2(2000): certified route gives a value of {value.bit_length()} bits, "
-        f"exact route gives a value of {(value - moved_by).bit_length()} bits{difference}"
+        f"derangement_eq2(2000): certified route gives at least 2^{value.bit_length() - 1}, "
+        f"exact route gives at least 2^{(value - moved_by).bit_length() - 1}{difference}"
     )
 
 

@@ -67,6 +67,22 @@ def test_domain_errors():
         partial_sum_pos(0)
 
 
+@pytest.mark.parametrize("read", [factorial, partial_sum_pos, derangements])
+def test_reads_past_sys_maxsize_are_domain_errors(read):
+    # math.factorial overflows there and a block of steps never ends; the
+    # messages below the range are unchanged.
+    for n in (sys.maxsize + 1, 10**20, 1 << 300):
+        with pytest.raises(DomainError) as exc:
+            read(n)
+        assert str(exc.value) == (
+            f"{read.__name__} requires n <= {sys.maxsize} (got {exact._name(n)})"
+        )
+    low = 0 if read is partial_sum_pos else -1
+    with pytest.raises(DomainError) as exc:
+        read(low)
+    assert str(exc.value) == f"{read.__name__} requires n >= {low + 1} (got {low})"
+
+
 @given(st.integers(min_value=1, max_value=300))
 def test_recurrence_consistency(n):
     assert derangements(n) == n * derangements(n - 1) + (-1) ** n

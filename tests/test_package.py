@@ -357,8 +357,23 @@ def test_a_value_is_written_out_up_to_256_bits_and_named_by_bit_lengths_past_the
     assert _name(top) == str(top)
     assert _name(Fraction(-top, top - 2)) == f"{-top}/{top - 2}" == str(Fraction(-top, top - 2))
     assert (_name((7, 1)), _name((-1, 2)), _name("n=3")) == ("7", "-1/2", "n=3")
-    assert _name(-top - 1) == _name(Fraction(top + 1)) == "a value of 257 bits"
+    assert _name(Fraction(top + 1)) == "at least 2^256"
+    assert _name(-top - 1) == "at most -2^256"
     assert _name((1, top + 1)) == "a rational with a 1-bit numerator and a 257-bit denominator"
+
+
+def test_a_wide_value_keeps_its_sign():
+    # Past 256 bits an int is named by the power of two it passes, with
+    # its sign, and a rational by its sign and bit lengths.
+    assert _name(1 << 300) == "at least 2^300"
+    assert _name(-(1 << 300)) == "at most -2^300"
+    assert _name((1 << 300) + 12345) == "at least 2^300"
+    wide = Fraction(-1, 10**100)
+    assert _name(wide) == "a negative rational with a 1-bit numerator and a 333-bit denominator"
+    assert _name(-wide) == "a rational with a 1-bit numerator and a 333-bit denominator"
+    with pytest.raises(DomainError) as exc:
+        exact.derangements(-(10**100))
+    assert str(exc.value) == "derangements requires n >= 0 (got at most -2^332)"
 
 
 @pytest.mark.parametrize("probe", sorted(_WIDE_PROBES))

@@ -410,7 +410,9 @@ def test_the_integer_check_decides_as_the_fraction_intervals(n, p, q, bits, exp_
     exp_ints, gamma_ints, meets = specials._exp_ints, specials._gamma_ints, specials._meets
     with pytest.MonkeyPatch.context() as m:
         m.setattr(specials, "_exp_ints", lambda *a: exp_step.append(exp_ints(*a)) or exp_step[-1])
-        m.setattr(specials, "_gamma_ints", lambda n, x, _: gamma_ints(n, x, exp_bits))
+        m.setattr(
+            specials, "_gamma_ints", lambda n, x, _, *what: gamma_ints(n, x, exp_bits, *what)
+        )
         m.setattr(specials, "_meets", lambda *a: check.append(a) or meets(*a))
         series_iv = specials.hyp1f1(n, x, bits)
     ((e_lo, e_hi, k),) = exp_step
@@ -502,19 +504,22 @@ def _call(kind, n, x, bits):
 @example("inc_gamma_int", 0, Q(1, 2), 1)
 def test_an_early_refusal_is_also_a_refusal_of_the_full_path(kind, n, x, bits):
     # Each check's bits, under the default cap; only a positive argument
-    # has the early check.
-    asked = []
+    # has the early check.  It shares its message with the exp step's
+    # check, which runs after D_n(x) is evaluated.
+    asked, evaluated = [], []
     check_cap = specials._check_cap
     with pytest.MonkeyPatch.context() as m:
         m.delenv("ECOUNT_PRECISION_CAP", raising=False)
         m.setattr(
             specials,
             "_check_cap",
-            lambda w, what, *args: asked.append((what, w)) or check_cap(w, what, *args),
+            lambda w, what, *args: asked.append((what, w, bool(evaluated)))
+            or check_cap(w, what, *args),
         )
+        m.setattr(specials, "dpoly_eval", lambda *a: evaluated.append(a) or dpoly_eval(*a))
         _call(kind, n, x, bits)
-    early = [w for what, w in asked if what.startswith(_EARLY[kind])]
-    later = [w for what, w in asked if not what.startswith(_EARLY[kind])]
+    early = [w for what, w, ran in asked if what.startswith(_EARLY[kind]) and not ran]
+    later = [w for what, w, ran in asked if not what.startswith(_EARLY[kind]) or ran]
     assert len(early) == (x > 0)
     if not early:
         return
@@ -546,6 +551,60 @@ def test_exp_and_series_stop_at_the_precision_cap(monkeypatch):
         specials.exp_enclosure(Q(1), 80)
     with pytest.raises(PrecisionCapError):
         specials.inc_gamma_int(specials.GammaQuery(3, Q(1), 80))
+
+
+def test_cap_refusals_name_the_public_call():
+    # The exp step is shared, but each refusal names the call it serves,
+    # with the argument as the caller passed it.
+    with pytest.raises(PrecisionCapError) as exc:
+        specials.inc_gamma_int(specials.GammaQuery(3, -(10**6), 96))
+    assert str(exc.value) == (
+        "inc_gamma_int at n=3, z=-1000000 needs 1442911 working bits,"
+        " above the precision cap of 1048576"
+    )
+    with pytest.raises(PrecisionCapError) as exc:
+        specials.exp_enclosure(Q(-(10**6)), 96)
+    assert str(exc.value).startswith("exp_enclosure at x=-1000000 needs ")
+
+
+@pytest.mark.parametrize("kind", sorted(_EARLY))
+@pytest.mark.parametrize("n, x", [(5, Q(3, 7)), (3, Q(-40)), (12, Q(-7, 2)), (0, Q(50))])
+def test_every_cap_refusal_starts_with_the_public_call(kind, n, x):
+    # Under a cap one bit below what each check asks for, the call is
+    # refused at or before that check, and the refusal names the call.
+    asked = []
+    check_cap = specials._check_cap
+    with pytest.MonkeyPatch.context() as m:
+        m.delenv("ECOUNT_PRECISION_CAP", raising=False)
+        m.setattr(
+            specials, "_check_cap", lambda w, *rest: asked.append(w) or check_cap(w, *rest)
+        )
+        _call(kind, n, x, 96)
+    assert asked
+    head = "hyp1f1" if kind == "hyp1f1" else f"inc_gamma_int at n={n}, z={x}"
+    for w in asked:
+        with pytest.MonkeyPatch.context() as m:
+            m.setenv("ECOUNT_PRECISION_CAP", str(w - 1))
+            with pytest.raises(PrecisionCapError) as exc:
+                _call(kind, n, x, 96)
+        assert str(exc.value).startswith(head), str(exc.value)
+
+
+def test_calls_that_answer_name_nothing(monkeypatch):
+    # A refusal's names are made only when it refuses: with every namer
+    # made to fail, the quadrature, the integral check and both gamma
+    # routes still answer.
+    from ecount import certified, errors, oracles
+
+    def no_name(x):
+        raise AssertionError("a name was built on a call that answers")
+
+    for module in (errors, certified, oracles, specials):
+        monkeypatch.setattr(module, "_name", no_name)
+    assert oracles.quad_gamma(3, 0, Q(1, 10**9)).value.contains(6)
+    assert len(specials.integral_identities(3)) == 6
+    assert specials.hyp1f1(5, Q(3, 7), 96).width <= Q(1, 1 << 96)
+    assert specials.inc_gamma_int(specials.GammaQuery(5, Q(3, 7), 96)).width > 0
 
 
 def test_exp_enclosure_stays_independent_of_the_other_exp_routes():
@@ -738,8 +797,8 @@ def test_integral_check_names_a_shifted_piece(index, label, monkeypatch):
 
     real = oracles._quad_pieces
 
-    def shifted(n, cuts, tol, call):
-        pieces, tail, evals = real(n, cuts, tol, call)
+    def shifted(n, cuts, tol, what, *args):
+        pieces, tail, evals = real(n, cuts, tol, what, *args)
         piece = pieces[index]
         step = 2 * (piece.width + (tail if index == 2 else 0))
         pieces[index] = IntervalReal(piece.lo + step, piece.hi + step)
