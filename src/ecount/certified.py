@@ -96,7 +96,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from . import _LAYERS
-from .errors import _NAME_BITS, DomainError, PrecisionCapError, _name, _require
+from .errors import _NAME_BITS, DomainError, PrecisionCapError, _name, _require, _size
 from .exact import factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["certified"], "DEFAULT_PRECISION_CAP", "ceil_log2", "fraction_to_decimal"]
@@ -835,5 +835,5 @@ def frac_e_nfact(n: int) -> EForm:
     floor(e*n!) = sum_{i=0}^n n!/i! is itself checked elsewhere by the
     certified route.
     """
-    _require(n >= 1, "frac_e_nfact requires n >= 1 (got {})", n)
+    _size("frac_e_nfact", n, 1)
     return EForm(-partial_sum_pos(n), factorial(n), 0)

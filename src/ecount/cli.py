@@ -413,7 +413,9 @@ def _suite_paths_cycles(r: SuiteResult, n_range: _Range, **_: Any) -> None:
             avg - (n - 2) == _Q(1, pc.path_count),
             f"n={n}: average-length identity fails",
         )
-        expected = {1, 2} if n == 3 else {n - 2, n - 1}
+        w = [counts.path_count_by_length(n, i) for i in range(1, n)]
+        top = max(w)
+        expected = {i for i, wi in enumerate(w, start=1) if wi == top}
         r.expect(
             counts.path_argmax_lengths(n) == expected,
             f"n={n}: argmax set != {expected}",

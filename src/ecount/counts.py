@@ -25,8 +25,8 @@ not from `exact`'s blocks, and steps up m by small factors.
 This module is the one place where two routes meet: `_agree` compares
 them and raises InvariantViolation, naming the call and both values by
 `errors._name` (a wide one by the power of two it passes), when
-they differ.  Preconditions are `errors._require` checks, which name
-their arguments the same way.
+they differ.  Sizes n and m are checked by `errors._size`, other
+preconditions by `errors._require`; both name arguments the same way.
 `_checked_sum` serves the tallies and floor(e*n!) (eq1);
 `_checked_form` checks a derangement floor form against
 derangements(n).  The public derangement forms return their certified
@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from . import _LAYERS
 from .certified import EForm, _split, certified_floor, eform_lt
-from .errors import _NAME_BITS, InvariantViolation, _name, _require
+from .errors import _NAME_BITS, InvariantViolation, _name, _require, _size
 from .exact import derangements, factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["counts"]]
@@ -77,9 +77,9 @@ def _agree(name: str, args: tuple, certified: int, exact: int) -> int:
 
 def _checked_sum(name: str, n: int, m: int) -> int:
     """S_m = floor(e*m!) for the call name(n), read both ways: the
-    certified floor first, then partial_sum_pos(m).  m < 1 is refused
-    first, in the caller's terms."""
-    _require(m >= 1, "{} requires n >= {} (got {})", name, n - m + 1, n)
+    certified floor first, then partial_sum_pos(m).  n is checked first,
+    in the caller's name, as a size of at least n - m + 1."""
+    _size(name, n, n - m + 1)
     return _agree(name, (n,), certified_floor(EForm(0, factorial(m), 0)), partial_sum_pos(m))
 
 
@@ -95,7 +95,7 @@ def _checked_form(form: Callable[..., int], n: int, *rest: object) -> int:
 def path_count_by_length(n: int, i: int) -> int:
     """Number of simple paths with exactly i edges between a fixed
     vertex pair of K_n: (n-2)!/(n-1-i)!."""
-    _require(n >= 3, "path_count_by_length requires n >= 3 (got n={})", n)
+    _size("path_count_by_length", n, 3)
     _require(1 <= i <= n - 1, "edge count i must satisfy 1 <= i <= n-1 (got i={})", i)
     return factorial(n - 2) // factorial(n - 1 - i)
 
@@ -104,9 +104,9 @@ def path_count(n: int) -> int:
     """Total number of simple paths between a fixed vertex pair of K_n.
 
     w_n = sum_i w(i) = sum_k (n-2)!/k! = S_{n-2}: the partial sum read
-    from the exact route, checked against the certified floor(e*(n-2)!).
+    from the exact route, checked against the certified floor(e*(n-2)!),
+    whose check refuses n < 3 in this call's name.
     """
-    _require(n >= 3, "path_count requires n >= 3 (got {})", n)
     return _checked_sum("path_count", n, n - 2)
 
 
@@ -116,13 +116,13 @@ def path_length_sum(n: int) -> int:
     The closed form 1 + (n-2)*w_n is checked against the direct sum
     sum_i i*w(i) = S_{n-1} - S_{n-2}.
     """
-    _require(n >= 3, "path_length_sum requires n >= 3 (got {})", n)
+    _size("path_length_sum", n, 3)
     return _path_totals(n)[1]
 
 
 def average_path_length(n: int) -> Fraction:
     """Mean number of edges of a path between the fixed pair, exact."""
-    _require(n >= 3, "average_path_length requires n >= 3 (got {})", n)
+    _size("average_path_length", n, 3)
     count, total = _path_totals(n)
     return _Q(total, count)
 
@@ -138,18 +138,12 @@ def _path_totals(n: int) -> tuple[int, int]:
 def path_argmax_lengths(n: int) -> set[int]:
     """Edge counts i at which w(i) is maximal, as the full tie set.
 
-    Read from the step factors w(i)/w(i-1) = n-i, all >= 1: w never
-    falls, so w(i) is a new maximum when its step exceeds 1 and ties the
-    maximum when it is 1.  No w(i) is built.
+    Read from the step factors w(i)/w(i-1) = n-i, all >= 1: w rises
+    up to i = n-2 and its last step, at i = n-1, is 1, so the maximum is
+    taken at n-2 and n-1 ({1, 2} at n = 3).  No w(i) is built.
     """
-    _require(n >= 3, "path_argmax_lengths requires n >= 3 (got {})", n)
-    best = {1}
-    for i in range(2, n):
-        if n - i > 1:
-            best = {i}
-        elif n - i == 1:
-            best.add(i)
-    return best
+    _size("path_argmax_lengths", n, 3)
+    return {n - 2, n - 1}
 
 
 def cycle_count(n: int) -> int:
@@ -160,7 +154,7 @@ def cycle_count(n: int) -> int:
     read from the exact route, checked against the certified
     floor(e*(n-1)!).
     """
-    _require(n >= 3, "cycle_count requires n >= 3 (got {})", n)
+    _size("cycle_count", n, 3)
     return _checked_sum("cycle_count", n, n - 1) - n
 
 
@@ -171,7 +165,7 @@ def cycle_length_sum(n: int) -> int:
     checked against the floor difference floor(e*n!) - floor(e*(n-1)!)
     - 2n + 1.
     """
-    _require(n >= 3, "cycle_length_sum requires n >= 3 (got {})", n)
+    _size("cycle_length_sum", n, 3)
     return _cycle_totals(n)[1]
 
 
@@ -195,13 +189,18 @@ class PathCycleCounts(
 
 def path_cycle_counts(n: int) -> PathCycleCounts:
     """All four tallies for one n, with three certified floors in all."""
-    _require(n >= 3, "path_cycle_counts requires n >= 3 (got {})", n)
+    _size("path_cycle_counts", n, 3)
     paths, path_length = _path_totals(n)
     cycles, cycle_length = _cycle_totals(n)
     return PathCycleCounts(n, paths, path_length, cycles, cycle_length)
 
 
 # --- derangement numbers as certified floors --------------------------
+
+
+def _shifted_floor(n: int, num: int, den: int) -> int:
+    """certified floor(n!/e + num/den), den > 0: (num + n!*den/e) / den."""
+    return certified_floor(EForm.from_integers(num, 0, factorial(n) * den, den))
 
 
 def derangement_lambda(n: int, lam: Fraction) -> int:
@@ -211,30 +210,28 @@ def derangement_lambda(n: int, lam: Fraction) -> int:
     n >= 1; callers may pass any rational lam, e.g. to probe where the
     window breaks.
     """
-    _require(n >= 1, "derangement_lambda requires n >= 1 (got {})", n)
+    _size("derangement_lambda", n, 1)
     lam = lam if type(lam) is Fraction else _Q(lam)
-    den = lam.denominator
-    return certified_floor(EForm.from_integers(lam.numerator, 0, factorial(n) * den, den))
+    return _shifted_floor(n, lam.numerator, lam.denominator)
 
 
 def derangement_eq2(n: int) -> int:
     """certified floor((n!+1)/e), equal to derangements(n) for n >= 1."""
-    _require(n >= 1, "derangement_eq2 requires n >= 1 (got {})", n)
+    _size("derangement_eq2", n, 1)
     return certified_floor(EForm(0, 0, factorial(n) + 1))
 
 
 def derangement_eq3(n: int) -> int:
     """certified floor(n!/e + 1/n), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, "derangement_eq3 requires n >= 2 (got {})", n)
-    return certified_floor(EForm.from_integers(1, 0, factorial(n) * n, n))
+    _size("derangement_eq3", n, 2)
+    return _shifted_floor(n, 1, n)
 
 
 def derangement_eq4(n: int) -> int:
     """certified floor(n!/e + (n+2)/(n+1)^2), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, "derangement_eq4 requires n >= 2 (got {})", n)
+    _size("derangement_eq4", n, 2)
     # (n+2)/(n+1)^2 is in lowest terms, as n+2 and n+1 are coprime.
-    den = (n + 1) ** 2
-    return certified_floor(EForm.from_integers(n + 2, 0, factorial(n) * den, den))
+    return _shifted_floor(n, n + 2, (n + 1) ** 2)
 
 
 def derangement_eq5(n: int, m: int) -> int:
@@ -246,8 +243,8 @@ def derangement_eq5(n: int, m: int) -> int:
     and p/q = M_m(n) as `_m_pairs` gives it, unreduced: the floor needs
     no lowest terms, so no gcd is taken.  Both floors are certified.
     """
-    _require(n >= 2, "derangement_eq5 requires n >= 2 (got n={})", n)
-    _require(m >= 3, "derangement_eq5 requires m >= 3 (got m={})", m)
+    _size("derangement_eq5", n, 2)
+    _size("derangement_eq5", m, 3, "m")
     nf = factorial(n)
     p, q = next(_m_pairs(n, m, m))
     head = EForm.from_integers(partial_sum_pos(n) * q + p, 0, nf * q, q)
@@ -256,7 +253,7 @@ def derangement_eq5(n: int, m: int) -> int:
 
 def derangement_eq6(n: int) -> int:
     """floor((e + 1/e)*n!) - floor(e*n!), equal to derangements(n) for n >= 2."""
-    _require(n >= 2, "derangement_eq6 requires n >= 2 (got {})", n)
+    _size("derangement_eq6", n, 2)
     nf = factorial(n)
     return certified_floor(EForm(0, nf, nf)) - certified_floor(EForm(0, nf, 0))
 
@@ -269,19 +266,14 @@ def derangement_thm7(n: int, m: int) -> int:
     the fractional-part tail entering exactly once.  Expanding that
     fractional part over e turns the whole argument into a single EForm.
     """
-    _require(n >= 2, "derangement_thm7 requires n >= 2 (got n={})", n)
-    _require(m >= 1, "derangement_thm7 requires m >= 1 (got m={})", m)
+    _size("derangement_thm7", n, 2)
+    _size("derangement_thm7", m, 1, "m")
     # N_m(n) = (a + b*e) / p with b = n!*p, so N_m(n) + n!/e has C = b.
     a, b, p = next(_n_ints(n, m, m))
     return certified_floor(EForm.from_integers(a, b, b, p))
 
 
 # --- fractional-part bounds -------------------------------------------
-
-
-def _require_bound(what: str, n: int, m: int) -> None:
-    _require(n >= 2, "{} requires n >= 2 (got n={})", what, n)
-    _require(m >= 1, "{} requires m >= 1 (got m={})", what, m)
 
 
 def _m_pairs(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, int]]:
@@ -338,7 +330,8 @@ def bound_M(n: int, m: int) -> Fraction:
     so n!*A = S_n + M_m(n) for the head A of derangement_eq5.  It is the
     m-th step of the one ascending pass, reduced.
     """
-    _require_bound("bound_M", n, m)
+    _size("bound_M", n, 2)
+    _size("bound_M", m, 1, "m")
     return _Q(*next(_m_pairs(n, m, m)))
 
 
@@ -352,14 +345,17 @@ def bound_N(n: int, m: int) -> EForm:
     ascending pass, over (n+2m)!/n! unreduced: no gcd that wide is taken
     here, and `.a` is reduced only when read.
     """
-    _require_bound("bound_N", n, m)
+    _size("bound_N", n, 2)
+    _size("bound_N", m, 1, "m")
     return next(_n_forms(n, m, m))
 
 
 def _bound_rows(n: int, m_lo: int, m_hi: int) -> Iterator[tuple[int, Fraction, EForm]]:
     """(m, M_m(n), N_m(n)) for m = m_lo..m_hi, from one pass of each
-    builder; refused, before any is built, as bound_N(n, m_lo) is."""
-    _require_bound("bound_N", n, m_lo)
+    builder; its sizes are checked first, in bound_N's name."""
+    _size("bound_N", n, 2)
+    _size("bound_N", m_lo, 1, "m")
+    _size("bound_N", m_hi, 1, "m")
     pairs = zip(_m_pairs(n, m_lo, m_hi), _n_forms(n, m_lo, m_hi))
     return ((m, _Q(*big_m), big_n) for m, (big_m, big_n) in enumerate(pairs, start=m_lo))
 
@@ -386,8 +382,8 @@ def chain_check(n: int, m_max: int) -> BoundsChain:
     come from one ascending pass each, the builders that bound_M and
     bound_N read.
     """
-    _require(n >= 2, "chain_check requires n >= 2 (got n={})", n)
-    _require(m_max >= 1, "chain_check requires m_max >= 1 (got m_max={})", m_max)
+    _size("chain_check", n, 2)
+    _size("chain_check", m_max, 1, "m_max")
     nf = factorial(n)
     dn = derangements(n)
     # |n!/e - D_n|: the sign of n!/e - D_n alternates with n.

@@ -2,10 +2,13 @@
 a message names the public call and every number in it by `_name`, the
 one signed namer, so it is one short line whatever the argument's size,
 and is made only when a check refuses, as `_require` does.
+Its one size rule, `_size`: a call that takes n or m checks it first, in
+its own name, and accepts an int from its least value to sys.maxsize.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import _LAYERS
@@ -55,3 +58,12 @@ def _require(cond: bool, template: str, *args: object) -> None:
     cond; the message is made only when the check fails."""
     if not cond:
         raise DomainError(template.format(*map(_name, args)))
+
+
+def _size(call: str, v: int, least: int, name: str = "n") -> None:
+    """DomainError "<call> requires <name> >= <least>" or "<= sys.maxsize",
+    with v named by `_name`, unless least <= v <= sys.maxsize; the
+    message is made only when the check fails."""
+    if not least <= v <= sys.maxsize:
+        bound = f">= {least}" if v < least else f"<= {sys.maxsize}"
+        raise DomainError(f"{call} requires {name} {bound} (got {_name(v)})")

@@ -29,20 +29,20 @@ first read splitting from far below: all three sequences from 4096 down
 to 1 take 1.7 s, against 44 ms ascending (CPython 3.11, one 2-vCPU
 x86-64 host).  Above 4096 nothing more is stored, and n! is
 `math.factorial`; past sys.maxsize, where it overflows and a block never
-ends, the three reads raise DomainError.  The certified layer brackets e and 1/e by its own
-binary split of the series and never calls this one.
+ends, `errors._size` refuses n, checked by the reads only outside
+0..4096.  The certified layer brackets e and 1/e by its own binary
+split of the series and never calls this one.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from collections import namedtuple
 from fractions import Fraction
 
 from . import _LAYERS
-from .errors import DomainError, _name, _require
+from .errors import _size
 
 __all__ = [*_LAYERS["exact"]]
 
@@ -110,12 +110,10 @@ def _read(marks: list[int | None], x: int, n: int) -> int:
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
-    if n < 0:
-        raise DomainError(f"factorial requires n >= 0 (got {_name(n)})")
-    if n > _N0:
-        _require(n <= sys.maxsize, "factorial requires n <= {} (got {})", sys.maxsize, n)
-        return math.factorial(n)
-    return _read(_FACT_MARKS, 0, n)
+    if 0 <= n <= _N0:
+        return _read(_FACT_MARKS, 0, n)
+    _size("factorial", n, 0)
+    return math.factorial(n)
 
 
 def partial_sum_pos(n: int) -> int:
@@ -126,19 +124,15 @@ def partial_sum_pos(n: int) -> int:
     this integer equals floor(e*n!); the certified-floor route in
     :mod:`ecount.certified` re-derives the same value independently.
     """
-    if n < 1:
-        raise DomainError(f"partial_sum_pos requires n >= 1 (got {_name(n)})")
-    if n > _N0:
-        _require(n <= sys.maxsize, "partial_sum_pos requires n <= {} (got {})", sys.maxsize, n)
+    if not 1 <= n <= _N0:
+        _size("partial_sum_pos", n, 1)
     return _read(_PSUM_MARKS, 1, n)
 
 
 def derangements(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
-    if n < 0:
-        raise DomainError(f"derangements requires n >= 0 (got {_name(n)})")
-    if n > _N0:
-        _require(n <= sys.maxsize, "derangements requires n <= {} (got {})", sys.maxsize, n)
+    if not 0 <= n <= _N0:
+        _size("derangements", n, 0)
     return _read(_DER_MARKS, -1, n)
 
 
@@ -169,7 +163,7 @@ def dpoly(n: int) -> DerangementPoly:
     coeffs[n] = 1 and coeffs[i] = (i+1)*coeffs[i+1], which unwinds to
     n!/i! without ever forming a quotient.
     """
-    _require(n >= 0, "dpoly requires n >= 0 (got {})", n)
+    _size("dpoly", n, 0)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     for i in range(n - 1, -1, -1):
@@ -181,7 +175,7 @@ def dpoly_eval(n: int, x: Fraction) -> Fraction:
     """Exact value of D_n(x) at x = p/q in lowest terms: U_n / q^n, with
     U_n one block of U_k = k*q*U_{k-1} + p^k from U_0 = 1.
     :meth:`DerangementPoly.eval` is the coefficient-form reference."""
-    _require(n >= 0, "dpoly_eval requires n >= 0 (got {})", n)
+    _size("dpoly_eval", n, 0)
     p, q = Fraction(x).as_integer_ratio()
     big_p, r = _block(0, n, p, q)
     return Fraction(big_p + r, q**n)

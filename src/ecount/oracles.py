@@ -57,8 +57,8 @@ piece between cuts.  `quad_gamma` calls it with the single cut z;
 `specials.integral_identities` calls it once with the cuts -1, 0 and 1,
 so the six integrals it checks share one set of panel evaluations.  The
 pass keeps its tables (`_PassTables`: surrogate moments, remainder
-bounds, powers of e and 1/e and Taylor sums of e^r at each scale) for
-its own panels only and drops them when it returns.
+bounds and powers of e and 1/e at each scale) for its own panels only
+and drops them when it returns.
 
 Two refusals come before any work.  Each exact test of the cut-off
 works on e^-U at about 64U bits, so when 64 times a lower bound on U
@@ -221,6 +221,21 @@ def _horner(coeffs: list[int], x: int) -> int:
     return acc
 
 
+def _taylor(p: int, num: int, den: int) -> tuple[int, int]:
+    """Integers lo <= e^r * 2^p <= hi for r = num/den in [0, 1): a
+    Taylor sum whose terms are floored for lo and ceiled for hi."""
+    tay_lo = tay_hi = t_lo = t_hi = 1 << p
+    k = 0
+    while t_hi > 1:
+        k += 1
+        t_lo = t_lo * num // (den * k)
+        t_hi = -(-t_hi * num // (den * k))
+        tay_lo += t_lo
+        tay_hi += t_hi
+    # the terms after the k-th sum to at most t_k * r / (k + 1 - r) <= t_k
+    return tay_lo, tay_hi + t_hi
+
+
 class _PassTables:
     """Integer tables shared by the panels of one quadrature pass.
 
@@ -240,7 +255,6 @@ class _PassTables:
         self._cores: dict[tuple[int, int, int], tuple[list[int], int]] = {}
         self._remainders: dict[tuple[int, int], tuple[list[tuple[int, int, int]], list[int]]] = {}
         self._powers: dict[tuple[int, bool], tuple[int, int, list[int], list[int]]] = {}
-        self._taylor: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def core(self, den: int, big_h: int, order: int) -> tuple[list[int], int]:
         """Coefficients c_0..c_n and denominator D of the order-K surrogate
@@ -367,28 +381,6 @@ class _PassTables:
                 highs.append(-base)
         return lows[abs(q)], highs[abs(q)]
 
-    def taylor(self, p: int, num: int, den: int) -> tuple[int, int]:
-        """Integers lo <= e^r * 2^p <= hi for r = num/den in [0, 1): a
-        Taylor sum whose terms are floored for lo and ceiled for hi."""
-        one = 1 << p
-        if not num:
-            return one, one
-        g = gcd(num, den)
-        key = (p, num // g, den // g)
-        entry = self._taylor.get(key)
-        if entry is None:
-            tay_lo = tay_hi = t_lo = t_hi = one
-            k = 0
-            while t_hi > 1:
-                k += 1
-                t_lo = t_lo * num // (den * k)
-                t_hi = -(-t_hi * num // (den * k))
-                tay_lo += t_lo
-                tay_hi += t_hi
-            # the terms after the k-th sum to at most t_k * r / (k + 1 - r) <= t_k
-            entry = self._taylor[key] = (tay_lo, tay_hi + t_hi)
-        return entry
-
     def exp(self, num: int, den: int, bits: int) -> tuple[int, int, int]:
         """Integers (lo, hi, p) with lo <= e^(num/den) * 2^p <= hi and
         (hi - lo) * 2^-p <= 2^-bits * max(1, e^(num/den)); the factors
@@ -397,7 +389,7 @@ class _PassTables:
         p = bits + bits.bit_length() + abs(q).bit_length() + 8
         big = -(-p // 64) * 64
         base_lo, base_hi = self.power(big, q)
-        tay_lo, tay_hi = self.taylor(big, r, den)
+        tay_lo, tay_hi = _taylor(big, r, den)
         return base_lo * tay_lo >> 2 * big - p, -(-base_hi * tay_hi >> 2 * big - p), p
 
 

@@ -69,7 +69,7 @@ from .certified import (
     eform_sign,
 )
 from .counts import derangement_eq2
-from .errors import InvariantViolation, _name, _require
+from .errors import InvariantViolation, _name, _require, _size
 from .exact import derangements, dpoly_eval, factorial, partial_sum_pos
 
 __all__ = [*_LAYERS["specials"]]
@@ -96,7 +96,7 @@ def hyp2f0(n: int, x: Fraction) -> Fraction:
     stops by itself after n+1 terms.  With x = p/q it runs on integers:
     term is t_k * q^k and acc the k-th partial sum times q^k.
     """
-    _require(n >= 0, "hyp2f0 requires n >= 0 (got {})", n)
+    _size("hyp2f0", n, 0)
     p, q = _Q(x).as_integer_ratio()
     term = acc = 1
     for k in range(n):
@@ -107,6 +107,7 @@ def hyp2f0(n: int, x: Fraction) -> Fraction:
 
 def hyp2f0_identity_check(n: int, x: Fraction) -> Fraction:
     """Evaluate x^n * F(n; -1/x) and certify it equals D_n(x) exactly."""
+    _size("hyp2f0_identity_check", n, 0)
     x = _Q(x)
     _require(x != 0, "hyp2f0_identity_check requires x != 0")
     value = hyp2f0(n, -1 / x) * x**n
@@ -125,7 +126,7 @@ def hyp2f0_special(n: int, sign: int) -> int:
     `sign` selects the evaluation point x = sign; n >= 1.  The series
     value is checked against the independent floor route and returned.
     """
-    _require(n >= 1, "hyp2f0_special requires n >= 1 (got {})", n)
+    _size("hyp2f0_special", n, 1)
     _require(sign in (-1, 1), "sign must be -1 or 1 (got {})", sign)
     value = hyp2f0(n, _Q(sign))
     if sign == -1:
@@ -257,8 +258,8 @@ def inc_gamma_int(query: GammaQuery) -> IntervalReal:
     meets the precision cap before `dpoly_eval` runs.  For z <= 0, D_n(z)
     is evaluated first and the exp step checks the cap.
     """
+    _size("inc_gamma_int", query.n, 0)
     n, z, bits = query.n, _Q(query.z), query.precision_bits
-    _require(n >= 0, "inc_gamma_int requires n >= 0 (got {})", n)
     _require(bits >= 1, "precision_bits must be >= 1 (got {})", bits)
     what = "inc_gamma_int at n={}, z={}"
     if z.numerator > 0:
@@ -340,7 +341,7 @@ def hyp1f1(n: int, x: Fraction, precision_bits: int) -> IntervalReal:
     x < 0 the series and D_n(x) are evaluated first and the exp step
     checks the cap.
     """
-    _require(n >= 0, "hyp1f1 requires n >= 0 (got {})", n)
+    _size("hyp1f1", n, 0)
     _require(precision_bits >= 1, "precision_bits must be >= 1 (got {})", precision_bits)
     x = _Q(x)
     num, den = x.numerator, x.denominator
@@ -405,7 +406,7 @@ def integral_identities(
     Raises PrecisionCapError if the pass runs out of its evaluation
     budget.
     """
-    _require(n >= 1, "integral_identities requires n >= 1 (got {})", n)
+    _size("integral_identities", n, 1)
     tol = _Q(tol)
     nf = factorial(n)
     dn = derangements(n)

@@ -882,14 +882,36 @@ def test_large_count_probes_answer_in_time(op):
     assert seconds < _PROBE_SECONDS
 
 
-@pytest.mark.parametrize("op", ["eq2", "paths", "derangements", "frac-e-nfact", "integrals"])
-def test_counts_past_sys_maxsize_are_domain_errors(op):
+_BIG = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "args, call, size",
+    [
+        pytest.param(("eq2", "--n", _BIG), "derangement_eq2", "n", id="eq2"),
+        pytest.param(("paths", "--n", _BIG), "path_count", "n", id="paths"),
+        pytest.param(("derangements", "--n", _BIG), "derangements", "n", id="derangements"),
+        pytest.param(("frac-e-nfact", "--n", _BIG), "frac_e_nfact", "n", id="frac-e-nfact"),
+        pytest.param(("integrals", "--n", _BIG), "integral_identities", "n", id="integrals"),
+        pytest.param(("dpoly-eval", "--n", _BIG, "--x", "1/2"), "dpoly_eval", "n", id="dpoly-eval"),
+        pytest.param(("hyp2f0", "--n", _BIG, "--x", "1/2"), "hyp2f0", "n", id="hyp2f0"),
+        pytest.param(("hyp1f1", "--n", _BIG, "--x", "-1/2"), "hyp1f1", "n", id="hyp1f1"),
+        pytest.param(("inc-gamma", "--n", _BIG, "--z", "-1/2"), "inc_gamma_int", "n", id="inc-gamma"),
+        pytest.param(("eq5", "--n", "10", "--m", _BIG), "derangement_eq5", "m", id="eq5-m"),
+        pytest.param(("thm7", "--n", "10", "--m", _BIG), "derangement_thm7", "m", id="thm7-m"),
+    ],
+)
+def test_counts_past_sys_maxsize_are_domain_errors(args, call, size):
     # eq2, paths and integrals ended in an OverflowError traceback from
-    # math.factorial, derangements and frac-e-nfact ran past any timeout.
-    proc, seconds = _compute_in_child(op, "--n", "100000000000000000000")
+    # math.factorial, derangements and frac-e-nfact ran past any timeout;
+    # then paths was refused in the name of factorial at n - 2, and the
+    # other six ran past a 5 s timeout.  Each is now refused in the name
+    # of the library call the op makes.
+    proc, seconds = _compute_in_child(*args)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("domain error: ")
-    assert f"requires n <= {sys.maxsize}" in proc.stderr
+    assert proc.stderr.splitlines()[0] == (
+        f"domain error: {call} requires {size} <= {sys.maxsize} (got {_BIG})"
+    )
     assert "Traceback" not in proc.stderr
     assert seconds < _PROBE_SECONDS
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecount import certified, exact
-from ecount.errors import DomainError
+from ecount.errors import DomainError, _name
 from ecount.exact import (
     DerangementPoly,
     derangements,
@@ -75,7 +75,7 @@ def test_reads_past_sys_maxsize_are_domain_errors(read):
         with pytest.raises(DomainError) as exc:
             read(n)
         assert str(exc.value) == (
-            f"{read.__name__} requires n <= {sys.maxsize} (got {exact._name(n)})"
+            f"{read.__name__} requires n <= {sys.maxsize} (got {_name(n)})"
         )
     low = 0 if read is partial_sum_pos else -1
     with pytest.raises(DomainError) as exc:

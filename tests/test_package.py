@@ -390,3 +390,98 @@ def test_arguments_of_any_size_get_an_answer_or_a_typed_error(probe):
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+# --- one size rule ----------------------------------------------------------
+
+# In an 800 MB address space, calls every public call that takes a size
+# n or m, with that size as v, at every v past sys.maxsize, and prints
+# one line for each call that does not raise a DomainError starting with
+# the name paired with it; bound_N's row builder refuses as bound_N.
+_SIZE_CHILD = """
+import resource, sys
+from fractions import Fraction
+from ecount import certified, counts, exact, specials
+from ecount.errors import DomainError
+resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+half = Fraction(1, 2)
+calls = [
+    ("factorial", lambda v: exact.factorial(v)),
+    ("partial_sum_pos", lambda v: exact.partial_sum_pos(v)),
+    ("derangements", lambda v: exact.derangements(v)),
+    ("dpoly", lambda v: exact.dpoly(v)),
+    ("dpoly_eval", lambda v: exact.dpoly_eval(v, half)),
+    ("frac_e_nfact", lambda v: certified.frac_e_nfact(v)),
+    ("path_count_by_length", lambda v: counts.path_count_by_length(v, 1)),
+    ("path_count", lambda v: counts.path_count(v)),
+    ("path_length_sum", lambda v: counts.path_length_sum(v)),
+    ("average_path_length", lambda v: counts.average_path_length(v)),
+    ("path_argmax_lengths", lambda v: counts.path_argmax_lengths(v)),
+    ("cycle_count", lambda v: counts.cycle_count(v)),
+    ("cycle_length_sum", lambda v: counts.cycle_length_sum(v)),
+    ("path_cycle_counts", lambda v: counts.path_cycle_counts(v)),
+    ("derangement_lambda", lambda v: counts.derangement_lambda(v, half)),
+    ("derangement_eq2", lambda v: counts.derangement_eq2(v)),
+    ("derangement_eq3", lambda v: counts.derangement_eq3(v)),
+    ("derangement_eq4", lambda v: counts.derangement_eq4(v)),
+    ("derangement_eq5", lambda v: counts.derangement_eq5(v, 3)),
+    ("derangement_eq5", lambda v: counts.derangement_eq5(10, v)),
+    ("derangement_eq6", lambda v: counts.derangement_eq6(v)),
+    ("derangement_thm7", lambda v: counts.derangement_thm7(v, 1)),
+    ("derangement_thm7", lambda v: counts.derangement_thm7(10, v)),
+    ("bound_M", lambda v: counts.bound_M(v, 1)),
+    ("bound_M", lambda v: counts.bound_M(10, v)),
+    ("bound_N", lambda v: counts.bound_N(v, 1)),
+    ("bound_N", lambda v: counts.bound_N(10, v)),
+    ("bound_N", lambda v: counts._bound_rows(v, 1, 2)),
+    ("bound_N", lambda v: counts._bound_rows(10, v, v)),
+    ("bound_N", lambda v: counts._bound_rows(10, 1, v)),
+    ("chain_check", lambda v: counts.chain_check(v, 1)),
+    ("chain_check", lambda v: counts.chain_check(10, v)),
+    ("hyp2f0", lambda v: specials.hyp2f0(v, half)),
+    ("hyp2f0_identity_check", lambda v: specials.hyp2f0_identity_check(v, half)),
+    ("hyp2f0_special", lambda v: specials.hyp2f0_special(v, 1)),
+    ("hyp1f1", lambda v: specials.hyp1f1(v, -half, 10)),
+    ("inc_gamma_int", lambda v: specials.inc_gamma_int(specials.GammaQuery(v, -half, 10))),
+    ("integral_identities", lambda v: specials.integral_identities(v)),
+]
+for v in (sys.maxsize + 1, 10**20, 1 << 300):
+    for i, (name, call) in enumerate(calls):
+        try:
+            call(v)
+        except DomainError as exc:
+            if not str(exc).startswith(name + " requires "):
+                print(i, name, v.bit_length(), repr(str(exc)))
+        except Exception as exc:
+            print(i, name, v.bit_length(), type(exc).__name__, exc)
+        else:
+            print(i, name, v.bit_length(), "answered")
+"""
+
+
+def test_sizes_past_sys_maxsize_are_refused_in_the_calls_own_name():
+    # Each size is checked first by errors._size.  Before, dpoly(10**20)
+    # raised a bare OverflowError, path_count was refused in the name of
+    # factorial, and dpoly_eval, hyp2f0, path_argmax_lengths and a dozen
+    # more ran past the timeout.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIZE_CHILD], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sizes_below_the_least_read_as_before():
+    # The "(got n=...)" wording is gone: every size reads "(got v)", and
+    # hyp2f0_identity_check names itself, not hyp2f0.
+    for call, args, message in [
+        (counts.chain_check, (5, 0), "chain_check requires m_max >= 1 (got 0)"),
+        (counts.path_count_by_length, (2, 1), "path_count_by_length requires n >= 3 (got 2)"),
+        (specials.hyp2f0_identity_check, (-1, 2), "hyp2f0_identity_check requires n >= 0 (got -1)"),
+        (exact.dpoly, (-1,), "dpoly requires n >= 0 (got -1)"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            call(*args)
+        assert str(exc.value) == message
